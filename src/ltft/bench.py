@@ -73,7 +73,7 @@ class ErrorRow:
     redundancy: float
     n: int
     rel_error: float
-    rel_error_std: float = 0.0
+    rel_error_std: float
 
 
 def bench_reconstruction(
@@ -92,23 +92,16 @@ def bench_reconstruction(
     """
     rows: List[ErrorRow] = []
     for method in methods:
+        seeds = mc_seeds if method == "mc" else (0,)
         for a in redundancies:
             if a < 1:
                 raise InvalidParameterError("redundancy must be >= 1")
             n = int(math.ceil(a * signal.m))
-            if method == "mc":
-                errs = [
-                    relative_error(
-                        reconstruct(signal, params, n, "mc", seed, padded), signal
-                    )
-                    for seed in mc_seeds
-                ]
-                rows.append(
-                    ErrorRow("mc", a, n, float(np.mean(errs)), float(np.std(errs)))
-                )
-            else:
-                out = reconstruct(signal, params, n, method, 0, padded)
-                rows.append(ErrorRow(method, a, n, relative_error(out, signal)))
+            errs = [
+                relative_error(reconstruct(signal, params, n, method, seed, padded), signal)
+                for seed in seeds
+            ]
+            rows.append(ErrorRow(method, a, n, float(np.mean(errs)), float(np.std(errs))))
     return rows
 
 

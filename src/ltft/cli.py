@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -25,7 +24,7 @@ from .baselines import (
     funnel_coverage,
 )
 from .core import DigitalSignal, LtftParams, PhaseSpaceBox
-from .errors import InvalidParameterError, LtftError
+from .errors import InvalidParameterError, LtftError, ParseError
 from .frame import frame_diagonal
 from .lds import scale_to_box, generate_unit_points
 from .processing import (
@@ -34,11 +33,8 @@ from .processing import (
     phase_vocoder,
     pointwise_nonlinearity,
     reconstruct,
-    sample_phase_space,
     soft_threshold,
 )
-from .core import analyze, from_analytic, synthesize, to_analytic
-from .frame import apply_inverse_frame
 from .wavio import WavAudio, wav_read, wav_write
 
 _BENCH_RATE = 64.0
@@ -112,7 +108,7 @@ def _write_audio(path: str, signal: DigitalSignal, rate: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_reconstruct(config: RunConfig) -> int:
+def _cmd_reconstruct(config: RunConfig, transform=None) -> int:
     options = config.options
     audio, signal, params = _load_audio(options)
     n = _resolve_count(options, signal.m, default_a=16.0)
@@ -123,6 +119,7 @@ def _cmd_reconstruct(config: RunConfig) -> int:
         kind=str(options["sequence"]),
         seed=int(options["seed"]),
         padded=bool(options["padded"]),
+        transform=transform,
     )
     _write_audio(str(options["output"]), out, audio.rate)
     return 0
@@ -146,39 +143,16 @@ def _cmd_vocoder(config: RunConfig) -> int:
     return 0
 
 
-def _analysis_pipeline(config: RunConfig, transform) -> int:
-    # Shared analyze -> transform coefficients -> synthesize -> normalize.
-    options = config.options
-    audio, signal, params = _load_audio(options)
-    n = _resolve_count(options, signal.m, default_a=16.0)
-    analytic = to_analytic(signal)
-    samples = sample_phase_space(
-        signal,
-        params,
-        n,
-        kind=str(options["sequence"]),
-        seed=int(options["seed"]),
-        padded=bool(options["padded"]),
-    )
-    coeffs = analyze(analytic, samples, params)
-    coeffs = transform(coeffs, samples, params)
-    raw = synthesize(coeffs, samples, params, signal.m, signal.sample_rate)
-    hd = frame_diagonal(params, signal.sample_rate, signal.m, folded=True)
-    out = from_analytic(apply_inverse_frame(raw, hd))
-    _write_audio(str(options["output"]), out, audio.rate)
-    return 0
-
-
 def _cmd_denoise(config: RunConfig) -> int:
     options = config.options
 
-    def transform(coeffs, samples, params):
+    def transform(coeffs, samples):
         lam = float(options["threshold"])
         if str(options["threshold_mode"]) == "relative":
             lam *= float(np.max(np.abs(coeffs.values))) if coeffs.values.size else 0.0
         return pointwise_nonlinearity(coeffs, soft_threshold(lam))
 
-    return _analysis_pipeline(config, transform)
+    return _cmd_reconstruct(config, transform)
 
 
 def _cmd_multiplier(config: RunConfig) -> int:
@@ -188,14 +162,14 @@ def _cmd_multiplier(config: RunConfig) -> int:
     if (low is None) == (high is None):
         raise InvalidParameterError("give exactly one of --low-pass or --high-pass")
 
-    def transform(coeffs, samples, params):
+    def transform(coeffs, samples):
         if low is not None:
             symbol = lambda a, b, c: (b < float(low)).astype(float)
         else:
             symbol = lambda a, b, c: (b >= float(high)).astype(float)
         return multiplier_apply(coeffs, samples, symbol)
 
-    return _analysis_pipeline(config, transform)
+    return _cmd_reconstruct(config, transform)
 
 
 def _cmd_bench_error(config: RunConfig) -> int:
@@ -261,11 +235,9 @@ def _cmd_frame_diag(config: RunConfig) -> int:
     m = int(options["resolution"])
     params = _params_from(options, rate)
     hd = frame_diagonal(params, rate, m)
-    handle, writer = _open_csv(str(options["csv"]), config)
+    handle, _ = _open_csv(str(options["csv"]), config)
     with handle:
-        writer.writerow(["omega", "h", "q0", "q1", "q2"])
-        for row in zip(hd.omega, hd.h, hd.q0, hd.q1, hd.q2):
-            writer.writerow([_fmt(float(v)) for v in row])
+        hd.write_csv(handle)
     return 0
 
 
@@ -385,13 +357,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(text: str, current) -> object:
+def _coerce(key: str, text: str, current) -> object:
     if isinstance(current, bool):
         return text.lower() in ("1", "true", "yes", "on")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
+    try:
+        if isinstance(current, int):
+            return int(text)
+        if isinstance(current, float):
+            return float(text)
+    except ValueError:
+        raise ParseError(f"bad config value {key}={text!r}") from None
     return text
 
 
@@ -428,12 +403,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         file_values = _read_config_file(config_path)
         for key, text in file_values.items():
             if key in args and key not in explicit:
-                args[key] = _coerce(text, args[key])
-    env_threads = os.environ.get("LTFT_THREADS")
-    if env_threads is not None:
-        if not env_threads.isdigit() or int(env_threads) < 1:
-            raise InvalidParameterError("LTFT_THREADS must be a positive integer")
-        args["threads"] = int(env_threads)
+                args[key] = _coerce(key, text, args[key])
     return RunConfig(subcommand=subcommand, options=args)
 
 

@@ -150,6 +150,8 @@ def mc_uniform(count: int, dim: int, seed: int) -> UnitPointSet:
         raise InvalidParameterError("count must be >= 1")
     if dim < 1:
         raise InvalidParameterError("dim must be >= 1")
+    if seed < 0:
+        raise InvalidParameterError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     return UnitPointSet(rng.random((count, dim)), generator="mc", seed=seed)
 

@@ -113,6 +113,31 @@ def sample_phase_space(
     return scale_to_box(generate_unit_points(kind, n, 3, seed), box)
 
 
+Transform = Callable[[CoefficientVector, SampleSet], CoefficientVector]
+
+
+def _analysis_synthesis(
+    signal: DigitalSignal, params: LtftParams, samples: SampleSet, transform, dilation: int
+) -> DigitalSignal:
+    # Analysis of the analytic signal, the optional coefficient transform,
+    # synthesis of atoms at (D*a, b, c) onto a D*M grid, inverse-frame
+    # normalization at the output resolution, then the real part.  The
+    # output is scaled by D to compensate the thinned density of synthesis
+    # centers: the cubature weight stays volume(analysis box)/N while the N
+    # dilated centers cover a box D times larger, so the sum underweights
+    # by 1/D (measured on pure tones).  At D = 1 this is reconstruction.
+    out_len = dilation * signal.m
+    rate = signal.sample_rate
+    coeffs = analyze(to_analytic(signal), samples, params)
+    if transform is not None:
+        coeffs = transform(coeffs, samples)
+    out_samples = samples.with_dilated_times(float(dilation))
+    raw = synthesize(coeffs, out_samples, params, out_len, rate)
+    hd = frame_diagonal(params, rate, out_len, folded=True)
+    normalized = apply_inverse_frame(raw, hd)
+    return from_analytic(DigitalSignal(normalized.samples * dilation, rate))
+
+
 def reconstruct(
     signal: DigitalSignal,
     params: LtftParams,
@@ -120,48 +145,36 @@ def reconstruct(
     kind: str = "hammersley",
     seed: int = 0,
     padded: bool = False,
+    transform: Optional[Transform] = None,
 ) -> DigitalSignal:
     """Analysis, cubature synthesis, and inverse-frame normalization.
 
     The input is taken real; it is converted to its analytic form before
-    analysis and the real part is returned.
+    analysis and the real part is returned.  ``transform(coeffs, samples)``,
+    when given, maps the analysis coefficients before synthesis (a
+    multiplier or a shrinkage rule, for example).
     """
-    analytic = to_analytic(signal)
     samples = sample_phase_space(signal, params, n, kind, seed, padded)
-    coeffs = analyze(analytic, samples, params)
-    raw = synthesize(coeffs, samples, params, signal.m, signal.sample_rate)
-    hd = frame_diagonal(params, signal.sample_rate, signal.m, folded=True)
-    return from_analytic(apply_inverse_frame(raw, hd))
+    return _analysis_synthesis(signal, params, samples, transform, 1)
 
 
 def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
     """Time-stretch by an integer factor D, preserving frequency content.
 
-    Pipeline: analytic form, phase-space sampling, analysis, the phase
-    rule, synthesis of atoms at (D*a, b, c) onto a D*M grid, inverse-frame
-    normalization at the output resolution scaled by D, then the real
-    part.  The scale compensates the thinned density of synthesis centers:
-    the cubature weight stays volume(analysis box)/N while the N dilated
-    centers cover a box D times larger, so the sum underweights by 1/D
-    (measured on pure tones; the D = 1 reduction is unaffected).
+    The vocoder is reconstruction with two changes: the coefficient
+    transform raises each coefficient's phase to the D-th power
+    (:func:`vocoder_phase_rule`), and synthesis places the atoms at
+    (D*a, b, c) on a D*M grid.  The output has D*M samples.
     """
     d = int(job.dilation)
     out_len = d * signal.m
     if out_len > _MAX_OUTPUT_SAMPLES:
         raise BudgetExceededError(f"output of {out_len} samples exceeds the budget")
-    params = job.params
-    n = job.sample_count(signal.m)
-    analytic = to_analytic(signal)
     samples = sample_phase_space(
-        signal, params, n, job.sequence, job.seed, job.padded
+        signal, job.params, job.sample_count(signal.m), job.sequence, job.seed, job.padded
     )
-    coeffs = analyze(analytic, samples, params)
-    shifted = CoefficientVector(
-        vocoder_phase_rule(coeffs.values, d), weight=coeffs.weight
-    )
-    out_samples = samples.with_dilated_times(float(d))
-    raw = synthesize(shifted, out_samples, params, out_len, signal.sample_rate)
-    hd = frame_diagonal(params, signal.sample_rate, out_len, folded=True)
-    normalized = apply_inverse_frame(raw, hd)
-    normalized = DigitalSignal(normalized.samples * d, signal.sample_rate)
-    return from_analytic(normalized)
+
+    def phase_rule(coeffs: CoefficientVector, _samples: SampleSet) -> CoefficientVector:
+        return pointwise_nonlinearity(coeffs, lambda z: vocoder_phase_rule(z, d))
+
+    return _analysis_synthesis(signal, job.params, samples, phase_rule, d)

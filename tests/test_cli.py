@@ -208,12 +208,23 @@ def test_config_file_bad_line(tmp_path):
     assert code == 1
 
 
-def test_thread_env_validation(tmp_path, monkeypatch):
-    monkeypatch.setenv("LTFT_THREADS", "potato")
-    code = main(["frame-diag", "--csv", str(tmp_path / "h.csv"), "-M", "64"])
+def test_config_file_bad_value_is_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma=abc\n")
+    code = main(["frame-diag", "--csv", str(tmp_path / "h.csv"),
+                 "--config", str(cfg)])
     assert code == 1
-    monkeypatch.setenv("LTFT_THREADS", "2")
-    assert main(["frame-diag", "--csv", str(tmp_path / "h.csv"), "-M", "64"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: parse-error:")
+
+
+def test_negative_mc_seed_is_invalid_parameter(tmp_path, capsys):
+    src = _sine_wav(tmp_path / "in.wav")
+    code = main(["reconstruct", "--sequence", "mc", "--seed", "-1",
+                 src, str(tmp_path / "o.wav")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
 
 
 def test_csv_determinism(tmp_path):

@@ -1,0 +1,37 @@
+"""Smoke test of the library API that the benchmark's traced rebuild uses.
+
+perfbench/worker.py re-assembles `ltft vocoder` from the layers' public
+functions (analyze, CoefficientVector(values, weight=), with_dilated_times,
+synthesize, frame_diagonal, apply_inverse_frame and the x D scale).  Its
+output must stay byte-identical to the CLI's, or the benchmark's traced
+runs measure a different pipeline from the one users run.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from ltft import WavAudio, wav_write
+from ltft.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_vocoder_matches_cli(tmp_path):
+    rate = 16000
+    t = np.arange(1024) / rate
+    src = tmp_path / "in.wav"
+    wav_write(str(src), WavAudio(0.5 * np.sin(2 * np.pi * 440.0 * t), rate))
+    traced, cli = tmp_path / "traced.wav", tmp_path / "cli.wav"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "trace-vocoder",
+         str(src), str(traced), "--dilation", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(["vocoder", "-D", "2", str(src), str(cli)]) == 0
+    assert traced.read_bytes() == cli.read_bytes()

@@ -135,7 +135,7 @@ def test_vocoder_dilation_one_reduces_to_reconstruction(params, tapered_tone):
     s = tapered_tone(m)
     v = phase_vocoder(s, VocoderJob(params=params, dilation=1, redundancy=8.0))
     r = reconstruct(s, params, 8 * m, "hammersley")
-    assert np.max(np.abs(v.samples - r.samples)) <= 1e-10
+    assert np.array_equal(v.samples, r.samples)
 
 
 def test_vocoder_zero_input(params):
