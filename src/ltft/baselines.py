@@ -244,6 +244,8 @@ def coverage_queries(
     """
     if count < 1:
         raise InvalidParameterError("need at least one query")
+    if seed < 0:
+        raise InvalidParameterError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     b = np.exp(rng.uniform(np.log(params.b0 * 1.01), np.log(params.b1 * 0.99), count))
     margin = params.gamma / b

@@ -30,6 +30,8 @@ def make_test_signal(
     sweeping that band in opposite directions, and a seeded noise floor at
     -60 dB relative to the tone mix.
     """
+    if seed < 0:
+        raise InvalidParameterError("seed must be non-negative")
     if params is None:
         params = LtftParams.for_rate(sample_rate)
     rng = np.random.default_rng(seed)

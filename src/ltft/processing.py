@@ -48,10 +48,14 @@ class VocoderJob:
     padded: bool = False
 
     def __post_init__(self) -> None:
-        if int(self.dilation) != self.dilation or self.dilation < 1:
+        if (
+            isinstance(self.dilation, bool)
+            or not float(self.dilation).is_integer()
+            or self.dilation < 1
+        ):
             raise InvalidParameterError("dilation must be an integer >= 1")
-        if self.redundancy is not None and not self.redundancy > 0:
-            raise InvalidParameterError("redundancy must be positive")
+        if self.redundancy is not None and not 0 < self.redundancy < np.inf:
+            raise InvalidParameterError("redundancy must be positive and finite")
 
     def sample_count(self, m: int) -> int:
         a = 4.0 * self.dilation if self.redundancy is None else self.redundancy

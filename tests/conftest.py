@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ltft import DigitalSignal, LtftParams
+
+# Property tests draw the same examples on every run and are not timed per
+# example, so a slow host cannot fail them.
+settings.register_profile("ltft", derandomize=True, deadline=None, database=None)
+settings.load_profile("ltft")
 
 
 RATE = 64.0

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import ltft
 from ltft import ParseError, UnsupportedFormatError, WavAudio, wav_read, wav_write
 from ltft.cli import main, parse_config
 from ltft.errors import InvalidParameterError
@@ -227,6 +228,14 @@ def test_negative_mc_seed_is_invalid_parameter(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
 
 
+@pytest.mark.parametrize("subcommand", ["bench-error", "coverage"])
+def test_negative_seed_is_invalid_parameter(tmp_path, capsys, subcommand):
+    code = main([subcommand, "--seed", "-1", "--csv", str(tmp_path / "x.csv"), "-M", "256"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+
+
 def test_csv_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["bench-error", "-M", "256", "--methods", "mc",
@@ -240,10 +249,14 @@ def test_csv_determinism(tmp_path):
 
 
 def test_console_entry_point():
+    # The child imports the same ltft as this process, installed or not.
+    src = os.path.dirname(os.path.dirname(ltft.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ltft.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "subcommand" in proc.stdout or "usage" in proc.stdout.lower()

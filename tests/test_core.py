@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ltft import (
     CoefficientVector,
@@ -19,7 +21,7 @@ from ltft import (
     synthesize,
     to_analytic,
 )
-from ltft.core import SampleSet
+from ltft.core import SampleSet, _atom_blocks
 from ltft.lds import hammersley_set, scale_to_box
 from ltft.processing import reconstruct, sample_phase_space
 
@@ -91,6 +93,35 @@ def test_signal_validation():
         DigitalSignal(np.zeros(2), RATE)
     with pytest.raises(InvalidParameterError):
         DigitalSignal(np.zeros(8), -1.0)
+
+
+def test_signal_infinite_rate_is_invalid():
+    with pytest.raises(InvalidParameterError):
+        DigitalSignal(np.zeros(8), np.inf)
+
+
+def test_signal_nan_sample_is_invalid():
+    x = np.zeros(8)
+    x[3] = np.nan
+    with pytest.raises(InvalidParameterError):
+        DigitalSignal(x, RATE)
+
+
+def test_signal_infinite_sample_is_invalid():
+    x = np.zeros(8, dtype=complex)
+    x[5] = complex(0.0, np.inf)
+    with pytest.raises(InvalidParameterError):
+        DigitalSignal(x, RATE)
+
+
+def test_params_nan_gamma_is_invalid():
+    with pytest.raises(InvalidParameterError):
+        LtftParams.for_rate(RATE, gamma=np.nan)
+
+
+def test_params_infinite_xi_is_invalid():
+    with pytest.raises(InvalidParameterError):
+        LtftParams.for_rate(RATE, xi=np.inf)
 
 
 def test_dft_round_trip():
@@ -361,3 +392,123 @@ def test_analyze_box_rate_guard(params):
     samples = SampleSet(np.array([[0.0, 1.0, 0.0]]), box=box, generator="regular")
     with pytest.raises(InvalidParameterError):
         analyze(sig, samples, params)
+
+
+# ---------------------------------------------------------------------------
+# sampled atom operator: naive oracle and property tests
+# ---------------------------------------------------------------------------
+
+
+def _naive_atom(params, a, b, c, t):
+    # sqrt(s) * w(s (t - a)) * exp(2 pi i f (t - a)), per branch of b.
+    k = (params.xi / params.gamma) * c
+    if b < params.b0:
+        beff, f = params.b0, k * params.b0 + b
+    elif b >= params.b1:
+        beff, f = params.b1, k * params.b1 + b
+    else:
+        beff, f = b, (k + 1.0) * b
+    s = beff / params.gamma
+    return np.sqrt(s) * params.window.time(s * (t - a)) * np.exp(2j * np.pi * f * (t - a))
+
+
+@pytest.mark.parametrize("b0_frac", [0.1, 0.01])
+def test_atom_blocks_match_naive_formula(b0_frac):
+    # Every branch, atoms straddling either grid end or off it, and with
+    # b0_frac = 0.01 supports of about 600 samples.
+    p = LtftParams.for_rate(RATE, b0_frac=b0_frac)
+    m = 256
+    half = m / (2 * RATE)
+    bs = [0.3 * p.b0, 0.5 * (p.b0 + p.b1), p.b1, 0.45 * RATE]
+    a_s = [0.0, 0.3, -half, half - 1 / RATE, -half - 0.2, half + 0.2]
+    pts = np.array([[a, b, c] for a in a_s for b in bs for c in (0.0, 0.7)])
+    box = PhaseSpaceBox(t_lo=-half - 1.0, t_hi=half + 1.0, freq_hi=RATE)
+    samples = SampleSet(pts, box=box, generator="regular")
+    seen, longest = 0, 0
+    for sel, j, atoms in _atom_blocks(p, samples, RATE, m):
+        longest = max(longest, atoms.shape[1])
+        for row, n in enumerate(sel):
+            a, b, c = pts[n]
+            s_len = p.gamma / min(max(b, p.b0), p.b1)
+            idx = np.arange(np.ceil((a - s_len / 2) * RATE), np.floor((a + s_len / 2) * RATE) + 1)
+            ref = _naive_atom(p, a, b, c, idx / RATE)
+            assert np.max(np.abs(atoms[row] - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(j[row], np.clip(idx.astype(np.int64) + m // 2 + 1, 0, m + 1))
+            seen += 1
+    assert seen == len(pts)
+    assert longest >= int(p.s0 * RATE)  # about 600 samples at b0_frac = 0.01
+
+
+def test_atom_time_matches_naive_formula(params):
+    grid = DigitalSignal(np.zeros(256), RATE)
+    for a, b, c in [(0.1, 2.0, 0.4), (-1.9, 14.0, 1.0), (1.95, 30.0, 0.0)]:
+        atom = ltft_atom_time(params, a, b, c, grid)
+        t = (atom.start + np.arange(atom.values.size) - grid.m // 2) / RATE
+        ref = _naive_atom(params, a, b, c, t)
+        assert np.max(np.abs(atom.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+_operator_cases = st.fixed_dictionaries(
+    {
+        "half_m": st.integers(8, 160),
+        "n": st.integers(1, 200),
+        "sequence": st.sampled_from(["hammersley", "halton", "mc"]),
+        "padded": st.booleans(),
+        "dilation": st.integers(1, 3),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+def _operator_case(params, case):
+    # Samples on the box of an M-sample signal, dilated by D onto a D*M grid,
+    # and a random complex signal on that grid; D > 1 and padding put atoms
+    # off the grid.
+    m = 2 * case["half_m"]
+    base = DigitalSignal(np.zeros(m), RATE)
+    samples = sample_phase_space(
+        base, params, case["n"], case["sequence"], case["seed"], case["padded"]
+    ).with_dilated_times(float(case["dilation"]))
+    rng = np.random.default_rng(case["seed"])
+    grid_len = case["dilation"] * m
+    sig = DigitalSignal(
+        rng.standard_normal(grid_len) + 1j * rng.standard_normal(grid_len), RATE
+    )
+    return samples, sig, rng
+
+
+@given(_operator_cases)
+def test_adjoint_identity_property(params, case):
+    # w * <G, analyze(s)> = (1/L) * <synthesize(G), s>
+    samples, sig, rng = _operator_case(params, case)
+    g = rng.standard_normal(samples.n) + 1j * rng.standard_normal(samples.n)
+    w = samples.box.volume / samples.n
+    synth = synthesize(CoefficientVector(g, w), samples, params, sig.m, RATE)
+    lhs = w * np.sum(g * np.conj(analyze(sig, samples, params).values))
+    rhs = np.sum(synth.samples * np.conj(sig.samples)) / RATE
+    scale = w * np.sum(np.abs(g)) * np.sqrt(np.sum(np.abs(sig.samples) ** 2) / RATE)
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@given(_operator_cases)
+def test_operator_linearity_property(params, case):
+    samples, sig, rng = _operator_case(params, case)
+    other = DigitalSignal(rng.standard_normal(sig.m) + 1j * rng.standard_normal(sig.m), RATE)
+    alpha, beta = 0.7 - 1.3j, -2.1
+    mix = DigitalSignal(alpha * sig.samples + beta * other.samples, RATE)
+    direct = analyze(mix, samples, params).values
+    combo = alpha * analyze(sig, samples, params).values + beta * analyze(
+        other, samples, params
+    ).values
+    assert np.max(np.abs(direct - combo)) <= 1e-12 * max(np.max(np.abs(direct)), 1.0)
+
+    w = samples.box.volume / samples.n
+    f = rng.standard_normal(samples.n) + 1j * rng.standard_normal(samples.n)
+    g = rng.standard_normal(samples.n) + 1j * rng.standard_normal(samples.n)
+
+    def synth(values):
+        return synthesize(CoefficientVector(values, w), samples, params, sig.m, RATE).samples
+
+    direct = synth(alpha * f + beta * g)
+    combo = alpha * synth(f) + beta * synth(g)
+    assert np.max(np.abs(direct - combo)) <= 1e-12 * max(np.max(np.abs(direct)), w)

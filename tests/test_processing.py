@@ -130,6 +130,11 @@ def test_vocoder_job_defaults(params):
         VocoderJob(params=params, dilation=-1)
 
 
+def test_vocoder_job_boolean_dilation_is_invalid(params):
+    with pytest.raises(InvalidParameterError):
+        VocoderJob(params=params, dilation=True)
+
+
 def test_vocoder_dilation_one_reduces_to_reconstruction(params, tapered_tone):
     m = 512
     s = tapered_tone(m)
