@@ -137,6 +137,7 @@ def _cmd_vocoder(config: RunConfig) -> int:
         sequence=str(options["sequence"]),
         seed=int(options["seed"]),
         padded=bool(options["padded"]),
+        samples=options.get("samples"),
     )
     out = phase_vocoder(signal, job)
     _write_audio(str(options["output"]), out, audio.rate)
@@ -357,17 +358,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(key: str, text: str, current) -> object:
-    if isinstance(current, bool):
-        return text.lower() in ("1", "true", "yes", "on")
+_BOOLEANS = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
+def _coerce(action: argparse.Action, text: str) -> object:
+    # A config value takes the type and choices of the flag it stands for.
+    key = action.dest
     try:
-        if isinstance(current, int):
-            return int(text)
-        if isinstance(current, float):
-            return float(text)
-    except ValueError:
+        if action.nargs == 0:  # store_true flags
+            value = _BOOLEANS[text.lower()]
+        else:
+            value = action.type(text) if action.type is not None else text
+    except (KeyError, ValueError):
         raise ParseError(f"bad config value {key}={text!r}") from None
-    return text
+    if action.choices is not None and value not in action.choices:
+        raise ParseError(f"bad config value {key}={text!r}; choose from {list(action.choices)}")
+    return value
 
 
 def _read_config_file(path: str) -> Dict[str, str]:
@@ -401,9 +410,16 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         explicit = vars(probe.parse_args(argv))
         explicit.pop("subcommand", None)
         file_values = _read_config_file(config_path)
+        actions = {
+            action.dest: action
+            for group in parser._subparsers._group_actions
+            for action in group.choices[subcommand]._actions
+        }
         for key, text in file_values.items():
-            if key in args and key not in explicit:
-                args[key] = _coerce(key, text, args[key])
+            if key not in args:
+                raise ParseError(f"unknown config key {key!r} for {subcommand}")
+            if key not in explicit:
+                args[key] = _coerce(actions[key], text)
     return RunConfig(subcommand=subcommand, options=args)
 
 

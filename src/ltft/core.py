@@ -8,10 +8,16 @@ gamma + xi.
 
 The sampled operator evaluates the atom at each of N points of a sample
 set on the signal grid, in dense blocks of atoms with equal support
-length.  Analysis and synthesis are its two directions: analysis takes the
-inner product of the signal with every block, and synthesis adds the
-blocks back, scaled by their coefficients and the cubature weight
-volume(box)/N.
+length.  The atoms are ordered by support length and then by first
+sample, and cut into consecutive blocks of a bounded number of
+atom-samples, so the operator's working memory is bounded whatever N and
+M are.  Analysis and synthesis are its two directions: analysis takes the
+inner product of the signal with every block, and synthesis sums each
+block, scaled by its coefficients and the cubature weight volume(box)/N,
+over its own index span and adds the block sums in block order.  Large
+calls spread the blocks over a thread pool, one thread per usable core;
+the partition and the order of the sums do not depend on the thread
+count, so neither does the output, bit for bit.
 
 The block kernel is factored so that complex exponentials are taken per
 atom, not per sample.  On the samples t_k = (m0 + k)/L of an atom centred
@@ -26,9 +32,11 @@ direction masks.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -161,6 +169,7 @@ _WINDOW_KINDS = {
 _TABLE_SAMPLES = 1 << 13  # midpoint samples of the window
 _TABLE_SPACING = 1.0 / 256.0  # frequency grid step of the tabulated spectrum
 _TABLE_RANGE = 96.0  # spectrum kept on [-range, range]
+_TABLE_BATCH = 32  # phase-shifted transforms computed at once
 
 
 class WindowSpec:
@@ -195,15 +204,28 @@ class WindowSpec:
         k = _TABLE_SAMPLES
         pad = int(round(k / _TABLE_SPACING))
         t0 = 0.5 / k - 0.5
-        y = self.time((np.arange(k) + 0.5) / k - 0.5)
+        n = np.arange(k)
+        y = self.time((n + 0.5) / k - 0.5)
         # Only the bins with |frequency| <= range are kept: signed bin
         # numbers in ascending order, with fftfreq's step.
         step = 1.0 / (pad * (1.0 / k))
         last = int(_TABLE_RANGE / step)
         bins = np.arange(-last, last + 1)
         freqs = bins * step
+        # Bin q*stride + r of the pad-point transform of y is bin q of the
+        # k-point transform of y * exp(-2 pi i r n / pad), so batches of
+        # k-point transforms stand in for one pad-point transform.
+        stride = pad // k
+        q, r = np.divmod(bins % pad, stride)
+        spectrum = np.empty(bins.shape, dtype=np.complex128)
+        for r0 in range(0, stride, _TABLE_BATCH):
+            rs = np.arange(r0, r0 + _TABLE_BATCH)
+            twiddle = np.exp((-2j * np.pi / pad) * np.outer(rs, n))
+            batch = np.fft.fft(y * twiddle, axis=1)
+            hit = (r >= r0) & (r < r0 + _TABLE_BATCH)
+            spectrum[hit] = batch[r[hit] - r0, q[hit]]
         # The first sample sits at t0, not 0; shift the transform phase.
-        table = np.fft.fft(y, n=pad)[bins % pad] * np.exp(-2j * np.pi * freqs * t0) / k
+        table = spectrum * np.exp(-2j * np.pi * freqs * t0) / k
         return freqs, np.real(table)
 
     def freq(self, nu) -> np.ndarray:
@@ -538,27 +560,91 @@ def ltft_atom_freq(params: LtftParams, b: float, c: float, freq_grid) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
+# Atom blocks hold at most this many atom-samples (16 bytes each), so the
+# operator's working memory does not grow with N or M.  Blocks of 2^14
+# atom-samples and smaller ran slower on a thread pool.
+_BLOCK_ATOM_SAMPLES = 1 << 16
+# Calls with fewer atom-samples run their blocks in the calling thread: on
+# calls of 1.5M atom-samples and fewer, threads contending for the
+# interpreter lock between short blocks were slower than one thread.
+_POOL_MIN_ATOM_SAMPLES = 2_000_000
+
+T = TypeVar("T")
+
+
+class _AtomBlock(NamedTuple):
+    sel: np.ndarray  # sample indices, ordered by first sample
+    start: np.ndarray  # first grid sample m of each atom
+    length: int  # support sample count, shared by the block
+
+
 def _atom_blocks(
-    params: LtftParams, samples: SampleSet, sample_rate: float, grid_len: int
-):
-    # The sampled atom operator: atoms grouped by support sample count, one
-    # dense (group, length) block per group, in a fixed order.  Yields sample
-    # indices, storage indices j into the grid padded by one zero guard cell
-    # on each side (off-grid samples are clipped onto a guard cell), and the
-    # atoms.
-    offset = grid_len // 2 + 1  # storage index of grid sample m is m + offset
+    params: LtftParams, samples: SampleSet, sample_rate: float
+) -> Tuple[List[_AtomBlock], int]:
+    # The sampled atom operator's plan: atoms grouped by support sample count
+    # and ordered by first sample within a group, cut into consecutive blocks
+    # of at most _BLOCK_ATOM_SAMPLES atom-samples.  The partition depends on
+    # the samples alone, so the block order is the accumulation order.
+    # Returns the blocks and their total atom-sample count.
     m_start, m_end = _support_index_range(params, samples.a, samples.b, sample_rate)
     lengths = m_end - m_start + 1
-    for length in np.unique(lengths[lengths > 0]):
-        sel = np.nonzero(lengths == length)[0]
-        start = m_start[sel]
-        j = start[:, None] + np.arange(offset, offset + length)
-        np.clip(j, 0, grid_len + 1, out=j)
-        pts = samples.points[sel]
-        atoms = _atom_values(
-            params, pts[:, 0], pts[:, 1], pts[:, 2], start, int(length), sample_rate
-        )
-        yield sel, j, atoms
+    order = np.lexsort((m_start, lengths))
+    order = order[lengths[order] > 0]
+    firsts = np.flatnonzero(np.diff(lengths[order], prepend=0))
+    blocks = []
+    for first, end in zip(firsts, np.append(firsts[1:], order.size)):
+        length = int(lengths[order[first]])
+        rows = max(1, _BLOCK_ATOM_SAMPLES // length)
+        for i in range(first, end, rows):
+            sel = order[i : min(i + rows, end)]
+            blocks.append(_AtomBlock(sel, m_start[sel], length))
+    return blocks, int(lengths[order].sum())
+
+
+def _block_atoms(
+    params: LtftParams,
+    samples: SampleSet,
+    sample_rate: float,
+    grid_len: int,
+    block: _AtomBlock,
+) -> Tuple[np.ndarray, np.ndarray]:
+    # Storage indices j into the grid padded by one zero guard cell on each
+    # side (off-grid samples are clipped onto a guard cell) and the
+    # (rows, length) atom values of one block.  Rows are ordered by first
+    # sample, so j[0, 0] is the block's smallest index.
+    offset = grid_len // 2 + 1  # storage index of grid sample m is m + offset
+    j = block.start[:, None] + np.arange(offset, offset + block.length)
+    np.clip(j, 0, grid_len + 1, out=j)
+    pts = samples.points[block.sel]
+    atoms = _atom_values(
+        params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.length, sample_rate
+    )
+    return j, atoms
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_blocks(
+    task: Callable[[_AtomBlock], T], blocks: List[_AtomBlock], atom_samples: int
+) -> Iterator[T]:
+    # task(block) for every block, yielded in block order.  Calls with at
+    # least _POOL_MIN_ATOM_SAMPLES atom-samples spread the blocks over one
+    # thread per usable core (the kernels release the interpreter lock);
+    # smaller calls run them in the caller, where threads would cost more
+    # than they save.  Either way the results are the same bits.
+    workers = _usable_cores()
+    if atom_samples < _POOL_MIN_ATOM_SAMPLES or workers < 2:
+        for block in blocks:
+            yield task(block)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # map reads every future's result, so a worker's exception is raised here.
+        yield from pool.map(task, blocks)
 
 
 def analyze(
@@ -576,10 +662,16 @@ def analyze(
     rate = signal.sample_rate
     sig = np.zeros(m + 2, dtype=np.complex128)
     sig[1:-1] = signal.samples
-    out = np.zeros(samples.n, dtype=np.complex128)
-    for sel, j, atoms in _atom_blocks(params, samples, rate, m):
+    blocks, atom_samples = _atom_blocks(params, samples, rate)
+
+    def block_coeffs(block: _AtomBlock) -> np.ndarray:
+        j, atoms = _block_atoms(params, samples, rate, m, block)
         # vecdot conjugates its first argument.
-        out[sel] = np.vecdot(atoms, sig[j]) / rate
+        return np.vecdot(atoms, sig[j]) / rate
+
+    out = np.zeros(samples.n, dtype=np.complex128)
+    for block, values in zip(blocks, _map_blocks(block_coeffs, blocks, atom_samples)):
+        out[block.sel] = values
     return CoefficientVector(out, weight=samples.box.volume / samples.n)
 
 
@@ -592,19 +684,30 @@ def synthesize(
 ) -> DigitalSignal:
     """Cubature synthesis: weight * sum_n F_n * atom_n on the output grid.
 
-    The weight is coeffs.weight = volume(box)/N.  Accumulation order is
-    fixed (groups by support length, then flat index), so the result is
-    bit-identical across runs.
+    The weight is coeffs.weight = volume(box)/N.  Each atom block is summed
+    on its own and the block sums are added in block order (support length,
+    then first sample), which depends on the samples alone, so the result is
+    bit-identical across runs and thread counts.
     """
     if coeffs.values.shape[0] != samples.n:
         raise InvalidParameterError("coefficients and samples must align")
-    padded_len = out_len + 2
-    acc_re = np.zeros(padded_len, dtype=np.float64)
-    acc_im = np.zeros(padded_len, dtype=np.float64)
     scaled = coeffs.weight * coeffs.values
-    for sel, j, atoms in _atom_blocks(params, samples, sample_rate, out_len):
-        atoms *= scaled[sel][:, None]
+    blocks, atom_samples = _atom_blocks(params, samples, sample_rate)
+
+    def block_sum(block: _AtomBlock) -> Tuple[int, np.ndarray, np.ndarray]:
+        # The block's atoms summed over its own index span, from lo on.
+        j, atoms = _block_atoms(params, samples, sample_rate, out_len, block)
+        atoms *= scaled[block.sel][:, None]
+        lo = int(j[0, 0])
+        j -= lo
         j = j.ravel()
-        acc_re += np.bincount(j, weights=atoms.real.ravel(), minlength=padded_len)
-        acc_im += np.bincount(j, weights=atoms.imag.ravel(), minlength=padded_len)
+        re = np.bincount(j, weights=atoms.real.ravel())
+        im = np.bincount(j, weights=atoms.imag.ravel())
+        return lo, re, im
+
+    acc_re = np.zeros(out_len + 2, dtype=np.float64)
+    acc_im = np.zeros(out_len + 2, dtype=np.float64)
+    for lo, re, im in _map_blocks(block_sum, blocks, atom_samples):
+        acc_re[lo : lo + re.size] += re
+        acc_im[lo : lo + im.size] += im
     return DigitalSignal(acc_re[1:-1] + 1j * acc_im[1:-1], sample_rate)

@@ -114,6 +114,10 @@ class _DiagonalTables:
         self.g2 = params.window.freq(u) ** 2
         self.cum_g2 = _cumulative(self.step, self.g2)
         self.cum_g3 = _cumulative(self.step, self.cum_g2)
+        # The wavelet-band integrand does not depend on omega: tabulate it and
+        # its running integral once for all fold shifts.
+        self.qgrid, self.integrand = self.wavelet_integrand()
+        self.cum_integrand = _cumulative(self.step, self.integrand)
 
     def power_integral(self, t: np.ndarray) -> np.ndarray:
         # G2(t): integral of |w_hat|^2 up to t; constant (= total power)
@@ -125,6 +129,12 @@ class _DiagonalTables:
         # because G2 saturates, hence the extension.
         return _interp_integral(
             self.x0, self.step, self.cum_g2, self.cum_g3, t, extend=True
+        )
+
+    def wavelet_integral(self, t: np.ndarray) -> np.ndarray:
+        # Integral of P1(q)/q from the first positive grid node up to t.
+        return _interp_integral(
+            self.qgrid[0], self.step, self.integrand, self.cum_integrand, t
         )
 
     def wavelet_integrand(self):
@@ -163,10 +173,8 @@ def _components_at(
         + tables.double_integral(w_lo - xi)
     ) / xi
 
-    qgrid, integrand = tables.wavelet_integrand()
-    cum = _cumulative(tables.step, integrand)
-    upper = _interp_integral(qgrid[0], tables.step, integrand, cum, g * omega / params.b0)
-    lower = _interp_integral(qgrid[0], tables.step, integrand, cum, g * omega / params.b1)
+    upper = tables.wavelet_integral(g * omega / params.b0)
+    lower = tables.wavelet_integral(g * omega / params.b1)
     return q0, upper - lower, q2
 
 

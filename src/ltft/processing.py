@@ -36,8 +36,9 @@ _MAX_OUTPUT_SAMPLES = 1 << 26
 class VocoderJob:
     """Configuration of one vocoder run.
 
-    With ``redundancy`` unset the sample count defaults to N = 4*D*M,
-    which is enough for a high-quality result; larger values buy little.
+    The sample count is ``samples`` when given, else N = A*M with A =
+    ``redundancy``; with neither it defaults to N = 4*D*M, which is enough
+    for a high-quality result; larger values buy little.
     """
 
     params: LtftParams
@@ -46,6 +47,7 @@ class VocoderJob:
     sequence: str = "hammersley"
     seed: int = 0
     padded: bool = False
+    samples: Optional[int] = None
 
     def __post_init__(self) -> None:
         if (
@@ -56,8 +58,17 @@ class VocoderJob:
             raise InvalidParameterError("dilation must be an integer >= 1")
         if self.redundancy is not None and not 0 < self.redundancy < np.inf:
             raise InvalidParameterError("redundancy must be positive and finite")
+        if self.samples is not None:
+            if self.redundancy is not None:
+                raise InvalidParameterError("give either samples or redundancy, not both")
+            if isinstance(self.samples, bool) or not (
+                float(self.samples).is_integer() and self.samples >= 1
+            ):
+                raise InvalidParameterError("samples must be an integer >= 1")
 
     def sample_count(self, m: int) -> int:
+        if self.samples is not None:
+            return int(self.samples)
         a = 4.0 * self.dilation if self.redundancy is None else self.redundancy
         return int(np.ceil(a * m))
 

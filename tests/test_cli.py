@@ -112,6 +112,21 @@ def test_vocoder_doubles_duration(tmp_path):
     assert wav_read(str(out)).samples.size == 2 * wav_read(src).to_signal().m
 
 
+def test_vocoder_samples_flag_sets_the_count(tmp_path, capsys):
+    src = _sine_wav(tmp_path / "in.wav")
+    outs = {}
+    for name, flags in [("n", ["-N", "64"]), ("a", ["-A", "0.0625"]), ("none", [])]:
+        outs[name] = tmp_path / f"{name}.wav"
+        assert main(["vocoder", "-D", "2", *flags, src, str(outs[name])]) == 0
+    # 1024 input samples: -N 64 and -A 1/16 pick the same 64 points.
+    assert outs["n"].read_bytes() == outs["a"].read_bytes()
+    assert outs["n"].read_bytes() != outs["none"].read_bytes()
+    code = main(["vocoder", "-N", "64", "-A", "2", src, str(tmp_path / "both.wav")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+
+
 def test_denoise_and_multiplier_run(tmp_path):
     src = _sine_wav(tmp_path / "in.wav")
     assert main(["denoise", "--threshold", "0.2", "--redundancy", "4",
@@ -217,6 +232,29 @@ def test_config_file_bad_value_is_parse_error(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: parse-error:")
+
+
+@pytest.mark.parametrize(
+    "line", ["samples=abc", "gamam=3", "sequence=sobol", "padded=maybe"]
+)
+def test_config_file_bad_key_or_value_is_parse_error(tmp_path, capsys, line):
+    # samples has no default to take a type from; gamam is a typo of gamma.
+    src = _sine_wav(tmp_path / "in.wav")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["reconstruct", "--config", str(cfg), src, str(tmp_path / "o.wav")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: parse-error:")
+
+
+def test_config_file_values_take_flag_types(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples=300\npadded=Yes\nsequence=mc\n")
+    config = parse_config(["reconstruct", "--config", str(cfg), "in.wav", "out.wav"])
+    assert config.options["samples"] == 300
+    assert config.options["padded"] is True
+    assert config.options["sequence"] == "mc"
 
 
 def test_negative_mc_seed_is_invalid_parameter(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +24,8 @@ from ltft import (
     synthesize,
     to_analytic,
 )
-from ltft.core import SampleSet, _atom_blocks
+from ltft import core
+from ltft.core import SampleSet, _atom_blocks, _block_atoms
 from ltft.lds import hammersley_set, scale_to_box
 from ltft.processing import reconstruct, sample_phase_space
 
@@ -412,31 +416,102 @@ def _naive_atom(params, a, b, c, t):
     return np.sqrt(s) * params.window.time(s * (t - a)) * np.exp(2j * np.pi * f * (t - a))
 
 
-@pytest.mark.parametrize("b0_frac", [0.1, 0.01])
-def test_atom_blocks_match_naive_formula(b0_frac):
-    # Every branch, atoms straddling either grid end or off it, and with
-    # b0_frac = 0.01 supports of about 600 samples.
-    p = LtftParams.for_rate(RATE, b0_frac=b0_frac)
-    m = 256
+def _oracle_samples(p, m):
+    # Every branch, and atoms straddling either grid end or off it.
     half = m / (2 * RATE)
     bs = [0.3 * p.b0, 0.5 * (p.b0 + p.b1), p.b1, 0.45 * RATE]
     a_s = [0.0, 0.3, -half, half - 1 / RATE, -half - 0.2, half + 0.2]
     pts = np.array([[a, b, c] for a in a_s for b in bs for c in (0.0, 0.7)])
     box = PhaseSpaceBox(t_lo=-half - 1.0, t_hi=half + 1.0, freq_hi=RATE)
-    samples = SampleSet(pts, box=box, generator="regular")
-    seen, longest = 0, 0
-    for sel, j, atoms in _atom_blocks(p, samples, RATE, m):
-        longest = max(longest, atoms.shape[1])
-        for row, n in enumerate(sel):
+    return SampleSet(pts, box=box, generator="regular")
+
+
+def _check_blocks(p, samples, m):
+    # Every row of every block against the naive formula, and its storage
+    # indices against the clipped guard-cell index; every sample in exactly
+    # one block.  Returns the blocks.
+    pts = samples.points
+    blocks, atom_samples = _atom_blocks(p, samples, RATE)
+    seen = []
+    for block in blocks:
+        j, atoms = _block_atoms(p, samples, RATE, m, block)
+        assert j.shape == atoms.shape == (block.sel.size, block.length)
+        for row, n in enumerate(block.sel):
             a, b, c = pts[n]
             s_len = p.gamma / min(max(b, p.b0), p.b1)
             idx = np.arange(np.ceil((a - s_len / 2) * RATE), np.floor((a + s_len / 2) * RATE) + 1)
             ref = _naive_atom(p, a, b, c, idx / RATE)
             assert np.max(np.abs(atoms[row] - ref)) <= 1e-12 * np.max(np.abs(ref))
             assert np.array_equal(j[row], np.clip(idx.astype(np.int64) + m // 2 + 1, 0, m + 1))
-            seen += 1
-    assert seen == len(pts)
-    assert longest >= int(p.s0 * RATE)  # about 600 samples at b0_frac = 0.01
+        seen.extend(block.sel)
+    assert sorted(seen) == list(range(samples.n))
+    assert atom_samples == sum(block.sel.size * block.length for block in blocks)
+    return blocks
+
+
+@pytest.mark.parametrize("b0_frac", [0.1, 0.01])
+def test_atom_blocks_match_naive_formula(b0_frac):
+    # With b0_frac = 0.01 supports are about 600 samples long.
+    p = LtftParams.for_rate(RATE, b0_frac=b0_frac)
+    blocks = _check_blocks(p, _oracle_samples(p, 256), 256)
+    assert max(block.length for block in blocks) >= int(p.s0 * RATE)
+
+
+def test_atom_blocks_split_groups_in_order(monkeypatch):
+    # With 64 atom-samples per block, groups of equal support length span
+    # several blocks: consecutive, ordered by length and then first sample.
+    monkeypatch.setattr(core, "_BLOCK_ATOM_SAMPLES", 64)
+    p = LtftParams.for_rate(RATE)
+    blocks = _check_blocks(p, _oracle_samples(p, 256), 256)
+    assert all(b.sel.size * b.length <= 64 or b.sel.size == 1 for b in blocks)
+    lengths = [b.length for b in blocks]
+    assert max(lengths.count(n) for n in lengths) >= 3
+    for prev, block in zip(blocks, blocks[1:]):
+        assert np.all(np.diff(block.start) >= 0)
+        assert prev.length < block.length or (
+            prev.length == block.length and prev.start[-1] <= block.start[0]
+        )
+
+
+def test_operator_bit_identical_across_worker_counts(monkeypatch):
+    # The pool forced on: one worker (blocks run in the caller) against more
+    # workers than cores, with frequent thread switches.
+    m = 2048
+    p = LtftParams.for_rate(RATE)
+    rng = np.random.default_rng(5)
+    sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
+    samples = sample_phase_space(sig, p, 16 * m, "halton", padded=True)
+    assert len(_atom_blocks(p, samples, RATE)[0]) >= 8
+    monkeypatch.setattr(core, "_POOL_MIN_ATOM_SAMPLES", 0)
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, (os.cpu_count() or 1) + 3):
+            monkeypatch.setattr(core, "_usable_cores", lambda: workers)
+            coeffs = analyze(sig, samples, p)
+            out = synthesize(coeffs, samples, p, m, RATE)
+            results.append((coeffs.values, out.samples))
+    finally:
+        sys.setswitchinterval(interval)
+    (c1, s1), (cn, sn) = results
+    assert np.array_equal(c1, cn) and np.array_equal(s1, sn)
+
+
+def test_map_blocks_keeps_order_and_raises_worker_errors(monkeypatch):
+    monkeypatch.setattr(core, "_usable_cores", lambda: 3)
+    big = core._POOL_MIN_ATOM_SAMPLES
+    assert list(core._map_blocks(lambda k: k * k, list(range(20)), big)) == [
+        k * k for k in range(20)
+    ]
+
+    def task(k):
+        if k == 7:
+            raise ValueError("block 7")
+        return k
+
+    with pytest.raises(ValueError, match="block 7"):
+        list(core._map_blocks(task, list(range(20)), big))
 
 
 def test_atom_time_matches_naive_formula(params):
