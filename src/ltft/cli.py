@@ -387,7 +387,7 @@ def _read_config_file(path: str) -> Dict[str, str]:
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise InvalidParameterError(f"bad config line (need key=value): {line!r}")
+                raise ParseError(f"bad config line (need key=value): {line!r}")
             key, value = line.split("=", 1)
             out[key.strip().replace("-", "_")] = value.strip()
     return out

@@ -19,6 +19,15 @@ calls spread the blocks over a thread pool, one thread per usable core;
 the partition and the order of the sums do not depend on the thread
 count, so neither does the output, bit for bit.
 
+Plain reconstruction synthesizes the atoms it analysed, on the same grid,
+so a private round trip does both in one pass: each block is built once,
+its coefficients are taken, and the same block, scaled by them, is summed
+while it is in hand.  It shares the block sum and the block-order
+accumulation with synthesis and gives the same bits as analysis followed
+by synthesis.  A coefficient transform needs every coefficient before
+synthesis starts, and synthesis at a time dilation uses other atoms, so
+those pipelines keep the two passes.
+
 The block kernel is factored so that complex exponentials are taken per
 atom, not per sample.  On the samples t_k = (m0 + k)/L of an atom centred
 at a, t_k - a = t0 + k/L with t0 = m0/L - a, so the phase
@@ -36,7 +45,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -647,6 +656,50 @@ def _map_blocks(
         yield from pool.map(task, blocks)
 
 
+def _padded_input(signal: DigitalSignal, samples: SampleSet) -> np.ndarray:
+    # The analysis signal with one zero guard cell on each side.
+    if samples.box.freq_hi > signal.sample_rate * (1 + 1e-12):
+        raise InvalidParameterError("box frequency side exceeds the signal rate")
+    sig = np.zeros(signal.m + 2, dtype=np.complex128)
+    sig[1:-1] = signal.samples
+    return sig
+
+
+def _block_coeffs(
+    sig: np.ndarray, j: np.ndarray, atoms: np.ndarray, sample_rate: float
+) -> np.ndarray:
+    # One block's analysis coefficients; vecdot conjugates its first argument.
+    return np.vecdot(atoms, sig[j]) / sample_rate
+
+
+def _block_sum(
+    j: np.ndarray, atoms: np.ndarray, scaled: np.ndarray
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    # One block's atoms times their scaled coefficients, summed over the
+    # block's own index span from lo = j[0, 0] on.  Scales atoms and shifts j
+    # in place.
+    atoms *= scaled[:, None]
+    lo = int(j[0, 0])
+    j -= lo
+    j = j.ravel()
+    re = np.bincount(j, weights=atoms.real.ravel())
+    im = np.bincount(j, weights=atoms.imag.ravel())
+    return lo, re, im
+
+
+def _sum_blocks(
+    sums: Iterable[Tuple[int, np.ndarray, np.ndarray]], out_len: int, sample_rate: float
+) -> DigitalSignal:
+    # Adds the block sums in block order into an accumulator padded by one
+    # guard cell on each side, then crops the guard cells.
+    acc_re = np.zeros(out_len + 2, dtype=np.float64)
+    acc_im = np.zeros(out_len + 2, dtype=np.float64)
+    for lo, re, im in sums:
+        acc_re[lo : lo + re.size] += re
+        acc_im[lo : lo + im.size] += im
+    return DigitalSignal(acc_re[1:-1] + 1j * acc_im[1:-1], sample_rate)
+
+
 def analyze(
     signal: DigitalSignal, samples: SampleSet, params: LtftParams
 ) -> CoefficientVector:
@@ -656,18 +709,14 @@ def analyze(
     conj(atom(t_m)) with dt = 1/L, restricted to the atom's support;
     atoms that miss the grid contribute zero.
     """
-    if samples.box.freq_hi > signal.sample_rate * (1 + 1e-12):
-        raise InvalidParameterError("box frequency side exceeds the signal rate")
+    sig = _padded_input(signal, samples)
     m = signal.m
     rate = signal.sample_rate
-    sig = np.zeros(m + 2, dtype=np.complex128)
-    sig[1:-1] = signal.samples
     blocks, atom_samples = _atom_blocks(params, samples, rate)
 
     def block_coeffs(block: _AtomBlock) -> np.ndarray:
         j, atoms = _block_atoms(params, samples, rate, m, block)
-        # vecdot conjugates its first argument.
-        return np.vecdot(atoms, sig[j]) / rate
+        return _block_coeffs(sig, j, atoms, rate)
 
     out = np.zeros(samples.n, dtype=np.complex128)
     for block, values in zip(blocks, _map_blocks(block_coeffs, blocks, atom_samples)):
@@ -695,19 +744,26 @@ def synthesize(
     blocks, atom_samples = _atom_blocks(params, samples, sample_rate)
 
     def block_sum(block: _AtomBlock) -> Tuple[int, np.ndarray, np.ndarray]:
-        # The block's atoms summed over its own index span, from lo on.
         j, atoms = _block_atoms(params, samples, sample_rate, out_len, block)
-        atoms *= scaled[block.sel][:, None]
-        lo = int(j[0, 0])
-        j -= lo
-        j = j.ravel()
-        re = np.bincount(j, weights=atoms.real.ravel())
-        im = np.bincount(j, weights=atoms.imag.ravel())
-        return lo, re, im
+        return _block_sum(j, atoms, scaled[block.sel])
 
-    acc_re = np.zeros(out_len + 2, dtype=np.float64)
-    acc_im = np.zeros(out_len + 2, dtype=np.float64)
-    for lo, re, im in _map_blocks(block_sum, blocks, atom_samples):
-        acc_re[lo : lo + re.size] += re
-        acc_im[lo : lo + im.size] += im
-    return DigitalSignal(acc_re[1:-1] + 1j * acc_im[1:-1], sample_rate)
+    return _sum_blocks(_map_blocks(block_sum, blocks, atom_samples), out_len, sample_rate)
+
+
+def _round_trip(
+    signal: DigitalSignal, samples: SampleSet, params: LtftParams
+) -> DigitalSignal:
+    # synthesize(analyze(signal, samples, params), samples, params, M, L), bit
+    # for bit, with each atom block built once: its coefficients are taken
+    # and the same block, scaled by them, is summed while it is in hand.
+    sig = _padded_input(signal, samples)
+    m = signal.m
+    rate = signal.sample_rate
+    weight = samples.box.volume / samples.n
+    blocks, atom_samples = _atom_blocks(params, samples, rate)
+
+    def block_pass(block: _AtomBlock) -> Tuple[int, np.ndarray, np.ndarray]:
+        j, atoms = _block_atoms(params, samples, rate, m, block)
+        return _block_sum(j, atoms, weight * _block_coeffs(sig, j, atoms, rate))
+
+    return _sum_blocks(_map_blocks(block_pass, blocks, atom_samples), m, rate)

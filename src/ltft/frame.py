@@ -24,6 +24,7 @@ oracle arbitrates the convention.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import IO
 
@@ -37,9 +38,13 @@ _GRID_MARGIN = 40.0  # spectral tail margin beyond the needed range
 _FLOOR_FACTOR = 1e-8  # floor = factor * max(h)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameDiagonal:
-    """H(w) = q0 + q1 + q2 on the frequency grid w_k = k L / M."""
+    """H(w) = q0 + q1 + q2 on the frequency grid w_k = k L / M.
+
+    Frozen, and its arrays are read-only: :func:`frame_diagonal` hands the
+    same instance to every caller with the same configuration.
+    """
 
     omega: np.ndarray
     h: np.ndarray
@@ -53,6 +58,8 @@ class FrameDiagonal:
             self.h.shape == self.q0.shape == self.q1.shape == self.q2.shape
         ):
             raise InvalidParameterError("diagonal components must share the grid")
+        for values in (self.omega, self.h, self.q0, self.q1, self.q2):
+            values.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -192,9 +199,23 @@ def frame_diagonal(
     atoms whose modulation frequency exceeds the rate alias back into the
     grid, so the digital frame operator sees the folded diagonal; use it
     whenever the diagonal normalizes sampled synthesis output.
+
+    H is a function of (params, sample_rate, m, folded) alone, so the last
+    diagonal built is kept and returned again while the same arguments
+    repeat (a sweep or repeated runs on one signal).  Only one is kept, so
+    at most 5*M doubles stay held between calls.  The returned
+    :class:`FrameDiagonal` is shared: it is frozen and its arrays are
+    read-only.
     """
     if m < 4 or m % 2 != 0:
         raise InvalidParameterError("grid length must be even and >= 4")
+    return _build_diagonal(params, sample_rate, m, folded)
+
+
+@functools.lru_cache(maxsize=1)
+def _build_diagonal(
+    params: LtftParams, sample_rate: float, m: int, folded: bool
+) -> FrameDiagonal:
     tables = _DiagonalTables(params, sample_rate)
     omega = np.arange(m) * (sample_rate / m)
     shifts = (-sample_rate, 0.0, sample_rate) if folded else (0.0,)

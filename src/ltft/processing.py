@@ -20,6 +20,7 @@ from .core import (
     LtftParams,
     PhaseSpaceBox,
     SampleSet,
+    _round_trip,
     analyze,
     from_analytic,
     synthesize,
@@ -141,13 +142,22 @@ def _analysis_synthesis(
     # centers: the cubature weight stays volume(analysis box)/N while the N
     # dilated centers cover a box D times larger, so the sum underweights
     # by 1/D (measured on pure tones).  At D = 1 this is reconstruction.
+    #
+    # Plain reconstruction (no transform, D = 1) synthesizes the very atoms
+    # it analysed, so it takes the one-pass round trip, which builds each
+    # atom block once and gives the same bits.  A transform needs every
+    # coefficient before synthesis starts, and at D > 1 synthesis uses other
+    # atoms, so those runs analyse, transform and synthesize in turn.
     out_len = dilation * signal.m
     rate = signal.sample_rate
-    coeffs = analyze(to_analytic(signal), samples, params)
-    if transform is not None:
-        coeffs = transform(coeffs, samples)
-    out_samples = samples.with_dilated_times(float(dilation))
-    raw = synthesize(coeffs, out_samples, params, out_len, rate)
+    if transform is None and dilation == 1:
+        raw = _round_trip(to_analytic(signal), samples, params)
+    else:
+        coeffs = analyze(to_analytic(signal), samples, params)
+        if transform is not None:
+            coeffs = transform(coeffs, samples)
+        out_samples = samples.with_dilated_times(float(dilation))
+        raw = synthesize(coeffs, out_samples, params, out_len, rate)
     hd = frame_diagonal(params, rate, out_len, folded=True)
     normalized = apply_inverse_frame(raw, hd)
     return from_analytic(DigitalSignal(normalized.samples * dilation, rate))

@@ -58,6 +58,8 @@ def wav_read(path: str) -> WavAudio:
         raise ParseError(f"malformed WAV file: {exc}") from exc
     except EOFError as exc:
         raise ParseError("malformed WAV file: truncated") from exc
+    if not raw:
+        raise ParseError("WAV file holds no audio frames")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if channels == 2:
         data = 0.5 * (data[0::2] + data[1::2])

@@ -70,6 +70,20 @@ def test_wav_empty_file_is_parse_error(tmp_path):
         wav_read(str(path))
 
 
+def test_wav_without_frames_is_parse_error(tmp_path, capsys):
+    # A well-formed header with no audio frames is refused, not padded to
+    # four zero samples.
+    path = tmp_path / "zero.wav"
+    wav_write(str(path), WavAudio(np.zeros(0), RATE))
+    with pytest.raises(ParseError):
+        wav_read(str(path))
+    out = tmp_path / "out.wav"
+    assert main(["reconstruct", str(path), str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: parse-error:")
+    assert not out.exists()
+
+
 def test_wav_wrong_width_unsupported(tmp_path):
     import wave
 
@@ -235,10 +249,11 @@ def test_config_file_bad_value_is_parse_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["samples=abc", "gamam=3", "sequence=sobol", "padded=maybe"]
+    "line", ["samples=abc", "gamam=3", "sequence=sobol", "padded=maybe", "not a pair"]
 )
 def test_config_file_bad_key_or_value_is_parse_error(tmp_path, capsys, line):
-    # samples has no default to take a type from; gamam is a typo of gamma.
+    # samples has no default to take a type from; gamam is a typo of gamma;
+    # a line without '=' is not a key=value pair.
     src = _sine_wav(tmp_path / "in.wav")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")

@@ -498,6 +498,28 @@ def test_operator_bit_identical_across_worker_counts(monkeypatch):
     assert np.array_equal(c1, cn) and np.array_equal(s1, sn)
 
 
+@pytest.mark.parametrize("pooled", [False, True], ids=["caller", "pool"])
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+@pytest.mark.parametrize("kind", ["hammersley", "halton", "mc"])
+def test_round_trip_equals_analyze_then_synthesize(monkeypatch, kind, padded, pooled):
+    m = 1024
+    p = LtftParams.for_rate(RATE)
+    rng = np.random.default_rng(11)
+    sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
+    samples = sample_phase_space(sig, p, 8 * m, kind, seed=2, padded=padded)
+    blocks, atom_samples = _atom_blocks(p, samples, RATE)
+    assert len(blocks) >= 4
+    if pooled:
+        monkeypatch.setattr(core, "_POOL_MIN_ATOM_SAMPLES", 0)
+        monkeypatch.setattr(core, "_usable_cores", lambda: 4)
+    else:
+        assert atom_samples < core._POOL_MIN_ATOM_SAMPLES
+    expected = synthesize(analyze(sig, samples, p), samples, p, m, RATE)
+    out = core._round_trip(sig, samples, p)
+    assert out.sample_rate == RATE
+    assert np.array_equal(out.samples, expected.samples)
+
+
 def test_map_blocks_keeps_order_and_raises_worker_errors(monkeypatch):
     monkeypatch.setattr(core, "_usable_cores", lambda: 3)
     big = core._POOL_MIN_ATOM_SAMPLES

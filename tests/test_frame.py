@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from ltft import (
     frame_diagonal_oracle,
     idft,
 )
-from ltft.frame import _cumulative, _DiagonalTables, _interp_integral
+from ltft.frame import _build_diagonal, _cumulative, _DiagonalTables, _interp_integral
 
 RATE = 64.0
 M = 256
@@ -175,3 +177,54 @@ def test_diagonal_csv(diag, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",") == ["omega", "h", "q0", "q1", "q2"]
     assert len(lines) == 1 + M
+
+
+def _assert_same_diagonal(got, want):
+    for name in ("omega", "h", "q0", "q1", "q2"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.floor == want.floor
+
+
+def test_repeated_diagonal_is_the_memo_and_equals_a_fresh_build(params):
+    first = frame_diagonal(params, RATE, M, folded=True)
+    hits = _build_diagonal.cache_info().hits
+    again = frame_diagonal(params, RATE, M, folded=True)
+    assert again is first
+    assert _build_diagonal.cache_info().hits == hits + 1
+    fresh = _build_diagonal.__wrapped__(params, RATE, M, True)
+    assert fresh is not again
+    _assert_same_diagonal(again, fresh)
+
+
+def test_diagonal_is_read_only(params):
+    hd = frame_diagonal(params, RATE, M, folded=True)
+    with pytest.raises(ValueError):
+        hd.h[0] = 1.0
+    for values in (hd.omega, hd.q0, hd.q1, hd.q2):
+        with pytest.raises(ValueError):
+            values += 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hd.floor = 0.0
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"m": 2 * M},
+        {"folded": False},
+        {"params": LtftParams.for_rate(RATE, gamma=7.0)},
+    ],
+    ids=["m", "folded", "params"],
+)
+def test_diagonal_memo_rebuilds_on_a_new_key(params, change):
+    key = {"params": params, "sample_rate": RATE, "m": M, "folded": True}
+    first = frame_diagonal(**key)
+    misses = _build_diagonal.cache_info().misses
+    key.update(change)
+    second = frame_diagonal(**key)
+    assert second is not first
+    assert _build_diagonal.cache_info().misses == misses + 1
+    _assert_same_diagonal(
+        second,
+        _build_diagonal.__wrapped__(key["params"], RATE, key["m"], key["folded"]),
+    )

@@ -19,6 +19,7 @@ from ltft import (
     to_analytic,
     vocoder_phase_rule,
 )
+from ltft import core
 from ltft.frame import apply_inverse_frame, frame_diagonal
 from ltft.processing import reconstruct, sample_phase_space
 
@@ -149,6 +150,27 @@ def test_vocoder_dilation_one_reduces_to_reconstruction(params, tapered_tone):
     v = phase_vocoder(s, VocoderJob(params=params, dilation=1, redundancy=8.0))
     r = reconstruct(s, params, 8 * m, "hammersley")
     assert np.array_equal(v.samples, r.samples)
+
+
+def test_reconstruct_builds_each_atom_block_once(monkeypatch, params, tapered_tone):
+    # Plain reconstruction takes the one-pass round trip; the vocoder, even
+    # at D = 1, analyses and then synthesizes, building every block twice.
+    m = 512
+    s = tapered_tone(m)
+    calls = []
+    original = core._block_atoms
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(core, "_block_atoms", counting)
+    blocks = core._atom_blocks(params, sample_phase_space(s, params, 8 * m), RATE)[0]
+    reconstruct(s, params, 8 * m)
+    assert len(calls) == len(blocks)
+    calls.clear()
+    phase_vocoder(s, VocoderJob(params=params, dilation=1, redundancy=8.0))
+    assert len(calls) == 2 * len(blocks)
 
 
 def test_vocoder_zero_input(params):
