@@ -16,7 +16,7 @@ from .core import (
     relative_error,
 )
 from .errors import InvalidParameterError
-from .processing import reconstruct
+from .processing import reconstruct, samples_for_redundancy
 
 _NOISE_FLOOR_DB = -60.0
 
@@ -96,9 +96,9 @@ def bench_reconstruction(
     for method in methods:
         seeds = mc_seeds if method == "mc" else (0,)
         for a in redundancies:
-            if a < 1:
+            if not a >= 1:
                 raise InvalidParameterError("redundancy must be >= 1")
-            n = int(math.ceil(a * signal.m))
+            n = samples_for_redundancy(a, signal.m)
             errs = [
                 relative_error(reconstruct(signal, params, n, method, seed, padded), signal)
                 for seed in seeds

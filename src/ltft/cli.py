@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -33,6 +32,7 @@ from .processing import (
     phase_vocoder,
     pointwise_nonlinearity,
     reconstruct,
+    samples_for_redundancy,
     soft_threshold,
 )
 from .wavio import WavAudio, wav_read, wav_write
@@ -47,9 +47,6 @@ class RunConfig:
 
     subcommand: str
     options: Dict[str, object]
-
-    def get(self, key: str, default=None):
-        return self.options.get(key, default)
 
 
 def _params_from(options: Dict[str, object], sample_rate: float) -> LtftParams:
@@ -89,7 +86,19 @@ def _resolve_count(options: Dict[str, object], m: int, default_a: float) -> int:
         raise InvalidParameterError("give either --samples or --redundancy, not both")
     if n is not None:
         return int(n)
-    return int(math.ceil(float(a if a is not None else default_a) * m))
+    return samples_for_redundancy(float(a if a is not None else default_a), m)
+
+
+def _list_option(options: Dict[str, object], key: str, convert=str) -> list:
+    # A comma-separated flag value of at least one item; blanks are skipped.
+    text = str(options[key])
+    try:
+        items = [convert(s.strip()) for s in text.split(",") if s.strip()]
+    except ValueError:
+        items = []
+    if not items:
+        raise ParseError(f"bad list value {key}={text!r}")
+    return items
 
 
 def _load_audio(options: Dict[str, object]) -> tuple:
@@ -131,9 +140,7 @@ def _cmd_vocoder(config: RunConfig) -> int:
     job = VocoderJob(
         params=params,
         dilation=int(options["dilation"]),
-        redundancy=(
-            float(options["redundancy"]) if options.get("redundancy") is not None else None
-        ),
+        redundancy=options.get("redundancy"),
         sequence=str(options["sequence"]),
         seed=int(options["seed"]),
         padded=bool(options["padded"]),
@@ -179,8 +186,8 @@ def _cmd_bench_error(config: RunConfig) -> int:
     rate = float(options["rate"])
     params = _params_from(options, rate)
     signal = bench_mod.make_test_signal(m, rate, seed=int(options["seed"]), params=params)
-    methods = [s.strip() for s in str(options["methods"]).split(",") if s.strip()]
-    redundancies = [float(s) for s in str(options["redundancies"]).split(",")]
+    methods = _list_option(options, "methods")
+    redundancies = _list_option(options, "redundancies", float)
     rows = bench_mod.bench_reconstruction(
         signal, params, methods, redundancies, padded=bool(options["padded"])
     )
@@ -196,8 +203,8 @@ def _cmd_bench_error(config: RunConfig) -> int:
 
 def _cmd_bench_discrepancy(config: RunConfig) -> int:
     options = config.options
-    generators = [s.strip() for s in str(options["generators"]).split(",") if s.strip()]
-    sizes = [int(s) for s in str(options["sizes"]).split(",")]
+    generators = _list_option(options, "generators")
+    sizes = _list_option(options, "sizes", int)
     handle, writer = _open_csv(str(options["csv"]), config)
     with handle:
         writer.writerow(["generator", "n", "d_star", "slope"])
@@ -213,7 +220,7 @@ def _cmd_bench_complexity(config: RunConfig) -> int:
     rate = float(options["rate"])
     m = int(options["resolution"])
     params = _params_from(options, rate)
-    sizes = [int(s) for s in str(options["sizes"]).split(",")]
+    sizes = _list_option(options, "sizes", int)
     half = m / (2.0 * rate)
     box = PhaseSpaceBox(t_lo=-half, t_hi=half, freq_hi=rate)
     bound = bench_mod.complexity_per_point_bound(params, rate)
@@ -398,28 +405,20 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     parser = build_parser()
     args = vars(parser.parse_args(argv))
     subcommand = args.pop("subcommand")
-    config_path = args.pop("config", None)
+    config_path = args.pop("config")
     if config_path:
-        # Re-parse with suppressed defaults to learn which flags were given
-        # explicitly; config values fill the remainder.
-        probe = build_parser()
-        for action_group in probe._subparsers._group_actions:
-            for sp in action_group.choices.values():
-                for action in sp._actions:
-                    action.default = argparse.SUPPRESS
-        explicit = vars(probe.parse_args(argv))
-        explicit.pop("subcommand", None)
-        file_values = _read_config_file(config_path)
-        actions = {
-            action.dest: action
-            for group in parser._subparsers._group_actions
-            for action in group.choices[subcommand]._actions
-        }
-        for key, text in file_values.items():
+        # Config values become the subparser's defaults; parsing argv again
+        # lets the flags given explicitly override them.
+        sp = parser._subparsers._group_actions[0].choices[subcommand]
+        actions = {action.dest: action for action in sp._actions}
+        defaults = {}
+        for key, text in _read_config_file(config_path).items():
             if key not in args:
                 raise ParseError(f"unknown config key {key!r} for {subcommand}")
-            if key not in explicit:
-                args[key] = _coerce(actions[key], text)
+            defaults[key] = _coerce(actions[key], text)
+        sp.set_defaults(**defaults)
+        args = vars(parser.parse_args(argv))
+        del args["subcommand"], args["config"]
     return RunConfig(subcommand=subcommand, options=args)
 
 

@@ -11,9 +11,12 @@ diagonal splits into three band contributions:
     q2(w) = same structure as q0 with b1 and an [b1, L] outer window
 
 where G2 is the cumulative integral of |w_hat|^2 and G3 the cumulative of
-G2.  Everything reduces to table lookups, so the cost is O(M) plus a fixed
-tabulation, and q1 for all bins amounts to a running-window integral whose
-endpoints advance monotonically with the bin index.
+G2.  Each of the three band terms is a difference of values of one
+primitive, :class:`_Integral`: the exact running integral of a
+piecewise-linear interpolant tabulated on a fixed grid.  G2 integrates the
+tabulated power, G3 integrates G2's cumulative, and the wavelet band
+integrates P1(q)/q, tabulated once since it does not depend on w.  The
+cost is O(M) per fold shift plus a fixed tabulation.
 
 The low-band and wavelet-band prefactors follow the full derivation of the
 diagonal (the low band carries gamma^2/(b0^2 xi) and the oscillation
@@ -72,127 +75,56 @@ class FrameDiagonal:
             writer.writerow([format(v, ".17g") for v in row])
 
 
-def _cumulative(step: float, values: np.ndarray) -> np.ndarray:
-    # Trapezoid cumulative at the nodes, zero at the first node.
-    out = np.zeros_like(values)
-    np.cumsum(0.5 * step * (values[1:] + values[:-1]), out=out[1:])
-    return out
+class _Integral:
+    """Exact integral from x0 to t of the piecewise-linear interpolant of
+    ``values``, tabulated at x0 + k * _GRID_STEP.  Outside the table the
+    integrand is zero, or, with ``extend``, held at its edge value (for a
+    cumulative integrand, which saturates to a constant)."""
+
+    def __init__(self, x0: float, values: np.ndarray, extend: bool = False) -> None:
+        self.x0 = x0
+        self.values = values
+        self.extend = extend
+        # Trapezoid cumulative at the nodes, zero at the first node.
+        self.cum = np.zeros_like(values)
+        np.cumsum(0.5 * _GRID_STEP * (values[1:] + values[:-1]), out=self.cum[1:])
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        x0, values, step = self.x0, self.values, _GRID_STEP
+        n = values.shape[0]
+        top = x0 + (n - 1) * step
+        tc = np.clip(t, x0, top)
+        i = np.minimum(((tc - x0) / step).astype(np.int64), n - 2)
+        frac = tc - (x0 + i * step)
+        vt = values[i] + (values[i + 1] - values[i]) * (frac / step)
+        out = self.cum[i] + 0.5 * frac * (values[i] + vt)
+        if self.extend:
+            out = out + np.where(t > top, (t - top) * values[-1], 0.0)
+            out = out + np.where(t < x0, (t - x0) * values[0], 0.0)
+        return out
 
 
-def _interp_integral(
-    x0: float,
-    step: float,
-    values: np.ndarray,
-    cum: np.ndarray,
-    t: np.ndarray,
-    extend: bool = False,
-) -> np.ndarray:
-    # Exact integral from the grid start to t of the piecewise-linear
-    # interpolant of ``values``.  Outside the grid the integrand is taken
-    # as zero (extend=False) or held at the edge value (extend=True; used
-    # for cumulative integrands that saturate to a constant).
-    n = values.shape[0]
-    top = x0 + (n - 1) * step
-    tc = np.clip(t, x0, top)
-    pos = (tc - x0) / step
-    i = np.minimum(pos.astype(np.int64), n - 2)
-    frac = tc - (x0 + i * step)
-    vt = values[i] + (values[i + 1] - values[i]) * (frac / step)
-    out = cum[i] + 0.5 * frac * (values[i] + vt)
-    if extend:
-        out = out + np.where(t > top, (t - top) * values[-1], 0.0)
-        out = out + np.where(t < x0, (t - x0) * values[0], 0.0)
-    return out
-
-
-class _DiagonalTables:
-    """Shared tabulations for one (params, L) pair."""
-
-    def __init__(self, params: LtftParams, sample_rate: float) -> None:
-        g = params.gamma
-        self.params = params
-        self.sample_rate = sample_rate
-        u_lo = -(g * sample_rate / params.b1 + params.xi) - _GRID_MARGIN
-        u_hi = g * sample_rate / params.b0 + _GRID_MARGIN
-        n = int(np.ceil((u_hi - u_lo) / _GRID_STEP)) + 1
-        self.x0 = u_lo
-        self.step = _GRID_STEP
-        u = u_lo + self.step * np.arange(n)
-        self.g2 = params.window.freq(u) ** 2
-        self.cum_g2 = _cumulative(self.step, self.g2)
-        self.cum_g3 = _cumulative(self.step, self.cum_g2)
-        # The wavelet-band integrand does not depend on omega: tabulate it and
-        # its running integral once for all fold shifts.
-        self.qgrid, self.integrand = self.wavelet_integrand()
-        self.cum_integrand = _cumulative(self.step, self.integrand)
-
-    def power_integral(self, t: np.ndarray) -> np.ndarray:
-        # G2(t): integral of |w_hat|^2 up to t; constant (= total power)
-        # beyond the tabulated range.
-        return _interp_integral(self.x0, self.step, self.g2, self.cum_g2, t)
-
-    def double_integral(self, t: np.ndarray) -> np.ndarray:
-        # G3(t): integral of G2 up to t; grows linearly beyond the range
-        # because G2 saturates, hence the extension.
-        return _interp_integral(
-            self.x0, self.step, self.cum_g2, self.cum_g3, t, extend=True
-        )
-
-    def wavelet_integral(self, t: np.ndarray) -> np.ndarray:
-        # Integral of P1(q)/q from the first positive grid node up to t.
-        return _interp_integral(
-            self.qgrid[0], self.step, self.integrand, self.cum_integrand, t
-        )
-
-    def wavelet_integrand(self):
-        """Tabulated P1(q)/q on the positive part of the grid."""
-        g = self.params.gamma
-        xi = self.params.xi
-        first = int(np.ceil((self.step - self.x0) / self.step))
-        q = self.x0 + self.step * np.arange(first, self.g2.shape[0])
-        p1 = (g / xi) * (
-            self.power_integral(q - g) - self.power_integral(q - g - xi)
-        )
-        return q, np.maximum(p1, 0.0) / q
-
-
-def _components_at(
-    tables: _DiagonalTables, params: LtftParams, sample_rate: float, omega: np.ndarray
-):
+def _integrals(params: LtftParams, sample_rate: float):
+    """G3 and the wavelet-band integral of P1(q)/q (positive nodes only)."""
     g = params.gamma
     xi = params.xi
-
-    def band_term(v: np.ndarray) -> np.ndarray:
-        return (
-            tables.double_integral(v)
-            - tables.double_integral(v - g)
-            - tables.double_integral(v - xi)
-            + tables.double_integral(v - g - xi)
-        ) / xi
-
-    q0 = band_term(g * omega / params.b0)
-    w_hi = (g / params.b1) * (omega - params.b1)
-    w_lo = (g / params.b1) * (omega - sample_rate)
-    q2 = (
-        tables.double_integral(w_hi)
-        - tables.double_integral(w_hi - xi)
-        - tables.double_integral(w_lo)
-        + tables.double_integral(w_lo - xi)
-    ) / xi
-
-    upper = tables.wavelet_integral(g * omega / params.b0)
-    lower = tables.wavelet_integral(g * omega / params.b1)
-    return q0, upper - lower, q2
+    u_lo = -(g * sample_rate / params.b1 + xi) - _GRID_MARGIN
+    u_hi = g * sample_rate / params.b0 + _GRID_MARGIN
+    n = int(np.ceil((u_hi - u_lo) / _GRID_STEP)) + 1
+    u = u_lo + _GRID_STEP * np.arange(n)
+    g2 = _Integral(u_lo, params.window.freq(u) ** 2)
+    first = int(np.ceil((_GRID_STEP - u_lo) / _GRID_STEP))
+    q = u_lo + _GRID_STEP * np.arange(first, n)
+    p1 = (g / xi) * (g2(q - g) - g2(q - g - xi))
+    wavelet = _Integral(q[0], np.maximum(p1, 0.0) / q)
+    return _Integral(u_lo, g2.cum, extend=True), wavelet
 
 
 def frame_diagonal(
     params: LtftParams, sample_rate: float, m: int, folded: bool = False
 ) -> FrameDiagonal:
-    """Closed-form diagonal on the M-point frequency grid.
-
-    Band integrals are exact integrals of tabulated interpolants; the
-    wavelet-band term is a running integral whose two endpoints move by a
-    constant amount per bin.
+    """Closed-form diagonal on the M-point frequency grid: each band term is
+    a difference of exact running integrals of tabulated interpolants.
 
     With ``folded`` the diagonal is summed over the DFT's periodic
     frequency identification (arguments shifted by -L, 0, +L).  Sampled
@@ -216,17 +148,22 @@ def frame_diagonal(
 def _build_diagonal(
     params: LtftParams, sample_rate: float, m: int, folded: bool
 ) -> FrameDiagonal:
-    tables = _DiagonalTables(params, sample_rate)
+    g = params.gamma
+    xi = params.xi
+    g3, wavelet = _integrals(params, sample_rate)
     omega = np.arange(m) * (sample_rate / m)
     shifts = (-sample_rate, 0.0, sample_rate) if folded else (0.0,)
     q0 = np.zeros(m)
     q1 = np.zeros(m)
     q2 = np.zeros(m)
     for shift in shifts:
-        p0, p1, p2 = _components_at(tables, params, sample_rate, omega + shift)
-        q0 += p0
-        q1 += p1
-        q2 += p2
+        w = omega + shift
+        v = g * w / params.b0
+        q0 += (g3(v) - g3(v - g) - g3(v - xi) + g3(v - g - xi)) / xi
+        q1 += wavelet(g * w / params.b0) - wavelet(g * w / params.b1)
+        w_hi = (g / params.b1) * (w - params.b1)
+        w_lo = (g / params.b1) * (w - sample_rate)
+        q2 += (g3(w_hi) - g3(w_hi - xi) - g3(w_lo) + g3(w_lo - xi)) / xi
     h = q0 + q1 + q2
     return FrameDiagonal(
         omega=omega,

@@ -33,6 +33,13 @@ from .lds import generate_unit_points, scale_to_box
 _MAX_OUTPUT_SAMPLES = 1 << 26
 
 
+def samples_for_redundancy(redundancy: float, m: int) -> int:
+    """N = ceil(A*M) samples for redundancy A on an M-point signal."""
+    if not 0 < redundancy * m < np.inf:
+        raise InvalidParameterError("redundancy must be positive and finite")
+    return int(np.ceil(redundancy * m))
+
+
 @dataclass(frozen=True)
 class VocoderJob:
     """Configuration of one vocoder run.
@@ -57,8 +64,8 @@ class VocoderJob:
             or self.dilation < 1
         ):
             raise InvalidParameterError("dilation must be an integer >= 1")
-        if self.redundancy is not None and not 0 < self.redundancy < np.inf:
-            raise InvalidParameterError("redundancy must be positive and finite")
+        if self.redundancy is not None:
+            samples_for_redundancy(self.redundancy, 1)  # refuse a bad A now
         if self.samples is not None:
             if self.redundancy is not None:
                 raise InvalidParameterError("give either samples or redundancy, not both")
@@ -71,7 +78,7 @@ class VocoderJob:
         if self.samples is not None:
             return int(self.samples)
         a = 4.0 * self.dilation if self.redundancy is None else self.redundancy
-        return int(np.ceil(a * m))
+        return samples_for_redundancy(a, m)
 
 
 def multiplier_apply(

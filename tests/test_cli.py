@@ -289,6 +289,49 @@ def test_negative_seed_is_invalid_parameter(tmp_path, capsys, subcommand):
     assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "reconstruct -A inf",
+        "reconstruct -A nan",
+        "reconstruct -A 1e308",
+        "denoise -A nan",
+        "vocoder -A inf",
+        "coverage -A inf",
+        "bench-error --redundancies nan",
+        "bench-error --redundancies inf",
+    ],
+)
+def test_non_finite_redundancy_is_invalid_parameter(tmp_path, capsys, command):
+    # N = ceil(A*M) must be a finite positive count: A*M = 1e308 * M overflows.
+    args = command.split()
+    if args[0] in ("coverage", "bench-error"):
+        args += ["--csv", str(tmp_path / "x.csv"), "-M", "64"]
+    else:
+        args += [_sine_wav(tmp_path / "in.wav"), str(tmp_path / "o.wav")]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "bench-error --redundancies 1,x",
+        "bench-error --redundancies=",
+        "bench-error --methods ,",
+        "bench-discrepancy --sizes 8,x",
+        "bench-discrepancy --generators=",
+        "bench-complexity --sizes x",
+    ],
+)
+def test_bad_list_flag_is_parse_error(tmp_path, capsys, command):
+    code = main(command.split() + ["--csv", str(tmp_path / "x.csv"), "-M", "64"])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: parse-error:")
+
+
 def test_csv_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["bench-error", "-M", "256", "--methods", "mc",

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltft import (
     BudgetExceededError,
@@ -15,7 +17,7 @@ from ltft import (
     frame_diagonal_oracle,
     idft,
 )
-from ltft.frame import _build_diagonal, _cumulative, _DiagonalTables, _interp_integral
+from ltft.frame import _GRID_STEP, _build_diagonal, _Integral, _integrals
 
 RATE = 64.0
 M = 256
@@ -51,6 +53,29 @@ def test_closed_form_matches_oracle(diag, oracle):
     strong = oracle.h > 1e-3 * oracle.h.max()
     rel = np.abs(diag.h[strong] - oracle.h[strong]) / oracle.h[strong]
     assert rel.max() <= 1e-4
+
+
+@settings(max_examples=6)
+@given(
+    gamma=st.floats(3.0, 12.0),
+    xi=st.floats(1e-3, 12.0),
+    b0_frac=st.floats(0.1, 0.3),
+    gap=st.floats(0.05, 0.6),
+)
+def test_closed_form_matches_oracle_over_params(gamma, xi, b0_frac, gap):
+    # At quad_res 256 the oracle's own midpoint error grows with gamma/b0:
+    # the corners of this box reach 1.3e-3 (gamma 12, xi ~0, b0_frac 0.1)
+    # and 40 random draws stay below 2.4e-4.  Below gamma ~2.7 the wavelet
+    # atoms leak to w <= 0, which the closed form leaves out (1.4e-2 at
+    # gamma 2.4), so the box starts at 3.
+    p = LtftParams.for_rate(
+        RATE, b0_frac=b0_frac, b1_frac=b0_frac + gap, gamma=gamma, xi=xi
+    )
+    closed = frame_diagonal(p, RATE, 64)
+    oracle = frame_diagonal_oracle(p, RATE, 64, quad_res=256)
+    strong = oracle.h > 1e-3 * oracle.h.max()
+    rel = np.abs(closed.h[strong] - oracle.h[strong]) / oracle.h[strong]
+    assert rel.max() <= 2e-3
 
 
 def test_oracle_quadrature_convergence(params):
@@ -90,9 +115,10 @@ def test_wavelet_running_integral_matches_direct_quadrature(params):
     # running-cumulative path.
     m = 256
     fd = frame_diagonal(params, RATE, m)
-    tables = _DiagonalTables(params, RATE)
-    qgrid, integrand = tables.wavelet_integrand()
-    step = tables.step
+    _, wavelet = _integrals(params, RATE)
+    integrand = wavelet.values
+    step = _GRID_STEP
+    qgrid = wavelet.x0 + step * np.arange(integrand.shape[0])
     g = params.gamma
 
     def direct(lo, hi):
@@ -158,15 +184,14 @@ def test_folded_diagonal_exceeds_continuum(params, diag):
 
 
 def test_interp_integral_helper():
-    grid = np.linspace(0.0, 4.0, 9)
+    grid = np.arange(4097) * _GRID_STEP  # [0, 4] at the table step
     vals = grid.copy()  # integrand f(x) = x
-    cum = _cumulative(0.5, vals)
     t = np.array([0.0, 0.25, 1.0, 3.3, 4.0])
     exact = 0.5 * t**2
-    out = _interp_integral(0.0, 0.5, vals, cum, t)
+    out = _Integral(0.0, vals)(t)
     assert np.max(np.abs(out - exact)) < 1e-14
     # extension holds the edge value
-    ext = _interp_integral(0.0, 0.5, vals, cum, np.array([5.0]), extend=True)
+    ext = _Integral(0.0, vals, extend=True)(np.array([5.0]))
     assert ext[0] == pytest.approx(8.0 + 4.0 * 1.0)
 
 
