@@ -73,6 +73,14 @@ def _open_csv(path: str, config: RunConfig):
     return handle, csv.writer(handle)
 
 
+def _write_csv(config: RunConfig, header: List[str], rows: List[list]) -> None:
+    # Callers compute every row first, so a failing command leaves no file.
+    handle, writer = _open_csv(str(config.options["csv"]), config)
+    with handle:
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
@@ -191,13 +199,11 @@ def _cmd_bench_error(config: RunConfig) -> int:
     rows = bench_mod.bench_reconstruction(
         signal, params, methods, redundancies, padded=bool(options["padded"])
     )
-    handle, writer = _open_csv(str(options["csv"]), config)
-    with handle:
-        writer.writerow(["method", "redundancy", "n", "rel_error", "rel_error_std"])
-        for row in rows:
-            writer.writerow(
-                [row.method, _fmt(row.redundancy), row.n, _fmt(row.rel_error), _fmt(row.rel_error_std)]
-            )
+    _write_csv(
+        config,
+        ["method", "redundancy", "n", "rel_error", "rel_error_std"],
+        [[r.method, r.redundancy, r.n, r.rel_error, r.rel_error_std] for r in rows],
+    )
     return 0
 
 
@@ -205,13 +211,11 @@ def _cmd_bench_discrepancy(config: RunConfig) -> int:
     options = config.options
     generators = _list_option(options, "generators")
     sizes = _list_option(options, "sizes", int)
-    handle, writer = _open_csv(str(options["csv"]), config)
-    with handle:
-        writer.writerow(["generator", "n", "d_star", "slope"])
-        for gen in generators:
-            rows, slope = discrepancy_scaling(gen, sizes, dim=2)
-            for row in rows:
-                writer.writerow([row.generator, row.n, _fmt(row.d_star), _fmt(slope)])
+    rows = []
+    for gen in generators:
+        points, slope = discrepancy_scaling(gen, sizes, dim=2)
+        rows += [[row.generator, row.n, row.d_star, slope] for row in points]
+    _write_csv(config, ["generator", "n", "d_star", "slope"], rows)
     return 0
 
 
@@ -224,16 +228,15 @@ def _cmd_bench_complexity(config: RunConfig) -> int:
     half = m / (2.0 * rate)
     box = PhaseSpaceBox(t_lo=-half, t_hi=half, freq_hi=rate)
     bound = bench_mod.complexity_per_point_bound(params, rate)
-    handle, writer = _open_csv(str(options["csv"]), config)
-    with handle:
-        writer.writerow(["n", "c_actual", "a_predicted", "per_point_bound"])
-        for n in sizes:
-            samples = scale_to_box(
-                generate_unit_points(str(options["sequence"]), n, 3, int(options["seed"])),
-                box,
-            )
-            c_actual, a_pred = bench_mod.complexity_count(samples, params, rate)
-            writer.writerow([n, c_actual, _fmt(a_pred), _fmt(bound)])
+    rows = []
+    for n in sizes:
+        samples = scale_to_box(
+            generate_unit_points(str(options["sequence"]), n, 3, int(options["seed"])),
+            box,
+        )
+        c_actual, a_pred = bench_mod.complexity_count(samples, params, rate)
+        rows.append([n, c_actual, a_pred, bound])
+    _write_csv(config, ["n", "c_actual", "a_predicted", "per_point_bound"], rows)
     return 0
 
 
@@ -266,11 +269,8 @@ def _cmd_coverage(config: RunConfig) -> int:
         box, params, int(options["queries"]), seed=int(options["seed"])
     )
     report = funnel_coverage(samples, queries, params)
-    handle, writer = _open_csv(str(options["csv"]), config)
-    with handle:
-        writer.writerow(["a", "b", "value", "flagged"])
-        for q, v, f in zip(queries, report.values, report.flagged):
-            writer.writerow([_fmt(float(q[0])), _fmt(float(q[1])), _fmt(float(v)), int(f)])
+    rows = [[q[0], q[1], v, int(f)] for q, v, f in zip(queries, report.values, report.flagged)]
+    _write_csv(config, ["a", "b", "value", "flagged"], rows)
     print(f"coverage mean={report.mean:.6g} max/min={report.max_min_ratio:.6g}")
     return 0
 

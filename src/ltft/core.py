@@ -178,7 +178,7 @@ _WINDOW_KINDS = {
 _TABLE_SAMPLES = 1 << 13  # midpoint samples of the window
 _TABLE_SPACING = 1.0 / 256.0  # frequency grid step of the tabulated spectrum
 _TABLE_RANGE = 96.0  # spectrum kept on [-range, range]
-_TABLE_BATCH = 32  # phase-shifted transforms computed at once
+_COS4_TERMS = (1.0 / 16.0, 0.25, 0.375, 0.25, 1.0 / 16.0)  # cos^4(pi t) in exp(2 pi i j t), |j| <= 2
 
 
 class WindowSpec:
@@ -186,8 +186,9 @@ class WindowSpec:
 
     The time evaluator is closed form and vanishes outside (-1/2, 1/2); the
     zero-extension is twice continuously differentiable and has unit L2
-    norm.  The frequency evaluator interpolates a dense DFT tabulation of
-    the spectrum, computed once per instance.
+    norm.  The frequency evaluator interpolates linearly between nodes of
+    the window's midpoint-rule DFT, which are closed-form Dirichlet-kernel
+    sums computed once per instance.
     """
 
     def __init__(self, kind: str = "cos4") -> None:
@@ -208,34 +209,22 @@ class WindowSpec:
 
     @cached_property
     def _freq_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        # Dense DFT of midpoint samples; the window is C^3 with vanishing
-        # edge derivatives, so the midpoint rule is accurate to rounding.
+        # (1/k) sum_n w(t_n) exp(-2 pi i nu t_n) over the k midpoints t_n of
+        # (-1/2, 1/2), accurate to rounding (the window is C^3 with vanishing
+        # edge derivatives).  Term j of cos^4 sums to the Dirichlet kernel
+        # D_k(nu - j), D_k(x) = sin(pi x) / (k sin(pi x / k)), D_k(0) = 1.
         k = _TABLE_SAMPLES
-        pad = int(round(k / _TABLE_SPACING))
-        t0 = 0.5 / k - 0.5
-        n = np.arange(k)
-        y = self.time((n + 0.5) / k - 0.5)
-        # Only the bins with |frequency| <= range are kept: signed bin
-        # numbers in ascending order, with fftfreq's step.
-        step = 1.0 / (pad * (1.0 / k))
-        last = int(_TABLE_RANGE / step)
-        bins = np.arange(-last, last + 1)
-        freqs = bins * step
-        # Bin q*stride + r of the pad-point transform of y is bin q of the
-        # k-point transform of y * exp(-2 pi i r n / pad), so batches of
-        # k-point transforms stand in for one pad-point transform.
-        stride = pad // k
-        q, r = np.divmod(bins % pad, stride)
-        spectrum = np.empty(bins.shape, dtype=np.complex128)
-        for r0 in range(0, stride, _TABLE_BATCH):
-            rs = np.arange(r0, r0 + _TABLE_BATCH)
-            twiddle = np.exp((-2j * np.pi / pad) * np.outer(rs, n))
-            batch = np.fft.fft(y * twiddle, axis=1)
-            hit = (r >= r0) & (r < r0 + _TABLE_BATCH)
-            spectrum[hit] = batch[r[hit] - r0, q[hit]]
-        # The first sample sits at t0, not 0; shift the transform phase.
-        table = spectrum * np.exp(-2j * np.pi * freqs * t0) / k
-        return freqs, np.real(table)
+        last = int(_TABLE_RANGE / _TABLE_SPACING)
+        freqs = np.arange(-last, last + 1) * _TABLE_SPACING
+        # nu - round(nu) is exact on this grid, so sin(pi nu) is taken on
+        # [-1/2, 1/2], where it is accurate; sin(pi (nu - j)) = (-1)^j sin(pi nu).
+        turns = np.round(freqs)
+        sin_nu = np.sin(np.pi * (freqs - turns)) * (1.0 - 2.0 * (turns % 2))
+        table = np.zeros_like(freqs)
+        for j, weight in zip(range(-2, 3), _COS4_TERMS):
+            den = (-1) ** j * k * np.sin(np.pi * (freqs - j) / k)
+            table += weight * np.divide(sin_nu, den, out=np.ones_like(den), where=freqs != j)
+        return freqs, self._norm * table
 
     def freq(self, nu) -> np.ndarray:
         """Spectrum w_hat(nu) by linear interpolation of the tabulation."""

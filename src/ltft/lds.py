@@ -37,24 +37,34 @@ def radical_inverse(n: int, base: int) -> float:
         raise InvalidParameterError(f"radix base must be >= 2, got {base}")
     if n < 0:
         raise InvalidParameterError(f"index must be non-negative, got {n}")
-    inv = 0.0
-    denom = 1.0
-    while n > 0:
-        n, digit = divmod(n, base)
-        denom *= base
-        inv += digit / denom
-    return inv
+    if max(n, base) >= 1 << 63:
+        raise InvalidParameterError("index and radix base must be below 2**63")
+    return float(_radical_inverse_many(np.array([n]), base)[0])
 
 
 def _radical_inverse_many(indices: np.ndarray, base: int) -> np.ndarray:
-    # Vectorized digit reversal; one pass per digit position.
-    n = np.asarray(indices, dtype=np.int64).copy()
+    # Digits go k at a time through a table of every k-digit reversal, the
+    # largest k with base**k <= 4096 (one digit is its own reversal).  They
+    # build an integer r < base**K, K the digits taken, and r / base**K is the
+    # radical inverse, correctly rounded and independent of the other indices,
+    # while base**K < 2**53 (every index below 2**41 when base <= 4096).
+    # Further digits build further such integers, added at their own scale.
+    size, rev = base, None
+    while size * base <= 4096:
+        low = np.arange(base)
+        rev = (low * size + (low if rev is None else rev)[:, None]).ravel()
+        size *= base
+    n = np.asarray(indices, dtype=np.int64)
+    top, scale = int(n.max(initial=0)), 1.0
     out = np.zeros(n.shape, dtype=np.float64)
-    denom = 1.0
-    while n.max(initial=0) > 0:
-        n, digit = np.divmod(n, base)
-        denom *= base
-        out += digit / denom
+    while top > 0:
+        r, width = np.zeros(n.shape, dtype=np.int64), 1
+        while top > 0 and (width == 1 or width * size < 1 << 53):
+            n, chunk = np.divmod(n, size)
+            r = r * size + (chunk if rev is None else rev[chunk])
+            width, top = width * size, top // size
+        scale *= width
+        out += r / scale
     return out
 
 

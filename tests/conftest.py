@@ -16,7 +16,8 @@ RATE = 64.0
 @pytest.fixture(scope="session")
 def params():
     p = LtftParams.for_rate(RATE)
-    # Warm the one-time window tabulation so timings elsewhere are clean.
+    # Build the window's spectrum table (closed form, a few ms) once here,
+    # so no test's timing includes it.
     p.window._freq_table
     return p
 

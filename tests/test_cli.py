@@ -192,6 +192,20 @@ def test_bench_complexity_csv(tmp_path):
         assert float(row[1]) / float(row[0]) <= float(row[3])
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bench-discrepancy", "--generators", "hammersley,sobol", "--sizes", "8,16,32"],
+        ["bench-complexity", "--sizes", "256,0"],
+    ],
+    ids=["unknown generator after a good one", "bad size after a good one"],
+)
+def test_failing_bench_leaves_no_csv(tmp_path, args):
+    out = tmp_path / "partial.csv"
+    assert main(args + ["--csv", str(out)]) == 1
+    assert not out.exists()
+
+
 def test_coverage_csv(tmp_path, capsys):
     out = tmp_path / "cov.csv"
     assert main(["coverage", "--csv", str(out), "-M", "256", "--queries", "20"]) == 0

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -83,6 +84,24 @@ def test_window_spectrum_matches_cosine_sum():
 
     nu = np.linspace(-30.0, 30.0, 4001)
     assert np.max(np.abs(w.freq(nu) - ref(nu))) < 5e-6
+
+
+def test_window_table_matches_direct_midpoint_sum():
+    # The table's nodes are the midpoint-rule DFT of the window over 8192
+    # samples, at nu = m / 256.  Summed directly with math.fsum, the phase
+    # nu * t_n = m (2n + 1 - k) / 2**22 cycles is reduced exactly in integers.
+    w = make_window()
+    grid, vals = w._freq_table
+    assert np.array_equal(grid, np.arange(-24576, 24577) / 256)
+    k = 8192
+    n = np.arange(k, dtype=np.int64)
+    samples = w.time((n + 0.5) / k - 0.5)
+    special = [0, 1, -1, 256, -256, 512, -512, 24576, -24576]
+    spread = np.random.default_rng(0).integers(-24576, 24577, size=191)
+    for m in special + spread.tolist():
+        cycles = (m * (2 * n + 1 - k)) % (1 << 22) / float(1 << 22)
+        direct = math.fsum(samples * np.cos(2.0 * np.pi * cycles)) / k
+        assert abs(vals[m + 24576] - direct) <= 1e-15, m
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from ltft import (
     star_discrepancy,
     star_discrepancy_scan,
 )
-from ltft.lds import UnitPointSet
+from ltft.lds import _PRIMES, UnitPointSet, _radical_inverse_many
 
 
 def test_radical_inverse_hand_values():
@@ -30,6 +31,47 @@ def test_radical_inverse_hand_values():
 def test_radical_inverse_bad_base():
     with pytest.raises(InvalidParameterError):
         radical_inverse(3, 1)
+
+
+def test_radical_inverse_index_beyond_int64_is_invalid():
+    with pytest.raises(InvalidParameterError):
+        radical_inverse(1 << 63, 2)
+
+
+def _exact_radical_inverse(n, base):
+    value, scale = Fraction(0), Fraction(1)
+    while n > 0:
+        n, digit = divmod(n, base)
+        scale /= base
+        value += digit * scale
+    return float(value)
+
+
+@pytest.mark.parametrize("base", _PRIMES)
+def test_radical_inverse_is_correctly_rounded(base):
+    indices = list(range(5000)) + [2**31 - 1, 3**19, 2**40 + 3]
+    exact = [_exact_radical_inverse(n, base) for n in indices]
+    assert _radical_inverse_many(np.array(indices), base).tolist() == exact
+    assert [radical_inverse(n, base) for n in indices[::97] + indices[-3:]] == (
+        exact[::97] + exact[-3:]
+    )
+
+
+def test_radical_inverse_base_two_matches_running_sum():
+    # The digit-by-digit running sum used before the table rule: in base 2
+    # every partial sum is exact, so the two agree in every bit.
+    def running_sum(indices):
+        n = np.array(indices, dtype=np.int64)
+        out = np.zeros(n.shape)
+        denom = 1.0
+        while n.max(initial=0) > 0:
+            n, digit = np.divmod(n, 2)
+            denom *= 2
+            out += digit / denom
+        return out
+
+    indices = np.concatenate([np.arange(70000), [2**31 - 1, 2**40 + 3, 2**47 + 12345]])
+    assert np.array_equal(_radical_inverse_many(indices, 2), running_sum(indices))
 
 
 def test_halton_first_points():
@@ -47,6 +89,14 @@ def test_halton_prefix_property():
     # and for a larger slice
     assert np.array_equal(halton_sequence(200, 4).points[:57],
                           halton_sequence(57, 4).points)
+
+
+def test_halton_prefix_stable_across_digit_chunks():
+    # 2187 = 3**7 and 4096 = 2**12 are table sizes: one more index adds a
+    # chunk of digits in base 3 or base 2.
+    full = halton_sequence(5000, 8).points
+    for count in (2186, 2187, 2188, 4095, 4096, 4097):
+        assert np.array_equal(halton_sequence(count, 8).points, full[:count])
 
 
 def test_halton_range_and_dim_guard():
