@@ -38,7 +38,6 @@ from .core import (
     idft,
     ltft_atom_freq,
     ltft_atom_time,
-    make_window,
     relative_error,
     synthesize,
     to_analytic,

@@ -9,8 +9,8 @@ evenly a sample set represents the time-frequency plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -125,30 +125,21 @@ class ScalingRow:
     d_star: float
 
 
-def _dwt_defaults(m: int) -> DwtGridParams:
-    # Desk-scale geometry matching the transform defaults (b0 = 0.1 L).
-    return DwtGridParams(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=m, gamma=6.0)
+# Desk-scale wavelet-grid geometry matching the transform defaults (b0 = 0.1 L).
+_DWT_BASE = DwtGridParams(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=256, gamma=6.0)
 
 
-def _dwt_unit_points(target_n: int, base: DwtGridParams) -> UnitPointSet:
+def _dwt_unit_points(target_n: int) -> UnitPointSet:
     # A wavelet grid refined at the N^(-1/2) obstruction balance: the two
     # empty-rectangle bounds (last frequency gap ~ 1 - 1/r and the time
     # spacing ~ 1/(N ln r)) are equal when 1 - 1/r ~ 1/sqrt(N), so the
     # dilation step tightens with the target size while p tunes the rows.
-    r_max = (base.gamma + 0.5) / (base.gamma - 0.5)
+    gamma = _DWT_BASE.gamma
+    r_max = (gamma + 0.5) / (gamma - 0.5)
     r = min(1.0 / (1.0 - min(0.5 / math.sqrt(target_n), 0.6)), 0.999 * r_max)
 
     def sized(p: float) -> SampleSet:
-        return dwt_grid(
-            DwtGridParams(
-                r=r,
-                p=p,
-                b0=base.b0,
-                sample_rate=base.sample_rate,
-                m=base.m,
-                gamma=base.gamma,
-            )
-        )
+        return dwt_grid(replace(_DWT_BASE, r=r, p=p))
 
     unit_p = sized(1.0).n
     best = None
@@ -174,40 +165,30 @@ def _lattice_unit_points(target_n: int) -> UnitPointSet:
     )
 
 
-def discrepancy_scaling(
-    generator: str,
-    sizes: Sequence[int],
-    dim: int = 2,
-    seeds: Sequence[int] = tuple(range(10)),
-    dwt_base: Optional[DwtGridParams] = None,
-) -> Tuple[List[ScalingRow], float]:
-    """Exact star discrepancy per size plus the fitted log-log slope.
+def discrepancy_scaling(generator: str, sizes: Sequence[int]) -> Tuple[List[ScalingRow], float]:
+    """Exact 2D star discrepancy per size plus the fitted log-log slope.
 
-    Monte Carlo rows average over the given seeds; wavelet grids vary the
-    time density p at fixed r and are rescaled to the unit square; the
-    regular lattice uses a side of roughly sqrt(N).  Sizes must stay
-    within the exact-discrepancy budget.
+    Monte Carlo rows average over seeds 0..9; wavelet grids vary the time
+    density p at fixed r and are rescaled to the unit square; the regular
+    lattice uses a side of roughly sqrt(N).  Sizes must stay within the
+    exact-discrepancy budget.
     """
     rows: List[ScalingRow] = []
     for target in sizes:
         if generator == "hammersley":
-            pts = hammersley_set(target, dim)
+            pts = hammersley_set(target, 2)
         elif generator == "halton":
-            pts = halton_sequence(target, dim)
+            pts = halton_sequence(target, 2)
         elif generator == "mc":
             vals = [
-                star_discrepancy(mc_uniform(target, dim, seed)).star_value
-                for seed in seeds
+                star_discrepancy(mc_uniform(target, 2, seed)).star_value
+                for seed in range(10)
             ]
             rows.append(ScalingRow("mc", target, float(np.mean(vals))))
             continue
         elif generator == "dwt":
-            if dim != 2:
-                raise InvalidParameterError("wavelet grids are 2D")
-            pts = _dwt_unit_points(target, dwt_base or _dwt_defaults(256))
+            pts = _dwt_unit_points(target)
         elif generator == "regular":
-            if dim != 2:
-                raise InvalidParameterError("lattice scaling table is 2D")
             pts = _lattice_unit_points(target)
         else:
             raise InvalidParameterError(f"unknown generator {generator!r}")
@@ -259,7 +240,6 @@ class CoverageReport:
 
     values: np.ndarray
     flagged: np.ndarray  # queries too close to a boundary, excluded
-    nu: float
 
     @property
     def kept(self) -> np.ndarray:
@@ -332,4 +312,4 @@ def funnel_coverage(
             hit &= np.abs(c - q[2]) <= nu
             vol *= 2.0 * nu
         values[i] = (box.volume / samples.n) * hit.sum() / vol
-    return CoverageReport(values=values, flagged=flagged, nu=nu)
+    return CoverageReport(values=values, flagged=flagged)

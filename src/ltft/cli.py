@@ -3,6 +3,12 @@
 Every subcommand is deterministic for a fixed configuration (seeds
 included): CSV and WAV outputs are byte-identical across runs.  CSV files
 carry a leading comment line recording the resolved configuration.
+
+Each subcommand takes only the flags its handler reads, plus --config; a
+config-file key must name one of those flags.  So a flag or key that would
+change nothing is an error, never silently ignored: bench-discrepancy
+takes no transform, rate or resolution flags, and only the audio
+subcommands and bench-error take --padded.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ import argparse
 import csv
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -67,16 +73,13 @@ def _config_comment(config: RunConfig) -> str:
     return "# config: " + " ".join(parts)
 
 
-def _open_csv(path: str, config: RunConfig):
-    handle = open(path, "w", newline="")
-    handle.write(_config_comment(config) + "\r\n")
-    return handle, csv.writer(handle)
-
-
-def _write_csv(config: RunConfig, header: List[str], rows: List[list]) -> None:
-    # Callers compute every row first, so a failing command leaves no file.
-    handle, writer = _open_csv(str(config.options["csv"]), config)
-    with handle:
+def _write_csv(config: RunConfig, header: List[str], rows: Iterable[Sequence]) -> None:
+    # The CSV format: the config line, the header, then one row per line
+    # with floats at 17 significant digits.  Callers compute every row
+    # first, so a failing command leaves no file.
+    with open(str(config.options["csv"]), "w", newline="") as handle:
+        handle.write(_config_comment(config) + "\r\n")
+        writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows([_fmt(value) for value in row] for row in rows)
 
@@ -177,6 +180,8 @@ def _cmd_multiplier(config: RunConfig) -> int:
     high = options.get("high_pass")
     if (low is None) == (high is None):
         raise InvalidParameterError("give exactly one of --low-pass or --high-pass")
+    if not np.isfinite(low if low is not None else high):
+        raise InvalidParameterError("cutoff frequency must be finite")
 
     def transform(coeffs, samples):
         if low is not None:
@@ -213,7 +218,7 @@ def _cmd_bench_discrepancy(config: RunConfig) -> int:
     sizes = _list_option(options, "sizes", int)
     rows = []
     for gen in generators:
-        points, slope = discrepancy_scaling(gen, sizes, dim=2)
+        points, slope = discrepancy_scaling(gen, sizes)
         rows += [[row.generator, row.n, row.d_star, slope] for row in points]
     _write_csv(config, ["generator", "n", "d_star", "slope"], rows)
     return 0
@@ -246,9 +251,9 @@ def _cmd_frame_diag(config: RunConfig) -> int:
     m = int(options["resolution"])
     params = _params_from(options, rate)
     hd = frame_diagonal(params, rate, m)
-    handle, _ = _open_csv(str(options["csv"]), config)
-    with handle:
-        hd.write_csv(handle)
+    _write_csv(
+        config, ["omega", "h", "q0", "q1", "q2"], zip(hd.omega, hd.h, hd.q0, hd.q1, hd.q2)
+    )
     return 0
 
 
@@ -299,9 +304,11 @@ def _add_param_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--gamma", type=float, default=6.0)
     sp.add_argument("--xi", type=float, default=6.0)
     sp.add_argument("--window", default="cos4")
+
+
+def _add_padded_flag(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--padded", action="store_true", default=False,
                     help="pad the phase-space box time side by S0")
-    sp.add_argument("--config", default=None, help="key=value config file")
 
 
 def _add_sampling_flags(sp: argparse.ArgumentParser) -> None:
@@ -321,7 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("reconstruct", "vocoder", "denoise", "multiplier"):
         sp = sub.add_parser(name)
+        sp.add_argument("--config", default=None, help="key=value config file")
         _add_param_flags(sp)
+        _add_padded_flag(sp)
         _add_sampling_flags(sp)
         if name == "vocoder":
             sp.add_argument("-D", "--dilation", type=int, default=2)
@@ -338,17 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("bench-error", "bench-discrepancy", "bench-complexity",
                  "frame-diag", "coverage"):
         sp = sub.add_parser(name)
-        _add_param_flags(sp)
+        sp.add_argument("--config", default=None, help="key=value config file")
         sp.add_argument("--csv", required=True)
+        if name == "bench-discrepancy":
+            # Exact discrepancy of unit-square point sets: no transform.
+            sp.add_argument("--generators", default="hammersley,mc,dwt,regular")
+            sp.add_argument("--sizes", default="8,16,32,64,128")
+            continue
+        _add_param_flags(sp)
         sp.add_argument("--rate", type=float, default=_BENCH_RATE)
         sp.add_argument("-M", "--resolution", type=int, default=_BENCH_M)
         if name == "bench-error":
+            _add_padded_flag(sp)
             sp.add_argument("--methods", default="hammersley,mc")
             sp.add_argument("--redundancies", default="1,2,4,8,16,32,64")
             sp.add_argument("--seed", type=int, default=0)
-        if name == "bench-discrepancy":
-            sp.add_argument("--generators", default="hammersley,mc,dwt,regular")
-            sp.add_argument("--sizes", default="8,16,32,64,128")
         if name == "bench-complexity":
             sp.add_argument("--sizes", default="256,1024,4096,16384")
             sp.add_argument("--sequence", choices=("hammersley", "halton", "mc"),

@@ -45,7 +45,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
+from typing import Callable, ClassVar, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -82,21 +82,6 @@ class DigitalSignal:
     def m(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def duration(self) -> float:
-        return self.m / self.sample_rate
-
-    @property
-    def times(self) -> np.ndarray:
-        m = self.m
-        return np.arange(-m // 2, m // 2) / self.sample_rate
-
-    def norm(self) -> float:
-        """Discrete L2 norm sqrt(dt * sum |s|^2) with dt = 1/L."""
-        return float(
-            np.sqrt(np.sum(np.abs(self.samples) ** 2) / self.sample_rate)
-        )
-
 
 def relative_error(result: DigitalSignal, reference: DigitalSignal) -> float:
     """Relative L2 distance between two signals on the same grid."""
@@ -118,10 +103,6 @@ class Spectrum:
     @property
     def m(self) -> int:
         return self.bins.shape[0]
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.arange(self.m) * (self.sample_rate / self.m)
 
 
 def dft(signal: DigitalSignal) -> Spectrum:
@@ -167,13 +148,8 @@ def from_analytic(signal: DigitalSignal) -> DigitalSignal:
 # ---------------------------------------------------------------------------
 
 # Raised-cosine power 4 on (-1/2, 1/2): unit-energy constant is
-# 1/sqrt(int cos^8) = sqrt(128/35); first spectral null at |nu| = 3.
-_WINDOW_KINDS = {
-    "cos4": {
-        "norm": float(np.sqrt(128.0 / 35.0)),
-        "bandwidth": 3.0,
-    },
-}
+# 1/sqrt(int cos^8) = sqrt(128/35).
+_COS4_NORM = float(np.sqrt(128.0 / 35.0))
 
 _TABLE_SAMPLES = 1 << 13  # midpoint samples of the window
 _TABLE_SPACING = 1.0 / 256.0  # frequency grid step of the tabulated spectrum
@@ -182,29 +158,24 @@ _COS4_TERMS = (1.0 / 16.0, 0.25, 0.375, 0.25, 1.0 / 16.0)  # cos^4(pi t) in exp(
 
 
 class WindowSpec:
-    """Compactly supported window with time and frequency evaluators.
+    """The cos^4 window, with time and frequency evaluators.
 
-    The time evaluator is closed form and vanishes outside (-1/2, 1/2); the
-    zero-extension is twice continuously differentiable and has unit L2
-    norm.  The frequency evaluator interpolates linearly between nodes of
-    the window's midpoint-rule DFT, which are closed-form Dirichlet-kernel
-    sums computed once per instance.
+    It is the transform's only window: one instance, ``LtftParams.window``,
+    is shared by every parameter set, so its spectrum table is built once
+    per process.  The time evaluator is closed form and vanishes outside
+    (-1/2, 1/2); the zero-extension is twice continuously differentiable
+    and has unit L2 norm.  The frequency evaluator interpolates linearly
+    between nodes of the window's midpoint-rule DFT, which are closed-form
+    Dirichlet-kernel sums computed on first use.
     """
 
-    def __init__(self, kind: str = "cos4") -> None:
-        if kind not in _WINDOW_KINDS:
-            raise InvalidParameterError(
-                f"unknown window kind {kind!r}; supported: {sorted(_WINDOW_KINDS)}"
-            )
-        self.kind = kind
-        self._norm = _WINDOW_KINDS[kind]["norm"]
-        self.bandwidth = _WINDOW_KINDS[kind]["bandwidth"]
+    bandwidth = 3.0  # first spectral null at |nu| = 3
 
     def time(self, t) -> np.ndarray:
         """w(t), zero outside the open support (-1/2, 1/2)."""
         t = np.asarray(t, dtype=np.float64)
         inside = np.abs(t) < 0.5
-        vals = np.cos(np.pi * t) ** 4 * self._norm
+        vals = np.cos(np.pi * t) ** 4 * _COS4_NORM
         return np.where(inside, vals, 0.0)
 
     @cached_property
@@ -224,17 +195,12 @@ class WindowSpec:
         for j, weight in zip(range(-2, 3), _COS4_TERMS):
             den = (-1) ** j * k * np.sin(np.pi * (freqs - j) / k)
             table += weight * np.divide(sin_nu, den, out=np.ones_like(den), where=freqs != j)
-        return freqs, self._norm * table
+        return freqs, _COS4_NORM * table
 
     def freq(self, nu) -> np.ndarray:
         """Spectrum w_hat(nu) by linear interpolation of the tabulation."""
         grid, vals = self._freq_table
         return np.interp(np.asarray(nu, dtype=np.float64), grid, vals, left=0.0, right=0.0)
-
-
-def make_window(kind: str = "cos4") -> WindowSpec:
-    """Construct a supported window; unknown kinds raise invalid-parameter."""
-    return WindowSpec(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +210,15 @@ def make_window(kind: str = "cos4") -> WindowSpec:
 
 @dataclass(frozen=True)
 class LtftParams:
-    """Window, transition frequencies b0 < b1, and oscillation parameters.
+    """Transition frequencies b0 < b1 and oscillation parameters.
 
-    gamma is the minimal wavelet cycle count and xi the oscillation range;
-    atoms at oscillation coordinate c carry gamma + xi*c cycles.  Derived
-    supports: S0 = gamma/b0 (maximal) and S1 = gamma/b1 (minimal).
+    Every parameter set shares the one cos^4 window, ``window``.  gamma is
+    the minimal wavelet cycle count and xi the oscillation range; atoms at
+    oscillation coordinate c carry gamma + xi*c cycles.  Derived supports:
+    S0 = gamma/b0 (maximal) and S1 = gamma/b1 (minimal).
     """
 
-    window: WindowSpec
+    window: ClassVar[WindowSpec] = WindowSpec()
     b0: float
     b1: float
     gamma: float = 6.0
@@ -285,16 +252,15 @@ class LtftParams:
 
         Defaults C1 = 0.1, C2 = 0.4 keep b1 at or below the Nyquist band of
         the analytic signal while leaving wavelet atoms well resolved.
+        cos4 is the only window kind.
         """
         if not (0.0 < b0_frac < b1_frac <= 1.0):
             raise InvalidParameterError("need 0 < b0_frac < b1_frac <= 1")
-        return cls(
-            window=make_window(window_kind),
-            b0=b0_frac * sample_rate,
-            b1=b1_frac * sample_rate,
-            gamma=gamma,
-            xi=xi,
-        )
+        if window_kind != "cos4":
+            raise InvalidParameterError(
+                f"unknown window kind {window_kind!r}; supported: ['cos4']"
+            )
+        return cls(b0=b0_frac * sample_rate, b1=b1_frac * sample_rate, gamma=gamma, xi=xi)
 
 
 @dataclass(frozen=True)
@@ -468,14 +434,14 @@ def _atom_values(
     atoms[:, 0] = np.exp(2j * np.pi * freq * t0)
     atoms[:, 1:] = np.exp(2j * np.pi * freq / sample_rate)[:, None]
     np.cumprod(atoms, axis=1, out=atoms)
-    # The cos^4 window (the only kind); the index range keeps |scale * t| <= 1/2,
-    # so no mask is needed.
+    # The cos^4 window; the index range keeps |scale * t| <= 1/2, so no mask
+    # is needed.
     env = np.arange(length) / sample_rate + t0[:, None]
     env *= (np.pi * scale)[:, None]
     np.cos(env, out=env)
     env *= env
     env *= env
-    env *= (params.window._norm * np.sqrt(scale))[:, None]
+    env *= (_COS4_NORM * np.sqrt(scale))[:, None]
     atoms *= env
     return atoms
 

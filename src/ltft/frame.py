@@ -26,10 +26,8 @@ oracle arbitrates the convention.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
-from typing import IO
 
 import numpy as np
 
@@ -67,12 +65,6 @@ class FrameDiagonal:
     @property
     def m(self) -> int:
         return self.h.shape[0]
-
-    def write_csv(self, dest: IO[str]) -> None:
-        writer = csv.writer(dest)
-        writer.writerow(["omega", "h", "q0", "q1", "q2"])
-        for row in zip(self.omega, self.h, self.q0, self.q1, self.q2):
-            writer.writerow([format(v, ".17g") for v in row])
 
 
 class _Integral:

@@ -8,12 +8,12 @@ small point sets.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import PhaseSpaceBox, SampleSet
 from .errors import (
     BudgetExceededError,
     InvalidParameterError,
@@ -65,7 +65,9 @@ def _radical_inverse_many(indices: np.ndarray, base: int) -> np.ndarray:
             width, top = width * size, top // size
         scale *= width
         out += r / scale
-    return out
+    # Reversals within half an ulp of 1 (only past 2**53) round up to 1.0;
+    # the largest double below 1 is the nearest value in [0, 1).
+    return np.minimum(out, np.nextafter(1.0, 0.0), out=out)
 
 
 @dataclass
@@ -91,19 +93,11 @@ class UnitPointSet:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def write_csv(self, dest: IO[str]) -> None:
-        """One point per row, coordinates at 17 significant digits."""
-        writer = csv.writer(dest)
-        writer.writerow([f"x{j}" for j in range(self.dim)])
-        for row in self.points:
-            writer.writerow([format(v, ".17g") for v in row])
-
 
 @dataclass
 class DiscrepancyReport:
     star_value: float
     n: int
-    method: str = "exact"
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.star_value <= 1.0:
@@ -177,14 +171,12 @@ def generate_unit_points(kind: str, count: int, dim: int, seed: int = 0) -> Unit
     raise InvalidParameterError(f"unknown generator kind {kind!r}")
 
 
-def scale_to_box(points: UnitPointSet, box) -> "SampleSet":
+def scale_to_box(points: UnitPointSet, box: PhaseSpaceBox) -> SampleSet:
     """Affine map of unit points onto a 3D phase-space box.
 
     Coordinate-wise lo + u * (hi - lo); preserves point order and the
     generator tag, and records the box (hence its volume) on the output.
     """
-    from .core import SampleSet  # deferred to avoid an import cycle
-
     if points.dim != 3:
         raise InvalidParameterError(
             f"phase-space box is 3D but points have dim {points.dim}"
@@ -237,7 +229,7 @@ def star_discrepancy(points: UnitPointSet) -> DiscrepancyReport:
         vol = np.multiply.outer(vol, candidates[j])
     dev_closed = np.abs(closed / n - vol).max()
     dev_strict = np.abs(strict / n - vol).max()
-    return DiscrepancyReport(float(max(dev_closed, dev_strict)), n=n, method="exact")
+    return DiscrepancyReport(float(max(dev_closed, dev_strict)), n=n)
 
 
 def star_discrepancy_scan(points: UnitPointSet, resolution: int = 512) -> float:

@@ -102,8 +102,8 @@ def pointwise_nonlinearity(
 
 def soft_threshold(threshold: float) -> Callable[[np.ndarray], np.ndarray]:
     """Shrinkage rule z -> z * max(0, 1 - threshold/|z|)."""
-    if threshold < 0:
-        raise InvalidParameterError("threshold must be non-negative")
+    if not 0 <= threshold < np.inf:
+        raise InvalidParameterError(f"threshold must be finite and non-negative, got {threshold}")
 
     def rule(values: np.ndarray) -> np.ndarray:
         mag = np.abs(values)

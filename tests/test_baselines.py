@@ -78,25 +78,25 @@ def test_regular_grid_midpoints():
 
 
 def test_lattice_discrepancy_slope():
-    rows, slope = discrepancy_scaling("regular", [16, 64, 256], dim=2)
+    rows, slope = discrepancy_scaling("regular", [16, 64, 256])
     assert -0.6 <= slope <= -0.4
 
 
 def test_hammersley_vs_mc_vs_dwt_slopes():
     sizes = [8, 16, 32, 64, 128]
-    _, ham = discrepancy_scaling("hammersley", sizes, dim=2)
+    _, ham = discrepancy_scaling("hammersley", sizes)
     assert -1.25 <= ham <= -0.75
-    _, mc = discrepancy_scaling("mc", sizes, dim=2)
+    _, mc = discrepancy_scaling("mc", sizes)
     assert -0.65 <= mc <= -0.35
-    rows, dwt = discrepancy_scaling("dwt", sizes, dim=2)
+    rows, dwt = discrepancy_scaling("dwt", sizes)
     assert -0.65 <= dwt <= -0.35
 
 
 def test_discrepancy_ordering_at_matched_n():
     sizes = [64, 128]
-    ham_rows, _ = discrepancy_scaling("hammersley", sizes, dim=2)
-    mc_rows, _ = discrepancy_scaling("mc", sizes, dim=2)
-    dwt_rows, _ = discrepancy_scaling("dwt", sizes, dim=2)
+    ham_rows, _ = discrepancy_scaling("hammersley", sizes)
+    mc_rows, _ = discrepancy_scaling("mc", sizes)
+    dwt_rows, _ = discrepancy_scaling("dwt", sizes)
     for h, m, d in zip(ham_rows, mc_rows, dwt_rows):
         assert h.d_star < m.d_star
         assert h.d_star < d.d_star
@@ -104,7 +104,7 @@ def test_discrepancy_ordering_at_matched_n():
 
 def test_unknown_generator():
     with pytest.raises(InvalidParameterError):
-        discrepancy_scaling("sobol", [8], dim=2)
+        discrepancy_scaling("sobol", [8])
 
 
 def _hammersley_samples(params, m, redundancy=16):

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import ltft
-from ltft import ParseError, UnsupportedFormatError, WavAudio, wav_read, wav_write
+from ltft import (
+    LtftParams,
+    ParseError,
+    UnsupportedFormatError,
+    WavAudio,
+    frame_diagonal,
+    wav_read,
+    wav_write,
+)
 from ltft.cli import main, parse_config
 from ltft.errors import InvalidParameterError
 
@@ -150,6 +158,27 @@ def test_denoise_and_multiplier_run(tmp_path):
     assert main(["multiplier", src, str(tmp_path / "m2.wav")]) == 1  # no band given
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "multiplier --low-pass nan",
+        "multiplier --high-pass inf",
+        "denoise --threshold nan",
+        "denoise --threshold inf",
+    ],
+)
+def test_non_finite_cutoff_or_threshold_is_invalid_parameter(tmp_path, capsys, command):
+    # Refused up front, with a message naming the setting: not an all-zero
+    # WAV, nor a late "signal samples must be finite".
+    out = tmp_path / "o.wav"
+    args = command.split() + ["-A", "2", _sine_wav(tmp_path / "in.wav"), str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+    assert ("threshold" if command.startswith("denoise") else "cutoff") in err[0]
+    assert not out.exists()
+
+
 def test_bench_error_csv(tmp_path):
     out = tmp_path / "fig.csv"
     code = main([
@@ -165,10 +194,14 @@ def test_bench_error_csv(tmp_path):
 
 def test_frame_diag_csv(tmp_path):
     out = tmp_path / "h.csv"
-    assert main(["frame-diag", "--csv", str(out), "-M", "128"]) == 0
+    assert main(["frame-diag", "--csv", str(out), "-M", "128", "--gamma", "5"]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[1].split(",") == ["omega", "h", "q0", "q1", "q2"]
     assert len(lines) == 2 + 128
+    # 17 significant digits round-trip float64, so the CSV is the diagonal.
+    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    hd = frame_diagonal(LtftParams.for_rate(64.0, gamma=5.0), 64.0, 128)
+    assert np.array_equal(parsed, np.column_stack([hd.omega, hd.h, hd.q0, hd.q1, hd.q2]))
 
 
 def test_bench_discrepancy_csv(tmp_path):
@@ -219,6 +252,38 @@ def test_unknown_flag_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["bench-error", "--nope", "--csv", str(tmp_path / "x.csv")])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "bench-discrepancy --gamma 3",
+        "bench-discrepancy -M 7",
+        "bench-discrepancy --rate 8000",
+        "frame-diag --padded",
+        "bench-complexity --padded",
+        "coverage --padded",
+    ],
+)
+def test_flag_the_command_does_not_read_is_usage_error(tmp_path, command):
+    # A flag that would change nothing is refused, not recorded in the
+    # config line of an unchanged CSV.
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(command.split() + ["--csv", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_config_key_the_command_does_not_read_is_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("gamma=3\n")
+    out = tmp_path / "d.csv"
+    code = main(["bench-discrepancy", "--csv", str(out), "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: parse-error: unknown config key")
+    assert not out.exists()
 
 
 def test_missing_input_is_io_error(tmp_path):
@@ -340,7 +405,10 @@ def test_non_finite_redundancy_is_invalid_parameter(tmp_path, capsys, command):
     ],
 )
 def test_bad_list_flag_is_parse_error(tmp_path, capsys, command):
-    code = main(command.split() + ["--csv", str(tmp_path / "x.csv"), "-M", "64"])
+    args = command.split() + ["--csv", str(tmp_path / "x.csv")]
+    if args[0] != "bench-discrepancy":  # which has no grid, so no -M
+        args += ["-M", "64"]
+    code = main(args)
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: parse-error:")

@@ -13,6 +13,7 @@ from ltft import (
     InvalidParameterError,
     LtftParams,
     PhaseSpaceBox,
+    WindowSpec,
     analyze,
     atom_support_length,
     dft,
@@ -20,7 +21,6 @@ from ltft import (
     idft,
     ltft_atom_freq,
     ltft_atom_time,
-    make_window,
     relative_error,
     synthesize,
     to_analytic,
@@ -39,7 +39,7 @@ RATE = 64.0
 
 
 def test_window_vanishes_smoothly_at_edges():
-    w = make_window()
+    w = WindowSpec()
     assert w.time(0.5) == 0.0 and w.time(-0.5) == 0.0
     # value and first two derivatives tend to zero approaching the edge
     h = 1e-4
@@ -52,27 +52,27 @@ def test_window_vanishes_smoothly_at_edges():
 
 
 def test_window_unit_energy_midpoint_quadrature():
-    w = make_window()
+    w = WindowSpec()
     k = 1 << 14
     t = (np.arange(k) + 0.5) / k - 0.5
     assert abs(np.sum(w.time(t) ** 2) / k - 1.0) <= 1e-8
 
 
 def test_window_peak_at_zero():
-    w = make_window()
+    w = WindowSpec()
     t = np.linspace(-0.6, 0.6, 1201)
     assert w.time(0.0) == np.max(np.abs(w.time(t)))
 
 
 def test_window_unknown_kind():
     with pytest.raises(InvalidParameterError):
-        make_window("boxcar")
+        LtftParams.for_rate(RATE, window_kind="boxcar")
 
 
 def test_window_spectrum_matches_cosine_sum():
     # Independent closed form: cos^4 is a 3-term cosine sum, so the
     # spectrum is a 6-term sinc sum.
-    w = make_window()
+    w = WindowSpec()
     c = np.sqrt(128.0 / 35.0)
 
     def ref(nu):
@@ -90,7 +90,7 @@ def test_window_table_matches_direct_midpoint_sum():
     # The table's nodes are the midpoint-rule DFT of the window over 8192
     # samples, at nu = m / 256.  Summed directly with math.fsum, the phase
     # nu * t_n = m (2n + 1 - k) / 2**22 cycles is reduced exactly in integers.
-    w = make_window()
+    w = WindowSpec()
     grid, vals = w._freq_table
     assert np.array_equal(grid, np.arange(-24576, 24577) / 256)
     k = 8192

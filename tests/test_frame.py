@@ -195,15 +195,6 @@ def test_interp_integral_helper():
     assert ext[0] == pytest.approx(8.0 + 4.0 * 1.0)
 
 
-def test_diagonal_csv(diag, tmp_path):
-    path = tmp_path / "h.csv"
-    with open(path, "w", newline="") as handle:
-        diag.write_csv(handle)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].split(",") == ["omega", "h", "q0", "q1", "q2"]
-    assert len(lines) == 1 + M
-
-
 def _assert_same_diagonal(got, want):
     for name in ("omega", "h", "q0", "q1", "q2"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -219,6 +210,14 @@ def test_repeated_diagonal_is_the_memo_and_equals_a_fresh_build(params):
     fresh = _build_diagonal.__wrapped__(params, RATE, M, True)
     assert fresh is not again
     _assert_same_diagonal(again, fresh)
+
+
+def test_equal_params_share_the_window_and_the_memo():
+    first, second = LtftParams.for_rate(RATE), LtftParams.for_rate(RATE)
+    assert first == second and first.window is second.window
+    assert frame_diagonal(first, RATE, M, folded=True) is frame_diagonal(
+        second, RATE, M, folded=True
+    )
 
 
 def test_diagonal_is_read_only(params):

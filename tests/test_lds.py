@@ -1,4 +1,3 @@
-import io
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +35,15 @@ def test_radical_inverse_bad_base():
 def test_radical_inverse_index_beyond_int64_is_invalid():
     with pytest.raises(InvalidParameterError):
         radical_inverse(1 << 63, 2)
+
+
+@pytest.mark.parametrize(
+    "n, base", [(2**54 - 1, 2), (2**63 - 1, 2), (3**39 - 1, 3), (5**27 - 1, 5)]
+)
+def test_radical_inverse_just_below_one_stays_below_one(n, base):
+    # Every digit is base - 1, so the reversal 1 - base**-K rounds to 1.0;
+    # the nearest value in [0, 1) is the largest double below 1.
+    assert radical_inverse(n, base) == np.nextafter(1.0, 0.0)
 
 
 def _exact_radical_inverse(n, base):
@@ -208,12 +216,3 @@ def test_hammersley_beats_mc(n):
     )
     assert wins >= 9
 
-
-def test_point_set_csv_round_trip():
-    pts = halton_sequence(5, 3)
-    buf = io.StringIO()
-    pts.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0].split(",") == ["x0", "x1", "x2"]
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(parsed, pts.points)  # 17 digits round-trips float64

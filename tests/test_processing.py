@@ -77,6 +77,12 @@ def test_soft_threshold_rule():
     assert out[0] == pytest.approx(1.0)  # magnitude shrinks by lambda
 
 
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
+def test_soft_threshold_refuses_non_finite_or_negative(threshold):
+    with pytest.raises(InvalidParameterError, match="threshold"):
+        soft_threshold(threshold)
+
+
 def test_pointwise_nonlinearity_elementwise(params):
     coeffs, _ = _coeff_fixture(params)
     doubled = pointwise_nonlinearity(coeffs, lambda z: 2 * z)
