@@ -220,6 +220,21 @@ def test_equal_params_share_the_window_and_the_memo():
     )
 
 
+def test_diagonal_csv(diag, params, tmp_path):
+    from ltft.cli import main
+
+    path = tmp_path / "h.csv"
+    assert main([
+        "frame-diag", "--csv", str(path), "--rate", str(RATE), "-M", str(M),
+        "--gamma", str(params.gamma),
+    ]) == 0
+    lines = path.read_text().strip().splitlines()
+    assert lines[1].split(",") == ["omega", "h", "q0", "q1", "q2"]
+    assert len(lines) == 2 + M
+    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+    assert np.array_equal(parsed, np.column_stack([diag.omega, diag.h, diag.q0, diag.q1, diag.q2]))
+
+
 def test_diagonal_is_read_only(params):
     hd = frame_diagonal(params, RATE, M, folded=True)
     with pytest.raises(ValueError):
