@@ -130,7 +130,11 @@ def _write_audio(path: str, signal: DigitalSignal, rate: int) -> None:
 
 def _cmd_reconstruct(config: RunConfig, transform=None) -> int:
     options = config.options
-    audio, signal, params = _load_audio(options)
+    return _reconstruct_audio(options, _load_audio(options), transform)
+
+
+def _reconstruct_audio(options: Dict[str, object], loaded: tuple, transform=None) -> int:
+    audio, signal, params = loaded
     n = _resolve_count(options, signal.m, default_a=16.0)
     out = reconstruct(
         signal,
@@ -180,8 +184,15 @@ def _cmd_multiplier(config: RunConfig) -> int:
     high = options.get("high_pass")
     if (low is None) == (high is None):
         raise InvalidParameterError("give exactly one of --low-pass or --high-pass")
-    if not np.isfinite(low if low is not None else high):
-        raise InvalidParameterError("cutoff frequency must be finite")
+    loaded = _load_audio(options)
+    # A cutoff outside (0, L) keeps no atom, so the output would be silence,
+    # or every atom, so nothing would be filtered.
+    cutoff = low if low is not None else high
+    rate = loaded[1].sample_rate
+    if not 0.0 < cutoff < rate:
+        raise InvalidParameterError(
+            f"cutoff frequency {cutoff:g} Hz must lie in (0, {rate:g}) Hz"
+        )
 
     def transform(coeffs, samples):
         if low is not None:
@@ -190,7 +201,7 @@ def _cmd_multiplier(config: RunConfig) -> int:
             symbol = lambda a, b, c: (b >= float(high)).astype(float)
         return multiplier_apply(coeffs, samples, symbol)
 
-    return _cmd_reconstruct(config, transform)
+    return _reconstruct_audio(options, loaded, transform)
 
 
 def _cmd_bench_error(config: RunConfig) -> int:

@@ -7,17 +7,19 @@ oscillation axis scaling the wavelet's cycle count from gamma to
 gamma + xi.
 
 The sampled operator evaluates the atom at each of N points of a sample
-set on the signal grid, in dense blocks of atoms with equal support
-length.  The atoms are ordered by support length and then by first
+set on the signal grid, in dense blocks of atoms with nearby support
+lengths.  The atoms are ordered by support length and then by first
 sample, and cut into consecutive blocks of a bounded number of
-atom-samples, so the operator's working memory is bounded whatever N and
-M are.  Analysis and synthesis are its two directions: analysis takes the
-inner product of the signal with every block, and synthesis sums each
-block, scaled by its coefficients and the cubature weight volume(box)/N,
-over its own index span and adds the block sums in block order.  Large
-calls spread the blocks over a thread pool, one thread per usable core;
-the partition and the order of the sums do not depend on the thread
-count, so neither does the output, bit for bit.
+atom-samples whose longest support is at most 5/4 of their shortest;
+each row is padded to the block's longest support.  So a small call runs
+in a few full blocks, and the operator's working memory is bounded
+whatever N and M are.  Analysis and synthesis are its two directions:
+analysis takes the inner product of the signal with every block, and
+synthesis sums each block, scaled by its coefficients and the cubature
+weight volume(box)/N, over its own index span and adds the block sums in
+block order.  Large calls spread the blocks over a thread pool, one thread
+per usable core; the partition and the order of the sums do not depend on
+the thread count, so neither does the output, bit for bit.
 
 Plain reconstruction synthesizes the atoms it analysed, on the same grid,
 so a private round trip does both in one pass: each block is built once,
@@ -32,10 +34,13 @@ The block kernel is factored so that complex exponentials are taken per
 atom, not per sample.  On the samples t_k = (m0 + k)/L of an atom centred
 at a, t_k - a = t0 + k/L with t0 = m0/L - a, so the phase
 exp(2 pi i f (t_k - a)) is exp(2 pi i f t0) times the k-th power of
-exp(2 pi i f / L), built by a running product along the row.  The cos^4
-window is one real cosine per sample, squared twice.  Block indices address the grid with
-one zero guard cell on each side; samples off the grid read zero in
-analysis and write only into a guard cell in synthesis, so neither
+exp(2 pi i f / L), built by a running product along the row that also
+carries the atom's amplitude from its first sample.  The cos^4
+window is one real cosine per sample, squared twice; its argument is
+clamped at the support's end, so a row's padding carries cos^4(pi/2), about
+1e-65 of the row's peak, far below rounding.  Block indices address the
+grid with one zero guard cell on each side; samples off the grid read zero
+in analysis and write only into a guard cell in synthesis, so neither
 direction masks.
 """
 
@@ -425,23 +430,25 @@ def _atom_values(
     sample_rate: float,
 ) -> np.ndarray:
     # (G, length) block: atom g at (a, b, c)[g] sampled at t = (m_start[g] + k)/L
-    # for k < length.  Per row, the phase at k = 0 and the per-sample rotation
-    # are computed once; a running product spreads them along the row.
+    # for k < length.  Per row, the amplitude times the phase at k = 0 and the
+    # per-sample rotation are computed once; a running product spreads them
+    # along the row.
     beff, freq = _branch_arrays(params, b, c)
     scale = beff / params.gamma
     t0 = m_start / sample_rate - a
     atoms = np.empty((a.shape[0], length), dtype=np.complex128)
-    atoms[:, 0] = np.exp(2j * np.pi * freq * t0)
+    atoms[:, 0] = (_COS4_NORM * np.sqrt(scale)) * np.exp(2j * np.pi * freq * t0)
     atoms[:, 1:] = np.exp(2j * np.pi * freq / sample_rate)[:, None]
     np.cumprod(atoms, axis=1, out=atoms)
-    # The cos^4 window; the index range keeps |scale * t| <= 1/2, so no mask
-    # is needed.
+    # The cos^4 window.  A row's own support keeps scale * t >= -1/2; past its
+    # end, in a block's padding, the argument is clamped at pi/2, where the
+    # window is cos^4(pi/2) ~ 1e-65 of its peak, so no mask is needed.
     env = np.arange(length) / sample_rate + t0[:, None]
     env *= (np.pi * scale)[:, None]
+    np.minimum(env, 0.5 * np.pi, out=env)
     np.cos(env, out=env)
     env *= env
     env *= env
-    env *= (_COS4_NORM * np.sqrt(scale))[:, None]
     atoms *= env
     return atoms
 
@@ -528,10 +535,16 @@ def ltft_atom_freq(params: LtftParams, b: float, c: float, freq_grid) -> np.ndar
 # operator's working memory does not grow with N or M.  Blocks of 2^14
 # atom-samples and smaller ran slower on a thread pool.
 _BLOCK_ATOM_SAMPLES = 1 << 16
-# Calls with fewer atom-samples run their blocks in the calling thread: on
-# calls of 1.5M atom-samples and fewer, threads contending for the
-# interpreter lock between short blocks were slower than one thread.
-_POOL_MIN_ATOM_SAMPLES = 2_000_000
+# A block takes atoms up to this many times its shortest row's support, so
+# small calls run in a few full blocks rather than many short ones; the
+# padding costs a few per cent more atom-samples.
+_PACK_RATIO = 1.25
+# Calls with fewer atom-samples run their blocks in the calling thread,
+# where the pool's threads would save little.  On the error sweep's 32 calls
+# of 26k to 1.6M atom-samples (2-vCPU Xeon), the median sweep took
+# 0.54 / 0.50 / 0.49 / 0.48 / 0.56 s at thresholds of 2M / 500k / 200k /
+# 100k / 50k; below 500k, runs while the host was busy reached 0.6-0.7 s.
+_POOL_MIN_ATOM_SAMPLES = 500_000
 
 T = TypeVar("T")
 
@@ -539,30 +552,45 @@ T = TypeVar("T")
 class _AtomBlock(NamedTuple):
     sel: np.ndarray  # sample indices, ordered by first sample
     start: np.ndarray  # first grid sample m of each atom
-    length: int  # support sample count, shared by the block
+    length: int  # row length: the longest support sample count in the block
 
 
 def _atom_blocks(
     params: LtftParams, samples: SampleSet, sample_rate: float
 ) -> Tuple[List[_AtomBlock], int]:
-    # The sampled atom operator's plan: atoms grouped by support sample count
-    # and ordered by first sample within a group, cut into consecutive blocks
-    # of at most _BLOCK_ATOM_SAMPLES atom-samples.  The partition depends on
-    # the samples alone, so the block order is the accumulation order.
-    # Returns the blocks and their total atom-sample count.
+    # The sampled atom operator's plan.  Atoms are ordered by support sample
+    # count and then by first sample, and cut into consecutive blocks: a block
+    # ends before an atom longer than _PACK_RATIO times its shortest row, or
+    # before it would exceed _BLOCK_ATOM_SAMPLES atom-samples with every row
+    # padded to its longest.  Within a block the rows are re-sorted by first
+    # sample.  The partition depends on the samples alone, so the block order
+    # is the accumulation order.  Returns the blocks and their total
+    # atom-sample count, padding included.
     m_start, m_end = _support_index_range(params, samples.a, samples.b, sample_rate)
     lengths = m_end - m_start + 1
-    order = np.lexsort((m_start, lengths))
+    # One stable sort on (length, first sample) packed into one int64 key.
+    order = np.argsort((lengths << 32) | (m_start - m_start.min()), kind="stable")
     order = order[lengths[order] > 0]
-    firsts = np.flatnonzero(np.diff(lengths[order], prepend=0))
+    sorted_lengths = lengths[order]
     blocks = []
-    for first, end in zip(firsts, np.append(firsts[1:], order.size)):
-        length = int(lengths[order[first]])
-        rows = max(1, _BLOCK_ATOM_SAMPLES // length)
-        for i in range(first, end, rows):
-            sel = order[i : min(i + rows, end)]
-            blocks.append(_AtomBlock(sel, m_start[sel], length))
-    return blocks, int(lengths[order].sum())
+    i = 0
+    while i < order.size:
+        shortest = int(sorted_lengths[i])
+        # Candidates: atoms up to _PACK_RATIO times the shortest (an integer
+        # bound, so the search does not cast the lengths to float), and no more
+        # of them than fit the budget at the shortest length.
+        end = min(
+            int(np.searchsorted(sorted_lengths, int(_PACK_RATIO * shortest), side="right")),
+            i + max(1, _BLOCK_ATOM_SAMPLES // shortest),
+        )
+        # Rows i..k-1, padded to the longest, sorted_lengths[k - 1], fit the budget.
+        padded = np.arange(1, end - i + 1) * sorted_lengths[i:end]
+        k = i + max(1, int(np.searchsorted(padded, _BLOCK_ATOM_SAMPLES, side="right")))
+        sel = order[i:k]
+        sel = sel[np.argsort(m_start[sel], kind="stable")]
+        blocks.append(_AtomBlock(sel, m_start[sel], int(sorted_lengths[k - 1])))
+        i = k
+    return blocks, sum(block.sel.size * block.length for block in blocks)
 
 
 def _block_atoms(
@@ -574,8 +602,9 @@ def _block_atoms(
 ) -> Tuple[np.ndarray, np.ndarray]:
     # Storage indices j into the grid padded by one zero guard cell on each
     # side (off-grid samples are clipped onto a guard cell) and the
-    # (rows, length) atom values of one block.  Rows are ordered by first
-    # sample, so j[0, 0] is the block's smallest index.
+    # (rows, length) atom values of one block, each row padded to the block's
+    # length.  Rows are ordered by first sample, so j[0, 0] is the block's
+    # smallest index.
     offset = grid_len // 2 + 1  # storage index of grid sample m is m + offset
     j = block.start[:, None] + np.arange(offset, offset + block.length)
     np.clip(j, 0, grid_len + 1, out=j)
@@ -689,8 +718,8 @@ def synthesize(
     """Cubature synthesis: weight * sum_n F_n * atom_n on the output grid.
 
     The weight is coeffs.weight = volume(box)/N.  Each atom block is summed
-    on its own and the block sums are added in block order (support length,
-    then first sample), which depends on the samples alone, so the result is
+    on its own and the block sums are added in block order (by support
+    length), which depends on the samples alone, so the result is
     bit-identical across runs and thread counts.
     """
     if coeffs.values.shape[0] != samples.n:

@@ -179,6 +179,21 @@ def test_non_finite_cutoff_or_threshold_is_invalid_parameter(tmp_path, capsys, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, cutoff",
+    [("--low-pass", "-5"), ("--low-pass", "0"), ("--high-pass", "16000"), ("--high-pass", "1e9")],
+)
+def test_cutoff_outside_the_band_is_invalid_parameter(tmp_path, capsys, flag, cutoff):
+    # A cutoff outside (0, L) would keep no atom and write an all-zero WAV.
+    out = tmp_path / "o.wav"
+    args = ["multiplier", flag, cutoff, "-A", "2", _sine_wav(tmp_path / "in.wav"), str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+    assert "cutoff" in err[0] and f"{float(cutoff):g}" in err[0]
+    assert not out.exists()
+
+
 def test_bench_error_csv(tmp_path):
     out = tmp_path / "fig.csv"
     code = main([

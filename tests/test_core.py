@@ -446,22 +446,30 @@ def _oracle_samples(p, m):
 
 
 def _check_blocks(p, samples, m):
-    # Every row of every block against the naive formula, and its storage
-    # indices against the clipped guard-cell index; every sample in exactly
-    # one block.  Returns the blocks.
+    # Every row of every block against the naive formula on its own support,
+    # with the padding up to the block's length below 1e-60 of the row's peak,
+    # and its storage indices against the clipped guard-cell index; rows
+    # ordered by first sample; every sample in exactly one block.  Returns the
+    # blocks.
     pts = samples.points
     blocks, atom_samples = _atom_blocks(p, samples, RATE)
     seen = []
     for block in blocks:
         j, atoms = _block_atoms(p, samples, RATE, m, block)
         assert j.shape == atoms.shape == (block.sel.size, block.length)
+        assert np.all(np.diff(block.start) >= 0)
         for row, n in enumerate(block.sel):
             a, b, c = pts[n]
             s_len = p.gamma / min(max(b, p.b0), p.b1)
             idx = np.arange(np.ceil((a - s_len / 2) * RATE), np.floor((a + s_len / 2) * RATE) + 1)
+            own = idx.size
+            assert own <= block.length
             ref = _naive_atom(p, a, b, c, idx / RATE)
-            assert np.max(np.abs(atoms[row] - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert np.array_equal(j[row], np.clip(idx.astype(np.int64) + m // 2 + 1, 0, m + 1))
+            peak = np.max(np.abs(ref))
+            assert np.max(np.abs(atoms[row, :own] - ref)) <= 1e-12 * peak
+            assert np.all(np.abs(atoms[row, own:]) <= 1e-60 * peak)
+            full = idx[0] + np.arange(block.length)
+            assert np.array_equal(j[row], np.clip(full.astype(np.int64) + m // 2 + 1, 0, m + 1))
         seen.extend(block.sel)
     assert sorted(seen) == list(range(samples.n))
     assert atom_samples == sum(block.sel.size * block.length for block in blocks)
@@ -490,6 +498,33 @@ def test_atom_blocks_split_groups_in_order(monkeypatch):
         assert prev.length < block.length or (
             prev.length == block.length and prev.start[-1] <= block.start[0]
         )
+
+
+def test_small_call_packs_neighbouring_lengths(monkeypatch):
+    # An MC call at M = N = 1024 runs in a few full blocks, each row's own
+    # support within a factor _PACK_RATIO of its block's length; blocks of
+    # equal length give the same output up to rounding.
+    m = 1024
+    p = LtftParams.for_rate(RATE)
+    rng = np.random.default_rng(3)
+    sig = DigitalSignal(rng.standard_normal(m), RATE)
+    samples = sample_phase_space(sig, p, m, "mc", seed=1)
+    blocks, _ = _atom_blocks(p, samples, RATE)
+    assert len(blocks) <= 8
+    m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
+    own = m_end - m_start + 1
+    for block in blocks:
+        assert np.all(own[block.sel] <= block.length)
+        assert np.all(own[block.sel] * core._PACK_RATIO >= block.length)
+    packed = reconstruct(sig, p, m, kind="mc", seed=1)
+    monkeypatch.setattr(core, "_PACK_RATIO", 1.0)
+    # Unpacked, the rows follow np.lexsort by support length, then first sample.
+    unpacked_blocks = _atom_blocks(p, samples, RATE)[0]
+    assert len(unpacked_blocks) > 8
+    order = np.lexsort((m_start, own))
+    assert np.array_equal(np.concatenate([b.sel for b in unpacked_blocks]), order[own[order] > 0])
+    unpacked = reconstruct(sig, p, m, kind="mc", seed=1)
+    assert relative_error(packed, unpacked) <= 1e-13
 
 
 def test_operator_bit_identical_across_worker_counts(monkeypatch):
@@ -526,13 +561,12 @@ def test_round_trip_equals_analyze_then_synthesize(monkeypatch, kind, padded, po
     rng = np.random.default_rng(11)
     sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
     samples = sample_phase_space(sig, p, 8 * m, kind, seed=2, padded=padded)
-    blocks, atom_samples = _atom_blocks(p, samples, RATE)
-    assert len(blocks) >= 4
+    assert len(_atom_blocks(p, samples, RATE)[0]) >= 4
     if pooled:
         monkeypatch.setattr(core, "_POOL_MIN_ATOM_SAMPLES", 0)
         monkeypatch.setattr(core, "_usable_cores", lambda: 4)
     else:
-        assert atom_samples < core._POOL_MIN_ATOM_SAMPLES
+        monkeypatch.setattr(core, "_usable_cores", lambda: 1)
     expected = synthesize(analyze(sig, samples, p), samples, p, m, RATE)
     out = core._round_trip(sig, samples, p)
     assert out.sample_rate == RATE
