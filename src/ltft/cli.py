@@ -168,12 +168,22 @@ def _cmd_vocoder(config: RunConfig) -> int:
 
 def _cmd_denoise(config: RunConfig) -> int:
     options = config.options
+    threshold = float(options["threshold"])
+    relative = str(options["threshold_mode"]) == "relative"
+    # A threshold at or above every |F| zeroes every coefficient, so the
+    # output would be silence: a relative one of 1 or more always does.
+    if relative and not 0.0 <= threshold < 1.0:
+        raise InvalidParameterError(f"relative threshold {threshold:g} must lie in [0, 1)")
 
     def transform(coeffs, samples):
-        lam = float(options["threshold"])
-        if str(options["threshold_mode"]) == "relative":
-            lam *= float(np.max(np.abs(coeffs.values))) if coeffs.values.size else 0.0
-        return pointwise_nonlinearity(coeffs, soft_threshold(lam))
+        peak = float(np.max(np.abs(coeffs.values))) if coeffs.values.size else 0.0
+        if not relative and 0.0 < threshold >= peak:
+            raise InvalidParameterError(
+                f"absolute threshold {threshold:g} zeroes every coefficient (max |F| = {peak:g})"
+            )
+        return pointwise_nonlinearity(
+            coeffs, soft_threshold(threshold * peak if relative else threshold)
+        )
 
     return _cmd_reconstruct(config, transform)
 

@@ -30,18 +30,21 @@ by synthesis.  A coefficient transform needs every coefficient before
 synthesis starts, and synthesis at a time dilation uses other atoms, so
 those pipelines keep the two passes.
 
-The block kernel is factored so that complex exponentials are taken per
-atom, not per sample.  On the samples t_k = (m0 + k)/L of an atom centred
-at a, t_k - a = t0 + k/L with t0 = m0/L - a, so the phase
-exp(2 pi i f (t_k - a)) is exp(2 pi i f t0) times the k-th power of
-exp(2 pi i f / L), built by a running product along the row that also
-carries the atom's amplitude from its first sample.  The cos^4
-window is one real cosine per sample, squared twice; its argument is
-clamped at the support's end, so a row's padding carries cos^4(pi/2), about
-1e-65 of the row's peak, far below rounding.  Block indices address the
-grid with one zero guard cell on each side; samples off the grid read zero
-in analysis and write only into a guard cell in synthesis, so neither
-direction masks.
+The block kernel takes no transcendental per sample and makes no serial
+scan.  A block is sample-major, (length, rows), so each step is one
+contiguous vector operation over every atom in it.  On the samples
+t_k = (m0 + k)/L of an atom centred at a, t_k - a = t0 + k/L with
+t0 = m0/L - a, so the phase exp(2 pi i f (t_k - a)) is exp(2 pi i f t0)
+times the k-th power of z = exp(2 pi i f / L).  Row 0 holds the atom's
+amplitude times exp(2 pi i f t0), and rows [h, 2h) are rows [0, h) times
+z^h, with z^h squared per atom: ceil(log2(length)) vector multiplies.  The
+cos^4 window is (Re u)^4 on the same doubling ramp of
+u_k = exp(i pi s (t_k - a)), squared twice, and a row's padding past its
+own support is set to exactly 0.  Each atom's four unit phasors (first
+phase, phase step, first window angle, window step) are the cos and sin of
+one angle array.  Block indices address the grid with one zero guard cell
+on each side; samples off the grid read zero in analysis and write only
+into a guard cell in synthesis, so neither direction masks.
 """
 
 from __future__ import annotations
@@ -420,6 +423,28 @@ def _branch_arrays(params: LtftParams, b: np.ndarray, c: np.ndarray):
     return beff, freq
 
 
+def _ramp(out: np.ndarray, first: np.ndarray, step: np.ndarray) -> np.ndarray:
+    # out[k] = first * step**k for every row k of a (length, G) array, by
+    # doubling: rows [h, 2h) are rows [0, h) times step**h, and step**h is
+    # squared per atom, so the ramp takes ceil(log2(length)) multiplies.
+    out[0] = first
+    h = 1
+    while h < out.shape[0]:
+        w = min(h, out.shape[0] - h)
+        np.multiply(out[:w], step, out=out[h : h + w])
+        h *= 2
+        step = step * step
+    return out
+
+
+def _unit_phasors(angles: np.ndarray) -> np.ndarray:
+    # exp(i angles) by one cos and one sin.
+    out = np.empty(angles.shape, dtype=np.complex128)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
+
+
 def _atom_values(
     params: LtftParams,
     a: np.ndarray,
@@ -429,26 +454,38 @@ def _atom_values(
     length: int,
     sample_rate: float,
 ) -> np.ndarray:
-    # (G, length) block: atom g at (a, b, c)[g] sampled at t = (m_start[g] + k)/L
-    # for k < length.  Per row, the amplitude times the phase at k = 0 and the
-    # per-sample rotation are computed once; a running product spreads them
-    # along the row.
+    # Sample-major (length, G) block: atom g at (a, b, c)[g] sampled at
+    # t = (m_start[g] + k)/L in row k < length.  Four unit phasors per atom
+    # (first phase, phase step, first window angle, window step) come from
+    # one cos and one sin of a (4, G) angle array; the rows follow by
+    # doubling ramps.  Scratch is one (length, G) complex buffer, first for
+    # the window ramp and then for the phase ramp, and the real window.  The
+    # per-atom arrays are made before the buffer, which lowered the peak RSS
+    # of a pooled reconstruct by 0.7 MiB.
     beff, freq = _branch_arrays(params, b, c)
     scale = beff / params.gamma
     t0 = m_start / sample_rate - a
-    atoms = np.empty((a.shape[0], length), dtype=np.complex128)
-    atoms[:, 0] = (_COS4_NORM * np.sqrt(scale)) * np.exp(2j * np.pi * freq * t0)
-    atoms[:, 1:] = np.exp(2j * np.pi * freq / sample_rate)[:, None]
-    np.cumprod(atoms, axis=1, out=atoms)
-    # The cos^4 window.  A row's own support keeps scale * t >= -1/2; past its
-    # end, in a block's padding, the argument is clamped at pi/2, where the
-    # window is cos^4(pi/2) ~ 1e-65 of its peak, so no mask is needed.
-    env = np.arange(length) / sample_rate + t0[:, None]
-    env *= (np.pi * scale)[:, None]
-    np.minimum(env, 0.5 * np.pi, out=env)
-    np.cos(env, out=env)
+    # Each atom's own support sample count, by the rule of _support_index_range.
+    own = np.floor((a + 0.5 * (params.gamma / beff)) * sample_rate) - (m_start - 1)
+    first, step, window_first, window_step = _unit_phasors(
+        np.stack([
+            (2.0 * np.pi * freq) * t0,
+            (2.0 * np.pi / sample_rate) * freq,
+            (np.pi * scale) * t0,
+            (np.pi / sample_rate) * scale,
+        ])
+    )
+    first *= _COS4_NORM * np.sqrt(scale)
+    atoms = np.empty((length, a.shape[0]), dtype=np.complex128)
+    # The cos^4 window is (Re u)^4 on the ramp u_k = exp(i pi scale (t_k - a)).
+    # Rows past an atom's own support, a block's padding, are set to 0.
+    env = np.square(_ramp(atoms, window_first, window_step).real)
     env *= env
-    env *= env
+    tail = int(own.min())
+    if tail < length:
+        env[tail:] *= np.arange(tail, length)[:, None] < own
+    # The phase ramp, from the amplitude times the phase at k = 0, reuses the buffer.
+    _ramp(atoms, first, step)
     atoms *= env
     return atoms
 
@@ -503,7 +540,7 @@ def ltft_atom_time(
         np.asarray([lo]),
         hi - lo + 1,
         rate,
-    )[0]
+    )[:, 0]
     return SparseAtom(start=lo + m // 2, values=vals)
 
 
@@ -541,10 +578,12 @@ _BLOCK_ATOM_SAMPLES = 1 << 16
 _PACK_RATIO = 1.25
 # Calls with fewer atom-samples run their blocks in the calling thread,
 # where the pool's threads would save little.  On the error sweep's 32 calls
-# of 26k to 1.6M atom-samples (2-vCPU Xeon), the median sweep took
-# 0.54 / 0.50 / 0.49 / 0.48 / 0.56 s at thresholds of 2M / 500k / 200k /
-# 100k / 50k; below 500k, runs while the host was busy reached 0.6-0.7 s.
-_POOL_MIN_ATOM_SAMPLES = 500_000
+# of 26k to 1.6M atom-samples (2-vCPU Xeon, sample-major kernel), the median
+# benchmark run_s was 0.377 / 0.386 / 0.41 / 0.415 at thresholds of
+# 2M / 1M / 500k / 250k over 4 interleaved rounds, and 0.388 / 0.395 / 0.401
+# at 2M / 1M / 500k over 5 more; 2M was faster than 500k in all 9.  Two
+# busy processes there ran at about 1.1 cores' throughput.
+_POOL_MIN_ATOM_SAMPLES = 2_000_000
 
 T = TypeVar("T")
 
@@ -601,18 +640,21 @@ def _block_atoms(
     block: _AtomBlock,
 ) -> Tuple[np.ndarray, np.ndarray]:
     # Storage indices j into the grid padded by one zero guard cell on each
-    # side (off-grid samples are clipped onto a guard cell) and the
-    # (rows, length) atom values of one block, each row padded to the block's
-    # length.  Rows are ordered by first sample, so j[0, 0] is the block's
-    # smallest index.
+    # side (off-grid samples are clipped onto a guard cell) and the atom
+    # values of one block, each row padded to the block's length.  Both are
+    # (rows, length) views of sample-major arrays.  Rows are ordered by first
+    # sample, so j[0, 0] is the block's smallest index.  j is made before the
+    # atoms: in that order a pooled reconstruct of 1 s of 16 kHz audio at
+    # A = 16 peaked 0.6 MiB lower in RSS than with j made after.
     offset = grid_len // 2 + 1  # storage index of grid sample m is m + offset
-    j = block.start[:, None] + np.arange(offset, offset + block.length)
-    np.clip(j, 0, grid_len + 1, out=j)
+    j = np.arange(offset, offset + block.length)[:, None] + block.start
+    if j[0, 0] < 0 or j[-1, -1] > grid_len + 1:
+        np.clip(j, 0, grid_len + 1, out=j)
     pts = samples.points[block.sel]
     atoms = _atom_values(
         params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.length, sample_rate
     )
-    return j, atoms
+    return j.T, atoms.T
 
 
 def _usable_cores() -> int:
@@ -653,35 +695,32 @@ def _block_coeffs(
     sig: np.ndarray, j: np.ndarray, atoms: np.ndarray, sample_rate: float
 ) -> np.ndarray:
     # One block's analysis coefficients; vecdot conjugates its first argument.
-    return np.vecdot(atoms, sig[j]) / sample_rate
+    return np.vecdot(atoms, sig[j], axis=1) / sample_rate
 
 
 def _block_sum(
     j: np.ndarray, atoms: np.ndarray, scaled: np.ndarray
-) -> Tuple[int, np.ndarray, np.ndarray]:
+) -> Tuple[int, np.ndarray]:
     # One block's atoms times their scaled coefficients, summed over the
-    # block's own index span from lo = j[0, 0] on.  Scales atoms and shifts j
-    # in place.
+    # block's own index span from lo = j[0, 0] on by one unbuffered add in
+    # sample-major order.  Scales atoms and shifts j in place.
     atoms *= scaled[:, None]
     lo = int(j[0, 0])
     j -= lo
-    j = j.ravel()
-    re = np.bincount(j, weights=atoms.real.ravel())
-    im = np.bincount(j, weights=atoms.imag.ravel())
-    return lo, re, im
+    part = np.zeros(int(j[-1, -1]) + 1, dtype=np.complex128)
+    np.add.at(part, j.T.ravel(), atoms.T.ravel())
+    return lo, part
 
 
 def _sum_blocks(
-    sums: Iterable[Tuple[int, np.ndarray, np.ndarray]], out_len: int, sample_rate: float
+    sums: Iterable[Tuple[int, np.ndarray]], out_len: int, sample_rate: float
 ) -> DigitalSignal:
     # Adds the block sums in block order into an accumulator padded by one
     # guard cell on each side, then crops the guard cells.
-    acc_re = np.zeros(out_len + 2, dtype=np.float64)
-    acc_im = np.zeros(out_len + 2, dtype=np.float64)
-    for lo, re, im in sums:
-        acc_re[lo : lo + re.size] += re
-        acc_im[lo : lo + im.size] += im
-    return DigitalSignal(acc_re[1:-1] + 1j * acc_im[1:-1], sample_rate)
+    acc = np.zeros(out_len + 2, dtype=np.complex128)
+    for lo, part in sums:
+        acc[lo : lo + part.size] += part
+    return DigitalSignal(acc[1:-1], sample_rate)
 
 
 def analyze(
@@ -727,7 +766,7 @@ def synthesize(
     scaled = coeffs.weight * coeffs.values
     blocks, atom_samples = _atom_blocks(params, samples, sample_rate)
 
-    def block_sum(block: _AtomBlock) -> Tuple[int, np.ndarray, np.ndarray]:
+    def block_sum(block: _AtomBlock) -> Tuple[int, np.ndarray]:
         j, atoms = _block_atoms(params, samples, sample_rate, out_len, block)
         return _block_sum(j, atoms, scaled[block.sel])
 
@@ -746,7 +785,7 @@ def _round_trip(
     weight = samples.box.volume / samples.n
     blocks, atom_samples = _atom_blocks(params, samples, rate)
 
-    def block_pass(block: _AtomBlock) -> Tuple[int, np.ndarray, np.ndarray]:
+    def block_pass(block: _AtomBlock) -> Tuple[int, np.ndarray]:
         j, atoms = _block_atoms(params, samples, rate, m, block)
         return _block_sum(j, atoms, weight * _block_coeffs(sig, j, atoms, rate))
 

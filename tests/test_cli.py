@@ -194,6 +194,59 @@ def test_cutoff_outside_the_band_is_invalid_parameter(tmp_path, capsys, flag, cu
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mode, threshold",
+    [
+        ("relative", "1"),
+        ("relative", "1.5"),
+        ("relative", "-0.5"),
+        ("absolute", "1e9"),
+        ("absolute", "inf"),
+    ],
+)
+def test_threshold_that_zeroes_every_coefficient_is_invalid_parameter(
+    tmp_path, capsys, mode, threshold
+):
+    # A relative threshold of 1 or more, or an absolute one at or above
+    # max |F|, would write an all-zero WAV; a relative one below 0 is named
+    # as given, not scaled by max |F|.
+    src = str(tmp_path / "in.wav")
+    t = np.arange(4000) / RATE
+    tones = 0.4 * np.sin(2 * np.pi * 440.0 * t) + 0.3 * np.sin(2 * np.pi * 1250.0 * t)
+    wav_write(src, WavAudio(tones, RATE))
+    out = tmp_path / "o.wav"
+    args = ["denoise", "--threshold", threshold, "--threshold-mode", mode, "-A", "2", src, str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+    assert f"threshold {float(threshold):g}" in err[0]
+    assert not out.exists()
+
+
+def test_threshold_refusal_keeps_legal_edges(tmp_path):
+    # Just below the edge and an all-zero input at threshold 0 still run.
+    src = _sine_wav(tmp_path / "in.wav")
+    for mode, threshold in [("relative", "0.99"), ("absolute", "1e-6")]:
+        out = tmp_path / f"{mode}.wav"
+        args = ["denoise", "--threshold", threshold, "--threshold-mode", mode, "-A", "2", src, str(out)]
+        assert main(args) == 0
+        assert np.max(np.abs(wav_read(str(out)).samples)) > 0
+    zero = tmp_path / "zero.wav"
+    wav_write(str(zero), WavAudio(np.zeros(1024), RATE))
+    for mode in ("relative", "absolute"):
+        out = tmp_path / f"zero-{mode}.wav"
+        args = ["denoise", "--threshold", "0", "--threshold-mode", mode, "-A", "2", str(zero), str(out)]
+        assert main(args) == 0
+        assert np.all(wav_read(str(out)).samples == 0)
+
+
+def test_relative_threshold_is_refused_before_the_wav_is_read(tmp_path, capsys):
+    args = ["denoise", "--threshold", "2", str(tmp_path / "missing.wav"), str(tmp_path / "o.wav")]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+
+
 def test_bench_error_csv(tmp_path):
     out = tmp_path / "fig.csv"
     code = main([

@@ -476,12 +476,49 @@ def _check_blocks(p, samples, m):
     return blocks
 
 
-@pytest.mark.parametrize("b0_frac", [0.1, 0.01])
+@pytest.mark.parametrize("b0_frac", [0.1, 0.01, 0.001])
 def test_atom_blocks_match_naive_formula(b0_frac):
-    # With b0_frac = 0.01 supports are about 600 samples long.
+    # With b0_frac = 0.01 supports are about 600 samples long, and with 0.001
+    # about 6000, where the doubling ramps' squared steps lose the most digits.
     p = LtftParams.for_rate(RATE, b0_frac=b0_frac)
     blocks = _check_blocks(p, _oracle_samples(p, 256), 256)
     assert max(block.length for block in blocks) >= int(p.s0 * RATE)
+
+
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+def test_operator_matches_dense_naive_sums(params, padded, dilation):
+    # analyze and synthesize against dense sums over _naive_atom on the full
+    # grid.  The adjoint and linearity properties cannot see a gather and a
+    # scatter that are wrong in the same way; this oracle can.  Each
+    # direction's error is paired with the other direction's input by
+    # Cauchy-Schwarz, so the bound is the adjoint property's 1e-12 * scale.
+    m = 128
+    base = DigitalSignal(np.zeros(m), RATE)
+    samples = sample_phase_space(base, params, 160, "halton", padded=padded)
+    samples = samples.with_dilated_times(float(dilation))
+    grid_len = dilation * m
+    t = (np.arange(grid_len) - grid_len // 2) / RATE
+    dense = np.array([_naive_atom(params, a, b, c, t) for a, b, c in samples.points])
+    # Atoms cross both grid ends, and padded boxes put some wholly off the grid.
+    half = grid_len / (2 * RATE)
+    support = atom_support_length(params, samples.b)
+    assert np.any(samples.a - support / 2 < -half) and np.any(samples.a + support / 2 > half)
+    assert padded == bool(np.any(~dense.any(axis=1)))
+    rng = np.random.default_rng(7)
+    sig = DigitalSignal(rng.standard_normal(grid_len) + 1j * rng.standard_normal(grid_len), RATE)
+    g = rng.standard_normal(samples.n) + 1j * rng.standard_normal(samples.n)
+    w = samples.box.volume / samples.n
+    sig_norm = np.sqrt(np.sum(np.abs(sig.samples) ** 2) / RATE)
+    scale = w * np.sum(np.abs(g)) * sig_norm
+
+    coeffs = analyze(sig, samples, params).values
+    expected = dense.conj() @ sig.samples / RATE
+    assert w * np.sum(np.abs(g)) * np.max(np.abs(coeffs - expected)) <= 1e-12 * scale
+
+    synth = synthesize(CoefficientVector(g, w), samples, params, grid_len, RATE).samples
+    gap = np.sqrt(np.sum(np.abs(synth - w * (g @ dense)) ** 2) / RATE)
+    assert gap * sig_norm <= 1e-12 * scale
 
 
 def test_atom_blocks_split_groups_in_order(monkeypatch):
