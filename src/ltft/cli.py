@@ -476,6 +476,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: io-error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # An allocation the point budgets let through but this host cannot hold.
+        print(f"error: budget-exceeded: {exc or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,13 +13,17 @@ sample, and cut into consecutive blocks of a bounded number of
 atom-samples whose longest support is at most 5/4 of their shortest;
 each row is padded to the block's longest support.  So a small call runs
 in a few full blocks, and the operator's working memory is bounded
-whatever N and M are.  Analysis and synthesis are its two directions:
-analysis takes the inner product of the signal with every block, and
-synthesis sums each block, scaled by its coefficients and the cubature
-weight volume(box)/N, over its own index span and adds the block sums in
-block order.  Large calls spread the blocks over a thread pool, one thread
-per usable core; the partition and the order of the sums do not depend on
-the thread count, so neither does the output, bit for bit.
+whatever N and M are.  The plan is a few linear passes: both orders (by
+length, and each block's rows by first sample) come from stable argsorts
+on narrow unsigned keys, which numpy runs as radix sorts when a key fits
+16 bits, and no block is sorted on its own.  Analysis and synthesis are
+the operator's two directions: analysis takes the inner product of the
+signal with every block, and synthesis sums each block, scaled by its
+coefficients and the cubature weight volume(box)/N, over its own index
+span and adds the block sums in block order.  Large calls spread the
+blocks over a thread pool, one thread per usable core; the partition and
+the order of the sums do not depend on the thread count, so neither does
+the output, bit for bit.
 
 Plain reconstruction synthesizes the atoms it analysed, on the same grid,
 so a private round trip does both in one pass: each block is built once,
@@ -42,9 +46,10 @@ cos^4 window is (Re u)^4 on the same doubling ramp of
 u_k = exp(i pi s (t_k - a)), squared twice, and a row's padding past its
 own support is set to exactly 0.  Each atom's four unit phasors (first
 phase, phase step, first window angle, window step) are the cos and sin of
-one angle array.  Block indices address the grid with one zero guard cell
-on each side; samples off the grid read zero in analysis and write only
-into a guard cell in synthesis, so neither direction masks.
+one angle array.  Block indices address the grid inside a zero guard band
+as wide as the plan's longest row on each side, relative to the block's
+first sample; samples off the grid read zero in analysis and write only
+into the guard band in synthesis, so neither direction masks or clips.
 """
 
 from __future__ import annotations
@@ -280,6 +285,8 @@ class PhaseSpaceBox:
     freq_hi: float
 
     def __post_init__(self) -> None:
+        if not np.all(np.isfinite([self.t_lo, self.t_hi, self.freq_hi])):
+            raise InvalidParameterError("box sides must be finite")
         if not self.t_lo < self.t_hi:
             raise InvalidParameterError("need t_lo < t_hi")
         if not self.freq_hi > 0:
@@ -342,15 +349,20 @@ class SampleSet:
             raise InvalidParameterError("sample points must form an (N, 3) array")
         if self.points.shape[0] < 1:
             raise InvalidParameterError("sample set must contain at least one point")
-        a, b, c = self.points.T
+        # Per-column extremes (one strided pass each, far faster here than a
+        # reduction over axis 0 of an (N, 3) array); min and max propagate NaN.
+        lo = np.array([col.min() for col in self.points.T])
+        hi = np.array([col.max() for col in self.points.T])
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise InvalidParameterError("sample points must be finite")
         eps = 1e-9 * max(1.0, abs(self.box.t_hi - self.box.t_lo))
         if (
-            np.any(a < self.box.t_lo - eps)
-            or np.any(a > self.box.t_hi + eps)
-            or np.any(b < -1e-12)
-            or np.any(b > self.box.freq_hi * (1 + 1e-12))
-            or np.any(c < -1e-12)
-            or np.any(c > 1 + 1e-12)
+            lo[0] < self.box.t_lo - eps
+            or hi[0] > self.box.t_hi + eps
+            or lo[1] < -1e-12
+            or hi[1] > self.box.freq_hi * (1 + 1e-12)
+            or lo[2] < -1e-12
+            or hi[2] > 1 + 1e-12
         ):
             raise InvalidParameterError("sample points must lie inside the box")
 
@@ -414,26 +426,29 @@ def atom_support_length(params: LtftParams, b) -> np.ndarray:
 
 def _branch_arrays(params: LtftParams, b: np.ndarray, c: np.ndarray):
     # Effective dilation frequency and modulation frequency per branch.
-    # Wavelet branch on b0 <= b < b1 (fixed boundary choice).
-    low = b < params.b0
-    high = b >= params.b1
-    beff = np.where(low, params.b0, np.where(high, params.b1, b))
+    # Wavelet branch on b0 <= b < b1 (fixed boundary choice); the STFT
+    # branches modulate at k * beff + b, the wavelet branch at (k + 1) * b.
+    beff = np.clip(b, params.b0, params.b1)
     k = (params.xi / params.gamma) * c
-    freq = np.where(low, k * params.b0 + b, np.where(high, k * params.b1 + b, (k + 1.0) * b))
+    freq = k * beff
+    freq += b
+    wavelet = (b >= params.b0) & (b < params.b1)
+    np.multiply(k + 1.0, b, out=freq, where=wavelet)
     return beff, freq
 
 
 def _ramp(out: np.ndarray, first: np.ndarray, step: np.ndarray) -> np.ndarray:
     # out[k] = first * step**k for every row k of a (length, G) array, by
     # doubling: rows [h, 2h) are rows [0, h) times step**h, and step**h is
-    # squared per atom, so the ramp takes ceil(log2(length)) multiplies.
+    # squared per atom while rows remain, so the ramp takes
+    # ceil(log2(length)) multiplies and one squaring fewer.
     out[0] = first
-    h = 1
-    while h < out.shape[0]:
-        w = min(h, out.shape[0] - h)
-        np.multiply(out[:w], step, out=out[h : h + w])
+    h, n = 1, out.shape[0]
+    while h < n:
+        np.multiply(out[: min(h, n - h)], step, out=out[h : 2 * h])
         h *= 2
-        step = step * step
+        if h < n:
+            step = step * step
     return out
 
 
@@ -451,30 +466,30 @@ def _atom_values(
     b: np.ndarray,
     c: np.ndarray,
     m_start: np.ndarray,
+    own: np.ndarray,
     length: int,
     sample_rate: float,
 ) -> np.ndarray:
     # Sample-major (length, G) block: atom g at (a, b, c)[g] sampled at
-    # t = (m_start[g] + k)/L in row k < length.  Four unit phasors per atom
-    # (first phase, phase step, first window angle, window step) come from
-    # one cos and one sin of a (4, G) angle array; the rows follow by
-    # doubling ramps.  Scratch is one (length, G) complex buffer, first for
-    # the window ramp and then for the phase ramp, and the real window.  The
-    # per-atom arrays are made before the buffer, which lowered the peak RSS
-    # of a pooled reconstruct by 0.7 MiB.
+    # t = (m_start[g] + k)/L in row k < length, and zero from row own[g] on.
+    # Four unit phasors per atom (first phase, phase step, first window
+    # angle, window step) come from one cos and one sin of a (4, G) angle
+    # array, written in place; the rows follow by doubling ramps.  Scratch is
+    # one (length, G) complex buffer, first for the window ramp and then for
+    # the phase ramp, and the real window.  The per-atom arrays are made
+    # before the buffer, which lowered the peak RSS of a pooled reconstruct
+    # by 0.7 MiB.
     beff, freq = _branch_arrays(params, b, c)
     scale = beff / params.gamma
     t0 = m_start / sample_rate - a
-    # Each atom's own support sample count, by the rule of _support_index_range.
-    own = np.floor((a + 0.5 * (params.gamma / beff)) * sample_rate) - (m_start - 1)
-    first, step, window_first, window_step = _unit_phasors(
-        np.stack([
-            (2.0 * np.pi * freq) * t0,
-            (2.0 * np.pi / sample_rate) * freq,
-            (np.pi * scale) * t0,
-            (np.pi / sample_rate) * scale,
-        ])
-    )
+    angles = np.empty((4, a.shape[0]))
+    np.multiply(2.0 * np.pi, freq, out=angles[0])
+    angles[0] *= t0
+    np.multiply(2.0 * np.pi / sample_rate, freq, out=angles[1])
+    np.multiply(np.pi, scale, out=angles[2])
+    angles[2] *= t0
+    np.multiply(np.pi / sample_rate, scale, out=angles[3])
+    first, step, window_first, window_step = _unit_phasors(angles)
     first *= _COS4_NORM * np.sqrt(scale)
     atoms = np.empty((length, a.shape[0]), dtype=np.complex128)
     # The cos^4 window is (Re u)^4 on the ramp u_k = exp(i pi scale (t_k - a)).
@@ -538,6 +553,7 @@ def ltft_atom_time(
         np.asarray([b], dtype=np.float64),
         np.asarray([c], dtype=np.float64),
         np.asarray([lo]),
+        np.asarray([hi - lo + 1]),
         hi - lo + 1,
         rate,
     )[:, 0]
@@ -589,9 +605,25 @@ T = TypeVar("T")
 
 
 class _AtomBlock(NamedTuple):
+    # One block of the radix-ordered plan (see _atom_blocks).  The arrays are
+    # slices of plan-wide int32 arrays when the values fit, and the longest
+    # block length sets the zero guard band's width (see _guard).
     sel: np.ndarray  # sample indices, ordered by first sample
     start: np.ndarray  # first grid sample m of each atom
+    own: np.ndarray  # each atom's own support sample count; rows pad past it with 0
     length: int  # row length: the longest support sample count in the block
+
+
+def _narrow(key: np.ndarray) -> np.ndarray:
+    # A non-negative integer key in the narrowest unsigned type that holds
+    # it; numpy's stable sort is a radix sort for types of 16 bits or less.
+    return key.astype(np.min_scalar_type(int(key.max(initial=0))))
+
+
+def _index_type(low: int, high: int):
+    # int32 for integers in [low, high] when they and their differences fit,
+    # else int64.
+    return np.int32 if -(1 << 30) <= low and high < 1 << 30 else np.int64
 
 
 def _atom_blocks(
@@ -601,35 +633,77 @@ def _atom_blocks(
     # count and then by first sample, and cut into consecutive blocks: a block
     # ends before an atom longer than _PACK_RATIO times its shortest row, or
     # before it would exceed _BLOCK_ATOM_SAMPLES atom-samples with every row
-    # padded to its longest.  Within a block the rows are re-sorted by first
-    # sample.  The partition depends on the samples alone, so the block order
-    # is the accumulation order.  Returns the blocks and their total
-    # atom-sample count, padding included.
+    # padded to its longest.  Within a block the rows are ordered by first
+    # sample, ties by support count and then by index.  The partition depends
+    # on the samples alone, so the block order is the accumulation order.
+    # Returns the blocks and their total atom-sample count, padding included.
+    #
+    # Both orders come from stable argsorts on narrow unsigned keys (least
+    # significant key first), which numpy runs as radix sorts when the key
+    # fits 16 bits; block ids are such a key too, so no block is sorted on
+    # its own.  Indices, first samples and counts are stored as int32 when
+    # they fit.
     m_start, m_end = _support_index_range(params, samples.a, samples.b, sample_rate)
     lengths = m_end - m_start + 1
-    # One stable sort on (length, first sample) packed into one int64 key.
-    order = np.argsort((lengths << 32) | (m_start - m_start.min()), kind="stable")
-    order = order[lengths[order] > 0]
+    del m_end
+    kept = None
+    if lengths.min(initial=1) <= 0:  # supports shorter than one sample
+        kept = np.flatnonzero(lengths > 0)
+        m_start, lengths = m_start[kept], lengths[kept]
+    if lengths.size == 0:
+        return [], 0
+    lo, hi = int(m_start.min()), int(m_start.max())
+    start_key = _narrow(m_start - lo)
+    m_start = m_start.astype(_index_type(lo, hi), copy=False)
+    lengths = lengths.astype(_index_type(0, int(lengths.max())), copy=False)
+    length_key = _narrow(lengths)
+    # by_start: (first sample, count, index); order: (count, first sample, index).
+    by_start = np.argsort(length_key, kind="stable")
+    by_start = by_start[np.argsort(start_key[by_start], kind="stable")]
+    del start_key
+    order = by_start[np.argsort(length_key[by_start], kind="stable")]
+    del length_key
     sorted_lengths = lengths[order]
-    blocks = []
-    i = 0
-    while i < order.size:
+    longest = int(sorted_lengths[-1])
+    bounds = [0]
+    while bounds[-1] < order.size:
+        i = bounds[-1]
         shortest = int(sorted_lengths[i])
-        # Candidates: atoms up to _PACK_RATIO times the shortest (an integer
-        # bound, so the search does not cast the lengths to float), and no more
-        # of them than fit the budget at the shortest length.
+        # Candidates: atoms up to _PACK_RATIO times the shortest, and no more
+        # of them than fit the budget at the shortest length.  The bound has
+        # the lengths' own type, so the search does not cast the lengths.
+        bound = sorted_lengths.dtype.type(min(int(_PACK_RATIO * shortest), longest))
         end = min(
-            int(np.searchsorted(sorted_lengths, int(_PACK_RATIO * shortest), side="right")),
+            int(sorted_lengths.searchsorted(bound, side="right")),
             i + max(1, _BLOCK_ATOM_SAMPLES // shortest),
         )
         # Rows i..k-1, padded to the longest, sorted_lengths[k - 1], fit the budget.
         padded = np.arange(1, end - i + 1) * sorted_lengths[i:end]
-        k = i + max(1, int(np.searchsorted(padded, _BLOCK_ATOM_SAMPLES, side="right")))
-        sel = order[i:k]
-        sel = sel[np.argsort(m_start[sel], kind="stable")]
-        blocks.append(_AtomBlock(sel, m_start[sel], int(sorted_lengths[k - 1])))
-        i = k
+        fit = int(np.searchsorted(padded, _BLOCK_ATOM_SAMPLES, side="right"))
+        bounds.append(i + max(1, fit))
+    block_lengths = [int(sorted_lengths[k - 1]) for k in bounds[1:]]
+    del sorted_lengths
+    # Each atom's block id, then the rows of every block by first sample.
+    block_of = np.empty(order.size, dtype=np.min_scalar_type(len(block_lengths)))
+    block_of[order] = np.repeat(np.arange(len(block_lengths)), np.diff(bounds))
+    del order
+    sel = by_start[np.argsort(block_of[by_start], kind="stable")]
+    del by_start, block_of
+    start, own = m_start[sel], lengths[sel]
+    if kept is not None:
+        sel = kept[sel]
+    sel = sel.astype(_index_type(0, samples.n - 1), copy=False)
+    blocks = [
+        _AtomBlock(sel[i:k], start[i:k], own[i:k], length)
+        for i, k, length in zip(bounds, bounds[1:], block_lengths)
+    ]
     return blocks, sum(block.sel.size * block.length for block in blocks)
+
+
+def _guard(blocks: List[_AtomBlock]) -> int:
+    # Width of the zero guard band on each side of the grid: the longest row
+    # (the last block's, as blocks are ordered by support count).
+    return blocks[-1].length if blocks else 0
 
 
 def _block_atoms(
@@ -637,24 +711,34 @@ def _block_atoms(
     samples: SampleSet,
     sample_rate: float,
     grid_len: int,
+    guard: int,
     block: _AtomBlock,
-) -> Tuple[np.ndarray, np.ndarray]:
-    # Storage indices j into the grid padded by one zero guard cell on each
-    # side (off-grid samples are clipped onto a guard cell) and the atom
-    # values of one block, each row padded to the block's length.  Both are
-    # (rows, length) views of sample-major arrays.  Rows are ordered by first
-    # sample, so j[0, 0] is the block's smallest index.  j is made before the
-    # atoms: in that order a pooled reconstruct of 1 s of 16 kHz audio at
-    # A = 16 peaked 0.6 MiB lower in RSS than with j made after.
-    offset = grid_len // 2 + 1  # storage index of grid sample m is m + offset
-    j = np.arange(offset, offset + block.length)[:, None] + block.start
-    if j[0, 0] < 0 or j[-1, -1] > grid_len + 1:
-        np.clip(j, 0, grid_len + 1, out=j)
-    pts = samples.points[block.sel]
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    # One block's storage indices and atom values.  Storage is the grid with
+    # a zero guard band of guard = _guard(blocks) cells on each side, so
+    # grid sample m is at m + grid_len // 2 + guard.  Returns the storage
+    # index lo of the block's first sample, the block-relative indices j
+    # (lo + j is a row's storage span) and the atom values, each row padded
+    # to the block's length; j and the atoms are (rows, length) views of
+    # sample-major arrays.  Rows are ordered by first sample, so j[0, 0] = 0
+    # and j[-1, -1] is the largest.  An atom wholly off the grid gets the
+    # indices of the guard cells next to the grid end it lies past (a clip
+    # of the block's first samples, not of its indices), so no index leaves
+    # the storage and every on-grid index is exact; its reads are zeros and
+    # its writes are cropped, as for every off-grid sample.  j is made
+    # before the atoms: in that order a pooled reconstruct of 1 s of 16 kHz
+    # audio at A = 16 peaked 0.6 MiB lower in RSS than with j made after.
+    half = grid_len // 2
+    first = block.start
+    if first[0] < -half - block.length or first[-1] > half:
+        first = np.clip(first, -half - block.length, half)
+    j = np.arange(block.length)[:, None] + (first - first[0])
+    pts = np.take(samples.points, block.sel, axis=0)
     atoms = _atom_values(
-        params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.length, sample_rate
+        params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.own, block.length,
+        sample_rate,
     )
-    return j.T, atoms.T
+    return int(first[0]) + half + guard, j.T, atoms.T
 
 
 def _usable_cores() -> int:
@@ -682,45 +766,43 @@ def _map_blocks(
         yield from pool.map(task, blocks)
 
 
-def _padded_input(signal: DigitalSignal, samples: SampleSet) -> np.ndarray:
-    # The analysis signal with one zero guard cell on each side.
+def _padded_input(signal: DigitalSignal, samples: SampleSet, guard: int) -> np.ndarray:
+    # The analysis signal with a zero guard band of `guard` cells on each side.
     if samples.box.freq_hi > signal.sample_rate * (1 + 1e-12):
         raise InvalidParameterError("box frequency side exceeds the signal rate")
-    sig = np.zeros(signal.m + 2, dtype=np.complex128)
-    sig[1:-1] = signal.samples
+    sig = np.zeros(signal.m + 2 * guard, dtype=np.complex128)
+    sig[guard : guard + signal.m] = signal.samples
     return sig
 
 
 def _block_coeffs(
-    sig: np.ndarray, j: np.ndarray, atoms: np.ndarray, sample_rate: float
+    sig: np.ndarray, lo: int, j: np.ndarray, atoms: np.ndarray, sample_rate: float
 ) -> np.ndarray:
     # One block's analysis coefficients; vecdot conjugates its first argument.
-    return np.vecdot(atoms, sig[j], axis=1) / sample_rate
+    return np.vecdot(atoms, sig[lo:][j], axis=1) / sample_rate
 
 
 def _block_sum(
-    j: np.ndarray, atoms: np.ndarray, scaled: np.ndarray
+    lo: int, j: np.ndarray, atoms: np.ndarray, scaled: np.ndarray
 ) -> Tuple[int, np.ndarray]:
     # One block's atoms times their scaled coefficients, summed over the
-    # block's own index span from lo = j[0, 0] on by one unbuffered add in
-    # sample-major order.  Scales atoms and shifts j in place.
+    # block's own storage span from lo on by one unbuffered add in
+    # sample-major order.  Scales atoms in place.
     atoms *= scaled[:, None]
-    lo = int(j[0, 0])
-    j -= lo
     part = np.zeros(int(j[-1, -1]) + 1, dtype=np.complex128)
     np.add.at(part, j.T.ravel(), atoms.T.ravel())
     return lo, part
 
 
 def _sum_blocks(
-    sums: Iterable[Tuple[int, np.ndarray]], out_len: int, sample_rate: float
+    sums: Iterable[Tuple[int, np.ndarray]], out_len: int, guard: int, sample_rate: float
 ) -> DigitalSignal:
-    # Adds the block sums in block order into an accumulator padded by one
-    # guard cell on each side, then crops the guard cells.
-    acc = np.zeros(out_len + 2, dtype=np.complex128)
+    # Adds the block sums in block order into an accumulator with a guard
+    # band of `guard` cells on each side, then crops the guard bands.
+    acc = np.zeros(out_len + 2 * guard, dtype=np.complex128)
     for lo, part in sums:
         acc[lo : lo + part.size] += part
-    return DigitalSignal(acc[1:-1], sample_rate)
+    return DigitalSignal(acc[guard : guard + out_len], sample_rate)
 
 
 def analyze(
@@ -732,14 +814,15 @@ def analyze(
     conj(atom(t_m)) with dt = 1/L, restricted to the atom's support;
     atoms that miss the grid contribute zero.
     """
-    sig = _padded_input(signal, samples)
     m = signal.m
     rate = signal.sample_rate
     blocks, atom_samples = _atom_blocks(params, samples, rate)
+    guard = _guard(blocks)
+    sig = _padded_input(signal, samples, guard)
 
     def block_coeffs(block: _AtomBlock) -> np.ndarray:
-        j, atoms = _block_atoms(params, samples, rate, m, block)
-        return _block_coeffs(sig, j, atoms, rate)
+        lo, j, atoms = _block_atoms(params, samples, rate, m, guard, block)
+        return _block_coeffs(sig, lo, j, atoms, rate)
 
     out = np.zeros(samples.n, dtype=np.complex128)
     for block, values in zip(blocks, _map_blocks(block_coeffs, blocks, atom_samples)):
@@ -765,12 +848,14 @@ def synthesize(
         raise InvalidParameterError("coefficients and samples must align")
     scaled = coeffs.weight * coeffs.values
     blocks, atom_samples = _atom_blocks(params, samples, sample_rate)
+    guard = _guard(blocks)
 
     def block_sum(block: _AtomBlock) -> Tuple[int, np.ndarray]:
-        j, atoms = _block_atoms(params, samples, sample_rate, out_len, block)
-        return _block_sum(j, atoms, scaled[block.sel])
+        lo, j, atoms = _block_atoms(params, samples, sample_rate, out_len, guard, block)
+        return _block_sum(lo, j, atoms, np.take(scaled, block.sel))
 
-    return _sum_blocks(_map_blocks(block_sum, blocks, atom_samples), out_len, sample_rate)
+    sums = _map_blocks(block_sum, blocks, atom_samples)
+    return _sum_blocks(sums, out_len, guard, sample_rate)
 
 
 def _round_trip(
@@ -779,14 +864,15 @@ def _round_trip(
     # synthesize(analyze(signal, samples, params), samples, params, M, L), bit
     # for bit, with each atom block built once: its coefficients are taken
     # and the same block, scaled by them, is summed while it is in hand.
-    sig = _padded_input(signal, samples)
     m = signal.m
     rate = signal.sample_rate
     weight = samples.box.volume / samples.n
     blocks, atom_samples = _atom_blocks(params, samples, rate)
+    guard = _guard(blocks)
+    sig = _padded_input(signal, samples, guard)
 
     def block_pass(block: _AtomBlock) -> Tuple[int, np.ndarray]:
-        j, atoms = _block_atoms(params, samples, rate, m, block)
-        return _block_sum(j, atoms, weight * _block_coeffs(sig, j, atoms, rate))
+        lo, j, atoms = _block_atoms(params, samples, rate, m, guard, block)
+        return _block_sum(lo, j, atoms, weight * _block_coeffs(sig, lo, j, atoms, rate))
 
-    return _sum_blocks(_map_blocks(block_pass, blocks, atom_samples), m, rate)
+    return _sum_blocks(_map_blocks(block_pass, blocks, atom_samples), m, guard, rate)

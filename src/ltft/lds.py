@@ -4,12 +4,21 @@ Provides the Halton sequence (extendable prefix), the Hammersley point set
 (fixed N), a seeded uniform Monte Carlo baseline, affine rescaling of unit
 points onto phase-space boxes, and an exact star-discrepancy computation for
 small point sets.
+
+A radical-inverse coordinate of N points is one linear pass: a table of
+the digit reversals of 0 .. N, built by doubling the digit count (the
+reversal of 2k digits is an outer sum of the k-digit table with itself),
+divided by the power of the base that bounds N.  The quotient is correctly
+rounded, as is the exact-integer scalar :func:`radical_inverse`, so both
+agree in every bit.  Generators refuse counts beyond ``_MAX_POINTS``
+before they allocate.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,47 +36,79 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 # (N+1)^d; these caps keep that tensor at a few million entries.
 _EXACT_BUDGET = {1: 1 << 16, 2: 1 << 10, 3: 1 << 7}
 
+# Point generators refuse larger counts before they allocate: 2**30 points
+# in 3D take 24 GiB of coordinates alone.
+_MAX_POINTS = 1 << 30
+
+
+def _check_int(name: str, value) -> int:
+    # An integer argument: a Python or numpy integer, not a bool or a float.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_count(count, dim: int) -> Tuple[int, int]:
+    # A point count of at least 1 within the budget, and an integer dimension.
+    count, dim = _check_int("count", count), _check_int("dim", dim)
+    if count < 1:
+        raise InvalidParameterError("count must be >= 1")
+    if count > _MAX_POINTS:
+        raise BudgetExceededError(f"{count} points exceed the budget of {_MAX_POINTS}")
+    return count, dim
+
 
 def radical_inverse(n: int, base: int) -> float:
     """Digit-reversal of ``n`` in the given base, mapped into [0, 1).
 
-    Writing n = sum(d_j * base**j), returns sum(d_j * base**(-j-1)).
+    Writing n = sum(d_j * base**j), returns sum(d_j * base**(-j-1)).  The
+    reversal is an exact integer r over base**K, K the digit count, and the
+    one division r / base**K is correctly rounded.
     """
+    n, base = _check_int("index", n), _check_int("radix base", base)
     if base < 2:
         raise InvalidParameterError(f"radix base must be >= 2, got {base}")
     if n < 0:
         raise InvalidParameterError(f"index must be non-negative, got {n}")
     if max(n, base) >= 1 << 63:
         raise InvalidParameterError("index and radix base must be below 2**63")
-    return float(_radical_inverse_many(np.array([n]), base)[0])
-
-
-def _radical_inverse_many(indices: np.ndarray, base: int) -> np.ndarray:
-    # Digits go k at a time through a table of every k-digit reversal, the
-    # largest k with base**k <= 4096 (one digit is its own reversal).  They
-    # build an integer r < base**K, K the digits taken, and r / base**K is the
-    # radical inverse, correctly rounded and independent of the other indices,
-    # while base**K < 2**53 (every index below 2**41 when base <= 4096).
-    # Further digits build further such integers, added at their own scale.
-    size, rev = base, None
-    while size * base <= 4096:
-        low = np.arange(base)
-        rev = (low * size + (low if rev is None else rev)[:, None]).ravel()
-        size *= base
-    n = np.asarray(indices, dtype=np.int64)
-    top, scale = int(n.max(initial=0)), 1.0
-    out = np.zeros(n.shape, dtype=np.float64)
-    while top > 0:
-        r, width = np.zeros(n.shape, dtype=np.int64), 1
-        while top > 0 and (width == 1 or width * size < 1 << 53):
-            n, chunk = np.divmod(n, size)
-            r = r * size + (chunk if rev is None else rev[chunk])
-            width, top = width * size, top // size
-        scale *= width
-        out += r / scale
+    r, scale = 0, 1
+    while n > 0:
+        n, digit = divmod(n, base)
+        r, scale = r * base + digit, scale * base
     # Reversals within half an ulp of 1 (only past 2**53) round up to 1.0;
     # the largest double below 1 is the nearest value in [0, 1).
-    return np.minimum(out, np.nextafter(1.0, 0.0), out=out)
+    return min(r / scale, float(np.nextafter(1.0, 0.0)))
+
+
+def _reversal_table(digits: int, base: int, stop: int, dtype) -> np.ndarray:
+    # rev[n] for n < min(stop, base**digits): n's `digits` base-`base` digits
+    # in reverse order, read as an integer.  The table doubles its digit
+    # count per level: with n = hi * base**p + lo and lo < base**p,
+    # rev(n) = rev_p(lo) * base**q + rev_q(hi) for q = digits - p, one outer
+    # sum of the full p-digit table and the rows of the q-digit table that
+    # indices below stop reach.
+    if digits <= 1:
+        return np.arange(min(base**digits, stop), dtype=dtype)
+    p = digits // 2
+    q = digits - p
+    low = _reversal_table(p, base, base**p, dtype)
+    high = _reversal_table(q, base, -(-stop // base**p), dtype)
+    return (low * base**q + high[:, None]).ravel()[:stop]
+
+
+def _radical_inverses(stop: int, base: int) -> np.ndarray:
+    # The radical inverses of 0 .. stop-1: rev(n) / base**K, rev from
+    # _reversal_table for the fewest digits K with base**K >= stop.  rev(n)
+    # and base**K are exact doubles below 2**53 (stop <= _MAX_POINTS + 1), so
+    # the one division is correctly rounded; it does not depend on K, since
+    # one more digit multiplies both by base.
+    digits = 0
+    while base**digits < stop:
+        digits += 1
+    scale = base**digits
+    rev = _reversal_table(digits, base, stop, np.int32 if scale <= 1 << 31 else np.int64)
+    return rev / float(scale)
 
 
 @dataclass
@@ -82,8 +123,9 @@ class UnitPointSet:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
         if self.points.ndim != 2 or self.points.shape[0] < 1:
             raise InvalidParameterError("point set must be a non-empty (N, d) array")
-        if np.any(self.points < 0.0) or np.any(self.points >= 1.0):
-            raise InvalidParameterError("unit points must lie in [0, 1)")
+        # min and max propagate NaN, which fails both comparisons.
+        if not (self.points.min() >= 0.0 and self.points.max() < 1.0):
+            raise InvalidParameterError("unit points must be finite and lie in [0, 1)")
 
     @property
     def n(self) -> int:
@@ -113,17 +155,17 @@ def halton_sequence(count: int, dim: int) -> UnitPointSet:
     n + 1 in the j-th prime base.  Indexing starts at 1 so that no sample
     sits exactly on the origin corner, which degrades small-N discrepancy.
     Prefixes are stable: the first N points never change as count grows.
+    Each coordinate is one digit-reversal table divided by a power of its
+    base (see ``_radical_inverses``), correctly rounded.
     """
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
+    count, dim = _check_count(count, dim)
     if dim < 1:
         raise InvalidParameterError("dim must be >= 1")
     if dim > len(_PRIMES):
         raise UnsupportedDimensionError(f"halton supports dim <= {len(_PRIMES)}")
-    idx = np.arange(1, count + 1, dtype=np.int64)
-    pts = np.column_stack(
-        [_radical_inverse_many(idx, _PRIMES[j]) for j in range(dim)]
-    )
+    pts = np.empty((count, dim))
+    for j in range(dim):
+        pts[:, j] = _radical_inverses(count + 1, _PRIMES[j])[1:]
     return UnitPointSet(pts, generator="halton")
 
 
@@ -132,26 +174,27 @@ def hammersley_set(count: int, dim: int) -> UnitPointSet:
 
     Point n (0-indexed) is (n/N, h_0(n), ..., h_{d-2}(n)) where h_j(n) is
     the j-th Halton coordinate of point n, i.e. the radical inverse of
-    n + 1 in the j-th prime base.
+    n + 1 in the j-th prime base, taken from a digit-reversal table as in
+    :func:`halton_sequence`.
     """
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
+    count, dim = _check_count(count, dim)
     if dim < 2:
         raise InvalidParameterError(
             "hammersley needs dim >= 2; use halton_sequence for 1D"
         )
     if dim > len(_PRIMES):
         raise UnsupportedDimensionError(f"hammersley supports dim <= {len(_PRIMES)}")
-    idx = np.arange(count, dtype=np.int64)
-    cols = [idx / float(count)]
-    cols += [_radical_inverse_many(idx + 1, _PRIMES[j]) for j in range(dim - 1)]
-    return UnitPointSet(np.column_stack(cols), generator="hammersley")
+    pts = np.empty((count, dim))
+    np.divide(np.arange(count), float(count), out=pts[:, 0])
+    for j in range(dim - 1):
+        pts[:, j + 1] = _radical_inverses(count + 1, _PRIMES[j])[1:]
+    return UnitPointSet(pts, generator="hammersley")
 
 
 def mc_uniform(count: int, dim: int, seed: int) -> UnitPointSet:
     """``count`` i.i.d.-uniform points from a seeded PCG64 generator."""
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
+    count, dim = _check_count(count, dim)
+    seed = _check_int("seed", seed)
     if dim < 1:
         raise InvalidParameterError("dim must be >= 1")
     if seed < 0:
@@ -174,16 +217,20 @@ def generate_unit_points(kind: str, count: int, dim: int, seed: int = 0) -> Unit
 def scale_to_box(points: UnitPointSet, box: PhaseSpaceBox) -> SampleSet:
     """Affine map of unit points onto a 3D phase-space box.
 
-    Coordinate-wise lo + u * (hi - lo); preserves point order and the
-    generator tag, and records the box (hence its volume) on the output.
+    Coordinate-wise lo + u * (hi - lo), one column at a time; preserves
+    point order and the generator tag, and records the box (hence its
+    volume) on the output.
     """
     if points.dim != 3:
         raise InvalidParameterError(
             f"phase-space box is 3D but points have dim {points.dim}"
         )
-    lo = np.array([box.t_lo, 0.0, 0.0])
-    hi = np.array([box.t_hi, box.freq_hi, 1.0])
-    coords = lo + points.points * (hi - lo)
+    u = points.points
+    coords = np.empty_like(u)
+    np.multiply(u[:, 0], box.t_hi - box.t_lo, out=coords[:, 0])
+    coords[:, 0] += box.t_lo
+    np.multiply(u[:, 1], box.freq_hi, out=coords[:, 1])
+    coords[:, 2] = u[:, 2]
     return SampleSet(coords, box=box, generator=points.generator, seed=points.seed)
 
 

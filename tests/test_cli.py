@@ -461,6 +461,49 @@ def test_non_finite_redundancy_is_invalid_parameter(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
 
 
+def _run_cli(args, **kwargs):
+    # ltft as a child process that imports the same ltft as this process.
+    src = os.path.dirname(os.path.dirname(ltft.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ltft.cli", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "reconstruct -A 1e300",
+        "reconstruct -N 100000000000000",
+        "vocoder -N 100000000000000",
+    ],
+)
+def test_huge_sample_count_is_budget_exceeded(tmp_path, command):
+    # The point generators refuse the count before they allocate anything.
+    args = command.split() + [_sine_wav(tmp_path / "in.wav"), str(tmp_path / "o.wav")]
+    proc = _run_cli(args, timeout=60)
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 1
+    assert len(err) == 1 and err[0].startswith("error: budget-exceeded:")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o.wav").exists()
+
+
+def test_out_of_memory_is_budget_exceeded(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(ltft.cli, "reconstruct", no_memory)
+    args = ["reconstruct", _sine_wav(tmp_path / "in.wav"), str(tmp_path / "o.wav")]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: budget-exceeded: Unable to allocate 8.00 GiB for an array"]
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -496,13 +539,6 @@ def test_csv_determinism(tmp_path):
 
 def test_console_entry_point():
     # The child imports the same ltft as this process, installed or not.
-    src = os.path.dirname(os.path.dirname(ltft.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "ltft.cli", "--help"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
+    proc = _run_cli(["--help"])
     assert proc.returncode == 0
     assert "subcommand" in proc.stdout or "usage" in proc.stdout.lower()

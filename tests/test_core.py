@@ -448,28 +448,36 @@ def _oracle_samples(p, m):
 def _check_blocks(p, samples, m):
     # Every row of every block against the naive formula on its own support,
     # with the padding up to the block's length below 1e-60 of the row's peak,
-    # and its storage indices against the clipped guard-cell index; rows
-    # ordered by first sample; every sample in exactly one block.  Returns the
-    # blocks.
+    # and its storage indices against the grid index shifted past the zero
+    # guard band; samples off the grid address a guard cell.  Rows ordered by
+    # first sample; every sample in exactly one block.  Returns the blocks.
     pts = samples.points
     blocks, atom_samples = _atom_blocks(p, samples, RATE)
+    guard = core._guard(blocks)
+    assert guard == max(block.length for block in blocks)
     seen = []
     for block in blocks:
-        j, atoms = _block_atoms(p, samples, RATE, m, block)
+        lo, j, atoms = _block_atoms(p, samples, RATE, m, guard, block)
         assert j.shape == atoms.shape == (block.sel.size, block.length)
         assert np.all(np.diff(block.start) >= 0)
+        assert j[0, 0] == 0 and j[-1, -1] == j.max()
         for row, n in enumerate(block.sel):
             a, b, c = pts[n]
             s_len = p.gamma / min(max(b, p.b0), p.b1)
             idx = np.arange(np.ceil((a - s_len / 2) * RATE), np.floor((a + s_len / 2) * RATE) + 1)
             own = idx.size
-            assert own <= block.length
+            assert block.own[row] == own <= block.length
             ref = _naive_atom(p, a, b, c, idx / RATE)
             peak = np.max(np.abs(ref))
             assert np.max(np.abs(atoms[row, :own] - ref)) <= 1e-12 * peak
             assert np.all(np.abs(atoms[row, own:]) <= 1e-60 * peak)
             full = idx[0] + np.arange(block.length)
-            assert np.array_equal(j[row], np.clip(full.astype(np.int64) + m // 2 + 1, 0, m + 1))
+            on_grid = (full >= -(m // 2)) & (full < m // 2)
+            stored = lo + j[row]
+            grid_index = full[on_grid].astype(np.int64) + m // 2 + guard
+            assert np.array_equal(stored[on_grid], grid_index)
+            off = stored[~on_grid]
+            assert np.all((off >= 0) & (off < guard) | (off >= m + guard) & (off < m + 2 * guard))
         seen.extend(block.sel)
     assert sorted(seen) == list(range(samples.n))
     assert atom_samples == sum(block.sel.size * block.length for block in blocks)
@@ -535,6 +543,74 @@ def test_atom_blocks_split_groups_in_order(monkeypatch):
         assert prev.length < block.length or (
             prev.length == block.length and prev.start[-1] <= block.start[0]
         )
+
+
+def _reference_blocks(own, m_start):
+    # The plan by its definition, one atom at a time: order by support count,
+    # then first sample (np.lexsort), cut greedily where the next atom is
+    # longer than _PACK_RATIO times the block's shortest or its padded rows
+    # would pass _BLOCK_ATOM_SAMPLES, and order each block's rows by first
+    # sample, then support count, then index.
+    order = np.lexsort((m_start, own))
+    order = order[own[order] > 0]
+    blocks, i = [], 0
+    while i < order.size:
+        shortest, k = own[order[i]], i + 1
+        while (
+            k < order.size
+            and own[order[k]] <= int(core._PACK_RATIO * shortest)
+            and (k - i + 1) * own[order[k]] <= core._BLOCK_ATOM_SAMPLES
+        ):
+            k += 1
+        chunk = order[i:k]
+        blocks.append(chunk[np.lexsort((own[chunk], m_start[chunk]))])
+        i = k
+    return blocks
+
+
+@pytest.mark.parametrize("m, n", [(1024, 8192), (70000, 6000)], ids=["span16", "span32"])
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+@pytest.mark.parametrize("kind", ["hammersley", "halton", "mc"])
+def test_plan_order_matches_lexsort_reference(kind, padded, m, n):
+    # First-sample spans below and above 2**16 take the 16- and 32-bit sort keys.
+    p = LtftParams.for_rate(RATE)
+    sig = DigitalSignal(np.zeros(m), RATE)
+    samples = sample_phase_space(sig, p, n, kind, seed=4, padded=padded)
+    m_start, _ = core._support_index_range(p, samples.a, samples.b, RATE)
+    assert (np.ptp(m_start) < 1 << 16) == (m < 1 << 16)
+    _check_plan_order(p, samples)
+
+
+def _check_plan_order(p, samples):
+    m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
+    own = m_end - m_start + 1
+    blocks, _ = _atom_blocks(p, samples, RATE)
+    expected = _reference_blocks(own, m_start)
+    assert len(blocks) == len(expected)
+    for block, sel in zip(blocks, expected):
+        assert np.array_equal(block.sel, sel)
+        assert np.array_equal(block.start, m_start[sel])
+        assert np.array_equal(block.own, own[sel])
+        assert block.length == own[sel].max()
+
+
+def test_plan_leaves_out_supports_shorter_than_a_sample():
+    # gamma / b1 is 0.56 samples, so some atoms cover no grid sample: they
+    # are in no block, their coefficients are 0, and the round trip still
+    # equals analysis followed by synthesis.
+    p = LtftParams(b0=0.1 * RATE, b1=0.9 * RATE, gamma=0.5, xi=1.0)
+    m = 256
+    rng = np.random.default_rng(9)
+    sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
+    samples = sample_phase_space(sig, p, 4 * m, "halton")
+    m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
+    empty = m_end < m_start
+    assert 0 < empty.sum() < samples.n
+    _check_plan_order(p, samples)
+    coeffs = analyze(sig, samples, p)
+    assert np.all(coeffs.values[empty] == 0) and np.all(coeffs.values[~empty] != 0)
+    expected = synthesize(coeffs, samples, p, m, RATE)
+    assert np.array_equal(core._round_trip(sig, samples, p).samples, expected.samples)
 
 
 def test_small_call_packs_neighbouring_lengths(monkeypatch):

@@ -7,6 +7,7 @@ from ltft import (
     BudgetExceededError,
     InvalidParameterError,
     PhaseSpaceBox,
+    SampleSet,
     UnsupportedDimensionError,
     halton_sequence,
     hammersley_set,
@@ -16,7 +17,7 @@ from ltft import (
     star_discrepancy,
     star_discrepancy_scan,
 )
-from ltft.lds import _PRIMES, UnitPointSet, _radical_inverse_many
+from ltft.lds import _MAX_POINTS, _PRIMES, UnitPointSet, _radical_inverses
 
 
 def test_radical_inverse_hand_values():
@@ -59,7 +60,7 @@ def _exact_radical_inverse(n, base):
 def test_radical_inverse_is_correctly_rounded(base):
     indices = list(range(5000)) + [2**31 - 1, 3**19, 2**40 + 3]
     exact = [_exact_radical_inverse(n, base) for n in indices]
-    assert _radical_inverse_many(np.array(indices), base).tolist() == exact
+    assert _radical_inverses(5000, base).tolist() == exact[:5000]
     assert [radical_inverse(n, base) for n in indices[::97] + indices[-3:]] == (
         exact[::97] + exact[-3:]
     )
@@ -78,8 +79,80 @@ def test_radical_inverse_base_two_matches_running_sum():
             out += digit / denom
         return out
 
-    indices = np.concatenate([np.arange(70000), [2**31 - 1, 2**40 + 3, 2**47 + 12345]])
-    assert np.array_equal(_radical_inverse_many(indices, 2), running_sum(indices))
+    assert np.array_equal(_radical_inverses(70000, 2), running_sum(np.arange(70000)))
+    large = [2**31 - 1, 2**40 + 3, 2**47 + 12345]
+    assert [radical_inverse(n, 2) for n in large] == running_sum(large).tolist()
+
+
+def _exact_prefix(stop, base):
+    # Radical inverses of 0 .. stop-1 by an exact Fraction digit reversal.
+    return [_exact_radical_inverse(n, base) for n in range(stop)]
+
+
+@pytest.mark.parametrize("base, digits", [(2, 11), (3, 7), (5, 5)])
+def test_point_columns_match_fraction_reversal_at_digit_boundaries(base, digits):
+    # Counts base**K - 1, base**K and base**K + 1 need K or K + 1 digits for
+    # the largest index n + 1 = count.
+    exact = _exact_prefix(base**digits + 2, base)
+    column = _PRIMES.index(base)
+    for count in (base**digits - 1, base**digits, base**digits + 1):
+        halton = halton_sequence(count, 3).points
+        assert halton[:, column].tolist() == exact[1 : count + 1]
+        hammersley = hammersley_set(count, 4).points
+        assert hammersley[:, column + 1].tolist() == exact[1 : count + 1]
+        times = [float(Fraction(n, count)) for n in range(count)]
+        assert hammersley[:, 0].tolist() == times
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: radical_inverse(5, 2.5),
+        lambda: radical_inverse(2.0, 3),
+        lambda: hammersley_set(2.5, 3),
+        lambda: halton_sequence(True, 3),
+        lambda: mc_uniform(4.0, 3, 0),
+    ],
+    ids=["radical-base", "radical-index", "hammersley-count", "halton-bool", "mc-count"],
+)
+def test_non_integer_count_or_base_is_invalid(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "generate", [hammersley_set, halton_sequence, lambda n, d: mc_uniform(n, d, 0)]
+)
+def test_count_beyond_the_budget_is_refused_before_allocation(generate):
+    # 10**14 points would need petabytes; the refusal comes before any array.
+    assert _MAX_POINTS < 10**14
+    with pytest.raises(BudgetExceededError):
+        generate(10**14, 3)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_unit_point_set_refuses_nan(column):
+    pts = np.full((4, 3), 0.5)
+    pts[2, column] = np.nan
+    with pytest.raises(InvalidParameterError):
+        UnitPointSet(pts, generator="mc")
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_sample_set_refuses_nan(column):
+    box = PhaseSpaceBox(t_lo=-1.0, t_hi=1.0, freq_hi=64.0)
+    pts = np.array([[0.0, 10.0, 0.5]] * 4)
+    pts[1, column] = np.nan
+    with pytest.raises(InvalidParameterError):
+        SampleSet(pts, box=box, generator="mc")
+
+
+@pytest.mark.parametrize(
+    "sides", [(-np.inf, 1.0, 64.0), (-1.0, np.inf, 64.0), (-1.0, 1.0, np.inf)]
+)
+def test_phase_space_box_refuses_non_finite_sides(sides):
+    with pytest.raises(InvalidParameterError):
+        PhaseSpaceBox(*sides)
 
 
 def test_halton_first_points():
