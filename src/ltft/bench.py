@@ -12,6 +12,7 @@ from .core import (
     DigitalSignal,
     LtftParams,
     SampleSet,
+    _predicted_atom_samples,
     atom_support_length,
     relative_error,
 )
@@ -117,16 +118,7 @@ def complexity_count(
     """
     supports = atom_support_length(params, samples.b)
     c_actual = int(np.round(sample_rate * supports).sum())
-    a_pred = (
-        params.gamma
-        * samples.n
-        * (
-            1.0
-            + math.log(params.b1 / params.b0)
-            + (sample_rate - params.b1) / params.b1
-        )
-    )
-    return c_actual, a_pred
+    return c_actual, _predicted_atom_samples(params, sample_rate, samples.n)
 
 
 def complexity_per_point_bound(params: LtftParams, sample_rate: float) -> float:

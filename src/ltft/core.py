@@ -20,10 +20,11 @@ on narrow unsigned keys, which numpy runs as radix sorts when a key fits
 the operator's two directions: analysis takes the inner product of the
 signal with every block, and synthesis sums each block, scaled by its
 coefficients and the cubature weight volume(box)/N, over its own index
-span and adds the block sums in block order.  Large calls spread the
-blocks over a thread pool, one thread per usable core; the partition and
-the order of the sums do not depend on the thread count, so neither does
-the output, bit for bit.
+span and adds the block sums in block order, into an accumulator over
+the span the blocks reach.  The blocks of one call run in the calling
+thread, on arrays that each thread keeps for its next block; the pipelines
+in :mod:`ltft.processing` run tiles of points on a thread pool, and call
+these block loops once per tile.
 
 Plain reconstruction synthesizes the atoms it analysed, on the same grid,
 so a private round trip does both in one pass: each block is built once,
@@ -54,11 +55,11 @@ into the guard band in synthesis, so neither direction masks or clips.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable, Iterator, List, NamedTuple, Optional, Tuple, TypeVar
+from typing import ClassVar, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -452,9 +453,8 @@ def _ramp(out: np.ndarray, first: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_phasors(angles: np.ndarray) -> np.ndarray:
-    # exp(i angles) by one cos and one sin.
-    out = np.empty(angles.shape, dtype=np.complex128)
+def _unit_phasors(angles: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # exp(i angles) into a complex array of the same shape, by one cos and one sin.
     np.cos(angles, out=out.real)
     np.sin(angles, out=out.imag)
     return out
@@ -469,32 +469,36 @@ def _atom_values(
     own: np.ndarray,
     length: int,
     sample_rate: float,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     # Sample-major (length, G) block: atom g at (a, b, c)[g] sampled at
     # t = (m_start[g] + k)/L in row k < length, and zero from row own[g] on.
     # Four unit phasors per atom (first phase, phase step, first window
     # angle, window step) come from one cos and one sin of a (4, G) angle
-    # array, written in place; the rows follow by doubling ramps.  Scratch is
-    # one (length, G) complex buffer, first for the window ramp and then for
-    # the phase ramp, and the real window.  The per-atom arrays are made
-    # before the buffer, which lowered the peak RSS of a pooled reconstruct
-    # by 0.7 MiB.
+    # array, written in place; the rows follow by doubling ramps.  The
+    # block is written into `out` when given (a (length, G) complex array),
+    # first as the window ramp and then as the phase ramp; the angles, the
+    # phasors and the real window are this thread's scratch.
+    g = a.shape[0]
     beff, freq = _branch_arrays(params, b, c)
     scale = beff / params.gamma
     t0 = m_start / sample_rate - a
-    angles = np.empty((4, a.shape[0]))
+    angles = _scratch("angles", (4, g), np.float64)
     np.multiply(2.0 * np.pi, freq, out=angles[0])
     angles[0] *= t0
     np.multiply(2.0 * np.pi / sample_rate, freq, out=angles[1])
     np.multiply(np.pi, scale, out=angles[2])
     angles[2] *= t0
     np.multiply(np.pi / sample_rate, scale, out=angles[3])
-    first, step, window_first, window_step = _unit_phasors(angles)
+    first, step, window_first, window_step = _unit_phasors(
+        angles, _scratch("phasors", (4, g), np.complex128)
+    )
     first *= _COS4_NORM * np.sqrt(scale)
-    atoms = np.empty((length, a.shape[0]), dtype=np.complex128)
+    atoms = np.empty((length, g), dtype=np.complex128) if out is None else out
     # The cos^4 window is (Re u)^4 on the ramp u_k = exp(i pi scale (t_k - a)).
     # Rows past an atom's own support, a block's padding, are set to 0.
-    env = np.square(_ramp(atoms, window_first, window_step).real)
+    env = _scratch("window", (length, g), np.float64)
+    np.square(_ramp(atoms, window_first, window_step).real, out=env)
     env *= env
     tail = int(own.min())
     if tail < length:
@@ -525,9 +529,18 @@ class SparseAtom:
 def _support_index_range(
     params: LtftParams, a: np.ndarray, b: np.ndarray, sample_rate: float
 ):
-    s = atom_support_length(params, b)
-    m_start = np.ceil((a - 0.5 * s) * sample_rate).astype(np.int64)
-    m_end = np.floor((a + 0.5 * s) * sample_rate).astype(np.int64)
+    # First and last grid sample of each atom's support [a - s/2, a + s/2],
+    # s = gamma / clip(b, b0, b1) as in atom_support_length.  b is not
+    # checked for sign: a SampleSet already holds it in [0, freq_hi].
+    half = np.clip(b, params.b0, params.b1)
+    np.divide(params.gamma, half, out=half)
+    half *= 0.5
+    edge = np.subtract(a, half)
+    edge *= sample_rate
+    m_start = np.ceil(edge, out=edge).astype(np.int64)
+    np.add(a, half, out=edge)
+    edge *= sample_rate
+    m_end = np.floor(edge, out=edge).astype(np.int64)
     return m_start, m_end
 
 
@@ -538,6 +551,8 @@ def ltft_atom_time(
 
     Returns an empty atom when the support misses the grid entirely.
     """
+    if b < 0:
+        raise InvalidParameterError("frequency must be non-negative")
     m = like.m
     rate = like.sample_rate
     m_start, m_end = _support_index_range(
@@ -592,16 +607,27 @@ _BLOCK_ATOM_SAMPLES = 1 << 16
 # small calls run in a few full blocks rather than many short ones; the
 # padding costs a few per cent more atom-samples.
 _PACK_RATIO = 1.25
-# Calls with fewer atom-samples run their blocks in the calling thread,
-# where the pool's threads would save little.  On the error sweep's 32 calls
-# of 26k to 1.6M atom-samples (2-vCPU Xeon, sample-major kernel), the median
-# benchmark run_s was 0.377 / 0.386 / 0.41 / 0.415 at thresholds of
-# 2M / 1M / 500k / 250k over 4 interleaved rounds, and 0.388 / 0.395 / 0.401
-# at 2M / 1M / 500k over 5 more; 2M was faster than 500k in all 9.  Two
-# busy processes there ran at about 1.1 cores' throughput.
-_POOL_MIN_ATOM_SAMPLES = 2_000_000
+# Per-thread scratch arrays up to this many elements are kept for the
+# thread's next block; larger ones (a block of very long rows, or the sum of
+# a block that spans a long grid) are made afresh each time.
+_SCRATCH_KEEP = 1 << 18
 
-T = TypeVar("T")
+_SCRATCH = threading.local()
+
+
+def _scratch(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    # An uninitialised array of the given shape on this thread's buffer
+    # `name` (one dtype per name).  Block loops reuse these buffers rather
+    # than allocate per block: freed arrays above glibc's 128 KiB mmap
+    # threshold go back to the system and fault in again on the next block.
+    # The array is valid until this thread next asks for `name`.
+    size = math.prod(shape)
+    buf = getattr(_SCRATCH, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(1 << max(size - 1, 0).bit_length(), dtype=dtype)
+        if buf.size <= _SCRATCH_KEEP:
+            setattr(_SCRATCH, name, buf)
+    return buf[:size].reshape(shape)
 
 
 class _AtomBlock(NamedTuple):
@@ -715,71 +741,82 @@ def _block_atoms(
     block: _AtomBlock,
 ) -> Tuple[int, np.ndarray, np.ndarray]:
     # One block's storage indices and atom values.  Storage is the grid with
-    # a zero guard band of guard = _guard(blocks) cells on each side, so
+    # a zero guard band of `guard` >= _guard(blocks) cells on each side, so
     # grid sample m is at m + grid_len // 2 + guard.  Returns the storage
     # index lo of the block's first sample, the block-relative indices j
     # (lo + j is a row's storage span) and the atom values, each row padded
     # to the block's length; j and the atoms are (rows, length) views of
-    # sample-major arrays.  Rows are ordered by first sample, so j[0, 0] = 0
-    # and j[-1, -1] is the largest.  An atom wholly off the grid gets the
-    # indices of the guard cells next to the grid end it lies past (a clip
-    # of the block's first samples, not of its indices), so no index leaves
-    # the storage and every on-grid index is exact; its reads are zeros and
-    # its writes are cropped, as for every off-grid sample.  j is made
-    # before the atoms: in that order a pooled reconstruct of 1 s of 16 kHz
-    # audio at A = 16 peaked 0.6 MiB lower in RSS than with j made after.
+    # sample-major arrays on this thread's scratch.  Rows are ordered by
+    # first sample, so j[0, 0] = 0 and j[-1, -1] is the largest.  An atom
+    # wholly off the grid gets the indices of the guard cells next to the
+    # grid end it lies past (a clip of the block's first samples, not of its
+    # indices), so no index leaves the storage and every on-grid index is
+    # exact; its reads are zeros and its writes are cropped, as for every
+    # off-grid sample.
+    first = _clipped_starts(block, grid_len)
+    shape = (block.length, block.sel.size)
+    j = np.add(np.arange(block.length)[:, None], first - first[0],
+               out=_scratch("index", shape, np.intp))
+    pts = np.take(samples.points, block.sel, axis=0, mode="wrap",
+                  out=_scratch("points", (block.sel.size, 3), np.float64))
+    atoms = _atom_values(
+        params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.own, block.length,
+        sample_rate, out=_scratch("atoms", shape, np.complex128),
+    )
+    return int(first[0]) + grid_len // 2 + guard, j.T, atoms.T
+
+
+def _clipped_starts(block: _AtomBlock, grid_len: int) -> np.ndarray:
+    # The block's first samples, clipped to [-M/2 - length, M/2] when an
+    # atom lies wholly off the grid (see _block_atoms).
     half = grid_len // 2
     first = block.start
     if first[0] < -half - block.length or first[-1] > half:
         first = np.clip(first, -half - block.length, half)
-    j = np.arange(block.length)[:, None] + (first - first[0])
-    pts = np.take(samples.points, block.sel, axis=0)
-    atoms = _atom_values(
-        params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.own, block.length,
-        sample_rate,
+    return first
+
+
+def _max_support_samples(params: LtftParams, sample_rate: float) -> int:
+    # A bound on every atom's support sample count: at most S0 * L plus one,
+    # and one more for the rounding of the support's ends.
+    return int(np.ceil(params.s0 * sample_rate)) + 2
+
+
+def _predicted_atom_samples(params: LtftParams, sample_rate: float, n: int) -> float:
+    # A = gamma N (1 + ln(b1/b0) + (L - b1)/b1): N times the mean support
+    # sample count L * S(b) of an atom with b uniform on [0, L].
+    return (
+        params.gamma * n
+        * (1.0 + math.log(params.b1 / params.b0) + (sample_rate - params.b1) / params.b1)
     )
-    return int(first[0]) + half + guard, j.T, atoms.T
 
 
-def _usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _map_blocks(
-    task: Callable[[_AtomBlock], T], blocks: List[_AtomBlock], atom_samples: int
-) -> Iterator[T]:
-    # task(block) for every block, yielded in block order.  Calls with at
-    # least _POOL_MIN_ATOM_SAMPLES atom-samples spread the blocks over one
-    # thread per usable core (the kernels release the interpreter lock);
-    # smaller calls run them in the caller, where threads would cost more
-    # than they save.  Either way the results are the same bits.
-    workers = _usable_cores()
-    if atom_samples < _POOL_MIN_ATOM_SAMPLES or workers < 2:
-        for block in blocks:
-            yield task(block)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # map reads every future's result, so a worker's exception is raised here.
-        yield from pool.map(task, blocks)
-
-
-def _padded_input(signal: DigitalSignal, samples: SampleSet, guard: int) -> np.ndarray:
+def _analysis_input(signal: DigitalSignal, guard: int) -> np.ndarray:
     # The analysis signal with a zero guard band of `guard` cells on each side.
-    if samples.box.freq_hi > signal.sample_rate * (1 + 1e-12):
-        raise InvalidParameterError("box frequency side exceeds the signal rate")
     sig = np.zeros(signal.m + 2 * guard, dtype=np.complex128)
     sig[guard : guard + signal.m] = signal.samples
     return sig
 
 
+def _check_box_rate(signal: DigitalSignal, samples: SampleSet) -> None:
+    if samples.box.freq_hi > signal.sample_rate * (1 + 1e-12):
+        raise InvalidParameterError("box frequency side exceeds the signal rate")
+
+
 def _block_coeffs(
     sig: np.ndarray, lo: int, j: np.ndarray, atoms: np.ndarray, sample_rate: float
 ) -> np.ndarray:
-    # One block's analysis coefficients; vecdot conjugates its first argument.
-    return np.vecdot(atoms, sig[lo:][j], axis=1) / sample_rate
+    # One block's analysis coefficients, on this thread's scratch; vecdot
+    # conjugates its first argument.  The gather wraps rather than checks
+    # each index (np.take buffers its output when it checks), so the
+    # block's extreme indices, its first and its last, are checked here.
+    if lo < 0 or lo + int(j[-1, -1]) >= sig.size:
+        raise IndexError("atom block reaches past the analysis guard band")
+    gathered = np.take(sig[lo:], j.T, mode="wrap",
+                       out=_scratch("gathered", j.T.shape, np.complex128)).T
+    values = np.vecdot(atoms, gathered, axis=1,
+                       out=_scratch("coeffs", (j.shape[0],), np.complex128))
+    return np.divide(values, sample_rate, out=values)
 
 
 def _block_sum(
@@ -787,22 +824,93 @@ def _block_sum(
 ) -> Tuple[int, np.ndarray]:
     # One block's atoms times their scaled coefficients, summed over the
     # block's own storage span from lo on by one unbuffered add in
-    # sample-major order.  Scales atoms in place.
+    # sample-major order, on this thread's scratch.  Scales atoms in place.
     atoms *= scaled[:, None]
-    part = np.zeros(int(j[-1, -1]) + 1, dtype=np.complex128)
+    part = _scratch("part", (int(j[-1, -1]) + 1,), np.complex128)
+    part.fill(0.0)
     np.add.at(part, j.T.ravel(), atoms.T.ravel())
     return lo, part
 
 
 def _sum_blocks(
-    sums: Iterable[Tuple[int, np.ndarray]], out_len: int, guard: int, sample_rate: float
-) -> DigitalSignal:
-    # Adds the block sums in block order into an accumulator with a guard
-    # band of `guard` cells on each side, then crops the guard bands.
-    acc = np.zeros(out_len + 2 * guard, dtype=np.complex128)
+    sums: Iterable[Tuple[int, np.ndarray]],
+    blocks: List[_AtomBlock],
+    grid_len: int,
+    guard: int,
+) -> Tuple[int, np.ndarray]:
+    # Adds the block sums, made one at a time in this thread, in block order
+    # into an accumulator over the blocks' storage span, and crops it to the
+    # grid: returns the grid index of the sum's first sample and the sum.
+    # The accumulator spans only what the blocks reach, so a tile of points
+    # whose times lie in a slab sums over that slab, not over the grid.
+    if not blocks:
+        return 0, np.zeros(0, dtype=np.complex128)
+    base = grid_len // 2 + guard
+    firsts = [_clipped_starts(block, grid_len) for block in blocks]
+    start = min(int(first[0]) for first in firsts) + base
+    stop = max(int(first[-1]) + block.length for first, block in zip(firsts, blocks)) + base
+    acc = np.zeros(stop - start, dtype=np.complex128)
     for lo, part in sums:
-        acc[lo : lo + part.size] += part
-    return DigitalSignal(acc[guard : guard + out_len], sample_rate)
+        acc[lo - start : lo - start + part.size] += part
+    lo, hi = max(start, guard), min(stop, guard + grid_len)
+    return lo - guard, acc[lo - start : max(hi, lo) - start]
+
+
+def _placed(sums: Iterable[Tuple[int, np.ndarray]], out_len: int, sample_rate: float) -> DigitalSignal:
+    # Adds (grid index, sum) pairs in order into an out_len signal.
+    out = np.zeros(out_len, dtype=np.complex128)
+    for lo, part in sums:
+        out[lo : lo + part.size] += part
+    return DigitalSignal(out, sample_rate)
+
+
+def _tile_coeffs(
+    sig: np.ndarray, guard: int, samples: SampleSet, params: LtftParams, grid_len: int,
+    sample_rate: float,
+) -> np.ndarray:
+    # Analysis coefficients of every sample against the padded input `sig`
+    # (guard band of `guard` cells, see _analysis_input), block by block in
+    # this thread.
+    out = np.zeros(samples.n, dtype=np.complex128)
+    for block in _atom_blocks(params, samples, sample_rate)[0]:
+        lo, j, atoms = _block_atoms(params, samples, sample_rate, grid_len, guard, block)
+        out[block.sel] = _block_coeffs(sig, lo, j, atoms, sample_rate)
+    return out
+
+
+def _synthesis_sum(
+    scaled: np.ndarray, samples: SampleSet, params: LtftParams, out_len: int,
+    sample_rate: float,
+) -> Tuple[int, np.ndarray]:
+    # sum_n scaled_n * atom_n on the out_len grid, block by block in this
+    # thread, as (grid index, sum) over the span the atoms reach.
+    blocks = _atom_blocks(params, samples, sample_rate)[0]
+    guard = _guard(blocks)
+
+    def sums():
+        for block in blocks:
+            lo, j, atoms = _block_atoms(params, samples, sample_rate, out_len, guard, block)
+            yield _block_sum(lo, j, atoms, np.take(scaled, block.sel))
+
+    return _sum_blocks(sums(), blocks, out_len, guard)
+
+
+def _round_trip_sum(
+    sig: np.ndarray, guard: int, samples: SampleSet, params: LtftParams, grid_len: int,
+    sample_rate: float, weight: float,
+) -> Tuple[int, np.ndarray]:
+    # _synthesis_sum(weight * _tile_coeffs(...)) bit for bit, with each atom
+    # block built once: its coefficients are taken and the same block,
+    # scaled by them, is summed while it is in hand.
+    blocks = _atom_blocks(params, samples, sample_rate)[0]
+
+    def sums():
+        for block in blocks:
+            lo, j, atoms = _block_atoms(params, samples, sample_rate, grid_len, guard, block)
+            coeffs = _block_coeffs(sig, lo, j, atoms, sample_rate)
+            yield _block_sum(lo, j, atoms, np.multiply(coeffs, weight, out=coeffs))
+
+    return _sum_blocks(sums(), blocks, grid_len, guard)
 
 
 def analyze(
@@ -814,20 +922,12 @@ def analyze(
     conj(atom(t_m)) with dt = 1/L, restricted to the atom's support;
     atoms that miss the grid contribute zero.
     """
-    m = signal.m
+    _check_box_rate(signal, samples)
     rate = signal.sample_rate
-    blocks, atom_samples = _atom_blocks(params, samples, rate)
-    guard = _guard(blocks)
-    sig = _padded_input(signal, samples, guard)
-
-    def block_coeffs(block: _AtomBlock) -> np.ndarray:
-        lo, j, atoms = _block_atoms(params, samples, rate, m, guard, block)
-        return _block_coeffs(sig, lo, j, atoms, rate)
-
-    out = np.zeros(samples.n, dtype=np.complex128)
-    for block, values in zip(blocks, _map_blocks(block_coeffs, blocks, atom_samples)):
-        out[block.sel] = values
-    return CoefficientVector(out, weight=samples.box.volume / samples.n)
+    guard = _max_support_samples(params, rate)
+    sig = _analysis_input(signal, guard)
+    values = _tile_coeffs(sig, guard, samples, params, signal.m, rate)
+    return CoefficientVector(values, weight=samples.box.volume / samples.n)
 
 
 def synthesize(
@@ -842,37 +942,24 @@ def synthesize(
     The weight is coeffs.weight = volume(box)/N.  Each atom block is summed
     on its own and the block sums are added in block order (by support
     length), which depends on the samples alone, so the result is
-    bit-identical across runs and thread counts.
+    bit-identical across runs.
     """
     if coeffs.values.shape[0] != samples.n:
         raise InvalidParameterError("coefficients and samples must align")
     scaled = coeffs.weight * coeffs.values
-    blocks, atom_samples = _atom_blocks(params, samples, sample_rate)
-    guard = _guard(blocks)
-
-    def block_sum(block: _AtomBlock) -> Tuple[int, np.ndarray]:
-        lo, j, atoms = _block_atoms(params, samples, sample_rate, out_len, guard, block)
-        return _block_sum(lo, j, atoms, np.take(scaled, block.sel))
-
-    sums = _map_blocks(block_sum, blocks, atom_samples)
-    return _sum_blocks(sums, out_len, guard, sample_rate)
+    tile = _synthesis_sum(scaled, samples, params, out_len, sample_rate)
+    return _placed([tile], out_len, sample_rate)
 
 
 def _round_trip(
     signal: DigitalSignal, samples: SampleSet, params: LtftParams
 ) -> DigitalSignal:
     # synthesize(analyze(signal, samples, params), samples, params, M, L), bit
-    # for bit, with each atom block built once: its coefficients are taken
-    # and the same block, scaled by them, is summed while it is in hand.
-    m = signal.m
+    # for bit, with each atom block built once.
+    _check_box_rate(signal, samples)
     rate = signal.sample_rate
+    guard = _max_support_samples(params, rate)
+    sig = _analysis_input(signal, guard)
     weight = samples.box.volume / samples.n
-    blocks, atom_samples = _atom_blocks(params, samples, rate)
-    guard = _guard(blocks)
-    sig = _padded_input(signal, samples, guard)
-
-    def block_pass(block: _AtomBlock) -> Tuple[int, np.ndarray]:
-        lo, j, atoms = _block_atoms(params, samples, rate, m, guard, block)
-        return _block_sum(lo, j, atoms, weight * _block_coeffs(sig, lo, j, atoms, rate))
-
-    return _sum_blocks(_map_blocks(block_pass, blocks, atom_samples), m, guard, rate)
+    tile = _round_trip_sum(sig, guard, samples, params, signal.m, rate, weight)
+    return _placed([tile], signal.m, rate)

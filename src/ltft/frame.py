@@ -37,6 +37,7 @@ from .errors import BudgetExceededError, InvalidParameterError
 _GRID_STEP = 1.0 / 1024.0  # dimensionless tabulation step
 _GRID_MARGIN = 40.0  # spectral tail margin beyond the needed range
 _FLOOR_FACTOR = 1e-8  # floor = factor * max(h)
+_CHUNK = 1 << 13  # arguments per evaluation step of an _Integral
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,9 @@ class _Integral:
     """Exact integral from x0 to t of the piecewise-linear interpolant of
     ``values``, tabulated at x0 + k * _GRID_STEP.  Outside the table the
     integrand is zero, or, with ``extend``, held at its edge value (for a
-    cumulative integrand, which saturates to a constant)."""
+    cumulative integrand, which saturates to a constant).  Arguments are
+    evaluated _CHUNK at a time, so a long one makes no argument-length
+    temporaries."""
 
     def __init__(self, x0: float, values: np.ndarray, extend: bool = False) -> None:
         self.x0 = x0
@@ -79,9 +82,18 @@ class _Integral:
         self.extend = extend
         # Trapezoid cumulative at the nodes, zero at the first node.
         self.cum = np.zeros_like(values)
-        np.cumsum(0.5 * _GRID_STEP * (values[1:] + values[:-1]), out=self.cum[1:])
+        steps = np.add(values[1:], values[:-1])
+        steps *= 0.5 * _GRID_STEP
+        np.cumsum(steps, out=self.cum[1:])
 
     def __call__(self, t: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=np.float64)
+        out = np.empty_like(t)
+        for k in range(0, t.size, _CHUNK):
+            out[k : k + _CHUNK] = self._eval(t[k : k + _CHUNK])
+        return out
+
+    def _eval(self, t: np.ndarray) -> np.ndarray:
         x0, values, step = self.x0, self.values, _GRID_STEP
         n = values.shape[0]
         top = x0 + (n - 1) * step
@@ -97,19 +109,34 @@ class _Integral:
 
 
 def _integrals(params: LtftParams, sample_rate: float):
-    """G3 and the wavelet-band integral of P1(q)/q (positive nodes only)."""
+    """G3 and the wavelet-band integral of P1(q)/q (positive nodes only).
+
+    The grid and the window power are freed as soon as they are used, and
+    the power and P1 are formed in place, so the build holds few tables at
+    once."""
     g = params.gamma
     xi = params.xi
     u_lo = -(g * sample_rate / params.b1 + xi) - _GRID_MARGIN
     u_hi = g * sample_rate / params.b0 + _GRID_MARGIN
     n = int(np.ceil((u_hi - u_lo) / _GRID_STEP)) + 1
-    u = u_lo + _GRID_STEP * np.arange(n)
-    g2 = _Integral(u_lo, params.window.freq(u) ** 2)
+    u = np.arange(n, dtype=np.float64)
+    u *= _GRID_STEP
+    u += u_lo
+    power = params.window.freq(u)
+    del u
+    g2 = _Integral(u_lo, np.square(power, out=power))
     first = int(np.ceil((_GRID_STEP - u_lo) / _GRID_STEP))
-    q = u_lo + _GRID_STEP * np.arange(first, n)
-    p1 = (g / xi) * (g2(q - g) - g2(q - g - xi))
-    wavelet = _Integral(q[0], np.maximum(p1, 0.0) / q)
-    return _Integral(u_lo, g2.cum, extend=True), wavelet
+    q = np.arange(first, n, dtype=np.float64)
+    q *= _GRID_STEP
+    q += u_lo
+    p1 = g2(q - g)
+    p1 -= g2(q - g - xi)
+    p1 *= g / xi
+    g3 = _Integral(u_lo, g2.cum, extend=True)
+    del g2, power
+    np.maximum(p1, 0.0, out=p1)
+    p1 /= q
+    return g3, _Integral(q[0], p1)
 
 
 def frame_diagonal(

@@ -10,8 +10,10 @@ the digit reversals of 0 .. N, built by doubling the digit count (the
 reversal of 2k digits is an outer sum of the k-digit table with itself),
 divided by the power of the base that bounds N.  The quotient is correctly
 rounded, as is the exact-integer scalar :func:`radical_inverse`, so both
-agree in every bit.  Generators refuse counts beyond ``_MAX_POINTS``
-before they allocate.
+agree in every bit.  Any index range of a set is made on its own, bit for
+bit equal to the same rows of the whole set (:func:`unit_point_rows`), so
+a pipeline can hold one tile of points at a time.  Generators refuse counts
+beyond ``_MAX_POINTS`` before they allocate.
 """
 
 from __future__ import annotations
@@ -81,34 +83,38 @@ def radical_inverse(n: int, base: int) -> float:
     return min(r / scale, float(np.nextafter(1.0, 0.0)))
 
 
-def _reversal_table(digits: int, base: int, stop: int, dtype) -> np.ndarray:
-    # rev[n] for n < min(stop, base**digits): n's `digits` base-`base` digits
-    # in reverse order, read as an integer.  The table doubles its digit
-    # count per level: with n = hi * base**p + lo and lo < base**p,
+def _reversal_table(digits: int, base: int, start: int, stop: int, dtype) -> np.ndarray:
+    # rev[n] for start <= n < stop <= base**digits: n's `digits` base-`base`
+    # digits in reverse order, read as an integer.  The table doubles its
+    # digit count per level: with n = hi * base**p + lo and lo < base**p,
     # rev(n) = rev_p(lo) * base**q + rev_q(hi) for q = digits - p, one outer
     # sum of the full p-digit table and the rows of the q-digit table that
-    # indices below stop reach.
+    # indices in [start, stop) reach.
     if digits <= 1:
-        return np.arange(min(base**digits, stop), dtype=dtype)
+        return np.arange(start, stop, dtype=dtype)
     p = digits // 2
     q = digits - p
-    low = _reversal_table(p, base, base**p, dtype)
-    high = _reversal_table(q, base, -(-stop // base**p), dtype)
-    return (low * base**q + high[:, None]).ravel()[:stop]
+    size = base**p
+    low = _reversal_table(p, base, 0, size, dtype)
+    first = start // size
+    high = _reversal_table(q, base, first, -(-stop // size), dtype)
+    skip = first * size
+    return (low * base**q + high[:, None]).ravel()[start - skip : stop - skip]
 
 
-def _radical_inverses(stop: int, base: int) -> np.ndarray:
-    # The radical inverses of 0 .. stop-1: rev(n) / base**K, rev from
+def _radical_inverses(stop: int, base: int, start: int = 0) -> np.ndarray:
+    # The radical inverses of start .. stop-1: rev(n) / base**K, rev from
     # _reversal_table for the fewest digits K with base**K >= stop.  rev(n)
     # and base**K are exact doubles below 2**53 (stop <= _MAX_POINTS + 1), so
     # the one division is correctly rounded; it does not depend on K, since
-    # one more digit multiplies both by base.
+    # one more digit multiplies both by base.  So any index range gives the
+    # same bits as the same rows of a longer one.
     digits = 0
     while base**digits < stop:
         digits += 1
     scale = base**digits
-    rev = _reversal_table(digits, base, stop, np.int32 if scale <= 1 << 31 else np.int64)
-    return rev / float(scale)
+    dtype = np.int32 if scale <= 1 << 31 else np.int64
+    return _reversal_table(digits, base, start, stop, dtype) / float(scale)
 
 
 @dataclass
@@ -148,6 +154,56 @@ class DiscrepancyReport:
             )
 
 
+def _check_rows(kind: str, count, dim, seed) -> Tuple[int, int, int]:
+    # The arguments of a point set, checked before anything is allocated.
+    # Only Monte Carlo points read the seed.
+    if kind not in ("halton", "hammersley", "mc"):
+        raise InvalidParameterError(f"unknown generator kind {kind!r}")
+    count, dim = _check_count(count, dim)
+    if kind == "mc":
+        seed = _check_int("seed", seed)
+        if seed < 0:
+            raise InvalidParameterError("seed must be non-negative")
+    if kind == "hammersley" and dim < 2:
+        raise InvalidParameterError("hammersley needs dim >= 2; use halton_sequence for 1D")
+    if dim < 1:
+        raise InvalidParameterError("dim must be >= 1")
+    if kind != "mc" and dim > len(_PRIMES):
+        raise UnsupportedDimensionError(f"{kind} supports dim <= {len(_PRIMES)}")
+    return count, dim, seed
+
+
+def unit_point_rows(
+    kind: str, count: int, dim: int, seed: int, start: int, stop: int
+) -> np.ndarray:
+    """Rows [start, stop) of ``generate_unit_points(kind, count, dim, seed)``.
+
+    The rows equal those of the whole set bit for bit, and only they are
+    made: Hammersley's first column is n/N, each radical-inverse column is
+    one digit-reversal table over the index range, and Monte Carlo rows
+    come from a PCG64 stream advanced past the rows before ``start``.
+    Returns a fresh (stop - start, dim) float64 array.
+    """
+    count, dim, seed = _check_rows(kind, count, dim, seed)
+    start, stop = _check_int("start", start), _check_int("stop", stop)
+    if not 0 <= start < stop <= count:
+        raise InvalidParameterError(f"need 0 <= start < stop <= count, got [{start}, {stop})")
+    pts = np.empty((stop - start, dim))
+    if kind == "mc":
+        bits = np.random.PCG64(seed)
+        bits.advance(start * dim)  # one 64-bit draw per coordinate
+        np.random.Generator(bits).random(out=pts)
+        return pts
+    first = 0
+    if kind == "hammersley":
+        np.divide(np.arange(start, stop), float(count), out=pts[:, 0])
+        first = 1
+    # Point n's radical-inverse columns are those of index n + 1.
+    for j in range(dim - first):
+        pts[:, first + j] = _radical_inverses(stop + 1, _PRIMES[j], start + 1)
+    return pts
+
+
 def halton_sequence(count: int, dim: int) -> UnitPointSet:
     """First ``count`` points of the Halton sequence in ``dim`` dimensions.
 
@@ -158,15 +214,7 @@ def halton_sequence(count: int, dim: int) -> UnitPointSet:
     Each coordinate is one digit-reversal table divided by a power of its
     base (see ``_radical_inverses``), correctly rounded.
     """
-    count, dim = _check_count(count, dim)
-    if dim < 1:
-        raise InvalidParameterError("dim must be >= 1")
-    if dim > len(_PRIMES):
-        raise UnsupportedDimensionError(f"halton supports dim <= {len(_PRIMES)}")
-    pts = np.empty((count, dim))
-    for j in range(dim):
-        pts[:, j] = _radical_inverses(count + 1, _PRIMES[j])[1:]
-    return UnitPointSet(pts, generator="halton")
+    return generate_unit_points("halton", count, dim)
 
 
 def hammersley_set(count: int, dim: int) -> UnitPointSet:
@@ -177,60 +225,46 @@ def hammersley_set(count: int, dim: int) -> UnitPointSet:
     n + 1 in the j-th prime base, taken from a digit-reversal table as in
     :func:`halton_sequence`.
     """
-    count, dim = _check_count(count, dim)
-    if dim < 2:
-        raise InvalidParameterError(
-            "hammersley needs dim >= 2; use halton_sequence for 1D"
-        )
-    if dim > len(_PRIMES):
-        raise UnsupportedDimensionError(f"hammersley supports dim <= {len(_PRIMES)}")
-    pts = np.empty((count, dim))
-    np.divide(np.arange(count), float(count), out=pts[:, 0])
-    for j in range(dim - 1):
-        pts[:, j + 1] = _radical_inverses(count + 1, _PRIMES[j])[1:]
-    return UnitPointSet(pts, generator="hammersley")
+    return generate_unit_points("hammersley", count, dim)
 
 
 def mc_uniform(count: int, dim: int, seed: int) -> UnitPointSet:
     """``count`` i.i.d.-uniform points from a seeded PCG64 generator."""
-    count, dim = _check_count(count, dim)
-    seed = _check_int("seed", seed)
-    if dim < 1:
-        raise InvalidParameterError("dim must be >= 1")
-    if seed < 0:
-        raise InvalidParameterError("seed must be non-negative")
-    rng = np.random.default_rng(seed)
-    return UnitPointSet(rng.random((count, dim)), generator="mc", seed=seed)
+    return generate_unit_points("mc", count, dim, seed)
 
 
 def generate_unit_points(kind: str, count: int, dim: int, seed: int = 0) -> UnitPointSet:
-    """Dispatch on generator tag: halton | hammersley | mc."""
-    if kind == "halton":
-        return halton_sequence(count, dim)
-    if kind == "hammersley":
-        return hammersley_set(count, dim)
-    if kind == "mc":
-        return mc_uniform(count, dim, seed)
-    raise InvalidParameterError(f"unknown generator kind {kind!r}")
+    """Dispatch on generator tag: halton | hammersley | mc.
+
+    Only Monte Carlo points use ``seed``; the other sets record none.
+    """
+    pts = unit_point_rows(kind, count, dim, seed, 0, count)
+    return UnitPointSet(pts, generator=kind, seed=int(seed) if kind == "mc" else None)
+
+
+def scale_rows(rows: np.ndarray, box: PhaseSpaceBox) -> np.ndarray:
+    """Map (n, 3) unit rows onto a phase-space box in place; returns ``rows``.
+
+    Coordinate-wise lo + u * (hi - lo), one column at a time.
+    """
+    rows[:, 0] *= box.t_hi - box.t_lo
+    rows[:, 0] += box.t_lo
+    rows[:, 1] *= box.freq_hi
+    return rows
 
 
 def scale_to_box(points: UnitPointSet, box: PhaseSpaceBox) -> SampleSet:
     """Affine map of unit points onto a 3D phase-space box.
 
-    Coordinate-wise lo + u * (hi - lo), one column at a time; preserves
-    point order and the generator tag, and records the box (hence its
-    volume) on the output.
+    A copy of the points mapped by :func:`scale_rows`; preserves point order
+    and the generator tag, and records the box (hence its volume) on the
+    output.
     """
     if points.dim != 3:
         raise InvalidParameterError(
             f"phase-space box is 3D but points have dim {points.dim}"
         )
-    u = points.points
-    coords = np.empty_like(u)
-    np.multiply(u[:, 0], box.t_hi - box.t_lo, out=coords[:, 0])
-    coords[:, 0] += box.t_lo
-    np.multiply(u[:, 1], box.freq_hi, out=coords[:, 1])
-    coords[:, 2] = u[:, 2]
+    coords = scale_rows(points.points.copy(), box)
     return SampleSet(coords, box=box, generator=points.generator, seed=points.seed)
 
 

@@ -24,6 +24,9 @@ class WavAudio:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise InvalidParameterError("audio must be mono (1D)")
+        # PCM has no NaN or infinity: they would be written as 0 and full scale.
+        if not np.isfinite(self.samples).all():
+            raise InvalidParameterError("audio samples must be finite")
         if self.rate <= 0:
             raise InvalidParameterError("sample rate must be positive")
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -89,6 +90,27 @@ def test_wav_without_frames_is_parse_error(tmp_path, capsys):
     assert main(["reconstruct", str(path), str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: parse-error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_wav_audio_refuses_non_finite_samples(bad):
+    # Written as PCM they would become 0, 32767 and -32768 without a word.
+    with pytest.raises(InvalidParameterError, match="finite"):
+        WavAudio([0.1, bad, 0.2], RATE)
+
+
+def test_non_finite_output_is_one_line_invalid_parameter(tmp_path, capsys, monkeypatch):
+    # A pipeline that returned non-finite samples is refused at the WAV
+    # boundary: one line, exit status 1, no output file.
+    def non_finite(signal, *args, **kwargs):
+        return SimpleNamespace(samples=np.array([0.1, np.nan, np.inf, -np.inf] * 4))
+
+    monkeypatch.setattr(ltft.cli, "reconstruct", non_finite)
+    out = tmp_path / "o.wav"
+    assert main(["reconstruct", _sine_wav(tmp_path / "in.wav"), str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: invalid-parameter: audio samples must be finite"]
     assert not out.exists()
 
 

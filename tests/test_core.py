@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from ltft import (
     InvalidParameterError,
     LtftParams,
     PhaseSpaceBox,
+    VocoderJob,
     WindowSpec,
     analyze,
     atom_support_length,
@@ -21,11 +23,13 @@ from ltft import (
     idft,
     ltft_atom_freq,
     ltft_atom_time,
+    multiplier_apply,
+    phase_vocoder,
     relative_error,
     synthesize,
     to_analytic,
 )
-from ltft import core
+from ltft import core, processing
 from ltft.core import SampleSet, _atom_blocks, _block_atoms
 from ltft.lds import hammersley_set, scale_to_box
 from ltft.processing import reconstruct, sample_phase_space
@@ -641,65 +645,93 @@ def test_small_call_packs_neighbouring_lengths(monkeypatch):
 
 
 def test_operator_bit_identical_across_worker_counts(monkeypatch):
-    # The pool forced on: one worker (blocks run in the caller) against more
-    # workers than cores, with frequent thread switches.
+    # The tile pool forced on with tiles of 2**11 points: one worker (tiles
+    # run in the caller) against more workers than cores, with frequent
+    # thread switches, for the round trip, the vocoder and a transform.
     m = 2048
     p = LtftParams.for_rate(RATE)
     rng = np.random.default_rng(5)
-    sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
-    samples = sample_phase_space(sig, p, 16 * m, "halton", padded=True)
-    assert len(_atom_blocks(p, samples, RATE)[0]) >= 8
-    monkeypatch.setattr(core, "_POOL_MIN_ATOM_SAMPLES", 0)
+    sig = DigitalSignal(rng.standard_normal(m), RATE)
+    monkeypatch.setattr(processing, "_POOL_MIN_ATOM_SAMPLES", 0)
+    monkeypatch.setattr(processing, "_TILE_POINTS", 1 << 11)
+    job = VocoderJob(params=p, dilation=2, redundancy=6.0, sequence="mc", seed=3)
+
+    def low_pass(coeffs, samples):
+        return multiplier_apply(coeffs, samples, lambda a, b, c: (b < 12.0).astype(float))
+
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for workers in (1, (os.cpu_count() or 1) + 3):
-            monkeypatch.setattr(core, "_usable_cores", lambda: workers)
-            coeffs = analyze(sig, samples, p)
-            out = synthesize(coeffs, samples, p, m, RATE)
-            results.append((coeffs.values, out.samples))
+            monkeypatch.setattr(processing, "_usable_cores", lambda: workers)
+            results.append([
+                reconstruct(sig, p, 16 * m, "halton", padded=True).samples,
+                phase_vocoder(sig, job).samples,
+                reconstruct(sig, p, 8 * m, transform=low_pass).samples,
+            ])
     finally:
         sys.setswitchinterval(interval)
-    (c1, s1), (cn, sn) = results
-    assert np.array_equal(c1, cn) and np.array_equal(s1, sn)
+    for one, many in zip(*results):
+        assert np.array_equal(one, many)
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["caller", "pool"])
 @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
 @pytest.mark.parametrize("kind", ["hammersley", "halton", "mc"])
-def test_round_trip_equals_analyze_then_synthesize(monkeypatch, kind, padded, pooled):
+def test_round_trip_equals_analyze_then_synthesize(kind, padded, pooled):
+    # Pooled, four threads run the round trip at once, each block loop on
+    # its own thread's scratch arrays, with frequent thread switches.
     m = 1024
     p = LtftParams.for_rate(RATE)
     rng = np.random.default_rng(11)
     sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
     samples = sample_phase_space(sig, p, 8 * m, kind, seed=2, padded=padded)
     assert len(_atom_blocks(p, samples, RATE)[0]) >= 4
-    if pooled:
-        monkeypatch.setattr(core, "_POOL_MIN_ATOM_SAMPLES", 0)
-        monkeypatch.setattr(core, "_usable_cores", lambda: 4)
-    else:
-        monkeypatch.setattr(core, "_usable_cores", lambda: 1)
     expected = synthesize(analyze(sig, samples, p), samples, p, m, RATE)
-    out = core._round_trip(sig, samples, p)
-    assert out.sample_rate == RATE
-    assert np.array_equal(out.samples, expected.samples)
+    if pooled:
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                outs = list(pool.map(lambda _: core._round_trip(sig, samples, p), range(4)))
+        finally:
+            sys.setswitchinterval(interval)
+    else:
+        outs = [core._round_trip(sig, samples, p)]
+    for out in outs:
+        assert out.sample_rate == RATE
+        assert np.array_equal(out.samples, expected.samples)
 
 
 def test_map_blocks_keeps_order_and_raises_worker_errors(monkeypatch):
-    monkeypatch.setattr(core, "_usable_cores", lambda: 3)
-    big = core._POOL_MIN_ATOM_SAMPLES
-    assert list(core._map_blocks(lambda k: k * k, list(range(20)), big)) == [
+    # The tile pool yields in tile order and raises a tile's error.
+    monkeypatch.setattr(processing, "_usable_cores", lambda: 3)
+    assert list(processing._map_tiles(lambda k: k * k, 20, pooled=True)) == [
         k * k for k in range(20)
     ]
 
     def task(k):
         if k == 7:
-            raise ValueError("block 7")
+            raise ValueError("tile 7")
         return k
 
-    with pytest.raises(ValueError, match="block 7"):
-        list(core._map_blocks(task, list(range(20)), big))
+    with pytest.raises(ValueError, match="tile 7"):
+        list(processing._map_tiles(task, 20, pooled=True))
+
+
+def test_support_index_range_matches_the_support_length_formula(params):
+    # The plan's support ends equal ceil / floor of (a -/+ S(b)/2) * L, with
+    # S from atom_support_length, bit for bit, on both branches and the band.
+    sig = DigitalSignal(np.zeros(1024), RATE)
+    samples = sample_phase_space(sig, params, 5000, "mc", seed=8, padded=True)
+    a, b = samples.a, samples.b
+    m_start, m_end = core._support_index_range(params, a, b, RATE)
+    s = atom_support_length(params, b)
+    assert np.array_equal(m_start, np.ceil((a - 0.5 * s) * RATE).astype(np.int64))
+    assert np.array_equal(m_end, np.floor((a + 0.5 * s) * RATE).astype(np.int64))
+    with pytest.raises(InvalidParameterError):
+        ltft_atom_time(params, 0.0, -1.0, 0.0, sig)
 
 
 def test_atom_time_matches_naive_formula(params):

@@ -17,6 +17,7 @@ from ltft import (
     frame_diagonal_oracle,
     idft,
 )
+from ltft import frame as frame_module
 from ltft.frame import _GRID_STEP, _build_diagonal, _Integral, _integrals
 
 RATE = 64.0
@@ -210,6 +211,16 @@ def test_repeated_diagonal_is_the_memo_and_equals_a_fresh_build(params):
     fresh = _build_diagonal.__wrapped__(params, RATE, M, True)
     assert fresh is not again
     _assert_same_diagonal(again, fresh)
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_chunked_integrals_give_the_same_diagonal(monkeypatch, params, folded):
+    # The tables and H, evaluated a few arguments at a time, are the same
+    # bits as in one pass: every step is elementwise.
+    monkeypatch.setattr(frame_module, "_CHUNK", 1 << 30)
+    whole = _build_diagonal.__wrapped__(params, RATE, M, folded)
+    monkeypatch.setattr(frame_module, "_CHUNK", 37)
+    _assert_same_diagonal(_build_diagonal.__wrapped__(params, RATE, M, folded), whole)
 
 
 def test_equal_params_share_the_window_and_the_memo():

@@ -17,7 +17,14 @@ from ltft import (
     star_discrepancy,
     star_discrepancy_scan,
 )
-from ltft.lds import _MAX_POINTS, _PRIMES, UnitPointSet, _radical_inverses
+from ltft.lds import (
+    _MAX_POINTS,
+    _PRIMES,
+    UnitPointSet,
+    _radical_inverses,
+    generate_unit_points,
+    unit_point_rows,
+)
 
 
 def test_radical_inverse_hand_values():
@@ -102,6 +109,51 @@ def test_point_columns_match_fraction_reversal_at_digit_boundaries(base, digits)
         assert hammersley[:, column + 1].tolist() == exact[1 : count + 1]
         times = [float(Fraction(n, count)) for n in range(count)]
         assert hammersley[:, 0].tolist() == times
+
+
+@pytest.mark.parametrize("base, digits", [(2, 11), (3, 7), (5, 5)])
+def test_tile_columns_match_fraction_reversal_at_digit_boundaries(base, digits):
+    # Tiles that start or end where the index n + 1 is base**K - 1, base**K
+    # or base**K + 1, against the exact reversal and n/N.
+    count = base**digits + 2
+    exact = _exact_prefix(count + 1, base)
+    column = _PRIMES.index(base)
+    edge = base**digits
+    for start in (edge - 2, edge - 1, edge):
+        for stop in (start + 1, start + 2, count):
+            halton = unit_point_rows("halton", count, 3, 0, start, stop)
+            assert halton[:, column].tolist() == exact[start + 1 : stop + 1]
+            hammersley = unit_point_rows("hammersley", count, 4, 0, start, stop)
+            assert hammersley[:, column + 1].tolist() == exact[start + 1 : stop + 1]
+            times = [float(Fraction(n, count)) for n in range(start, stop)]
+            assert hammersley[:, 0].tolist() == times
+
+
+@pytest.mark.parametrize("kind", ["hammersley", "halton", "mc"])
+def test_tile_rows_equal_the_whole_sets_rows(kind):
+    # Any index range, and tiles of any size laid end to end, give the whole
+    # set's rows bit for bit; Monte Carlo rows are those of one PCG64 draw.
+    count = 3**7 + 5
+    whole = generate_unit_points(kind, count, 4, seed=3).points
+    if kind == "mc":
+        assert np.array_equal(whole, np.random.default_rng(3).random((count, 4)))
+    edges = [0, 1, 255, 256, 257, 728, 729, 730, 1024, 2186, 2187, 2188, count - 1, count]
+    for start, stop in zip(edges, edges[1:]):
+        assert np.array_equal(unit_point_rows(kind, count, 4, 3, start, stop), whole[start:stop])
+    for size in (1, 7, 1 << 10, count - 1):
+        tiles = [
+            unit_point_rows(kind, count, 4, 3, start, min(start + size, count))
+            for start in range(0, count, size)
+        ]
+        assert np.array_equal(np.concatenate(tiles), whole)
+
+
+@pytest.mark.parametrize(
+    "start, stop", [(-1, 4), (4, 4), (5, 3), (0, 11), (1.0, 4)], ids=str
+)
+def test_tile_rows_refuse_ranges_outside_the_set(start, stop):
+    with pytest.raises(InvalidParameterError):
+        unit_point_rows("halton", 10, 3, 0, start, stop)
 
 
 @pytest.mark.parametrize(

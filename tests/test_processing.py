@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from ltft import (
     to_analytic,
     vocoder_phase_rule,
 )
-from ltft import core
+from ltft import core, processing
 from ltft.frame import apply_inverse_frame, frame_diagonal
 from ltft.processing import reconstruct, sample_phase_space
 
@@ -225,3 +227,80 @@ def test_vocoder_deterministic(params, tapered_tone):
     first = phase_vocoder(s, job)
     second = phase_vocoder(s, job)
     assert np.array_equal(first.samples, second.samples)
+
+
+def _tiles(monkeypatch, points):
+    # Tiles of `points` points on the tile pool whatever the call's size; on
+    # one core (as under `taskset -c 0`) they run in the caller.
+    monkeypatch.setattr(processing, "_TILE_POINTS", points)
+    monkeypatch.setattr(processing, "_POOL_MIN_ATOM_SAMPLES", 0)
+
+
+def _single_tile(monkeypatch):
+    monkeypatch.setattr(processing, "_TILE_POINTS", 1 << 30)
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+@pytest.mark.parametrize("kind", ["hammersley", "halton", "mc"])
+def test_tiled_reconstruct_matches_one_tile(monkeypatch, params, tapered_tone, kind, padded):
+    # Tiles of 1000 points (the last one short) sum in another order than one
+    # tile does, so they agree to rounding; the time slabs of Hammersley
+    # tiles sum over their own spans.
+    m = 1024
+    s = tapered_tone(m)
+    n = 12 * m + 5
+    _tiles(monkeypatch, 1000)
+    tiled = reconstruct(s, params, n, kind, seed=6, padded=padded)
+    _single_tile(monkeypatch)
+    whole = reconstruct(s, params, n, kind, seed=6, padded=padded)
+    assert relative_error(tiled, whole) <= 1e-13
+
+
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+def test_tiled_vocoder_matches_one_tile(monkeypatch, params, tapered_tone, dilation):
+    s = tapered_tone(512)
+    job = VocoderJob(params=params, dilation=dilation, redundancy=9.0, sequence="halton")
+    _tiles(monkeypatch, 700)
+    tiled = phase_vocoder(s, job)
+    _single_tile(monkeypatch)
+    assert relative_error(tiled, phase_vocoder(s, job)) <= 1e-13
+
+
+def test_tiled_transform_sees_every_coefficient_once(monkeypatch, params, tapered_tone):
+    # A transform keeps its whole-vector contract under tiles: one call, with
+    # all N coefficients and points.
+    s = tapered_tone(512)
+    n = 10 * 512
+    calls = []
+
+    def shrink(coeffs, samples):
+        calls.append((coeffs.values.size, samples.n))
+        return pointwise_nonlinearity(coeffs, soft_threshold(1e-3))
+
+    _tiles(monkeypatch, 999)
+    tiled = reconstruct(s, params, n, "mc", seed=2, transform=shrink)
+    _single_tile(monkeypatch)
+    whole = reconstruct(s, params, n, "mc", seed=2, transform=shrink)
+    assert calls == [(n, n), (n, n)]
+    assert relative_error(tiled, whole) <= 1e-13
+
+
+def test_reconstruct_memory_does_not_grow_with_tile_count(monkeypatch, params, tapered_tone):
+    # At fixed M, the traced peak of a call on 16 tiles is within 10% of one
+    # on 4 tiles: a call holds a tile's points, plan and sums, not all N.
+    # The tiles run in the caller, so the peak does not depend on how
+    # threads overlap, and the frame diagonal is built before tracing.
+    monkeypatch.setattr(processing, "_usable_cores", lambda: 1)
+    m = 1024
+    s = tapered_tone(m)
+    tile = processing._TILE_POINTS
+    reconstruct(s, params, 4 * tile)
+    peaks = []
+    for tiles in (4, 16):
+        tracemalloc.start()
+        try:
+            reconstruct(s, params, tiles * tile)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
