@@ -70,11 +70,11 @@ from .lds import (
 )
 from .processing import (
     VocoderJob,
-    multiplier_apply,
+    denoise,
     phase_vocoder,
-    pointwise_nonlinearity,
     reconstruct,
     sample_phase_space,
+    shrinkage,
     soft_threshold,
     vocoder_phase_rule,
 )

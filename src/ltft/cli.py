@@ -34,12 +34,11 @@ from .frame import frame_diagonal
 from .lds import scale_to_box, generate_unit_points
 from .processing import (
     VocoderJob,
-    multiplier_apply,
+    denoise,
     phase_vocoder,
-    pointwise_nonlinearity,
     reconstruct,
     samples_for_redundancy,
-    soft_threshold,
+    shrinkage,
 )
 from .wavio import WavAudio, wav_read, wav_write
 
@@ -119,8 +118,11 @@ def _load_audio(options: Dict[str, object]) -> tuple:
     return audio, signal, params
 
 
-def _write_audio(path: str, signal: DigitalSignal, rate: int) -> None:
-    wav_write(path, WavAudio(np.real(signal.samples), rate))
+def _write_audio(path: str, signal: DigitalSignal, audio: WavAudio, dilation: int = 1) -> None:
+    # The input's frame count times D: to_signal pads an odd or short input
+    # with zeros, which are cropped here.
+    frames = dilation * audio.samples.size
+    wav_write(path, WavAudio(np.real(signal.samples[:frames]), audio.rate))
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +130,25 @@ def _write_audio(path: str, signal: DigitalSignal, rate: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_reconstruct(config: RunConfig, transform=None) -> int:
+def _cmd_reconstruct(config: RunConfig) -> int:
     options = config.options
-    return _reconstruct_audio(options, _load_audio(options), transform)
+    return _reconstruct_audio(options, _load_audio(options))
 
 
-def _reconstruct_audio(options: Dict[str, object], loaded: tuple, transform=None) -> int:
+def _reconstruct_audio(
+    options: Dict[str, object], loaded: tuple, rule=None, shrink=None
+) -> int:
+    # reconstruct with the rule, or denoise with the shrinkage when given.
     audio, signal, params = loaded
     n = _resolve_count(options, signal.m, default_a=16.0)
-    out = reconstruct(
-        signal,
-        params,
-        n,
-        kind=str(options["sequence"]),
-        seed=int(options["seed"]),
-        padded=bool(options["padded"]),
-        transform=transform,
+    sampling = dict(
+        kind=str(options["sequence"]), seed=int(options["seed"]), padded=bool(options["padded"])
     )
-    _write_audio(str(options["output"]), out, audio.rate)
+    if shrink is None:
+        out = reconstruct(signal, params, n, rule=rule, **sampling)
+    else:
+        out = denoise(signal, params, n, shrink, **sampling)
+    _write_audio(str(options["output"]), out, audio)
     return 0
 
 
@@ -162,30 +165,15 @@ def _cmd_vocoder(config: RunConfig) -> int:
         samples=options.get("samples"),
     )
     out = phase_vocoder(signal, job)
-    _write_audio(str(options["output"]), out, audio.rate)
+    _write_audio(str(options["output"]), out, audio, job.dilation)
     return 0
 
 
 def _cmd_denoise(config: RunConfig) -> int:
     options = config.options
-    threshold = float(options["threshold"])
-    relative = str(options["threshold_mode"]) == "relative"
-    # A threshold at or above every |F| zeroes every coefficient, so the
-    # output would be silence: a relative one of 1 or more always does.
-    if relative and not 0.0 <= threshold < 1.0:
-        raise InvalidParameterError(f"relative threshold {threshold:g} must lie in [0, 1)")
-
-    def transform(coeffs, samples):
-        peak = float(np.max(np.abs(coeffs.values))) if coeffs.values.size else 0.0
-        if not relative and 0.0 < threshold >= peak:
-            raise InvalidParameterError(
-                f"absolute threshold {threshold:g} zeroes every coefficient (max |F| = {peak:g})"
-            )
-        return pointwise_nonlinearity(
-            coeffs, soft_threshold(threshold * peak if relative else threshold)
-        )
-
-    return _cmd_reconstruct(config, transform)
+    # A threshold that would write silence is refused before the WAV is read.
+    shrink = shrinkage(float(options["threshold"]), str(options["threshold_mode"]) == "relative")
+    return _reconstruct_audio(options, _load_audio(options), shrink=shrink)
 
 
 def _cmd_multiplier(config: RunConfig) -> int:
@@ -197,21 +185,18 @@ def _cmd_multiplier(config: RunConfig) -> int:
     loaded = _load_audio(options)
     # A cutoff outside (0, L) keeps no atom, so the output would be silence,
     # or every atom, so nothing would be filtered.
-    cutoff = low if low is not None else high
+    cutoff = float(low if low is not None else high)
     rate = loaded[1].sample_rate
     if not 0.0 < cutoff < rate:
         raise InvalidParameterError(
             f"cutoff frequency {cutoff:g} Hz must lie in (0, {rate:g}) Hz"
         )
 
-    def transform(coeffs, samples):
-        if low is not None:
-            symbol = lambda a, b, c: (b < float(low)).astype(float)
-        else:
-            symbol = lambda a, b, c: (b >= float(high)).astype(float)
-        return multiplier_apply(coeffs, samples, symbol)
+    def rule(values, a, b, c):
+        kept = b < cutoff if low is not None else b >= cutoff
+        return values * kept.astype(float)
 
-    return _reconstruct_audio(options, loaded, transform)
+    return _reconstruct_audio(options, loaded, rule=rule)
 
 
 def _cmd_bench_error(config: RunConfig) -> int:

@@ -26,14 +26,13 @@ thread, on arrays that each thread keeps for its next block; the pipelines
 in :mod:`ltft.processing` run tiles of points on a thread pool, and call
 these block loops once per tile.
 
-Plain reconstruction synthesizes the atoms it analysed, on the same grid,
-so a private round trip does both in one pass: each block is built once,
-its coefficients are taken, and the same block, scaled by them, is summed
-while it is in hand.  It shares the block sum and the block-order
-accumulation with synthesis and gives the same bits as analysis followed
-by synthesis.  A coefficient transform needs every coefficient before
-synthesis starts, and synthesis at a time dilation uses other atoms, so
-those pipelines keep the two passes.
+Reconstruction synthesizes the atoms it analysed, on the same grid, so a
+private round trip does both in one pass: each block is built once, its
+coefficients are taken and mapped by an optional per-point rule, and the
+same block, scaled by them, is summed while it is in hand.  It shares the
+block sum and the block-order accumulation with synthesis and gives the
+same bits as analysis, the rule, then synthesis.  Synthesis at a time
+dilation uses other atoms, so that pipeline keeps the two passes.
 
 The block kernel takes no transcendental per sample and makes no serial
 scan.  A block is sample-major, (length, rows), so each step is one
@@ -59,7 +58,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, ClassVar, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -405,6 +404,13 @@ class CoefficientVector:
             raise InvalidParameterError("coefficient values must be a 1D array")
         if not self.weight > 0:
             raise InvalidParameterError("cubature weight must be positive")
+
+
+# A per-point coefficient rule, rule(values, a, b, c) -> values: each value
+# mapped with its own point (a multiplier symbol, a shrinkage, a phase rule).
+# It must be elementwise and pure, as it runs on any slice of the points,
+# one atom block or tile at a time, on the pipelines' threads.
+Rule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -895,19 +901,31 @@ def _synthesis_sum(
     return _sum_blocks(sums(), blocks, out_len, guard)
 
 
+def _ruled(rule: Rule, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    # rule(values, a, b, c) for coefficients aligned with the rows of
+    # `points`, as a writable complex array of the same shape.
+    out = np.require(rule(values, points[:, 0], points[:, 1], points[:, 2]), np.complex128, "W")
+    if out.shape != values.shape:
+        raise InvalidParameterError("a coefficient rule must return one value per coefficient")
+    return out
+
+
 def _round_trip_sum(
     sig: np.ndarray, guard: int, samples: SampleSet, params: LtftParams, grid_len: int,
-    sample_rate: float, weight: float,
+    sample_rate: float, weight: float, rule: Optional[Rule] = None,
 ) -> Tuple[int, np.ndarray]:
-    # _synthesis_sum(weight * _tile_coeffs(...)) bit for bit, with each atom
-    # block built once: its coefficients are taken and the same block,
-    # scaled by them, is summed while it is in hand.
+    # _synthesis_sum(weight * rule(_tile_coeffs(...), a, b, c)) bit for bit,
+    # with each atom block built once: its coefficients are taken and mapped
+    # by the rule, and the same block, scaled by them, is summed while it is
+    # in hand.
     blocks = _atom_blocks(params, samples, sample_rate)[0]
 
     def sums():
         for block in blocks:
             lo, j, atoms = _block_atoms(params, samples, sample_rate, grid_len, guard, block)
             coeffs = _block_coeffs(sig, lo, j, atoms, sample_rate)
+            if rule is not None:
+                coeffs = _ruled(rule, coeffs, np.take(samples.points, block.sel, axis=0))
             yield _block_sum(lo, j, atoms, np.multiply(coeffs, weight, out=coeffs))
 
     return _sum_blocks(sums(), blocks, grid_len, guard)
@@ -949,17 +967,3 @@ def synthesize(
     scaled = coeffs.weight * coeffs.values
     tile = _synthesis_sum(scaled, samples, params, out_len, sample_rate)
     return _placed([tile], out_len, sample_rate)
-
-
-def _round_trip(
-    signal: DigitalSignal, samples: SampleSet, params: LtftParams
-) -> DigitalSignal:
-    # synthesize(analyze(signal, samples, params), samples, params, M, L), bit
-    # for bit, with each atom block built once.
-    _check_box_rate(signal, samples)
-    rate = signal.sample_rate
-    guard = _max_support_samples(params, rate)
-    sig = _analysis_input(signal, guard)
-    weight = samples.box.volume / samples.n
-    tile = _round_trip_sum(sig, guard, samples, params, signal.m, rate, weight)
-    return _placed([tile], signal.m, rate)

@@ -1,20 +1,21 @@
 """Phase-space signal processing on sampled transform coefficients.
 
+Processing is a per-point rule on the coefficients (:data:`ltft.core.Rule`).
 Multipliers scale each coefficient by a symbol evaluated at its phase-space
 point; pointwise nonlinearities act on coefficient values alone (e.g. soft
 thresholding for shrinkage denoising); the integer-dilation phase vocoder
 moves atoms to (D*a, b, c) while raising coefficient phases to the D-th
 power, stretching time without dilating frequency content.
 
-The pipelines behind :func:`reconstruct` and :func:`phase_vocoder` take
-their N points in tiles of consecutive indices.  Each tile is generated
-on its own, bit for bit equal to the same rows of the whole set, then
-planned, analysed and summed by the block loops of :mod:`ltft.core`, and
-the tile sums are added in tile order into the output.  So the memory a
-call holds does not grow with N.  Large calls run the tiles on a thread
-pool, one thread per usable core, with a few tiles in flight; the
-partition and the order of the sums do not depend on the thread count, so
-neither does the output, bit for bit.
+The pipelines take their N points in tiles of consecutive indices.  Each
+tile is generated on its own, bit for bit equal to the same rows of the
+whole set, then planned, analysed, mapped by the rule and summed by the
+block loops of :mod:`ltft.core`, and the tile sums are added in tile order
+into the output.  So the memory a call holds does not grow with N,
+whatever the rule.  Large calls run the tiles on a thread pool, one thread
+per usable core, with a few tiles in flight; the partition and the order
+of the sums do not depend on the thread count, so neither does the
+output, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,16 +29,17 @@ from typing import Callable, Iterator, Optional, Tuple, TypeVar
 import numpy as np
 
 from .core import (
-    CoefficientVector,
     DigitalSignal,
     LtftParams,
     PhaseSpaceBox,
+    Rule,
     SampleSet,
     _analysis_input,
     _max_support_samples,
     _placed,
     _predicted_atom_samples,
     _round_trip_sum,
+    _ruled,
     _synthesis_sum,
     _tile_coeffs,
     from_analytic,
@@ -98,25 +100,6 @@ class VocoderJob:
         return samples_for_redundancy(a, m)
 
 
-def multiplier_apply(
-    coeffs: CoefficientVector,
-    samples: SampleSet,
-    symbol: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-) -> CoefficientVector:
-    """Multiply each coefficient by symbol(a_n, b_n, c_n)."""
-    if coeffs.values.shape[0] != samples.n:
-        raise InvalidParameterError("coefficients and samples must align")
-    factors = np.asarray(symbol(samples.a, samples.b, samples.c))
-    return CoefficientVector(coeffs.values * factors, weight=coeffs.weight)
-
-
-def pointwise_nonlinearity(
-    coeffs: CoefficientVector, rule: Callable[[np.ndarray], np.ndarray]
-) -> CoefficientVector:
-    """Apply a complex-to-complex rule to every coefficient value."""
-    return CoefficientVector(np.asarray(rule(coeffs.values)), weight=coeffs.weight)
-
-
 def soft_threshold(threshold: float) -> Callable[[np.ndarray], np.ndarray]:
     """Shrinkage rule z -> z * max(0, 1 - threshold/|z|)."""
     if not 0 <= threshold < np.inf:
@@ -128,6 +111,34 @@ def soft_threshold(threshold: float) -> Callable[[np.ndarray], np.ndarray]:
         return values * np.where(mag > 0, scale, 0.0)
 
     return rule
+
+
+def shrinkage(threshold: float, relative: bool = True) -> Callable[[float], Rule]:
+    """The rule of :func:`denoise` as a function of max |F|.
+
+    The rule soft-thresholds every coefficient at ``threshold`` times max
+    |F| when ``relative``, else at ``threshold``.  A threshold that zeroes
+    every coefficient, so that the output would be silence, is refused:
+    here when it is relative and outside [0, 1) or absolute and negative or
+    not finite, and once max |F| is known when it is absolute and at or
+    above it.
+    """
+    if not 0.0 <= threshold < (1.0 if relative else np.inf):
+        if relative:
+            raise InvalidParameterError(f"relative threshold {threshold:g} must lie in [0, 1)")
+        raise InvalidParameterError(
+            f"absolute threshold {threshold:g} must be finite and non-negative"
+        )
+
+    def at_peak(peak: float) -> Rule:
+        if not relative and 0.0 < threshold >= peak:
+            raise InvalidParameterError(
+                f"absolute threshold {threshold:g} zeroes every coefficient (max |F| = {peak:g})"
+            )
+        shrink = soft_threshold(threshold * peak if relative else threshold)
+        return lambda values, a, b, c: shrink(values)
+
+    return at_peak
 
 
 def vocoder_phase_rule(z, dilation: int):
@@ -152,8 +163,6 @@ def sample_phase_space(
     box = PhaseSpaceBox.for_signal(signal, params, padded=padded)
     return scale_to_box(generate_unit_points(kind, n, 3, seed), box)
 
-
-Transform = Callable[[CoefficientVector, SampleSet], CoefficientVector]
 
 # The pipelines take the points in tiles of this many consecutive indices.
 # Each tile is generated, planned, analysed and summed on its own, so the
@@ -212,31 +221,30 @@ def _analysis_synthesis(
     kind: str,
     seed: int,
     padded: bool,
-    transform: Optional[Transform] = None,
-    rule: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    rule: Optional[Rule] = None,
     dilation: int = 1,
+    at_peak: Optional[Callable[[float], Rule]] = None,
 ) -> DigitalSignal:
     # Analysis of the analytic signal on N points of the phase-space box,
-    # the optional coefficient transform or per-coefficient rule, synthesis
-    # of atoms at (D*a, b, c) onto a D*M grid, inverse-frame normalization
-    # at the output resolution, then the real part.  The output is scaled by
-    # D to compensate the thinned density of synthesis centers: the
-    # cubature weight stays volume(analysis box)/N while the N dilated
-    # centers cover a box D times larger, so the sum underweights by 1/D
-    # (measured on pure tones).  At D = 1 this is reconstruction.
+    # the optional per-point rule, synthesis of atoms at (D*a, b, c) onto a
+    # D*M grid, inverse-frame normalization at the output resolution, then
+    # the real part.  The output is scaled by D to compensate the thinned
+    # density of synthesis centers: the cubature weight stays
+    # volume(analysis box)/N while the N dilated centers cover a box D times
+    # larger, so the sum underweights by 1/D (measured on pure tones).  At
+    # D = 1 this is reconstruction.
     #
     # The points run in tiles of _TILE_POINTS consecutive indices.  A tile's
     # rows come straight from the generator, are scaled onto the box in
     # place, and are analysed and summed by the block loops of core; each
     # tile gives a (grid index, sum) pair, and the pairs are added in tile
     # order, so the output does not depend on the thread count, bit for
-    # bit.  Plain reconstruction (no transform or rule, D = 1) synthesizes
-    # the very atoms it analysed, so a tile takes the one-pass round trip.
-    # With a rule (the vocoder's phase rule) a tile is analysed, its
-    # coefficients mapped, its times dilated in place and its atoms summed.
-    # A transform keeps its contract, a map of the whole coefficient vector
-    # with every point: every tile is analysed first, the transform runs
-    # once, and the tiles are then synthesized one by one.
+    # bit.  At D = 1 synthesis uses the very atoms analysis built, so a tile
+    # takes the one-pass round trip, the rule mapping each block's
+    # coefficients while the block is in hand.  At D > 1 a tile is analysed,
+    # its coefficients mapped, its times dilated in place and its atoms
+    # summed.  With `at_peak` the rule is at_peak(max |F|), and an
+    # analysis-only pass over the same tiles finds max |F| first.
     rate = signal.sample_rate
     out_len = dilation * signal.m
     n, _, seed = _check_rows(kind, n, 3, seed)
@@ -251,46 +259,21 @@ def _analysis_synthesis(
     pooled = count >= 2 and _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
     tag = seed if kind == "mc" else None
 
-    def span(k: int) -> slice:
-        return slice(k * _TILE_POINTS, min((k + 1) * _TILE_POINTS, n))
-
     def tile_points(k: int) -> SampleSet:
-        tile = span(k)
-        rows = unit_point_rows(kind, n, 3, seed, tile.start, tile.stop)
+        rows = unit_point_rows(kind, n, 3, seed, k * _TILE_POINTS, min((k + 1) * _TILE_POINTS, n))
         return SampleSet(scale_rows(rows, box), box, kind, tag)
 
     def coeffs_of(samples: SampleSet) -> np.ndarray:
         return _tile_coeffs(sig, guard, samples, params, signal.m, rate)
 
-    def synthesized(rows: np.ndarray, scaled: np.ndarray) -> Tuple[int, np.ndarray]:
-        # The atoms at (D*a, b, c) of a tile's rows, dilated in place, times
-        # their scaled coefficients, summed.
-        rows[:, 0] *= float(dilation)
-        samples = SampleSet(rows, box.scaled(float(dilation)), kind, tag)
-        return _synthesis_sum(scaled, samples, params, out_len, rate)
+    if at_peak is not None:
+        peaks = _map_tiles(lambda k: np.abs(coeffs_of(tile_points(k))).max(), count, pooled)
+        rule = at_peak(float(max(peaks)))
 
-    if transform is not None:
-        every = sample_phase_space(signal, params, n, kind, seed, padded)
-        values = np.empty(n, dtype=np.complex128)
-
-        def analyse(k: int) -> None:
-            tile = SampleSet(every.points[span(k)], box, kind, tag)
-            values[span(k)] = coeffs_of(tile)
-
-        for _ in _map_tiles(analyse, count, pooled):
-            pass
-        coeffs = transform(CoefficientVector(values, weight=weight), every)
-        if coeffs.values.shape[0] != n:
-            raise InvalidParameterError("coefficients and samples must align")
-        scaled = coeffs.weight * coeffs.values
+    if dilation == 1:
 
         def task(k: int) -> Tuple[int, np.ndarray]:
-            return synthesized(every.points[span(k)].copy(), scaled[span(k)])
-
-    elif rule is None and dilation == 1:
-
-        def task(k: int) -> Tuple[int, np.ndarray]:
-            return _round_trip_sum(sig, guard, tile_points(k), params, signal.m, rate, weight)
+            return _round_trip_sum(sig, guard, tile_points(k), params, signal.m, rate, weight, rule)
 
     else:
 
@@ -298,8 +281,10 @@ def _analysis_synthesis(
             samples = tile_points(k)
             values = coeffs_of(samples)
             if rule is not None:
-                values = rule(values)
-            return synthesized(samples.points, weight * values)
+                values = _ruled(rule, values, samples.points)
+            samples.points[:, 0] *= float(dilation)
+            dilated = SampleSet(samples.points, box.scaled(float(dilation)), kind, tag)
+            return _synthesis_sum(weight * values, dilated, params, out_len, rate)
 
     raw = _placed(_map_tiles(task, count, pooled), out_len, rate)
     normalized = apply_inverse_frame(raw, hd)
@@ -313,37 +298,58 @@ def reconstruct(
     kind: str = "hammersley",
     seed: int = 0,
     padded: bool = False,
-    transform: Optional[Transform] = None,
+    rule: Optional[Rule] = None,
 ) -> DigitalSignal:
     """Analysis, cubature synthesis, and inverse-frame normalization.
 
     The input is taken real; it is converted to its analytic form before
-    analysis and the real part is returned.  ``transform(coeffs, samples)``,
-    when given, maps the analysis coefficients before synthesis (a
-    multiplier or a shrinkage rule, for example).
+    analysis and the real part is returned.  ``rule(values, a, b, c)``,
+    when given, maps the analysis coefficients before synthesis, each with
+    its own point (a multiplier or a shrinkage rule, for example).  It must
+    be elementwise and pure, and return one value per coefficient.
 
     Memory: besides a few signal-length arrays (the input, its analytic
     form with a guard band, the output and the frame diagonal), a call
     holds the points, block plan and partial sums of a few tiles of
-    ``_TILE_POINTS`` points, one per worker thread, whatever N is.  A
-    transform needs every coefficient and point at once, so with one the
-    call also holds all N points and N coefficients.
+    ``_TILE_POINTS`` points, one per worker thread, whatever N is.  The
+    rule maps one atom block's coefficients at a time, so it adds nothing
+    to that, and each block is built once.
     """
-    return _analysis_synthesis(signal, params, n, kind, seed, padded, transform=transform)
+    return _analysis_synthesis(signal, params, n, kind, seed, padded, rule=rule)
+
+
+def denoise(
+    signal: DigitalSignal,
+    params: LtftParams,
+    n: int,
+    shrink: Callable[[float], Rule],
+    kind: str = "hammersley",
+    seed: int = 0,
+    padded: bool = False,
+) -> DigitalSignal:
+    """:func:`reconstruct` with the rule shrink(max |F|), from :func:`shrinkage`.
+
+    max |F| over all N coefficients comes from an analysis-only pass over
+    the same tiles before the round trip, so each atom block is built
+    twice, and the call holds no more memory than :func:`reconstruct`.
+    """
+    return _analysis_synthesis(signal, params, n, kind, seed, padded, at_peak=shrink)
 
 
 def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
     """Time-stretch by an integer factor D, preserving frequency content.
 
-    The vocoder is reconstruction with two changes: the coefficient
-    transform raises each coefficient's phase to the D-th power
+    The vocoder is reconstruction with two changes: the coefficient rule
+    raises each coefficient's phase to the D-th power
     (:func:`vocoder_phase_rule`), and synthesis places the atoms at
     (D*a, b, c) on a D*M grid.  The output has D*M samples.
 
     Memory: the phase rule acts on each coefficient alone, so the vocoder
-    runs tile by tile like :func:`reconstruct` without a transform: a few
-    signal-length arrays at the output length D*M, and the points,
-    coefficients, block plans and partial sums of a few tiles.
+    runs tile by tile like :func:`reconstruct`: a few signal-length arrays
+    at the output length D*M, and the points, coefficients, block plans and
+    partial sums of a few tiles.  At D = 1 it is the round trip of
+    :func:`reconstruct`; at D > 1 synthesis uses other atoms than analysis,
+    so each atom block is built twice.
     """
     d = int(job.dilation)
     out_len = d * signal.m
@@ -351,5 +357,5 @@ def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
         raise BudgetExceededError(f"output of {out_len} samples exceeds the budget")
     return _analysis_synthesis(
         signal, job.params, job.sample_count(signal.m), job.sequence, job.seed, job.padded,
-        rule=lambda z: vocoder_phase_rule(z, d), dilation=d,
+        rule=lambda z, a, b, c: vocoder_phase_rule(z, d), dilation=d,
     )

@@ -171,6 +171,24 @@ def test_vocoder_samples_flag_sets_the_count(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
 
 
+def test_odd_length_input_keeps_its_frame_count(tmp_path):
+    # The input is padded to even length for processing; the output holds
+    # the input's frame count, times D for the vocoder.
+    src = _sine_wav(tmp_path / "in.wav", seconds=801 / RATE)
+    assert wav_read(src).samples.size == 801
+    runs = [
+        (1, ["reconstruct", "-A", "2"]),
+        (1, ["denoise", "-A", "2"]),
+        (1, ["multiplier", "--low-pass", "900", "-A", "2"]),
+        (1, ["vocoder", "-D", "1", "-A", "2"]),
+        (2, ["vocoder", "-D", "2", "-A", "2"]),
+    ]
+    for dilation, args in runs:
+        out = tmp_path / "out.wav"
+        assert main(args + [src, str(out)]) == 0
+        assert wav_read(str(out)).samples.size == 801 * dilation
+
+
 def test_denoise_and_multiplier_run(tmp_path):
     src = _sine_wav(tmp_path / "in.wav")
     assert main(["denoise", "--threshold", "0.2", "--redundancy", "4",
@@ -263,10 +281,15 @@ def test_threshold_refusal_keeps_legal_edges(tmp_path):
 
 
 def test_relative_threshold_is_refused_before_the_wav_is_read(tmp_path, capsys):
-    args = ["denoise", "--threshold", "2", str(tmp_path / "missing.wav"), str(tmp_path / "o.wav")]
-    assert main(args) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+    # So is a negative or NaN absolute one: a missing input is not reached.
+    missing = str(tmp_path / "missing.wav")
+    for mode, threshold in [("relative", "2"), ("absolute", "-1"), ("absolute", "nan")]:
+        args = ["denoise", "--threshold", threshold, "--threshold-mode", mode, missing,
+                str(tmp_path / "o.wav")]
+        assert main(args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+        assert f"{mode} threshold {float(threshold):g}" in err[0]
 
 
 def test_bench_error_csv(tmp_path):

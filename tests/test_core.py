@@ -23,7 +23,6 @@ from ltft import (
     idft,
     ltft_atom_freq,
     ltft_atom_time,
-    multiplier_apply,
     phase_vocoder,
     relative_error,
     synthesize,
@@ -32,9 +31,24 @@ from ltft import (
 from ltft import core, processing
 from ltft.core import SampleSet, _atom_blocks, _block_atoms
 from ltft.lds import hammersley_set, scale_to_box
-from ltft.processing import reconstruct, sample_phase_space
+from ltft.processing import reconstruct, sample_phase_space, soft_threshold
 
 RATE = 64.0
+
+
+def _round_trip(signal, samples, params, rule=None):
+    # The one-pass round trip over one sample set on the signal's own grid.
+    guard = core._max_support_samples(params, signal.sample_rate)
+    sig = core._analysis_input(signal, guard)
+    weight = samples.box.volume / samples.n
+    tile = core._round_trip_sum(
+        sig, guard, samples, params, signal.m, signal.sample_rate, weight, rule
+    )
+    return core._placed([tile], signal.m, signal.sample_rate)
+
+
+def _low_pass(values, a, b, c):
+    return values * (b < 12.0).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +628,7 @@ def test_plan_leaves_out_supports_shorter_than_a_sample():
     coeffs = analyze(sig, samples, p)
     assert np.all(coeffs.values[empty] == 0) and np.all(coeffs.values[~empty] != 0)
     expected = synthesize(coeffs, samples, p, m, RATE)
-    assert np.array_equal(core._round_trip(sig, samples, p).samples, expected.samples)
+    assert np.array_equal(_round_trip(sig, samples, p).samples, expected.samples)
 
 
 def test_small_call_packs_neighbouring_lengths(monkeypatch):
@@ -647,7 +661,7 @@ def test_small_call_packs_neighbouring_lengths(monkeypatch):
 def test_operator_bit_identical_across_worker_counts(monkeypatch):
     # The tile pool forced on with tiles of 2**11 points: one worker (tiles
     # run in the caller) against more workers than cores, with frequent
-    # thread switches, for the round trip, the vocoder and a transform.
+    # thread switches, for the round trip, the vocoder and a rule.
     m = 2048
     p = LtftParams.for_rate(RATE)
     rng = np.random.default_rng(5)
@@ -655,10 +669,6 @@ def test_operator_bit_identical_across_worker_counts(monkeypatch):
     monkeypatch.setattr(processing, "_POOL_MIN_ATOM_SAMPLES", 0)
     monkeypatch.setattr(processing, "_TILE_POINTS", 1 << 11)
     job = VocoderJob(params=p, dilation=2, redundancy=6.0, sequence="mc", seed=3)
-
-    def low_pass(coeffs, samples):
-        return multiplier_apply(coeffs, samples, lambda a, b, c: (b < 12.0).astype(float))
-
     results = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -668,7 +678,7 @@ def test_operator_bit_identical_across_worker_counts(monkeypatch):
             results.append([
                 reconstruct(sig, p, 16 * m, "halton", padded=True).samples,
                 phase_vocoder(sig, job).samples,
-                reconstruct(sig, p, 8 * m, transform=low_pass).samples,
+                reconstruct(sig, p, 8 * m, rule=_low_pass).samples,
             ])
     finally:
         sys.setswitchinterval(interval)
@@ -681,27 +691,35 @@ def test_operator_bit_identical_across_worker_counts(monkeypatch):
 @pytest.mark.parametrize("kind", ["hammersley", "halton", "mc"])
 def test_round_trip_equals_analyze_then_synthesize(kind, padded, pooled):
     # Pooled, four threads run the round trip at once, each block loop on
-    # its own thread's scratch arrays, with frequent thread switches.
+    # its own thread's scratch arrays, with frequent thread switches.  The
+    # rule maps one block's coefficients at a time and gives the same bits
+    # as analysis, the rule over every coefficient, then synthesis.
     m = 1024
     p = LtftParams.for_rate(RATE)
     rng = np.random.default_rng(11)
     sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
     samples = sample_phase_space(sig, p, 8 * m, kind, seed=2, padded=padded)
     assert len(_atom_blocks(p, samples, RATE)[0]) >= 4
-    expected = synthesize(analyze(sig, samples, p), samples, p, m, RATE)
-    if pooled:
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                outs = list(pool.map(lambda _: core._round_trip(sig, samples, p), range(4)))
-        finally:
-            sys.setswitchinterval(interval)
-    else:
-        outs = [core._round_trip(sig, samples, p)]
-    for out in outs:
-        assert out.sample_rate == RATE
-        assert np.array_equal(out.samples, expected.samples)
+    coeffs = analyze(sig, samples, p)
+    shrink = soft_threshold(0.5 * np.median(np.abs(coeffs.values)))
+    for rule in (None, _low_pass, lambda values, a, b, c: shrink(values)):
+        values = coeffs.values
+        if rule is not None:
+            values = rule(values, samples.a, samples.b, samples.c)
+        expected = synthesize(CoefficientVector(values, coeffs.weight), samples, p, m, RATE)
+        if pooled:
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    outs = list(pool.map(lambda _: _round_trip(sig, samples, p, rule), range(4)))
+            finally:
+                sys.setswitchinterval(interval)
+        else:
+            outs = [_round_trip(sig, samples, p, rule)]
+        for out in outs:
+            assert out.sample_rate == RATE
+            assert np.array_equal(out.samples, expected.samples)
 
 
 def test_map_blocks_keeps_order_and_raises_worker_errors(monkeypatch):

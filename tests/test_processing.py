@@ -4,44 +4,36 @@ import numpy as np
 import pytest
 
 from ltft import (
-    CoefficientVector,
     DigitalSignal,
     InvalidParameterError,
-    LtftParams,
     VocoderJob,
     analyze,
+    denoise,
     dft,
-    from_analytic,
-    multiplier_apply,
     phase_vocoder,
-    pointwise_nonlinearity,
     relative_error,
+    shrinkage,
     soft_threshold,
-    synthesize,
     to_analytic,
     vocoder_phase_rule,
 )
 from ltft import core, processing
-from ltft.frame import apply_inverse_frame, frame_diagonal
 from ltft.processing import reconstruct, sample_phase_space
 
 RATE = 64.0
 
 
-def _coeff_fixture(params, m=512, n=300, signal=None):
-    sig = signal if signal is not None else DigitalSignal(np.zeros(m), RATE)
-    samples = sample_phase_space(sig, params, n)
-    rng = np.random.default_rng(2)
-    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return CoefficientVector(values, samples.box.volume / n), samples
+def _low_pass(cut):
+    return lambda values, a, b, c: values * (b < cut).astype(float)
 
 
-def test_multiplier_identity_and_zero(params):
-    coeffs, samples = _coeff_fixture(params)
-    same = multiplier_apply(coeffs, samples, lambda a, b, c: np.ones_like(b))
-    assert np.array_equal(same.values, coeffs.values)
-    nil = multiplier_apply(coeffs, samples, lambda a, b, c: np.zeros_like(b))
-    assert np.all(nil.values == 0)
+def test_multiplier_identity_and_zero(params, tapered_tone):
+    s = tapered_tone(512)
+    plain = reconstruct(s, params, 8 * 512)
+    same = reconstruct(s, params, 8 * 512, rule=lambda z, a, b, c: z * np.ones_like(b))
+    assert np.array_equal(same.samples, plain.samples)
+    nil = reconstruct(s, params, 8 * 512, rule=lambda z, a, b, c: z * np.zeros_like(b))
+    assert np.all(nil.samples == 0)
 
 
 def test_multiplier_low_pass_attenuation(params, tapered_tone):
@@ -50,16 +42,7 @@ def test_multiplier_low_pass_attenuation(params, tapered_tone):
     # promised only above that edge; the 17 Hz tone sits beyond it.
     m = 1024
     s = tapered_tone(m, freqs=(9.0, 17.0))
-    analytic = to_analytic(s)
-    samples = sample_phase_space(s, params, 64 * m)
-    coeffs = analyze(analytic, samples, params)
-    cut = 6.0
-    filtered = multiplier_apply(
-        coeffs, samples, lambda a, b, c: (b < cut).astype(float)
-    )
-    raw = synthesize(filtered, samples, params, m, RATE)
-    hd = frame_diagonal(params, RATE, m, folded=True)
-    out = from_analytic(apply_inverse_frame(raw, hd))
+    out = reconstruct(s, params, 64 * m, rule=_low_pass(6.0))
     spec_out = np.abs(dft(out).bins)
     spec_in = np.abs(dft(s).bins)
     k17 = int(round(17.0 * m / RATE))
@@ -85,10 +68,29 @@ def test_soft_threshold_refuses_non_finite_or_negative(threshold):
         soft_threshold(threshold)
 
 
-def test_pointwise_nonlinearity_elementwise(params):
-    coeffs, _ = _coeff_fixture(params)
-    doubled = pointwise_nonlinearity(coeffs, lambda z: 2 * z)
-    assert np.array_equal(doubled.values, 2 * coeffs.values)
+def test_pointwise_nonlinearity_elementwise(monkeypatch, params, tapered_tone):
+    # The rule sees each coefficient once, with its own point: every
+    # (a, b, c, value) it is given matches the analysis of that point.
+    _tiles(monkeypatch, 700)
+    s = tapered_tone(512)
+    n = 3000
+    seen = []
+
+    def doubling(values, a, b, c):
+        seen.append(np.column_stack([a, b, c, values.real, values.imag]))
+        return 2 * values
+
+    doubled = reconstruct(s, params, n, "halton", rule=doubling)
+    assert np.array_equal(doubled.samples, 2 * reconstruct(s, params, n, "halton").samples)
+    seen = np.concatenate(seen)
+    samples = sample_phase_space(s, params, n, "halton")
+    coeffs = analyze(to_analytic(s), samples, params).values
+    assert seen.shape[0] == n
+    order = np.lexsort(seen[:, 2::-1].T)
+    expected = np.lexsort(samples.points[:, ::-1].T)
+    assert np.array_equal(seen[order, :3], samples.points[expected])
+    got = seen[order, 3] + 1j * seen[order, 4]
+    assert np.allclose(got, coeffs[expected], rtol=1e-12, atol=1e-12 * np.abs(coeffs).max())
 
 
 def test_denoise_improves_snr(params, tapered_tone):
@@ -99,23 +101,43 @@ def test_denoise_improves_snr(params, tapered_tone):
     noise *= np.linalg.norm(clean.samples) / np.linalg.norm(noise)  # 0 dB SNR
     noisy = DigitalSignal(clean.samples + noise, RATE)
 
-    analytic = to_analytic(noisy)
-    samples = sample_phase_space(noisy, params, 16 * m)
-    coeffs = analyze(analytic, samples, params)
-    hd = frame_diagonal(params, RATE, m, folded=True)
-
-    def snr_after(lam):
-        shrunk = pointwise_nonlinearity(coeffs, soft_threshold(lam))
-        raw = synthesize(shrunk, samples, params, m, RATE)
-        out = from_analytic(apply_inverse_frame(raw, hd))
+    def snr_after(fraction):
+        out = denoise(noisy, params, 16 * m, shrinkage(fraction))
         resid = out.samples - clean.samples
         return 10 * np.log10(
             np.sum(clean.samples**2) / np.sum(resid**2)
         )
 
-    scale = np.max(np.abs(coeffs.values))
-    best = max(snr_after(f * scale) for f in (0.05, 0.1, 0.2, 0.4))
+    best = max(snr_after(f) for f in (0.05, 0.1, 0.2, 0.4))
     assert best >= 5.0
+
+
+@pytest.mark.parametrize("relative, threshold", [(True, 1.0), (True, -0.1), (False, -1.0),
+                                                 (False, np.nan), (False, np.inf)])
+def test_shrinkage_refuses_a_threshold_before_any_analysis(relative, threshold):
+    with pytest.raises(InvalidParameterError, match="threshold"):
+        shrinkage(threshold, relative)
+
+
+def test_shrinkage_refuses_an_absolute_threshold_above_every_coefficient():
+    at_peak = shrinkage(2.0, relative=False)
+    with pytest.raises(InvalidParameterError, match="zeroes every coefficient"):
+        at_peak(2.0)
+    z = np.array([3.0 + 0j, 1.0j])
+    assert np.array_equal(at_peak(3.0)(z, None, None, None), soft_threshold(2.0)(z))
+    assert np.array_equal(shrinkage(0.5)(4.0)(z, None, None, None), soft_threshold(2.0)(z))
+
+
+def test_rule_that_changes_the_shape_is_refused(params, tapered_tone):
+    s = tapered_tone(256)
+    for rule in (lambda z, a, b, c: z[:-1], lambda z, a, b, c: np.sum(z)):
+        with pytest.raises(InvalidParameterError, match="one value per coefficient"):
+            reconstruct(s, params, 4 * 256, rule=rule)
+    with pytest.raises(InvalidParameterError, match="one value per coefficient"):
+        processing._analysis_synthesis(
+            s, params, 4 * 256, "hammersley", 0, False,
+            rule=lambda z, a, b, c: np.repeat(z, 2), dilation=2,
+        )
 
 
 def test_vocoder_phase_rule_values():
@@ -161,8 +183,10 @@ def test_vocoder_dilation_one_reduces_to_reconstruction(params, tapered_tone):
 
 
 def test_reconstruct_builds_each_atom_block_once(monkeypatch, params, tapered_tone):
-    # Plain reconstruction takes the one-pass round trip; the vocoder, even
-    # at D = 1, analyses and then synthesizes, building every block twice.
+    # Reconstruction, with a rule or without, and the vocoder at D = 1 take
+    # the one-pass round trip; denoising first finds max |F| by an analysis
+    # pass, and the vocoder at D = 2 analyses and then synthesizes other
+    # atoms, so each builds every block twice.
     m = 512
     s = tapered_tone(m)
     calls = []
@@ -174,11 +198,17 @@ def test_reconstruct_builds_each_atom_block_once(monkeypatch, params, tapered_to
 
     monkeypatch.setattr(core, "_block_atoms", counting)
     blocks = core._atom_blocks(params, sample_phase_space(s, params, 8 * m), RATE)[0]
-    reconstruct(s, params, 8 * m)
-    assert len(calls) == len(blocks)
-    calls.clear()
-    phase_vocoder(s, VocoderJob(params=params, dilation=1, redundancy=8.0))
-    assert len(calls) == 2 * len(blocks)
+    runs = [
+        (1, lambda: reconstruct(s, params, 8 * m)),
+        (1, lambda: reconstruct(s, params, 8 * m, rule=_low_pass(12.0))),
+        (1, lambda: phase_vocoder(s, VocoderJob(params=params, dilation=1, redundancy=8.0))),
+        (2, lambda: denoise(s, params, 8 * m, shrinkage(0.1))),
+        (2, lambda: phase_vocoder(s, VocoderJob(params=params, dilation=2, redundancy=8.0))),
+    ]
+    for builds, run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == builds * len(blocks)
 
 
 def test_vocoder_zero_input(params):
@@ -267,40 +297,48 @@ def test_tiled_vocoder_matches_one_tile(monkeypatch, params, tapered_tone, dilat
 
 
 def test_tiled_transform_sees_every_coefficient_once(monkeypatch, params, tapered_tone):
-    # A transform keeps its whole-vector contract under tiles: one call, with
-    # all N coefficients and points.
+    # Under tiles a rule maps every one of the N coefficients once, a block
+    # (D = 1) or a tile (D = 2) at a time, each value with its own point.
     s = tapered_tone(512)
     n = 10 * 512
-    calls = []
+    sizes = []
+    shrink = soft_threshold(1e-3)
 
-    def shrink(coeffs, samples):
-        calls.append((coeffs.values.size, samples.n))
-        return pointwise_nonlinearity(coeffs, soft_threshold(1e-3))
+    def rule(values, a, b, c):
+        assert values.shape == a.shape == b.shape == c.shape
+        sizes.append(values.size)
+        return shrink(values)
 
-    _tiles(monkeypatch, 999)
-    tiled = reconstruct(s, params, n, "mc", seed=2, transform=shrink)
-    _single_tile(monkeypatch)
-    whole = reconstruct(s, params, n, "mc", seed=2, transform=shrink)
-    assert calls == [(n, n), (n, n)]
-    assert relative_error(tiled, whole) <= 1e-13
+    for dilation in (1, 2):
+        outs = []
+        for tile in (999, 1 << 30):
+            _tiles(monkeypatch, tile)
+            sizes.clear()
+            outs.append(processing._analysis_synthesis(
+                s, params, n, "mc", 2, False, rule=rule, dilation=dilation
+            ))
+            assert sum(sizes) == n
+        assert relative_error(*outs) <= 1e-13
 
 
 def test_reconstruct_memory_does_not_grow_with_tile_count(monkeypatch, params, tapered_tone):
     # At fixed M, the traced peak of a call on 16 tiles is within 10% of one
-    # on 4 tiles: a call holds a tile's points, plan and sums, not all N.
-    # The tiles run in the caller, so the peak does not depend on how
-    # threads overlap, and the frame diagonal is built before tracing.
+    # on 4 tiles: a call holds a tile's points, plan and sums, not all N,
+    # with a rule or without.  The tiles run in the caller, so the peak does
+    # not depend on how threads overlap, and the frame diagonal is built
+    # before tracing.
     monkeypatch.setattr(processing, "_usable_cores", lambda: 1)
     m = 1024
     s = tapered_tone(m)
     tile = processing._TILE_POINTS
-    reconstruct(s, params, 4 * tile)
-    peaks = []
-    for tiles in (4, 16):
-        tracemalloc.start()
-        try:
-            reconstruct(s, params, tiles * tile)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < 1.1 * peaks[0]
+    for rule in (None, _low_pass(12.0)):
+        reconstruct(s, params, 4 * tile, rule=rule)
+        peaks = []
+        for tiles in (4, 16):
+            tracemalloc.start()
+            try:
+                reconstruct(s, params, tiles * tile, rule=rule)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0]
