@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -17,7 +17,8 @@ from .core import (
     relative_error,
 )
 from .errors import InvalidParameterError
-from .processing import reconstruct, samples_for_redundancy
+from .lds import _check_rows
+from .processing import _analysis_synthesis, samples_for_redundancy
 
 _NOISE_FLOOR_DB = -60.0
 
@@ -91,20 +92,37 @@ def bench_reconstruction(
 
     Error is the relative L2 distance between the input and the
     analyze/synthesize/inverse-frame output; Monte Carlo rows average over
-    the given seeds and record the spread.
+    the given seeds and record the spread.  Every argument is checked
+    before the first reconstruction.  Halton and seeded Monte Carlo points
+    are prefixes of one sequence, so one pass per seed over the largest N
+    gives every row; a Hammersley set depends on N, so each row is a call.
     """
+    if not all(1 <= a < np.inf for a in redundancies):
+        raise InvalidParameterError("redundancies must be finite and >= 1")
+    counts = [samples_for_redundancy(a, signal.m) for a in redundancies]
+    ladder = sorted(set(counts))
+    mc_seeds = list(mc_seeds)
+    for method in methods:
+        _check_rows(method, max(ladder, default=1), 3, 0)
+    if "mc" in methods and not mc_seeds:
+        raise InvalidParameterError("mc needs at least one seed")
+    for seed in mc_seeds if "mc" in methods else ():
+        _check_rows("mc", 1, 3, seed)
+    if not ladder:
+        return []
     rows: List[ErrorRow] = []
     for method in methods:
-        seeds = mc_seeds if method == "mc" else (0,)
-        for a in redundancies:
-            if not a >= 1:
-                raise InvalidParameterError("redundancy must be >= 1")
-            n = samples_for_redundancy(a, signal.m)
-            errs = [
-                relative_error(reconstruct(signal, params, n, method, seed, padded), signal)
-                for seed in seeds
-            ]
-            rows.append(ErrorRow(method, a, n, float(np.mean(errs)), float(np.std(errs))))
+        passes = [[n] for n in ladder] if method == "hammersley" else [ladder]
+        errs: Dict[int, List[float]] = {n: [] for n in ladder}
+        for seed in mc_seeds if method == "mc" else (0,):
+            for ns in passes:
+                outs = _analysis_synthesis(signal, params, ns, method, seed, padded)
+                for n, out in zip(ns, outs):
+                    errs[n].append(relative_error(out, signal))
+        rows += [
+            ErrorRow(method, a, n, float(np.mean(errs[n])), float(np.std(errs[n])))
+            for a, n in zip(redundancies, counts)
+        ]
     return rows
 
 

@@ -154,10 +154,13 @@ def _reconstruct_audio(
 
 def _cmd_vocoder(config: RunConfig) -> int:
     options = config.options
+    dilation = int(options["dilation"])
+    if dilation < 1:  # refused before the WAV is read
+        raise InvalidParameterError("dilation must be an integer >= 1")
     audio, signal, params = _load_audio(options)
     job = VocoderJob(
         params=params,
-        dilation=int(options["dilation"]),
+        dilation=dilation,
         redundancy=options.get("redundancy"),
         sequence=str(options["sequence"]),
         seed=int(options["seed"]),
@@ -182,12 +185,14 @@ def _cmd_multiplier(config: RunConfig) -> int:
     high = options.get("high_pass")
     if (low is None) == (high is None):
         raise InvalidParameterError("give exactly one of --low-pass or --high-pass")
-    loaded = _load_audio(options)
     # A cutoff outside (0, L) keeps no atom, so the output would be silence,
-    # or every atom, so nothing would be filtered.
+    # or every atom, so nothing would be filtered.  Only L needs the WAV.
     cutoff = float(low if low is not None else high)
+    if not 0.0 < cutoff < np.inf:
+        raise InvalidParameterError(f"cutoff frequency {cutoff:g} Hz must be positive and finite")
+    loaded = _load_audio(options)
     rate = loaded[1].sample_rate
-    if not 0.0 < cutoff < rate:
+    if not cutoff < rate:
         raise InvalidParameterError(
             f"cutoff frequency {cutoff:g} Hz must lie in (0, {rate:g}) Hz"
         )

@@ -19,12 +19,12 @@ on narrow unsigned keys, which numpy runs as radix sorts when a key fits
 16 bits, and no block is sorted on its own.  Analysis and synthesis are
 the operator's two directions: analysis takes the inner product of the
 signal with every block, and synthesis sums each block, scaled by its
-coefficients and the cubature weight volume(box)/N, over its own index
-span and adds the block sums in block order, into an accumulator over
-the span the blocks reach.  The blocks of one call run in the calling
-thread, on arrays that each thread keeps for its next block; the pipelines
-in :mod:`ltft.processing` run tiles of points on a thread pool, and call
-these block loops once per tile.
+coefficients, over its own index span and adds the block sums in block
+order, into an accumulator over the span the blocks reach; the cubature
+weight volume(box)/N scales the sum once.  The blocks of one call run in
+the calling thread, on arrays that each thread keeps for its next block;
+the pipelines in :mod:`ltft.processing` run tiles of points on a thread
+pool, and call these block loops once per tile.
 
 Reconstruction synthesizes the atoms it analysed, on the same grid, so a
 private round trip does both in one pass: each block is built once, its
@@ -885,18 +885,18 @@ def _tile_coeffs(
 
 
 def _synthesis_sum(
-    scaled: np.ndarray, samples: SampleSet, params: LtftParams, out_len: int,
+    values: np.ndarray, samples: SampleSet, params: LtftParams, out_len: int,
     sample_rate: float,
 ) -> Tuple[int, np.ndarray]:
-    # sum_n scaled_n * atom_n on the out_len grid, block by block in this
-    # thread, as (grid index, sum) over the span the atoms reach.
+    # sum_n values_n * atom_n on the out_len grid, unweighted, block by block
+    # in this thread, as (grid index, sum) over the span the atoms reach.
     blocks = _atom_blocks(params, samples, sample_rate)[0]
     guard = _guard(blocks)
 
     def sums():
         for block in blocks:
             lo, j, atoms = _block_atoms(params, samples, sample_rate, out_len, guard, block)
-            yield _block_sum(lo, j, atoms, np.take(scaled, block.sel))
+            yield _block_sum(lo, j, atoms, np.take(values, block.sel))
 
     return _sum_blocks(sums(), blocks, out_len, guard)
 
@@ -912,9 +912,9 @@ def _ruled(rule: Rule, values: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _round_trip_sum(
     sig: np.ndarray, guard: int, samples: SampleSet, params: LtftParams, grid_len: int,
-    sample_rate: float, weight: float, rule: Optional[Rule] = None,
+    sample_rate: float, rule: Optional[Rule] = None,
 ) -> Tuple[int, np.ndarray]:
-    # _synthesis_sum(weight * rule(_tile_coeffs(...), a, b, c)) bit for bit,
+    # _synthesis_sum(rule(_tile_coeffs(...), a, b, c)) bit for bit,
     # with each atom block built once: its coefficients are taken and mapped
     # by the rule, and the same block, scaled by them, is summed while it is
     # in hand.
@@ -926,7 +926,7 @@ def _round_trip_sum(
             coeffs = _block_coeffs(sig, lo, j, atoms, sample_rate)
             if rule is not None:
                 coeffs = _ruled(rule, coeffs, np.take(samples.points, block.sel, axis=0))
-            yield _block_sum(lo, j, atoms, np.multiply(coeffs, weight, out=coeffs))
+            yield _block_sum(lo, j, atoms, coeffs)
 
     return _sum_blocks(sums(), blocks, grid_len, guard)
 
@@ -957,13 +957,14 @@ def synthesize(
 ) -> DigitalSignal:
     """Cubature synthesis: weight * sum_n F_n * atom_n on the output grid.
 
-    The weight is coeffs.weight = volume(box)/N.  Each atom block is summed
-    on its own and the block sums are added in block order (by support
-    length), which depends on the samples alone, so the result is
-    bit-identical across runs.
+    The weight is coeffs.weight = volume(box)/N, applied once to the sum.
+    Each atom block is summed on its own and the block sums are added in
+    block order (by support length), which depends on the samples alone,
+    so the result is bit-identical across runs.
     """
     if coeffs.values.shape[0] != samples.n:
         raise InvalidParameterError("coefficients and samples must align")
-    scaled = coeffs.weight * coeffs.values
-    tile = _synthesis_sum(scaled, samples, params, out_len, sample_rate)
-    return _placed([tile], out_len, sample_rate)
+    tile = _synthesis_sum(coeffs.values, samples, params, out_len, sample_rate)
+    out = _placed([tile], out_len, sample_rate)
+    out.samples *= coeffs.weight
+    return out

@@ -12,10 +12,12 @@ tile is generated on its own, bit for bit equal to the same rows of the
 whole set, then planned, analysed, mapped by the rule and summed by the
 block loops of :mod:`ltft.core`, and the tile sums are added in tile order
 into the output.  So the memory a call holds does not grow with N,
-whatever the rule.  Large calls run the tiles on a thread pool, one thread
-per usable core, with a few tiles in flight; the partition and the order
-of the sums do not depend on the thread count, so neither does the
-output, bit for bit.
+whatever the rule.  The cubature weight volume(box)/N is applied once, to
+the normalized sum, so one pass over the first N points of a Halton or
+seeded Monte Carlo sequence also gives the output at every smaller N.
+Large calls run the tiles on a thread pool, one thread per usable core,
+with a few tiles in flight; the partition and the order of the sums do
+not depend on the thread count, so neither does the output, bit for bit.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple, TypeVar
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .core import (
     SampleSet,
     _analysis_input,
     _max_support_samples,
-    _placed,
     _predicted_atom_samples,
     _round_trip_sum,
     _ruled,
@@ -217,63 +218,71 @@ def _map_tiles(task: Callable[[int], T], count: int, pooled: bool) -> Iterator[T
 def _analysis_synthesis(
     signal: DigitalSignal,
     params: LtftParams,
-    n: int,
+    counts: Sequence[int],
     kind: str,
     seed: int,
     padded: bool,
     rule: Optional[Rule] = None,
     dilation: int = 1,
     at_peak: Optional[Callable[[float], Rule]] = None,
-) -> DigitalSignal:
+) -> List[DigitalSignal]:
     # Analysis of the analytic signal on N points of the phase-space box,
     # the optional per-point rule, synthesis of atoms at (D*a, b, c) onto a
     # D*M grid, inverse-frame normalization at the output resolution, then
-    # the real part.  The output is scaled by D to compensate the thinned
-    # density of synthesis centers: the cubature weight stays
-    # volume(analysis box)/N while the N dilated centers cover a box D times
-    # larger, so the sum underweights by 1/D (measured on pure tones).  At
-    # D = 1 this is reconstruction.
+    # the real part, at each N of the ascending `counts`.  The sum is scaled
+    # once by D times the cubature weight volume(analysis box)/N: the N
+    # dilated centers cover a box D times larger, so the sum underweights
+    # by 1/D (measured on pure tones).  At D = 1 this is reconstruction.
     #
-    # The points run in tiles of _TILE_POINTS consecutive indices.  A tile's
-    # rows come straight from the generator, are scaled onto the box in
-    # place, and are analysed and summed by the block loops of core; each
-    # tile gives a (grid index, sum) pair, and the pairs are added in tile
-    # order, so the output does not depend on the thread count, bit for
-    # bit.  At D = 1 synthesis uses the very atoms analysis built, so a tile
-    # takes the one-pass round trip, the rule mapping each block's
-    # coefficients while the block is in hand.  At D > 1 a tile is analysed,
-    # its coefficients mapped, its times dilated in place and its atoms
-    # summed.  With `at_peak` the rule is at_peak(max |F|), and an
+    # The points run in tiles of _TILE_POINTS consecutive indices, also cut
+    # at each count, where the output is emitted: Halton and Monte Carlo
+    # rows are prefixes of one sequence, so one pass serves every count.  A
+    # Hammersley set depends on N, and max |F| on all N points, so these
+    # take one count.  A tile's rows come straight from the generator, are
+    # scaled onto the box in place, and are analysed and summed by the block
+    # loops of core; each tile gives a (grid index, sum) pair, and the pairs
+    # are added in tile order, so the output does not depend on the thread
+    # count, bit for bit.  At D = 1 synthesis uses the very atoms analysis
+    # built, so a tile takes the one-pass round trip, the rule mapping each
+    # block's coefficients while the block is in hand.  At D > 1 a tile is
+    # analysed, its coefficients mapped, its times dilated in place and its
+    # atoms summed.  With `at_peak` the rule is at_peak(max |F|), and an
     # analysis-only pass over the same tiles finds max |F| first.
+    checked = [_check_rows(kind, n, 3, seed) for n in counts]
+    if not checked or any(a[0] >= b[0] for a, b in zip(checked, checked[1:])):
+        raise InvalidParameterError("point counts must be a non-empty ascending list")
+    if len(checked) > 1 and (kind == "hammersley" or at_peak is not None):
+        raise InvalidParameterError("hammersley points and denoising take one point count")
+    counts, seed = [n for n, _, _ in checked], checked[0][2]
+    n = counts[-1]
     rate = signal.sample_rate
     out_len = dilation * signal.m
-    n, _, seed = _check_rows(kind, n, 3, seed)
     # The frame diagonal first: its build's temporaries are gone before the
     # tiles allocate.
     hd = frame_diagonal(params, rate, out_len, folded=True)
     box = PhaseSpaceBox.for_signal(signal, params, padded=padded)
-    weight = box.volume / n
     guard = _max_support_samples(params, rate)
     sig = _analysis_input(to_analytic(signal), guard)
-    count = -(-n // _TILE_POINTS)
-    pooled = count >= 2 and _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
+    edges = sorted({*range(0, n, _TILE_POINTS), *counts})
+    spans = list(zip(edges, edges[1:]))
+    pooled = len(spans) >= 2 and _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
     tag = seed if kind == "mc" else None
 
     def tile_points(k: int) -> SampleSet:
-        rows = unit_point_rows(kind, n, 3, seed, k * _TILE_POINTS, min((k + 1) * _TILE_POINTS, n))
+        rows = unit_point_rows(kind, n, 3, seed, *spans[k])
         return SampleSet(scale_rows(rows, box), box, kind, tag)
 
     def coeffs_of(samples: SampleSet) -> np.ndarray:
         return _tile_coeffs(sig, guard, samples, params, signal.m, rate)
 
     if at_peak is not None:
-        peaks = _map_tiles(lambda k: np.abs(coeffs_of(tile_points(k))).max(), count, pooled)
+        peaks = _map_tiles(lambda k: np.abs(coeffs_of(tile_points(k))).max(), len(spans), pooled)
         rule = at_peak(float(max(peaks)))
 
     if dilation == 1:
 
         def task(k: int) -> Tuple[int, np.ndarray]:
-            return _round_trip_sum(sig, guard, tile_points(k), params, signal.m, rate, weight, rule)
+            return _round_trip_sum(sig, guard, tile_points(k), params, signal.m, rate, rule)
 
     else:
 
@@ -284,11 +293,17 @@ def _analysis_synthesis(
                 values = _ruled(rule, values, samples.points)
             samples.points[:, 0] *= float(dilation)
             dilated = SampleSet(samples.points, box.scaled(float(dilation)), kind, tag)
-            return _synthesis_sum(weight * values, dilated, params, out_len, rate)
+            return _synthesis_sum(values, dilated, params, out_len, rate)
 
-    raw = _placed(_map_tiles(task, count, pooled), out_len, rate)
-    normalized = apply_inverse_frame(raw, hd)
-    return from_analytic(DigitalSignal(normalized.samples * dilation, rate))
+    raw = np.zeros(out_len, dtype=np.complex128)
+    outputs = []
+    for (lo, part), (_, stop) in zip(_map_tiles(task, len(spans), pooled), spans):
+        raw[lo : lo + part.size] += part
+        if stop in counts:
+            normalized = apply_inverse_frame(DigitalSignal(raw, rate), hd).samples
+            scaled = normalized * (dilation * box.volume / stop)
+            outputs.append(from_analytic(DigitalSignal(scaled, rate)))
+    return outputs
 
 
 def reconstruct(
@@ -306,7 +321,8 @@ def reconstruct(
     analysis and the real part is returned.  ``rule(values, a, b, c)``,
     when given, maps the analysis coefficients before synthesis, each with
     its own point (a multiplier or a shrinkage rule, for example).  It must
-    be elementwise and pure, and return one value per coefficient.
+    be elementwise and pure, and return one value per coefficient.  The
+    cubature weight volume(box)/N scales the normalized sum once.
 
     Memory: besides a few signal-length arrays (the input, its analytic
     form with a guard band, the output and the frame diagonal), a call
@@ -315,7 +331,7 @@ def reconstruct(
     rule maps one atom block's coefficients at a time, so it adds nothing
     to that, and each block is built once.
     """
-    return _analysis_synthesis(signal, params, n, kind, seed, padded, rule=rule)
+    return _analysis_synthesis(signal, params, [n], kind, seed, padded, rule=rule)[0]
 
 
 def denoise(
@@ -333,7 +349,7 @@ def denoise(
     the same tiles before the round trip, so each atom block is built
     twice, and the call holds no more memory than :func:`reconstruct`.
     """
-    return _analysis_synthesis(signal, params, n, kind, seed, padded, at_peak=shrink)
+    return _analysis_synthesis(signal, params, [n], kind, seed, padded, at_peak=shrink)[0]
 
 
 def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
@@ -356,6 +372,6 @@ def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
     if out_len > _MAX_OUTPUT_SAMPLES:
         raise BudgetExceededError(f"output of {out_len} samples exceeds the budget")
     return _analysis_synthesis(
-        signal, job.params, job.sample_count(signal.m), job.sequence, job.seed, job.padded,
+        signal, job.params, [job.sample_count(signal.m)], job.sequence, job.seed, job.padded,
         rule=lambda z, a, b, c: vocoder_phase_rule(z, d), dilation=d,
-    )
+    )[0]

@@ -3,6 +3,7 @@ import pytest
 
 from ltft import (
     DigitalSignal,
+    InvalidParameterError,
     LtftParams,
     PhaseSpaceBox,
     bench_reconstruction,
@@ -10,8 +11,11 @@ from ltft import (
     complexity_per_point_bound,
     dft,
     make_test_signal,
+    reconstruct,
+    relative_error,
     scale_to_box,
 )
+from ltft import bench, core, processing
 from ltft.core import SampleSet, atom_support_length
 from ltft.lds import generate_unit_points
 
@@ -94,3 +98,74 @@ def test_bench_mc_rows_average(params):
     rows = bench_reconstruction(signal, params, ["mc"], [4], mc_seeds=range(3))
     assert rows[0].method == "mc"
     assert rows[0].rel_error_std > 0
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["caller", "pool"])
+def test_one_pass_rows_match_one_call_per_redundancy(monkeypatch, params, pooled):
+    # Redundancies out of order and repeated, on tiles of 500 points, so the
+    # counts 256, 640 and 1024 straddle tile edges: each Halton and Monte
+    # Carlo row, from one pass per seed, agrees to rounding with the mean
+    # error of one reconstruct call per seed; Hammersley rows are those
+    # calls' errors exactly.
+    monkeypatch.setattr(processing, "_TILE_POINTS", 500)
+    if pooled:
+        monkeypatch.setattr(processing, "_POOL_MIN_ATOM_SAMPLES", 0)
+    signal = make_test_signal(256, RATE, params=params)
+    redundancies = [4, 1, 2.5, 1]
+    rows = bench_reconstruction(
+        signal, params, ["hammersley", "halton", "mc"], redundancies, mc_seeds=[3, 0]
+    )
+    assert [(r.method, r.redundancy, r.n) for r in rows] == [
+        (method, a, int(np.ceil(a * 256)))
+        for method in ("hammersley", "halton", "mc") for a in redundancies
+    ]
+    for row in rows:
+        seeds = [3, 0] if row.method == "mc" else [0]
+        errs = [
+            relative_error(reconstruct(signal, params, row.n, row.method, seed), signal)
+            for seed in seeds
+        ]
+        if row.method == "hammersley":
+            assert row.rel_error == errs[0] and row.rel_error_std == 0.0
+        else:
+            assert row.rel_error == pytest.approx(np.mean(errs), rel=1e-12, abs=0)
+            assert row.rel_error_std == pytest.approx(np.std(errs), rel=1e-9, abs=1e-15)
+
+
+def test_mc_sweep_builds_atoms_for_the_largest_count_once_per_seed(monkeypatch, params):
+    # Over redundancies [1, 2, 4] each seed's pass builds atom blocks for
+    # 4 M points, where one call per redundancy built them for 7 M.
+    m = 256
+    signal = make_test_signal(m, RATE, params=params)
+    rows = []
+    original = core._block_atoms
+
+    def counting(params, samples, rate, grid_len, guard, block):
+        rows.append(block.sel.size)
+        return original(params, samples, rate, grid_len, guard, block)
+
+    monkeypatch.setattr(core, "_block_atoms", counting)
+    bench_reconstruction(signal, params, ["mc"], [1, 2, 4], mc_seeds=range(3))
+    assert sum(rows) == 3 * 4 * m
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(methods=["hammersley", "sobol"]),
+        dict(redundancies=[16, 0.5]),
+        dict(redundancies=[2, float("nan")]),
+        dict(redundancies=[2, float("inf")]),
+        dict(mc_seeds=[]),
+        dict(mc_seeds=[1, -1]),
+        dict(mc_seeds=[0, 1.5]),
+    ],
+)
+def test_bench_refuses_every_bad_argument_before_reconstructing(monkeypatch, params, kwargs):
+    calls = []
+    monkeypatch.setattr(bench, "_analysis_synthesis", lambda *args, **kw: calls.append(1))
+    signal = make_test_signal(256, RATE, params=params)
+    args = dict(methods=["hammersley", "mc"], redundancies=[1, 2], mc_seeds=[0, 1])
+    with pytest.raises(InvalidParameterError):
+        bench_reconstruction(signal, params, **{**args, **kwargs})
+    assert calls == []

@@ -292,6 +292,25 @@ def test_relative_threshold_is_refused_before_the_wav_is_read(tmp_path, capsys):
         assert f"{mode} threshold {float(threshold):g}" in err[0]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "vocoder -D 0",
+        "vocoder -D -2",
+        "multiplier --low-pass nan",
+        "multiplier --high-pass inf",
+        "multiplier --low-pass 0",
+    ],
+)
+def test_dilation_or_cutoff_is_refused_before_the_wav_is_read(tmp_path, capsys, command):
+    # Neither needs the WAV: only the cutoff's upper bound L does.
+    args = command.split() + [str(tmp_path / "missing.wav"), str(tmp_path / "o.wav")]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+    assert ("dilation" if command.startswith("vocoder") else "cutoff") in err[0]
+
+
 def test_bench_error_csv(tmp_path):
     out = tmp_path / "fig.csv"
     code = main([

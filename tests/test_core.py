@@ -40,11 +40,10 @@ def _round_trip(signal, samples, params, rule=None):
     # The one-pass round trip over one sample set on the signal's own grid.
     guard = core._max_support_samples(params, signal.sample_rate)
     sig = core._analysis_input(signal, guard)
-    weight = samples.box.volume / samples.n
-    tile = core._round_trip_sum(
-        sig, guard, samples, params, signal.m, signal.sample_rate, weight, rule
-    )
-    return core._placed([tile], signal.m, signal.sample_rate)
+    tile = core._round_trip_sum(sig, guard, samples, params, signal.m, signal.sample_rate, rule)
+    out = core._placed([tile], signal.m, signal.sample_rate)
+    out.samples *= samples.box.volume / samples.n
+    return out
 
 
 def _low_pass(values, a, b, c):

@@ -135,7 +135,7 @@ def test_rule_that_changes_the_shape_is_refused(params, tapered_tone):
             reconstruct(s, params, 4 * 256, rule=rule)
     with pytest.raises(InvalidParameterError, match="one value per coefficient"):
         processing._analysis_synthesis(
-            s, params, 4 * 256, "hammersley", 0, False,
+            s, params, [4 * 256], "hammersley", 0, False,
             rule=lambda z, a, b, c: np.repeat(z, 2), dilation=2,
         )
 
@@ -314,9 +314,9 @@ def test_tiled_transform_sees_every_coefficient_once(monkeypatch, params, tapere
         for tile in (999, 1 << 30):
             _tiles(monkeypatch, tile)
             sizes.clear()
-            outs.append(processing._analysis_synthesis(
-                s, params, n, "mc", 2, False, rule=rule, dilation=dilation
-            ))
+            outs += processing._analysis_synthesis(
+                s, params, [n], "mc", 2, False, rule=rule, dilation=dilation
+            )
             assert sum(sizes) == n
         assert relative_error(*outs) <= 1e-13
 
@@ -342,3 +342,39 @@ def test_reconstruct_memory_does_not_grow_with_tile_count(monkeypatch, params, t
             finally:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("dilation", [1, 2])
+@pytest.mark.parametrize("kind", ["halton", "mc"])
+def test_one_pass_gives_the_output_at_every_count(monkeypatch, params, tapered_tone, kind, dilation):
+    # One pass over ascending counts, on tiles of 700 points that the counts
+    # cut, gives each count's single-count output to rounding.
+    s = tapered_tone(512)
+    counts = [512, 1200, 2100, 2800]
+    _tiles(monkeypatch, 700)
+    outs = processing._analysis_synthesis(
+        s, params, counts, kind, 4, False, rule=_low_pass(20.0), dilation=dilation
+    )
+    assert len(outs) == len(counts)
+    for n, out in zip(counts, outs):
+        one = processing._analysis_synthesis(
+            s, params, [n], kind, 4, False, rule=_low_pass(20.0), dilation=dilation
+        )[0]
+        assert relative_error(out, one) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "kind, counts, at_peak",
+    [
+        ("hammersley", [512, 1024], None),
+        ("halton", [1024, 512], None),
+        ("mc", [512, 512], None),
+        ("mc", [], None),
+        ("halton", [512, 1024], shrinkage(0.1)),
+    ],
+    ids=["hammersley", "descending", "repeated", "empty", "denoise"],
+)
+def test_counts_a_pass_cannot_share_are_refused(params, tapered_tone, kind, counts, at_peak):
+    s = tapered_tone(256)
+    with pytest.raises(InvalidParameterError):
+        processing._analysis_synthesis(s, params, counts, kind, 0, False, at_peak=at_peak)
