@@ -171,7 +171,7 @@ def discrepancy_scaling(generator: str, sizes: Sequence[int]) -> Tuple[List[Scal
     Monte Carlo rows average over seeds 0..9; wavelet grids vary the time
     density p at fixed r and are rescaled to the unit square; the regular
     lattice uses a side of roughly sqrt(N).  Sizes must stay within the
-    exact-discrepancy budget.
+    exact-discrepancy budget, and give at least two distinct N.
     """
     rows: List[ScalingRow] = []
     for target in sizes:
@@ -195,6 +195,8 @@ def discrepancy_scaling(generator: str, sizes: Sequence[int]) -> Tuple[List[Scal
         rows.append(
             ScalingRow(generator, pts.n, star_discrepancy(pts).star_value)
         )
+    if len({r.n for r in rows}) < 2:
+        raise InvalidParameterError(f"a {generator} slope needs two or more distinct N")
     slope = fit_loglog_slope([r.n for r in rows], [r.d_star for r in rows])
     return rows, slope
 

@@ -18,21 +18,21 @@ length, and each block's rows by first sample) come from stable argsorts
 on narrow unsigned keys, which numpy runs as radix sorts when a key fits
 16 bits, and no block is sorted on its own.  Analysis and synthesis are
 the operator's two directions: analysis takes the inner product of the
-signal with every block, and synthesis sums each block, scaled by its
-coefficients, over its own index span and adds the block sums in block
-order, into an accumulator over the span the blocks reach; the cubature
-weight volume(box)/N scales the sum once.  The blocks of one call run in
-the calling thread, on arrays that each thread keeps for its next block;
-the pipelines in :mod:`ltft.processing` run tiles of points on a thread
-pool, and call these block loops once per tile.
+signal with every block, and synthesis scales each block by its
+coefficients and adds it, one block after another in block order, straight
+into one accumulator over the span the blocks reach; the cubature weight
+volume(box)/N scales the sum once.  The blocks of one call run in the
+calling thread, on arrays that each thread keeps for its next block; the
+pipelines in :mod:`ltft.processing` run tiles of points on a thread pool,
+and call these block loops once per tile.
 
-Reconstruction synthesizes the atoms it analysed, on the same grid, so a
-private round trip does both in one pass: each block is built once, its
-coefficients are taken and mapped by an optional per-point rule, and the
-same block, scaled by them, is summed while it is in hand.  It shares the
-block sum and the block-order accumulation with synthesis and gives the
-same bits as analysis, the rule, then synthesis.  Synthesis at a time
-dilation uses other atoms, so that pipeline keeps the two passes.
+The synthesis loop asks for each block's coefficients while the block's
+atoms are in hand.  Synthesis reads them from a vector.  Reconstruction
+synthesizes the atoms it analysed, on the same grid, so its private round
+trip takes the block's analysis coefficients, mapped by an optional
+per-point rule: each block is built once, with the same bits as analysis,
+the rule, then synthesis.  Synthesis at a time dilation uses other atoms,
+so that pipeline keeps the two passes.
 
 The block kernel takes no transcendental per sample and makes no serial
 scan.  A block is sample-major, (length, rows), so each step is one
@@ -46,10 +46,11 @@ cos^4 window is (Re u)^4 on the same doubling ramp of
 u_k = exp(i pi s (t_k - a)), squared twice, and a row's padding past its
 own support is set to exactly 0.  Each atom's four unit phasors (first
 phase, phase step, first window angle, window step) are the cos and sin of
-one angle array.  Block indices address the grid inside a zero guard band
-as wide as the plan's longest row on each side, relative to the block's
-first sample; samples off the grid read zero in analysis and write only
-into the guard band in synthesis, so neither direction masks or clips.
+one angle array.  Block indices, relative to the block's first sample,
+address the grid inside a zero guard band on each side as wide as the
+longest support any atom can have; samples off the grid read zero in
+analysis and write only into the guard band in synthesis, so neither
+direction masks or clips.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, ClassVar, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -614,8 +615,8 @@ _BLOCK_ATOM_SAMPLES = 1 << 16
 # padding costs a few per cent more atom-samples.
 _PACK_RATIO = 1.25
 # Per-thread scratch arrays up to this many elements are kept for the
-# thread's next block; larger ones (a block of very long rows, or the sum of
-# a block that spans a long grid) are made afresh each time.
+# thread's next block; larger ones (a block of very long rows) are made
+# afresh each time.
 _SCRATCH_KEEP = 1 << 18
 
 _SCRATCH = threading.local()
@@ -638,8 +639,7 @@ def _scratch(name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
 
 class _AtomBlock(NamedTuple):
     # One block of the radix-ordered plan (see _atom_blocks).  The arrays are
-    # slices of plan-wide int32 arrays when the values fit, and the longest
-    # block length sets the zero guard band's width (see _guard).
+    # slices of plan-wide int32 arrays when the values fit.
     sel: np.ndarray  # sample indices, ordered by first sample
     start: np.ndarray  # first grid sample m of each atom
     own: np.ndarray  # each atom's own support sample count; rows pad past it with 0
@@ -660,7 +660,7 @@ def _index_type(low: int, high: int):
 
 def _atom_blocks(
     params: LtftParams, samples: SampleSet, sample_rate: float
-) -> Tuple[List[_AtomBlock], int]:
+) -> List[_AtomBlock]:
     # The sampled atom operator's plan.  Atoms are ordered by support sample
     # count and then by first sample, and cut into consecutive blocks: a block
     # ends before an atom longer than _PACK_RATIO times its shortest row, or
@@ -668,7 +668,6 @@ def _atom_blocks(
     # padded to its longest.  Within a block the rows are ordered by first
     # sample, ties by support count and then by index.  The partition depends
     # on the samples alone, so the block order is the accumulation order.
-    # Returns the blocks and their total atom-sample count, padding included.
     #
     # Both orders come from stable argsorts on narrow unsigned keys (least
     # significant key first), which numpy runs as radix sorts when the key
@@ -683,7 +682,7 @@ def _atom_blocks(
         kept = np.flatnonzero(lengths > 0)
         m_start, lengths = m_start[kept], lengths[kept]
     if lengths.size == 0:
-        return [], 0
+        return []
     lo, hi = int(m_start.min()), int(m_start.max())
     start_key = _narrow(m_start - lo)
     m_start = m_start.astype(_index_type(lo, hi), copy=False)
@@ -725,17 +724,10 @@ def _atom_blocks(
     if kept is not None:
         sel = kept[sel]
     sel = sel.astype(_index_type(0, samples.n - 1), copy=False)
-    blocks = [
+    return [
         _AtomBlock(sel[i:k], start[i:k], own[i:k], length)
         for i, k, length in zip(bounds, bounds[1:], block_lengths)
     ]
-    return blocks, sum(block.sel.size * block.length for block in blocks)
-
-
-def _guard(blocks: List[_AtomBlock]) -> int:
-    # Width of the zero guard band on each side of the grid: the longest row
-    # (the last block's, as blocks are ordered by support count).
-    return blocks[-1].length if blocks else 0
 
 
 def _block_atoms(
@@ -747,8 +739,8 @@ def _block_atoms(
     block: _AtomBlock,
 ) -> Tuple[int, np.ndarray, np.ndarray]:
     # One block's storage indices and atom values.  Storage is the grid with
-    # a zero guard band of `guard` >= _guard(blocks) cells on each side, so
-    # grid sample m is at m + grid_len // 2 + guard.  Returns the storage
+    # a zero guard band of `guard` = _max_support_samples cells on each side,
+    # so grid sample m is at m + grid_len // 2 + guard.  Returns the storage
     # index lo of the block's first sample, the block-relative indices j
     # (lo + j is a row's storage span) and the atom values, each row padded
     # to the block's length; j and the atoms are (rows, length) views of
@@ -784,7 +776,8 @@ def _clipped_starts(block: _AtomBlock, grid_len: int) -> np.ndarray:
 
 def _max_support_samples(params: LtftParams, sample_rate: float) -> int:
     # A bound on every atom's support sample count: at most S0 * L plus one,
-    # and one more for the rounding of the support's ends.
+    # and one more for the rounding of the support's ends.  It is the width
+    # of the zero guard band on each side of the grid in both directions.
     return int(np.ceil(params.s0 * sample_rate)) + 2
 
 
@@ -825,51 +818,6 @@ def _block_coeffs(
     return np.divide(values, sample_rate, out=values)
 
 
-def _block_sum(
-    lo: int, j: np.ndarray, atoms: np.ndarray, scaled: np.ndarray
-) -> Tuple[int, np.ndarray]:
-    # One block's atoms times their scaled coefficients, summed over the
-    # block's own storage span from lo on by one unbuffered add in
-    # sample-major order, on this thread's scratch.  Scales atoms in place.
-    atoms *= scaled[:, None]
-    part = _scratch("part", (int(j[-1, -1]) + 1,), np.complex128)
-    part.fill(0.0)
-    np.add.at(part, j.T.ravel(), atoms.T.ravel())
-    return lo, part
-
-
-def _sum_blocks(
-    sums: Iterable[Tuple[int, np.ndarray]],
-    blocks: List[_AtomBlock],
-    grid_len: int,
-    guard: int,
-) -> Tuple[int, np.ndarray]:
-    # Adds the block sums, made one at a time in this thread, in block order
-    # into an accumulator over the blocks' storage span, and crops it to the
-    # grid: returns the grid index of the sum's first sample and the sum.
-    # The accumulator spans only what the blocks reach, so a tile of points
-    # whose times lie in a slab sums over that slab, not over the grid.
-    if not blocks:
-        return 0, np.zeros(0, dtype=np.complex128)
-    base = grid_len // 2 + guard
-    firsts = [_clipped_starts(block, grid_len) for block in blocks]
-    start = min(int(first[0]) for first in firsts) + base
-    stop = max(int(first[-1]) + block.length for first, block in zip(firsts, blocks)) + base
-    acc = np.zeros(stop - start, dtype=np.complex128)
-    for lo, part in sums:
-        acc[lo - start : lo - start + part.size] += part
-    lo, hi = max(start, guard), min(stop, guard + grid_len)
-    return lo - guard, acc[lo - start : max(hi, lo) - start]
-
-
-def _placed(sums: Iterable[Tuple[int, np.ndarray]], out_len: int, sample_rate: float) -> DigitalSignal:
-    # Adds (grid index, sum) pairs in order into an out_len signal.
-    out = np.zeros(out_len, dtype=np.complex128)
-    for lo, part in sums:
-        out[lo : lo + part.size] += part
-    return DigitalSignal(out, sample_rate)
-
-
 def _tile_coeffs(
     sig: np.ndarray, guard: int, samples: SampleSet, params: LtftParams, grid_len: int,
     sample_rate: float,
@@ -878,27 +826,36 @@ def _tile_coeffs(
     # (guard band of `guard` cells, see _analysis_input), block by block in
     # this thread.
     out = np.zeros(samples.n, dtype=np.complex128)
-    for block in _atom_blocks(params, samples, sample_rate)[0]:
+    for block in _atom_blocks(params, samples, sample_rate):
         lo, j, atoms = _block_atoms(params, samples, sample_rate, grid_len, guard, block)
         out[block.sel] = _block_coeffs(sig, lo, j, atoms, sample_rate)
     return out
 
 
-def _synthesis_sum(
-    values: np.ndarray, samples: SampleSet, params: LtftParams, out_len: int,
-    sample_rate: float,
+def _tile_sum(
+    samples: SampleSet, params: LtftParams, grid_len: int, sample_rate: float, guard: int,
+    coeffs: Callable[..., np.ndarray],
 ) -> Tuple[int, np.ndarray]:
-    # sum_n values_n * atom_n on the out_len grid, unweighted, block by block
-    # in this thread, as (grid index, sum) over the span the atoms reach.
-    blocks = _atom_blocks(params, samples, sample_rate)[0]
-    guard = _guard(blocks)
-
-    def sums():
-        for block in blocks:
-            lo, j, atoms = _block_atoms(params, samples, sample_rate, out_len, guard, block)
-            yield _block_sum(lo, j, atoms, np.take(values, block.sel))
-
-    return _sum_blocks(sums(), blocks, out_len, guard)
+    # sum_n coeffs_n * atom_n on the grid_len grid, unweighted, block by block
+    # in this thread.  coeffs(block, lo, j, atoms) gives a block's
+    # coefficients while its atoms (see _block_atoms) are in hand; the block
+    # is scaled in place by them and added, by one unbuffered add in
+    # sample-major order, straight into an accumulator over the storage span
+    # the blocks reach, in block order.  Returns the grid index of the sum's
+    # first sample and the sum, cropped to the grid: a tile of points whose
+    # times lie in a slab sums over that slab, not over the grid.
+    blocks = _atom_blocks(params, samples, sample_rate)
+    base = grid_len // 2 + guard
+    firsts = [_clipped_starts(block, grid_len) for block in blocks]
+    start = min((int(first[0]) for first in firsts), default=0) + base
+    stop = max((int(f[-1]) + b.length for f, b in zip(firsts, blocks)), default=0) + base
+    acc = np.zeros(stop - start, dtype=np.complex128)
+    for block in blocks:
+        lo, j, atoms = _block_atoms(params, samples, sample_rate, grid_len, guard, block)
+        atoms *= coeffs(block, lo, j, atoms)[:, None]
+        np.add.at(acc[lo - start :], j.T.ravel(), atoms.T.ravel())
+    lo, hi = max(start, guard), min(stop, guard + grid_len)
+    return lo - guard, acc[lo - start : max(hi, lo) - start]
 
 
 def _ruled(rule: Rule, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -910,25 +867,18 @@ def _ruled(rule: Rule, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _round_trip_sum(
-    sig: np.ndarray, guard: int, samples: SampleSet, params: LtftParams, grid_len: int,
-    sample_rate: float, rule: Optional[Rule] = None,
-) -> Tuple[int, np.ndarray]:
-    # _synthesis_sum(rule(_tile_coeffs(...), a, b, c)) bit for bit,
-    # with each atom block built once: its coefficients are taken and mapped
-    # by the rule, and the same block, scaled by them, is summed while it is
-    # in hand.
-    blocks = _atom_blocks(params, samples, sample_rate)[0]
+def _round_trip_coeffs(
+    sig: np.ndarray, samples: SampleSet, sample_rate: float, rule: Optional[Rule]
+) -> Callable[..., np.ndarray]:
+    # The one-pass round trip's source for _tile_sum: a block's analysis
+    # coefficients against the padded input `sig`, mapped by the rule.  The
+    # sum then equals the synthesis of rule(_tile_coeffs(...), a, b, c) bit
+    # for bit, with each atom block built once.
+    def coeffs(block: _AtomBlock, lo: int, j: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+        values = _block_coeffs(sig, lo, j, atoms, sample_rate)
+        return values if rule is None else _ruled(rule, values, samples.points[block.sel])
 
-    def sums():
-        for block in blocks:
-            lo, j, atoms = _block_atoms(params, samples, sample_rate, grid_len, guard, block)
-            coeffs = _block_coeffs(sig, lo, j, atoms, sample_rate)
-            if rule is not None:
-                coeffs = _ruled(rule, coeffs, np.take(samples.points, block.sel, axis=0))
-            yield _block_sum(lo, j, atoms, coeffs)
-
-    return _sum_blocks(sums(), blocks, grid_len, guard)
+    return coeffs
 
 
 def analyze(
@@ -958,13 +908,16 @@ def synthesize(
     """Cubature synthesis: weight * sum_n F_n * atom_n on the output grid.
 
     The weight is coeffs.weight = volume(box)/N, applied once to the sum.
-    Each atom block is summed on its own and the block sums are added in
-    block order (by support length), which depends on the samples alone,
-    so the result is bit-identical across runs.
+    Each atom block, scaled by its coefficients, is added straight into one
+    accumulator in block order (by support length), which depends on the
+    samples alone, so the result is bit-identical across runs.
     """
     if coeffs.values.shape[0] != samples.n:
         raise InvalidParameterError("coefficients and samples must align")
-    tile = _synthesis_sum(coeffs.values, samples, params, out_len, sample_rate)
-    out = _placed([tile], out_len, sample_rate)
-    out.samples *= coeffs.weight
-    return out
+    lo, tile = _tile_sum(
+        samples, params, out_len, sample_rate, _max_support_samples(params, sample_rate),
+        lambda block, *_: coeffs.values[block.sel],
+    )
+    out = np.zeros(out_len, dtype=np.complex128)
+    out[lo : lo + tile.size] = tile * coeffs.weight
+    return DigitalSignal(out, sample_rate)

@@ -39,10 +39,10 @@ from .core import (
     _analysis_input,
     _max_support_samples,
     _predicted_atom_samples,
-    _round_trip_sum,
+    _round_trip_coeffs,
     _ruled,
-    _synthesis_sum,
     _tile_coeffs,
+    _tile_sum,
     from_analytic,
     to_analytic,
 )
@@ -171,13 +171,12 @@ def sample_phase_space(
 # N.  Hammersley's time coordinate is n/N, so its tiles are time slabs.
 _TILE_POINTS = 1 << 15
 # Calls with fewer predicted atom-samples, or one tile, run their tiles in
-# the caller, where the pool's threads would save little.  On the error
-# sweep's 32 calls of 26k to 1.6M atom-samples (2-vCPU Xeon, sample-major
-# kernel, a pool over atom blocks), the median benchmark run_s was 0.377 /
-# 0.386 / 0.41 / 0.415 at thresholds of 2M / 1M / 500k / 250k over 4
-# interleaved rounds, and 0.388 / 0.395 / 0.401 at 2M / 1M / 500k over 5
-# more; 2M was faster than 500k in all 9.  Two busy processes there ran at
-# about 1.1 cores' throughput.  Every sweep call stays below the threshold.
+# the caller, where the pool's threads would save little.  Of the error
+# sweep's calls only A = 64 Hammersley (65,536 points, 2 tiles, 1.53M
+# atom-samples) has two tiles; speech-reconstruct (8 tiles, 5.97M) and
+# vocoder-cli (4 tiles, 2.98M) pool either way.  Pooling that call (2-vCPU
+# Xeon, 15 interleaved in-process rounds) took 0.062 s median against
+# 0.053 s in the caller, and the whole sweep 0.229 s against 0.220 s.
 _POOL_MIN_ATOM_SAMPLES = 2_000_000
 
 T = TypeVar("T")
@@ -282,7 +281,9 @@ def _analysis_synthesis(
     if dilation == 1:
 
         def task(k: int) -> Tuple[int, np.ndarray]:
-            return _round_trip_sum(sig, guard, tile_points(k), params, signal.m, rate, rule)
+            samples = tile_points(k)
+            source = _round_trip_coeffs(sig, samples, rate, rule)
+            return _tile_sum(samples, params, signal.m, rate, guard, source)
 
     else:
 
@@ -293,7 +294,9 @@ def _analysis_synthesis(
                 values = _ruled(rule, values, samples.points)
             samples.points[:, 0] *= float(dilation)
             dilated = SampleSet(samples.points, box.scaled(float(dilation)), kind, tag)
-            return _synthesis_sum(values, dilated, params, out_len, rate)
+            return _tile_sum(
+                dilated, params, out_len, rate, guard, lambda block, *_: values[block.sel]
+            )
 
     raw = np.zeros(out_len, dtype=np.complex128)
     outputs = []

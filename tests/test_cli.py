@@ -347,6 +347,22 @@ def test_bench_discrepancy_csv(tmp_path):
     assert len(lines) == 2 + 2 * 3
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--generators", "hammersley", "--sizes", "8"],
+        ["--generators", "regular", "--sizes", "8,9"],  # both lattices hold 9 points
+    ],
+    ids=["one size", "two sizes, one N"],
+)
+def test_bench_discrepancy_refuses_a_slope_through_one_n(tmp_path, capsys, args):
+    out = tmp_path / "d.csv"
+    assert main(["bench-discrepancy", *args, "--csv", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+    assert not out.exists()
+
+
 def test_bench_complexity_csv(tmp_path):
     out = tmp_path / "c.csv"
     assert main(["bench-complexity", "--csv", str(out), "--sizes", "256,1024"]) == 0

@@ -197,7 +197,7 @@ def test_reconstruct_builds_each_atom_block_once(monkeypatch, params, tapered_to
         return original(*args)
 
     monkeypatch.setattr(core, "_block_atoms", counting)
-    blocks = core._atom_blocks(params, sample_phase_space(s, params, 8 * m), RATE)[0]
+    blocks = core._atom_blocks(params, sample_phase_space(s, params, 8 * m), RATE)
     runs = [
         (1, lambda: reconstruct(s, params, 8 * m)),
         (1, lambda: reconstruct(s, params, 8 * m, rule=_low_pass(12.0))),
