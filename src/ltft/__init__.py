@@ -14,7 +14,6 @@ from .baselines import (
     dwt_grid,
     dwt_grid_with_size,
     funnel_coverage,
-    regular_grid,
 )
 from .bench import (
     bench_reconstruction,
@@ -28,7 +27,6 @@ from .core import (
     LtftParams,
     PhaseSpaceBox,
     SampleSet,
-    SparseAtom,
     Spectrum,
     WindowSpec,
     analyze,
@@ -37,7 +35,6 @@ from .core import (
     from_analytic,
     idft,
     ltft_atom_freq,
-    ltft_atom_time,
     relative_error,
     synthesize,
     to_analytic,
@@ -52,13 +49,11 @@ from .errors import (
 )
 from .frame import (
     FrameDiagonal,
-    apply_forward_frame,
     apply_inverse_frame,
     frame_diagonal,
     frame_diagonal_oracle,
 )
 from .lds import (
-    DiscrepancyReport,
     UnitPointSet,
     halton_sequence,
     hammersley_set,

@@ -1,9 +1,9 @@
 """Comparison sample-set generators and geometric diagnostics.
 
 A discrete-wavelet-style grid (geometric frequency ladder, uniform time
-rows), a regular midpoint lattice, exact-discrepancy scaling tables for
-all generator families, and funnel coverage statistics that measure how
-evenly a sample set represents the time-frequency plane.
+rows), exact-discrepancy scaling tables for all generator families, and
+funnel coverage statistics that measure how evenly a sample set represents
+the time-frequency plane.
 """
 
 from __future__ import annotations
@@ -96,20 +96,6 @@ def dwt_grid(params: DwtGridParams) -> SampleSet:
     return SampleSet(pts, box=box, generator="dwt-grid")
 
 
-def regular_grid(
-    n_time: int, n_freq: int, n_osc: int, box: PhaseSpaceBox
-) -> SampleSet:
-    """Tensor grid of cell midpoints inside the box."""
-    if min(n_time, n_freq, n_osc) < 1:
-        raise InvalidParameterError("all grid counts must be >= 1")
-    ta = box.t_lo + (np.arange(n_time) + 0.5) * (box.t_hi - box.t_lo) / n_time
-    fb = (np.arange(n_freq) + 0.5) * box.freq_hi / n_freq
-    oc = (np.arange(n_osc) + 0.5) / n_osc
-    aa, bb, cc = np.meshgrid(ta, fb, oc, indexing="ij")
-    pts = np.column_stack([aa.ravel(), bb.ravel(), cc.ravel()])
-    return SampleSet(pts, box=box, generator="regular")
-
-
 def fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
     """Least-squares slope of log y against log x."""
     lx = np.log(np.asarray(x, dtype=np.float64))
@@ -181,7 +167,7 @@ def discrepancy_scaling(generator: str, sizes: Sequence[int]) -> Tuple[List[Scal
             pts = halton_sequence(target, 2)
         elif generator == "mc":
             vals = [
-                star_discrepancy(mc_uniform(target, 2, seed)).star_value
+                star_discrepancy(mc_uniform(target, 2, seed))
                 for seed in range(10)
             ]
             rows.append(ScalingRow("mc", target, float(np.mean(vals))))
@@ -193,7 +179,7 @@ def discrepancy_scaling(generator: str, sizes: Sequence[int]) -> Tuple[List[Scal
         else:
             raise InvalidParameterError(f"unknown generator {generator!r}")
         rows.append(
-            ScalingRow(generator, pts.n, star_discrepancy(pts).star_value)
+            ScalingRow(generator, pts.n, star_discrepancy(pts))
         )
     if len({r.n for r in rows}) < 2:
         raise InvalidParameterError(f"a {generator} slope needs two or more distinct N")
@@ -207,14 +193,11 @@ def dwt_grid_with_size(
     sample_rate: float,
     m: int,
     gamma: float = 6.0,
-    r: float = 1.15,
 ) -> SampleSet:
-    """Wavelet grid with the time density tuned to roughly target_n points."""
-    base = DwtGridParams(r=r, p=1.0, b0=b0, sample_rate=sample_rate, m=m, gamma=gamma)
-    p = max(target_n / dwt_grid(base).n, 1e-6)
-    return dwt_grid(
-        DwtGridParams(r=r, p=p, b0=b0, sample_rate=sample_rate, m=m, gamma=gamma)
-    )
+    """Wavelet grid at dilation step 1.15, with the time density tuned to
+    roughly target_n points."""
+    base = DwtGridParams(r=1.15, p=1.0, b0=b0, sample_rate=sample_rate, m=m, gamma=gamma)
+    return dwt_grid(replace(base, p=max(target_n / dwt_grid(base).n, 1e-6)))
 
 
 def coverage_queries(
@@ -267,13 +250,12 @@ def funnel_coverage(
     samples: SampleSet,
     queries: np.ndarray,
     params: LtftParams,
-    nu: float = 0.25,
 ) -> CoverageReport:
     """Coverage of each query by the funnels around the sample points.
 
     Membership is evaluated through the adjoint box at the query: time
     within kappa/b', frequency within b'/kappa, and (for 3D queries)
-    oscillation within nu, where kappa = gamma for 2D queries and the
+    oscillation within nu = 1/4, where kappa = gamma for 2D queries and the
     atom's cycle count gamma + xi*c' for 3D ones.  Each count is weighted
     by volume(box)/N and normalized by the adjoint-box volume.  Queries
     whose adjoint box leaves the sample box are flagged and excluded from
@@ -283,8 +265,7 @@ def funnel_coverage(
     if queries.shape[1] not in (2, 3):
         raise InvalidParameterError("queries must be (a, b) or (a, b, c)")
     three_d = queries.shape[1] == 3
-    if not 0 < nu <= 0.5:
-        raise InvalidParameterError("oscillation half-width nu must be in (0, 0.5]")
+    nu = 0.25  # oscillation half-width of a 3D query's adjoint box
     box = samples.box
     a, b, c = samples.a, samples.b, samples.c
     values = np.zeros(queries.shape[0])

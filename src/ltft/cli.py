@@ -4,11 +4,13 @@ Every subcommand is deterministic for a fixed configuration (seeds
 included): CSV and WAV outputs are byte-identical across runs.  CSV files
 carry a leading comment line recording the resolved configuration.
 
-Each subcommand takes only the flags its handler reads, plus --config; a
-config-file key must name one of those flags.  So a flag or key that would
-change nothing is an error, never silently ignored: bench-discrepancy
-takes no transform, rate or resolution flags, and only the audio
-subcommands and bench-error take --padded.
+Each subcommand takes only the flags its handler reads, plus --config.  A
+config-file key is the long name of one of the subcommand's optional
+flags, without its leading dashes (b0-frac or b0_frac); the input and
+output paths and --csv are given on the command line only.  So a flag or
+key that would change nothing is an error, never silently ignored:
+bench-discrepancy takes no transform, rate or resolution flags, and only
+the audio subcommands and bench-error take --padded.
 """
 
 from __future__ import annotations
@@ -432,12 +434,17 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     config_path = args.pop("config")
     if config_path:
         # Config values become the subparser's defaults; parsing argv again
-        # lets the flags given explicitly override them.
+        # lets the flags given explicitly override them.  So only optional
+        # flags may be set there: argv always gives the positionals and the
+        # required flags, which would override the file's value unseen.
         sp = parser._subparsers._group_actions[0].choices[subcommand]
-        actions = {action.dest: action for action in sp._actions}
+        actions = {
+            action.dest: action for action in sp._actions
+            if action.option_strings and not action.required and action.dest in args
+        }
         defaults = {}
         for key, text in _read_config_file(config_path).items():
-            if key not in args:
+            if key not in actions:
                 raise ParseError(f"unknown config key {key!r} for {subcommand}")
             defaults[key] = _coerce(actions[key], text)
         sp.set_defaults(**defaults)

@@ -342,7 +342,6 @@ class SampleSet:
     points: np.ndarray  # (N, 3): time, frequency, oscillation
     box: PhaseSpaceBox
     generator: str
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -387,9 +386,7 @@ class SampleSet:
         """Same points with time coordinates scaled; box follows."""
         pts = self.points.copy()
         pts[:, 0] = pts[:, 0] * factor
-        return SampleSet(
-            pts, box=self.box.scaled(factor), generator=self.generator, seed=self.seed
-        )
+        return SampleSet(pts, box=self.box.scaled(factor), generator=self.generator)
 
 
 @dataclass
@@ -476,16 +473,16 @@ def _atom_values(
     own: np.ndarray,
     length: int,
     sample_rate: float,
-    out: Optional[np.ndarray] = None,
+    atoms: np.ndarray,
 ) -> np.ndarray:
     # Sample-major (length, G) block: atom g at (a, b, c)[g] sampled at
     # t = (m_start[g] + k)/L in row k < length, and zero from row own[g] on.
     # Four unit phasors per atom (first phase, phase step, first window
     # angle, window step) come from one cos and one sin of a (4, G) angle
     # array, written in place; the rows follow by doubling ramps.  The
-    # block is written into `out` when given (a (length, G) complex array),
-    # first as the window ramp and then as the phase ramp; the angles, the
-    # phasors and the real window are this thread's scratch.
+    # block is written into `atoms` (a (length, G) complex array), first as
+    # the window ramp and then as the phase ramp; the angles, the phasors
+    # and the real window are this thread's scratch.
     g = a.shape[0]
     beff, freq = _branch_arrays(params, b, c)
     scale = beff / params.gamma
@@ -501,7 +498,6 @@ def _atom_values(
         angles, _scratch("phasors", (4, g), np.complex128)
     )
     first *= _COS4_NORM * np.sqrt(scale)
-    atoms = np.empty((length, g), dtype=np.complex128) if out is None else out
     # The cos^4 window is (Re u)^4 on the ramp u_k = exp(i pi scale (t_k - a)).
     # Rows past an atom's own support, a block's padding, are set to 0.
     env = _scratch("window", (length, g), np.float64)
@@ -514,23 +510,6 @@ def _atom_values(
     _ramp(atoms, first, step)
     atoms *= env
     return atoms
-
-
-@dataclass
-class SparseAtom:
-    """Sampled atom restricted to its support: storage offset + values."""
-
-    start: int  # storage index of the first sample (0-based)
-    values: np.ndarray
-
-    @property
-    def empty(self) -> bool:
-        return self.values.size == 0
-
-    def to_dense(self, m: int) -> np.ndarray:
-        out = np.zeros(m, dtype=np.complex128)
-        out[self.start : self.start + self.values.size] = self.values
-        return out
 
 
 def _support_index_range(
@@ -549,37 +528,6 @@ def _support_index_range(
     edge *= sample_rate
     m_end = np.floor(edge, out=edge).astype(np.int64)
     return m_start, m_end
-
-
-def ltft_atom_time(
-    params: LtftParams, a: float, b: float, c: float, like: DigitalSignal
-) -> SparseAtom:
-    """Sampled atom at (a, b, c) on the grid of ``like``, support only.
-
-    Returns an empty atom when the support misses the grid entirely.
-    """
-    if b < 0:
-        raise InvalidParameterError("frequency must be non-negative")
-    m = like.m
-    rate = like.sample_rate
-    m_start, m_end = _support_index_range(
-        params, np.asarray([a]), np.asarray([b]), rate
-    )
-    lo = max(int(m_start[0]), -m // 2)
-    hi = min(int(m_end[0]), m // 2 - 1)
-    if lo > hi:
-        return SparseAtom(start=0, values=np.zeros(0, dtype=np.complex128))
-    vals = _atom_values(
-        params,
-        np.asarray([a], dtype=np.float64),
-        np.asarray([b], dtype=np.float64),
-        np.asarray([c], dtype=np.float64),
-        np.asarray([lo]),
-        np.asarray([hi - lo + 1]),
-        hi - lo + 1,
-        rate,
-    )[:, 0]
-    return SparseAtom(start=lo + m // 2, values=vals)
 
 
 def ltft_atom_freq(params: LtftParams, b: float, c: float, freq_grid) -> np.ndarray:
@@ -759,7 +707,7 @@ def _block_atoms(
                   out=_scratch("points", (block.sel.size, 3), np.float64))
     atoms = _atom_values(
         params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.own, block.length,
-        sample_rate, out=_scratch("atoms", shape, np.complex128),
+        sample_rate, _scratch("atoms", shape, np.complex128),
     )
     return int(first[0]) + grid_len // 2 + guard, j.T, atoms.T
 

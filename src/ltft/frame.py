@@ -259,11 +259,3 @@ def apply_inverse_frame(signal: DigitalSignal, hd: FrameDiagonal) -> DigitalSign
     safe = hd.h > hd.floor
     bins = np.where(safe, spec.bins / np.where(safe, hd.h, 1.0), 0.0)
     return idft(Spectrum(bins, signal.sample_rate))
-
-
-def apply_forward_frame(signal: DigitalSignal, hd: FrameDiagonal) -> DigitalSignal:
-    """Multiply the spectrum by H bin-wise (diagnostic companion)."""
-    if hd.m != signal.m:
-        raise InvalidParameterError("frame diagonal grid does not match the signal")
-    spec = dft(signal)
-    return idft(Spectrum(spec.bins * hd.h, signal.sample_rate))

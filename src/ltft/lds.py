@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -123,7 +123,6 @@ class UnitPointSet:
 
     points: np.ndarray  # (N, d) float64
     generator: str
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
@@ -140,18 +139,6 @@ class UnitPointSet:
     @property
     def dim(self) -> int:
         return self.points.shape[1]
-
-
-@dataclass
-class DiscrepancyReport:
-    star_value: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.star_value <= 1.0:
-            raise InvalidParameterError(
-                f"star discrepancy must be in [0, 1], got {self.star_value}"
-            )
 
 
 def _check_rows(kind: str, count, dim, seed) -> Tuple[int, int, int]:
@@ -236,10 +223,9 @@ def mc_uniform(count: int, dim: int, seed: int) -> UnitPointSet:
 def generate_unit_points(kind: str, count: int, dim: int, seed: int = 0) -> UnitPointSet:
     """Dispatch on generator tag: halton | hammersley | mc.
 
-    Only Monte Carlo points use ``seed``; the other sets record none.
+    Only Monte Carlo points read ``seed``, and the set does not record it.
     """
-    pts = unit_point_rows(kind, count, dim, seed, 0, count)
-    return UnitPointSet(pts, generator=kind, seed=int(seed) if kind == "mc" else None)
+    return UnitPointSet(unit_point_rows(kind, count, dim, seed, 0, count), generator=kind)
 
 
 def scale_rows(rows: np.ndarray, box: PhaseSpaceBox) -> np.ndarray:
@@ -265,7 +251,7 @@ def scale_to_box(points: UnitPointSet, box: PhaseSpaceBox) -> SampleSet:
             f"phase-space box is 3D but points have dim {points.dim}"
         )
     coords = scale_rows(points.points.copy(), box)
-    return SampleSet(coords, box=box, generator=points.generator, seed=points.seed)
+    return SampleSet(coords, box=box, generator=points.generator)
 
 
 def _corner_counts(points: np.ndarray, candidates: Sequence[np.ndarray], side: str):
@@ -284,13 +270,13 @@ def _corner_counts(points: np.ndarray, candidates: Sequence[np.ndarray], side: s
     return counts
 
 
-def star_discrepancy(points: UnitPointSet) -> DiscrepancyReport:
-    """Exact star discrepancy over anchored boxes [0, u).
+def star_discrepancy(points: UnitPointSet) -> float:
+    """Exact star discrepancy over anchored boxes [0, u), a value in [0, 1].
 
     Enumerates candidate corners from the per-axis coordinate multisets
     (with 1 appended) and evaluates both the strict count (the box [0, u)
     itself) and the closed count (the limit from above); the supremum over
-    half-open boxes is attained at one of these values.
+    half-open boxes is attained at one of these values, which is returned.
     """
     pts = points.points
     n, d = pts.shape
@@ -308,9 +294,10 @@ def star_discrepancy(points: UnitPointSet) -> DiscrepancyReport:
     vol = candidates[0].copy()
     for j in range(1, d):
         vol = np.multiply.outer(vol, candidates[j])
-    dev_closed = np.abs(closed / n - vol).max()
-    dev_strict = np.abs(strict / n - vol).max()
-    return DiscrepancyReport(float(max(dev_closed, dev_strict)), n=n)
+    value = float(max(np.abs(closed / n - vol).max(), np.abs(strict / n - vol).max()))
+    if not 0.0 <= value <= 1.0:
+        raise InvalidParameterError(f"star discrepancy must be in [0, 1], got {value}")
+    return value
 
 
 def star_discrepancy_scan(points: UnitPointSet, resolution: int = 512) -> float:

@@ -265,11 +265,10 @@ def _analysis_synthesis(
     edges = sorted({*range(0, n, _TILE_POINTS), *counts})
     spans = list(zip(edges, edges[1:]))
     pooled = len(spans) >= 2 and _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
-    tag = seed if kind == "mc" else None
 
     def tile_points(k: int) -> SampleSet:
         rows = unit_point_rows(kind, n, 3, seed, *spans[k])
-        return SampleSet(scale_rows(rows, box), box, kind, tag)
+        return SampleSet(scale_rows(rows, box), box, kind)
 
     def coeffs_of(samples: SampleSet) -> np.ndarray:
         return _tile_coeffs(sig, guard, samples, params, signal.m, rate)
@@ -293,7 +292,7 @@ def _analysis_synthesis(
             if rule is not None:
                 values = _ruled(rule, values, samples.points)
             samples.points[:, 0] *= float(dilation)
-            dilated = SampleSet(samples.points, box.scaled(float(dilation)), kind, tag)
+            dilated = SampleSet(samples.points, box.scaled(float(dilation)), kind)
             return _tile_sum(
                 dilated, params, out_len, rate, guard, lambda block, *_: values[block.sel]
             )

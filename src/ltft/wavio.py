@@ -63,6 +63,8 @@ def wav_read(path: str) -> WavAudio:
         raise ParseError("malformed WAV file: truncated") from exc
     if not raw:
         raise ParseError("WAV file holds no audio frames")
+    if len(raw) % (2 * channels):  # the data chunk ends inside a frame
+        raise ParseError("malformed WAV file: truncated")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if channels == 2:
         data = 0.5 * (data[0::2] + data[1::2])

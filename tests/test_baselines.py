@@ -11,7 +11,6 @@ from ltft import (
     dwt_grid,
     dwt_grid_with_size,
     funnel_coverage,
-    regular_grid,
     scale_to_box,
 )
 from ltft.core import SampleSet
@@ -64,17 +63,6 @@ def test_dwt_size_matches_estimate(r, p_factor):
     grid = dwt_grid(p)
     estimate = p.size_estimate()
     assert estimate / 2 <= grid.n <= estimate * 2
-
-
-def test_regular_grid_midpoints():
-    box = PhaseSpaceBox(t_lo=0.0, t_hi=1.0, freq_hi=1.0)
-    single = regular_grid(1, 1, 1, box)
-    assert single.points.tolist() == [[0.5, 0.5, 0.5]]
-    four = regular_grid(2, 2, 1, box)
-    pairs = {(a, b) for a, b, _ in four.points.tolist()}
-    assert pairs == {(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)}
-    with pytest.raises(InvalidParameterError):
-        regular_grid(0, 1, 1, box)
 
 
 def test_lattice_discrepancy_slope():
@@ -161,7 +149,7 @@ def test_funnel_coverage_3d_queries(params):
     samples = _hammersley_samples(params, m, redundancy=32)
     q2d = coverage_queries(samples.box, params, 40, seed=3)
     queries = np.column_stack([q2d, np.full(len(q2d), 0.5)])
-    report = funnel_coverage(samples, queries, params, nu=0.25)
+    report = funnel_coverage(samples, queries, params)
     # the 3D adjoint box is wider in time (kappa = gamma + xi c'), so a
     # few near-edge queries may be flagged; most must survive
     assert report.kept.size >= 30

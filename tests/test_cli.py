@@ -93,6 +93,26 @@ def test_wav_without_frames_is_parse_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("channels, cut", [(1, 1), (2, 1), (2, 2), (2, 3)])
+def test_wav_cut_inside_a_frame_is_parse_error(tmp_path, capsys, channels, cut):
+    # A data chunk that ends inside a frame is refused, not decoded as a
+    # misaligned buffer.
+    import wave
+
+    path = tmp_path / "cut.wav"
+    with wave.open(str(path), "wb") as h:
+        h.setnchannels(channels)
+        h.setsampwidth(2)
+        h.setframerate(RATE)
+        h.writeframes(np.arange(1000 * channels, dtype="<i2").tobytes())
+    path.write_bytes(path.read_bytes()[:-cut])
+    out = tmp_path / "out.wav"
+    assert main(["reconstruct", str(path), str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: parse-error: malformed WAV file: truncated"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_wav_audio_refuses_non_finite_samples(bad):
     # Written as PCM they would become 0, 32767 and -32768 without a word.
@@ -424,14 +444,16 @@ def test_flag_the_command_does_not_read_is_usage_error(tmp_path, command):
 
 
 def test_config_key_the_command_does_not_read_is_parse_error(tmp_path, capsys):
+    # --csv is required on the command line, which would override the file.
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("gamma=3\n")
     out = tmp_path / "d.csv"
-    code = main(["bench-discrepancy", "--csv", str(out), "--config", str(cfg)])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: parse-error: unknown config key")
-    assert not out.exists()
+    for line in ("gamma=3", f"csv={tmp_path / 'x.csv'}"):
+        cfg.write_text(line + "\n")
+        code = main(["bench-discrepancy", "--csv", str(out), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: parse-error: unknown config key")
+        assert not out.exists() and not (tmp_path / "x.csv").exists()
 
 
 def test_missing_input_is_io_error(tmp_path):
@@ -476,11 +498,14 @@ def test_config_file_bad_value_is_parse_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "line", ["samples=abc", "gamam=3", "sequence=sobol", "padded=maybe", "not a pair"]
+    "line",
+    ["samples=abc", "gamam=3", "sequence=sobol", "padded=maybe", "not a pair",
+     "input=other.wav", "output=o2.wav"],
 )
 def test_config_file_bad_key_or_value_is_parse_error(tmp_path, capsys, line):
     # samples has no default to take a type from; gamam is a typo of gamma;
-    # a line without '=' is not a key=value pair.
+    # a line without '=' is not a key=value pair; the input and output paths
+    # come from the command line, which would override the file.
     src = _sine_wav(tmp_path / "in.wav")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")

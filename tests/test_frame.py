@@ -10,7 +10,7 @@ from ltft import (
     DigitalSignal,
     InvalidParameterError,
     LtftParams,
-    apply_forward_frame,
+    Spectrum,
     apply_inverse_frame,
     dft,
     frame_diagonal,
@@ -157,7 +157,8 @@ def test_diagonal_positive_on_operative_band(diag, params):
 
 def test_inverse_of_forward_is_identity_on_strong_bins(diag, params, tapered_tone):
     s = tapered_tone(M)
-    round_trip = apply_inverse_frame(apply_forward_frame(s, diag), diag)
+    forward = idft(Spectrum(dft(s).bins * diag.h, RATE))
+    round_trip = apply_inverse_frame(forward, diag)
     strong = diag.h > 1e-3 * diag.h.max()
     in_spec = dft(s).bins
     out_spec = dft(round_trip).bins

@@ -4,9 +4,12 @@ perfbench/worker.py re-assembles `ltft vocoder` from the layers' public
 functions (analyze, CoefficientVector(values, weight=), with_dilated_times,
 synthesize, frame_diagonal, apply_inverse_frame and the x D scale).  Its
 output must stay byte-identical to the CLI's, or the benchmark's traced
-runs measure a different pipeline from the one users run.
+runs measure a different pipeline from the one users run.  And every name
+that perfbench/ imports from ltft must still exist.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -35,3 +38,20 @@ def test_traced_vocoder_matches_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert main(["vocoder", "-D", "2", str(src), str(cli)]) == 0
     assert traced.read_bytes() == cli.read_bytes()
+
+
+def test_every_name_perfbench_imports_from_ltft_exists():
+    # perfbench/ is parsed, not imported, so a library cut that removes a
+    # name the benchmark takes fails here, whichever worker path uses it.
+    checked, missing = 0, []
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ltft":
+                module = importlib.import_module(node.module)
+                checked += len(node.names)
+                missing += [
+                    f"{path.name}: {node.module}.{alias.name}"
+                    for alias in node.names if not hasattr(module, alias.name)
+                ]
+    assert checked > 0
+    assert not missing
