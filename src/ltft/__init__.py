@@ -55,9 +55,7 @@ from .frame import (
 )
 from .lds import (
     UnitPointSet,
-    halton_sequence,
-    hammersley_set,
-    mc_uniform,
+    generate_unit_points,
     radical_inverse,
     scale_to_box,
     star_discrepancy,

@@ -16,13 +16,7 @@ import numpy as np
 
 from .core import LtftParams, PhaseSpaceBox, SampleSet
 from .errors import BudgetExceededError, InvalidParameterError
-from .lds import (
-    UnitPointSet,
-    hammersley_set,
-    halton_sequence,
-    mc_uniform,
-    star_discrepancy,
-)
+from .lds import UnitPointSet, generate_unit_points, star_discrepancy
 
 
 @dataclass(frozen=True)
@@ -96,14 +90,6 @@ def dwt_grid(params: DwtGridParams) -> SampleSet:
     return SampleSet(pts, box=box, generator="dwt-grid")
 
 
-def fit_loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
-    """Least-squares slope of log y against log x."""
-    lx = np.log(np.asarray(x, dtype=np.float64))
-    ly = np.log(np.asarray(y, dtype=np.float64))
-    slope, _ = np.polyfit(lx, ly, 1)
-    return float(slope)
-
-
 @dataclass
 class ScalingRow:
     generator: str
@@ -135,7 +121,8 @@ def _dwt_unit_points(target_n: int) -> UnitPointSet:
         grid = sized(float(trial))
         if best is None or abs(grid.n - target_n) < abs(best.n - target_n):
             best = grid
-    unit = best.box.unit_coords(best.points)[:, :2]
+    box = best.box
+    unit = np.column_stack([(best.a - box.t_lo) / (box.t_hi - box.t_lo), best.b / box.freq_hi])
     # Row frequencies sit strictly inside (0, 1); keep [0, 1) by clipping
     # the time coordinate's floating tail only.
     unit = np.clip(unit, 0.0, np.nextafter(1.0, 0.0))
@@ -161,30 +148,27 @@ def discrepancy_scaling(generator: str, sizes: Sequence[int]) -> Tuple[List[Scal
     """
     rows: List[ScalingRow] = []
     for target in sizes:
-        if generator == "hammersley":
-            pts = hammersley_set(target, 2)
-        elif generator == "halton":
-            pts = halton_sequence(target, 2)
-        elif generator == "mc":
+        if generator in ("hammersley", "halton", "mc"):
+            seeds = range(10) if generator == "mc" else [0]
             vals = [
-                star_discrepancy(mc_uniform(target, 2, seed))
-                for seed in range(10)
+                star_discrepancy(generate_unit_points(generator, target, 2, seed))
+                for seed in seeds
             ]
-            rows.append(ScalingRow("mc", target, float(np.mean(vals))))
+            rows.append(ScalingRow(generator, target, float(np.mean(vals))))
             continue
-        elif generator == "dwt":
+        if generator == "dwt":
             pts = _dwt_unit_points(target)
         elif generator == "regular":
             pts = _lattice_unit_points(target)
         else:
             raise InvalidParameterError(f"unknown generator {generator!r}")
-        rows.append(
-            ScalingRow(generator, pts.n, star_discrepancy(pts))
-        )
+        rows.append(ScalingRow(generator, pts.n, star_discrepancy(pts)))
     if len({r.n for r in rows}) < 2:
         raise InvalidParameterError(f"a {generator} slope needs two or more distinct N")
-    slope = fit_loglog_slope([r.n for r in rows], [r.d_star for r in rows])
-    return rows, slope
+    # Least-squares slope of log D* against log N.
+    lx = np.log(np.asarray([r.n for r in rows], dtype=np.float64))
+    ly = np.log(np.asarray([r.d_star for r in rows], dtype=np.float64))
+    return rows, float(np.polyfit(lx, ly, 1)[0])
 
 
 def dwt_grid_with_size(

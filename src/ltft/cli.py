@@ -455,12 +455,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 def run(config: RunConfig) -> int:
     """Dispatch a resolved configuration; returns the process exit code."""
-    handler = _HANDLERS.get(config.subcommand)
-    if handler is None:
-        print(f"error: usage-error: unknown subcommand {config.subcommand!r}",
-              file=sys.stderr)
-        return 2
-    return handler(config)
+    return _HANDLERS[config.subcommand](config)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -165,10 +165,10 @@ def from_analytic(signal: DigitalSignal) -> DigitalSignal:
 # 1/sqrt(int cos^8) = sqrt(128/35).
 _COS4_NORM = float(np.sqrt(128.0 / 35.0))
 
-_TABLE_SAMPLES = 1 << 13  # midpoint samples of the window
 _TABLE_SPACING = 1.0 / 256.0  # frequency grid step of the tabulated spectrum
 _TABLE_RANGE = 96.0  # spectrum kept on [-range, range]
-_COS4_TERMS = (1.0 / 16.0, 0.25, 0.375, 0.25, 1.0 / 16.0)  # cos^4(pi t) in exp(2 pi i j t), |j| <= 2
+# cos^4(pi t) = 3/8 + cos(2 pi t)/2 + cos(4 pi t)/8, as weights of exp(2 pi i j t), |j| <= 2.
+_COS4_TERMS = (1.0 / 16.0, 0.25, 0.375, 0.25, 1.0 / 16.0)
 
 
 class WindowSpec:
@@ -179,8 +179,9 @@ class WindowSpec:
     per process.  The time evaluator is closed form and vanishes outside
     (-1/2, 1/2); the zero-extension is twice continuously differentiable
     and has unit L2 norm.  The frequency evaluator interpolates linearly
-    between nodes of the window's midpoint-rule DFT, which are closed-form
-    Dirichlet-kernel sums computed on first use.
+    between nodes of the window's exact Fourier transform, closed-form sinc
+    sums computed on first use; the interpolation is its only error, at
+    most 1.08e-6.
     """
 
     bandwidth = 3.0  # first spectral null at |nu| = 3
@@ -194,21 +195,12 @@ class WindowSpec:
 
     @cached_property
     def _freq_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        # (1/k) sum_n w(t_n) exp(-2 pi i nu t_n) over the k midpoints t_n of
-        # (-1/2, 1/2), accurate to rounding (the window is C^3 with vanishing
-        # edge derivatives).  Term j of cos^4 sums to the Dirichlet kernel
-        # D_k(nu - j), D_k(x) = sin(pi x) / (k sin(pi x / k)), D_k(0) = 1.
-        k = _TABLE_SAMPLES
+        # Term j of cos^4 transforms to sinc(nu - j) on (-1/2, 1/2).
         last = int(_TABLE_RANGE / _TABLE_SPACING)
         freqs = np.arange(-last, last + 1) * _TABLE_SPACING
-        # nu - round(nu) is exact on this grid, so sin(pi nu) is taken on
-        # [-1/2, 1/2], where it is accurate; sin(pi (nu - j)) = (-1)^j sin(pi nu).
-        turns = np.round(freqs)
-        sin_nu = np.sin(np.pi * (freqs - turns)) * (1.0 - 2.0 * (turns % 2))
         table = np.zeros_like(freqs)
         for j, weight in zip(range(-2, 3), _COS4_TERMS):
-            den = (-1) ** j * k * np.sin(np.pi * (freqs - j) / k)
-            table += weight * np.divide(sin_nu, den, out=np.ones_like(den), where=freqs != j)
+            table += weight * np.sinc(freqs - j)
         return freqs, _COS4_NORM * table
 
     def freq(self, nu) -> np.ndarray:
@@ -228,8 +220,8 @@ class LtftParams:
 
     Every parameter set shares the one cos^4 window, ``window``.  gamma is
     the minimal wavelet cycle count and xi the oscillation range; atoms at
-    oscillation coordinate c carry gamma + xi*c cycles.  Derived supports:
-    S0 = gamma/b0 (maximal) and S1 = gamma/b1 (minimal).
+    oscillation coordinate c carry gamma + xi*c cycles.  The maximal atom
+    support is S0 = gamma/b0.
     """
 
     window: ClassVar[WindowSpec] = WindowSpec()
@@ -247,10 +239,6 @@ class LtftParams:
     @property
     def s0(self) -> float:
         return self.gamma / self.b0
-
-    @property
-    def s1(self) -> float:
-        return self.gamma / self.b1
 
     @classmethod
     def for_rate(
@@ -301,7 +289,7 @@ class PhaseSpaceBox:
     def for_signal(
         cls,
         signal: DigitalSignal,
-        params: Optional[LtftParams] = None,
+        params: LtftParams,
         padded: bool = False,
     ) -> "PhaseSpaceBox":
         """Box [-M/2L, M/2L] x [0, L] x [0, 1] for a signal.
@@ -310,11 +298,7 @@ class PhaseSpaceBox:
         on each end so edge-touching atoms are represented; default off.
         """
         half = signal.m / (2.0 * signal.sample_rate)
-        pad = 0.0
-        if padded:
-            if params is None:
-                raise InvalidParameterError("padding requires params (for S0)")
-            pad = params.s0
+        pad = params.s0 if padded else 0.0
         return cls(t_lo=-half - pad, t_hi=half + pad, freq_hi=signal.sample_rate)
 
     def scaled(self, time_factor: float) -> "PhaseSpaceBox":
@@ -323,16 +307,6 @@ class PhaseSpaceBox:
             t_hi=self.t_hi * time_factor,
             freq_hi=self.freq_hi,
         )
-
-    def unit_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Inverse of the affine box map, onto [0, 1]^d (d = 2 or 3)."""
-        coords = np.atleast_2d(coords)
-        out = np.empty_like(coords, dtype=np.float64)
-        out[:, 0] = (coords[:, 0] - self.t_lo) / (self.t_hi - self.t_lo)
-        out[:, 1] = coords[:, 1] / self.freq_hi
-        if coords.shape[1] == 3:
-            out[:, 2] = coords[:, 2]
-        return out
 
 
 @dataclass

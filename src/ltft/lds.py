@@ -50,16 +50,6 @@ def _check_int(name: str, value) -> int:
     return int(value)
 
 
-def _check_count(count, dim: int) -> Tuple[int, int]:
-    # A point count of at least 1 within the budget, and an integer dimension.
-    count, dim = _check_int("count", count), _check_int("dim", dim)
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
-    if count > _MAX_POINTS:
-        raise BudgetExceededError(f"{count} points exceed the budget of {_MAX_POINTS}")
-    return count, dim
-
-
 def radical_inverse(n: int, base: int) -> float:
     """Digit-reversal of ``n`` in the given base, mapped into [0, 1).
 
@@ -146,13 +136,17 @@ def _check_rows(kind: str, count, dim, seed) -> Tuple[int, int, int]:
     # Only Monte Carlo points read the seed.
     if kind not in ("halton", "hammersley", "mc"):
         raise InvalidParameterError(f"unknown generator kind {kind!r}")
-    count, dim = _check_count(count, dim)
+    count, dim = _check_int("count", count), _check_int("dim", dim)
+    if count < 1:
+        raise InvalidParameterError("count must be >= 1")
+    if count > _MAX_POINTS:
+        raise BudgetExceededError(f"{count} points exceed the budget of {_MAX_POINTS}")
     if kind == "mc":
         seed = _check_int("seed", seed)
         if seed < 0:
             raise InvalidParameterError("seed must be non-negative")
     if kind == "hammersley" and dim < 2:
-        raise InvalidParameterError("hammersley needs dim >= 2; use halton_sequence for 1D")
+        raise InvalidParameterError("hammersley needs dim >= 2; use the halton kind for 1D")
     if dim < 1:
         raise InvalidParameterError("dim must be >= 1")
     if kind != "mc" and dim > len(_PRIMES):
@@ -191,39 +185,17 @@ def unit_point_rows(
     return pts
 
 
-def halton_sequence(count: int, dim: int) -> UnitPointSet:
-    """First ``count`` points of the Halton sequence in ``dim`` dimensions.
-
-    Point n (0-indexed) has coordinate j equal to the radical inverse of
-    n + 1 in the j-th prime base.  Indexing starts at 1 so that no sample
-    sits exactly on the origin corner, which degrades small-N discrepancy.
-    Prefixes are stable: the first N points never change as count grows.
-    Each coordinate is one digit-reversal table divided by a power of its
-    base (see ``_radical_inverses``), correctly rounded.
-    """
-    return generate_unit_points("halton", count, dim)
-
-
-def hammersley_set(count: int, dim: int) -> UnitPointSet:
-    """The N-point Hammersley set in ``dim`` dimensions (not extendable).
-
-    Point n (0-indexed) is (n/N, h_0(n), ..., h_{d-2}(n)) where h_j(n) is
-    the j-th Halton coordinate of point n, i.e. the radical inverse of
-    n + 1 in the j-th prime base, taken from a digit-reversal table as in
-    :func:`halton_sequence`.
-    """
-    return generate_unit_points("hammersley", count, dim)
-
-
-def mc_uniform(count: int, dim: int, seed: int) -> UnitPointSet:
-    """``count`` i.i.d.-uniform points from a seeded PCG64 generator."""
-    return generate_unit_points("mc", count, dim, seed)
-
-
 def generate_unit_points(kind: str, count: int, dim: int, seed: int = 0) -> UnitPointSet:
-    """Dispatch on generator tag: halton | hammersley | mc.
+    """The first ``count`` points in [0, 1)^dim of a halton, hammersley or mc set.
 
-    Only Monte Carlo points read ``seed``, and the set does not record it.
+    Halton point n (0-indexed) has coordinate j equal to the radical
+    inverse of n + 1 in the j-th prime base; indexing starts at 1 so that
+    no point sits on the origin corner, which degrades small-N discrepancy.
+    Hammersley point n is (n/N, Halton coordinates of point n), so it needs
+    dim >= 2 and is not extendable.  Monte Carlo points are i.i.d. uniform
+    from a PCG64 stream seeded by ``seed``, the only kind that reads it;
+    the set does not record it.  Halton and Monte Carlo prefixes are
+    stable: the first N points never change as count grows.
     """
     return UnitPointSet(unit_point_rows(kind, count, dim, seed, 0, count), generator=kind)
 

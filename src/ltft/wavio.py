@@ -56,15 +56,18 @@ def wav_read(path: str) -> WavAudio:
             if channels not in (1, 2):
                 raise UnsupportedFormatError(f"unsupported channel count {channels}")
             rate = handle.getframerate()
-            raw = handle.readframes(handle.getnframes())
+            declared = handle.getnframes()
+            raw = handle.readframes(declared)
     except wave.Error as exc:
         raise ParseError(f"malformed WAV file: {exc}") from exc
     except EOFError as exc:
         raise ParseError("malformed WAV file: truncated") from exc
+    # A file cut short, inside a frame or on a frame boundary, holds fewer
+    # bytes than its header declares.
+    if len(raw) < declared * 2 * channels:
+        raise ParseError("malformed WAV file: truncated")
     if not raw:
         raise ParseError("WAV file holds no audio frames")
-    if len(raw) % (2 * channels):  # the data chunk ends inside a frame
-        raise ParseError("malformed WAV file: truncated")
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64)
     if channels == 2:
         data = 0.5 * (data[0::2] + data[1::2])

@@ -14,7 +14,7 @@ from ltft import (
     scale_to_box,
 )
 from ltft.core import SampleSet
-from ltft.lds import generate_unit_points
+from ltft.lds import generate_unit_points, star_discrepancy
 
 RATE = 64.0
 
@@ -78,6 +78,12 @@ def test_hammersley_vs_mc_vs_dwt_slopes():
     assert -0.65 <= mc <= -0.35
     rows, dwt = discrepancy_scaling("dwt", sizes)
     assert -0.65 <= dwt <= -0.35
+    # One Halton set per size, no averaging: the rows are its exact values.
+    rows, halton = discrepancy_scaling("halton", sizes)
+    assert [(r.generator, r.n, r.d_star) for r in rows] == [
+        ("halton", n, star_discrepancy(generate_unit_points("halton", n, 2))) for n in sizes
+    ]
+    assert halton < mc
 
 
 def test_discrepancy_ordering_at_matched_n():

@@ -93,10 +93,11 @@ def test_wav_without_frames_is_parse_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("channels, cut", [(1, 1), (2, 1), (2, 2), (2, 3)])
+@pytest.mark.parametrize("channels, cut", [(1, 1), (2, 1), (2, 2), (2, 3), (1, 2), (2, 4)])
 def test_wav_cut_inside_a_frame_is_parse_error(tmp_path, capsys, channels, cut):
     # A data chunk that ends inside a frame is refused, not decoded as a
-    # misaligned buffer.
+    # misaligned buffer.  So is one cut on a frame boundary (the last two
+    # cases), which would decode to fewer frames than the header declares.
     import wave
 
     path = tmp_path / "cut.wav"

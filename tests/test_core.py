@@ -29,7 +29,6 @@ from ltft import (
 )
 from ltft import core, processing
 from ltft.core import SampleSet, _atom_blocks, _block_atoms
-from ltft.lds import hammersley_set, scale_to_box
 from ltft.processing import reconstruct, sample_phase_space, soft_threshold
 
 RATE = 64.0
@@ -113,9 +112,12 @@ def test_window_spectrum_matches_cosine_sum():
 
 
 def test_window_table_matches_direct_midpoint_sum():
-    # The table's nodes are the midpoint-rule DFT of the window over 8192
-    # samples, at nu = m / 256.  Summed directly with math.fsum, the phase
-    # nu * t_n = m (2n + 1 - k) / 2**22 cycles is reduced exactly in integers.
+    # The table's nodes are the closed-form transform, at nu = m / 256.  The
+    # midpoint-rule DFT of the window over 8192 samples equals it to rounding
+    # (the window is C^3 with vanishing edge derivatives), so it is an
+    # independent check of the nodes.  Summed directly with math.fsum, the
+    # phase nu * t_n = m (2n + 1 - k) / 2**22 cycles is reduced exactly in
+    # integers.
     w = WindowSpec()
     grid, vals = w._freq_table
     assert np.array_equal(grid, np.arange(-24576, 24577) / 256)
@@ -343,14 +345,14 @@ def test_analyze_translation_covariance_bitexact(params):
 
 def test_analyze_linearity(params, tapered_tone):
     m = 512
-    s1 = tapered_tone(m, freqs=(9.0,))
-    s2 = tapered_tone(m, freqs=(17.0,))
-    samples = sample_phase_space(s1, params, 400)
+    x1 = tapered_tone(m, freqs=(9.0,))
+    x2 = tapered_tone(m, freqs=(17.0,))
+    samples = sample_phase_space(x1, params, 400)
     alpha, beta = 1.7, -0.45 + 0.3j
-    mix = DigitalSignal(alpha * s1.samples + beta * s2.samples, RATE)
+    mix = DigitalSignal(alpha * x1.samples + beta * x2.samples, RATE)
     direct = analyze(mix, samples, params).values
-    combo = alpha * analyze(s1, samples, params).values + beta * analyze(
-        s2, samples, params
+    combo = alpha * analyze(x1, samples, params).values + beta * analyze(
+        x2, samples, params
     ).values
     scale = np.max(np.abs(direct))
     assert np.max(np.abs(direct - combo)) <= 1e-12 * max(scale, 1.0)

@@ -9,9 +9,7 @@ from ltft import (
     PhaseSpaceBox,
     SampleSet,
     UnsupportedDimensionError,
-    halton_sequence,
-    hammersley_set,
-    mc_uniform,
+    generate_unit_points,
     radical_inverse,
     scale_to_box,
     star_discrepancy,
@@ -22,7 +20,6 @@ from ltft.lds import (
     _PRIMES,
     UnitPointSet,
     _radical_inverses,
-    generate_unit_points,
     unit_point_rows,
 )
 
@@ -103,9 +100,9 @@ def test_point_columns_match_fraction_reversal_at_digit_boundaries(base, digits)
     exact = _exact_prefix(base**digits + 2, base)
     column = _PRIMES.index(base)
     for count in (base**digits - 1, base**digits, base**digits + 1):
-        halton = halton_sequence(count, 3).points
+        halton = generate_unit_points("halton", count, 3).points
         assert halton[:, column].tolist() == exact[1 : count + 1]
-        hammersley = hammersley_set(count, 4).points
+        hammersley = generate_unit_points("hammersley", count, 4).points
         assert hammersley[:, column + 1].tolist() == exact[1 : count + 1]
         times = [float(Fraction(n, count)) for n in range(count)]
         assert hammersley[:, 0].tolist() == times
@@ -161,9 +158,9 @@ def test_tile_rows_refuse_ranges_outside_the_set(start, stop):
     [
         lambda: radical_inverse(5, 2.5),
         lambda: radical_inverse(2.0, 3),
-        lambda: hammersley_set(2.5, 3),
-        lambda: halton_sequence(True, 3),
-        lambda: mc_uniform(4.0, 3, 0),
+        lambda: generate_unit_points("hammersley", 2.5, 3),
+        lambda: generate_unit_points("halton", True, 3),
+        lambda: generate_unit_points("mc", 4.0, 3, 0),
     ],
     ids=["radical-base", "radical-index", "hammersley-count", "halton-bool", "mc-count"],
 )
@@ -172,14 +169,12 @@ def test_non_integer_count_or_base_is_invalid(call):
         call()
 
 
-@pytest.mark.parametrize(
-    "generate", [hammersley_set, halton_sequence, lambda n, d: mc_uniform(n, d, 0)]
-)
-def test_count_beyond_the_budget_is_refused_before_allocation(generate):
+@pytest.mark.parametrize("kind", ["hammersley", "halton", "mc"])
+def test_count_beyond_the_budget_is_refused_before_allocation(kind):
     # 10**14 points would need petabytes; the refusal comes before any array.
     assert _MAX_POINTS < 10**14
     with pytest.raises(BudgetExceededError):
-        generate(10**14, 3)
+        generate_unit_points(kind, 10**14, 3)
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])
@@ -208,63 +203,67 @@ def test_phase_space_box_refuses_non_finite_sides(sides):
 
 
 def test_halton_first_points():
-    pts = halton_sequence(1, 2).points
+    pts = generate_unit_points("halton", 1, 2).points
     assert pts[0, 0] == 0.5
     assert pts[0, 1] == pytest.approx(1.0 / 3.0)
-    one_d = halton_sequence(2, 1).points
+    one_d = generate_unit_points("halton", 2, 1).points
     assert one_d[:, 0].tolist() == [0.5, 0.25]
 
 
 def test_halton_prefix_property():
-    short = halton_sequence(2, 3).points
-    long = halton_sequence(4, 3).points
+    short = generate_unit_points("halton", 2, 3).points
+    long = generate_unit_points("halton", 4, 3).points
     assert np.array_equal(long[:2], short)
     # and for a larger slice
-    assert np.array_equal(halton_sequence(200, 4).points[:57],
-                          halton_sequence(57, 4).points)
+    assert np.array_equal(
+        generate_unit_points("halton", 200, 4).points[:57],
+        generate_unit_points("halton", 57, 4).points,
+    )
 
 
 def test_halton_prefix_stable_across_digit_chunks():
     # 2187 = 3**7 and 4096 = 2**12 are table sizes: one more index adds a
     # chunk of digits in base 3 or base 2.
-    full = halton_sequence(5000, 8).points
+    full = generate_unit_points("halton", 5000, 8).points
     for count in (2186, 2187, 2188, 4095, 4096, 4097):
-        assert np.array_equal(halton_sequence(count, 8).points, full[:count])
+        assert np.array_equal(generate_unit_points("halton", count, 8).points, full[:count])
 
 
 def test_halton_range_and_dim_guard():
-    pts = halton_sequence(500, 8).points
+    pts = generate_unit_points("halton", 500, 8).points
     assert pts.min() >= 0.0 and pts.max() < 1.0
     with pytest.raises(UnsupportedDimensionError):
-        halton_sequence(4, 9)
+        generate_unit_points("halton", 4, 9)
 
 
 def test_hammersley_hand_values():
-    pts = hammersley_set(2, 2).points
+    pts = generate_unit_points("hammersley", 2, 2).points
     assert pts.tolist() == [[0.0, 0.5], [0.5, 0.25]]
-    four = hammersley_set(4, 2).points
+    four = generate_unit_points("hammersley", 4, 2).points
     assert four[:, 0].tolist() == [0.0, 0.25, 0.5, 0.75]
 
 
 def test_hammersley_needs_two_dims():
     with pytest.raises(InvalidParameterError):
-        hammersley_set(4, 1)
+        generate_unit_points("hammersley", 4, 1)
 
 
 def test_hammersley_discrepancy_decreasing():
     values = [
-        star_discrepancy(hammersley_set(n, 2)) for n in (4, 8, 16, 32)
+        star_discrepancy(generate_unit_points("hammersley", n, 2)) for n in (4, 8, 16, 32)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_mc_uniform_contract():
-    a = mc_uniform(100, 3, seed=7)
-    b = mc_uniform(100, 3, seed=7)
+def test_mc_points_contract():
+    a = generate_unit_points("mc", 100, 3, seed=7)
+    b = generate_unit_points("mc", 100, 3, seed=7)
     assert np.array_equal(a.points, b.points)
-    one = mc_uniform(1, 3, 123).points
+    # Prefixes are stable, as for Halton.
+    assert np.array_equal(generate_unit_points("mc", 40, 3, seed=7).points, a.points[:40])
+    one = generate_unit_points("mc", 1, 3, 123).points
     assert one.shape == (1, 3) and one.min() >= 0 and one.max() < 1
-    big = mc_uniform(10_000, 2, seed=1).points
+    big = generate_unit_points("mc", 10_000, 2, seed=1).points
     assert np.all(np.abs(big.mean(axis=0) - 0.5) < 0.02)
 
 
@@ -300,9 +299,9 @@ def test_star_discrepancy_centered_ladder(n):
 
 def test_star_discrepancy_budget():
     with pytest.raises(BudgetExceededError):
-        star_discrepancy(mc_uniform(2**11, 2, 0))
+        star_discrepancy(generate_unit_points("mc", 2**11, 2, 0))
     with pytest.raises(BudgetExceededError):
-        star_discrepancy(mc_uniform(2**8, 3, 0))
+        star_discrepancy(generate_unit_points("mc", 2**8, 3, 0))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -310,7 +309,7 @@ def test_star_discrepancy_grid_scan_oracle(seed):
     # The 1/512 corner scan only evaluates true values of the discrepancy
     # function, so it lower-bounds the exact supremum; the gap is at most
     # the volume resolution plus the densest coordinate slab.
-    pts = mc_uniform(32, 2, seed)
+    pts = generate_unit_points("mc", 32, 2, seed)
     exact = star_discrepancy(pts)
     scan = star_discrepancy_scan(pts, resolution=512)
     assert exact >= scan - 1e-12
@@ -323,16 +322,16 @@ def test_star_discrepancy_grid_scan_oracle(seed):
 
 def test_hammersley_scaling_slope():
     ns = [8, 16, 32, 64, 128]
-    vals = [star_discrepancy(hammersley_set(n, 2)) for n in ns]
+    vals = [star_discrepancy(generate_unit_points("hammersley", n, 2)) for n in ns]
     slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
     assert -1.25 <= slope <= -0.75
 
 
 @pytest.mark.parametrize("n", [64, 128])
 def test_hammersley_beats_mc(n):
-    ham = star_discrepancy(hammersley_set(n, 2))
+    ham = star_discrepancy(generate_unit_points("hammersley", n, 2))
     wins = sum(
-        star_discrepancy(mc_uniform(n, 2, seed)) > ham
+        star_discrepancy(generate_unit_points("mc", n, 2, seed)) > ham
         for seed in range(10)
     )
     assert wins >= 9

@@ -4,12 +4,15 @@ perfbench/worker.py re-assembles `ltft vocoder` from the layers' public
 functions (analyze, CoefficientVector(values, weight=), with_dilated_times,
 synthesize, frame_diagonal, apply_inverse_frame and the x D scale).  Its
 output must stay byte-identical to the CLI's, or the benchmark's traced
-runs measure a different pipeline from the one users run.  And every name
-that perfbench/ imports from ltft must still exist.
+runs measure a different pipeline from the one users run.  The library
+rebuilds of reconstruct and the error sweep must stay within the
+benchmark's 1e-9 gate.  And every name that perfbench/ imports from ltft
+must still exist.
 """
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +41,23 @@ def test_traced_vocoder_matches_cli(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert main(["vocoder", "-D", "2", str(src), str(cli)]) == 0
     assert traced.read_bytes() == cli.read_bytes()
+
+
+def test_traced_library_rebuild_matches_the_pipeline(tmp_path):
+    # One timed error-sweep run and its traced rebuild (traced_sweep, which
+    # calls traced_reconstruct per point count), compared as the benchmark's
+    # --trace 1 gate compares them.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "worker.py"), "lib",
+         "--workload", "error-sweep", "--seed", "0", "--seconds", "0",
+         "--trace", "1", "--work-dir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout.splitlines()[-1])
+    assert payload["ok"] and payload["failed"] == 0, proc.stderr
+    assert payload["rebuild_max_rel_diff"] <= 1e-9
 
 
 def test_every_name_perfbench_imports_from_ltft_exists():
