@@ -143,13 +143,22 @@ def shrinkage(threshold: float, relative: bool = True) -> Callable[[float], Rule
 
 
 def vocoder_phase_rule(z, dilation: int):
-    """|z| * exp(i * D * arg z); the identity at D = 1."""
+    """|z| * exp(i * D * arg z); the identity at D = 1.
+
+    Computed as |z| * (z/|z|)^D by complex multiplies, with no complex exp
+    or arg; z = 0 maps to 0 and NaN propagates.
+    """
     if int(dilation) != dilation or dilation < 1:
         raise InvalidParameterError("dilation must be an integer >= 1")
     if dilation == 1:
         return z
     z = np.asarray(z, dtype=np.complex128)
-    return np.abs(z) * np.exp(1j * dilation * np.angle(z))
+    r = np.abs(z)
+    with np.errstate(invalid="ignore"):  # NaN / NaN
+        unit = np.divide(z, r, out=np.zeros_like(z), where=r != 0)
+    np.power(unit, int(dilation), out=unit)
+    unit *= r
+    return unit
 
 
 def sample_phase_space(
@@ -173,10 +182,12 @@ _TILE_POINTS = 1 << 15
 # Calls with fewer predicted atom-samples, or one tile, run their tiles in
 # the caller, where the pool's threads would save little.  Of the error
 # sweep's calls only A = 64 Hammersley (65,536 points, 2 tiles, 1.53M
-# atom-samples) has two tiles; speech-reconstruct (8 tiles, 5.97M) and
-# vocoder-cli (4 tiles, 2.98M) pool either way.  Pooling that call (2-vCPU
-# Xeon, 15 interleaved in-process rounds) took 0.062 s median against
-# 0.053 s in the caller, and the whole sweep 0.229 s against 0.220 s.
+# atom-samples) comes near the bound; its Monte Carlo passes stay under
+# 0.4M.  speech-reconstruct (8 tiles, 5.97M) and vocoder-cli (4 tiles,
+# 2.98M) pool either way.  Pooling that call (2-vCPU Xeon, three runs of 15
+# interleaved in-process rounds) took 0.046-0.065 s median against
+# 0.038-0.053 s in the caller, and the whole sweep 0.178-0.220 s against
+# 0.168-0.215 s; the caller won in every run.
 _POOL_MIN_ATOM_SAMPLES = 2_000_000
 
 T = TypeVar("T")

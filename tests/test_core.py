@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -507,6 +508,31 @@ def test_atom_blocks_match_naive_formula(b0_frac):
     p = LtftParams.for_rate(RATE, b0_frac=b0_frac)
     blocks = _check_blocks(p, _oracle_samples(p, 256), 256)
     assert max(block.length for block in blocks) >= int(p.s0 * RATE)
+
+
+def test_unit_phasors_match_cos_and_sin():
+    # The kernel's unit phasors from a tangent, against numpy's cos and sin
+    # over the angle ranges the kernel meets: first phases up to 1e3 rad,
+    # phase steps up to 4 pi, window angles from -pi/2 on, and exact
+    # multiples of pi/2; at +-pi and 3 pi the half-angle tangent is about
+    # 1e16.  A less accurate float64 tan fails here rather than in the 1e-12
+    # oracle bounds.
+    rng = np.random.default_rng(7)
+    angles = np.concatenate([
+        rng.uniform(-1e3, 1e3, 20000),
+        rng.uniform(0.0, 4 * np.pi, 20000),
+        -np.pi / 2 + rng.uniform(0.0, 1e-3, 5000),
+        rng.uniform(-np.pi / 2, np.pi / 2, 5000),
+        [0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi, 3 * np.pi],
+    ])
+    out = np.empty(angles.shape, dtype=np.complex128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        core._unit_phasors(angles / 2, out)
+    assert np.all(np.isfinite(out))
+    assert np.max(np.abs(out.real - np.cos(angles))) <= 4.5e-16
+    assert np.max(np.abs(out.imag - np.sin(angles))) <= 4.5e-16
+    assert np.max(np.abs(np.abs(out) - 1.0)) <= 4.5e-16
 
 
 @pytest.mark.parametrize("dilation", [1, 2])

@@ -152,6 +152,23 @@ def test_vocoder_phase_rule_values():
         vocoder_phase_rule(1.0, 0)
 
 
+@pytest.mark.parametrize("dilation", [2, 3, 4, 5])
+def test_vocoder_phase_rule_matches_polar_form(dilation):
+    # |z| (z/|z|)^D against the polar form |z| exp(i D arg z), relative to |z|,
+    # over magnitudes from 1e-300 to 1e300, on both axes and at zeros.
+    rng = np.random.default_rng(dilation)
+    z = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    z *= 10.0 ** rng.uniform(-300, 300, z.size)
+    z[:8] = [0, -0.0, 1, -1, 1j, -1j, 3.5, -2j]
+    z[8:16] = 0.0
+    polar = np.abs(z) * np.exp(1j * dilation * np.angle(z))
+    out = vocoder_phase_rule(z, dilation)
+    assert np.all(np.abs(out - polar) <= 1e-14 * np.abs(z))
+    assert np.all(out[z == 0] == 0)
+    nan = vocoder_phase_rule(np.array([complex(np.nan, 1.0), 1.0]), dilation)
+    assert np.isnan(nan[0]) and nan[1] == 1.0
+
+
 def test_vocoder_job_defaults(params):
     job = VocoderJob(params=params, dilation=2)
     assert job.sample_count(1024) == 4 * 2 * 1024
