@@ -36,6 +36,7 @@ from .frame import frame_diagonal
 from .lds import scale_to_box, generate_unit_points
 from .processing import (
     VocoderJob,
+    _check_dilation,
     denoise,
     phase_vocoder,
     reconstruct,
@@ -156,9 +157,7 @@ def _reconstruct_audio(
 
 def _cmd_vocoder(config: RunConfig) -> int:
     options = config.options
-    dilation = int(options["dilation"])
-    if dilation < 1:  # refused before the WAV is read
-        raise InvalidParameterError("dilation must be an integer >= 1")
+    dilation = _check_dilation(options["dilation"])  # refused before the WAV is read
     audio, signal, params = _load_audio(options)
     job = VocoderJob(
         params=params,

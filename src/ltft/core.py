@@ -47,11 +47,11 @@ u_k = exp(i pi s (t_k - a)), squared twice, and a row's padding past its
 own support is set to exactly 0.  Each atom's four unit phasors (first
 phase, phase step, first window angle, window step) come from the tangent
 of half their angles, t = tan(theta/2): cos theta = 2/(1 + t^2) - 1 and
-sin theta = t 2/(1 + t^2), one vectorised tan over one angle array.  Block
-indices, relative to the block's first sample, address the grid inside a
-zero guard band on each side as wide as the longest support any atom can
-have; samples off the grid read zero in analysis and write only into the
-guard band in synthesis, so neither direction masks or clips.
+sin theta = t 2/(1 + t^2), one vectorised tan over one angle array.  Atoms
+with no sample on the grid are not planned, and block indices are grid
+indices: analysis reads the input inside a zero guard band on each side as
+wide as the longest support any atom can have, and synthesis crops its
+accumulator to the grid, so neither direction masks or clips.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from typing import Callable, ClassVar, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import BudgetExceededError, InvalidParameterError
 
 # ---------------------------------------------------------------------------
 # Digital signals and the frequency grid
@@ -559,6 +559,9 @@ _PACK_RATIO = 1.25
 # thread's next block; larger ones (a block of very long rows) are made
 # afresh each time.
 _SCRATCH_KEEP = 1 << 18
+# The longest signal array a call makes: the analysis input with its guard
+# band, or a dilated output of D*M samples (2^26 complex samples, 1 GiB).
+_MAX_SIGNAL_SAMPLES = 1 << 26
 
 _SCRATCH = threading.local()
 
@@ -600,15 +603,18 @@ def _index_type(low: int, high: int):
 
 
 def _atom_blocks(
-    params: LtftParams, samples: SampleSet, sample_rate: float
+    params: LtftParams, samples: SampleSet, sample_rate: float, grid_len: int
 ) -> List[_AtomBlock]:
-    # The sampled atom operator's plan.  Atoms are ordered by support sample
-    # count and then by first sample, and cut into consecutive blocks: a block
-    # ends before an atom longer than _PACK_RATIO times its shortest row, or
-    # before it would exceed _BLOCK_ATOM_SAMPLES atom-samples with every row
-    # padded to its longest.  Within a block the rows are ordered by first
-    # sample, ties by support count and then by index.  The partition depends
-    # on the samples alone, so the block order is the accumulation order.
+    # The sampled atom operator's plan on the grid [-M/2, M/2), M = grid_len.
+    # Atoms with no sample on the grid (wholly past either end, or a support
+    # shorter than one sample) are left out.  The others are ordered by
+    # support sample count and then by first sample, and cut into consecutive
+    # blocks: a block ends before an atom longer than _PACK_RATIO times its
+    # shortest row, or before it would exceed _BLOCK_ATOM_SAMPLES atom-samples
+    # with every row padded to its longest.  Within a block the rows are
+    # ordered by first sample, ties by support count and then by index.  The
+    # partition depends on the samples and M alone, so the block order is the
+    # accumulation order.
     #
     # Both orders come from stable argsorts on narrow unsigned keys (least
     # significant key first), which numpy runs as radix sorts when the key
@@ -617,11 +623,12 @@ def _atom_blocks(
     # they fit.
     m_start, m_end = _support_index_range(params, samples.a, samples.b, sample_rate)
     lengths = m_end - m_start + 1
-    del m_end
+    half = grid_len // 2
     kept = None
-    if lengths.min(initial=1) <= 0:  # supports shorter than one sample
-        kept = np.flatnonzero(lengths > 0)
+    if lengths.min() <= 0 or m_end.min() < -half or m_start.max() >= half:
+        kept = np.flatnonzero((lengths > 0) & (m_end >= -half) & (m_start < half))
         m_start, lengths = m_start[kept], lengths[kept]
+    del m_end
     if lengths.size == 0:
         return []
     lo, hi = int(m_start.min()), int(m_start.max())
@@ -672,29 +679,17 @@ def _atom_blocks(
 
 
 def _block_atoms(
-    params: LtftParams,
-    samples: SampleSet,
-    sample_rate: float,
-    grid_len: int,
-    guard: int,
-    block: _AtomBlock,
+    params: LtftParams, samples: SampleSet, sample_rate: float, block: _AtomBlock
 ) -> Tuple[int, np.ndarray, np.ndarray]:
-    # One block's storage indices and atom values.  Storage is the grid with
-    # a zero guard band of `guard` = _max_support_samples cells on each side,
-    # so grid sample m is at m + grid_len // 2 + guard.  Returns the storage
-    # index lo of the block's first sample, the block-relative indices j
-    # (lo + j is a row's storage span) and the atom values, each row padded
-    # to the block's length; j and the atoms are (rows, length) views of
-    # sample-major arrays on this thread's scratch.  Rows are ordered by
-    # first sample, so j[0, 0] = 0 and j[-1, -1] is the largest.  An atom
-    # wholly off the grid gets the indices of the guard cells next to the
-    # grid end it lies past (a clip of the block's first samples, not of its
-    # indices), so no index leaves the storage and every on-grid index is
-    # exact; its reads are zeros and its writes are cropped, as for every
-    # off-grid sample.
-    first = _clipped_starts(block, grid_len)
+    # One block's grid indices and atom values.  Returns the grid index lo of
+    # the block's first sample, the block-relative indices j (lo + j is a
+    # row's span of grid samples, padding included) and the atom values,
+    # each row padded to the block's length; j and the atoms are
+    # (rows, length) views of sample-major arrays on this thread's scratch.
+    # Rows are ordered by first sample, so j[0, 0] = 0 and j[-1, -1] is the
+    # largest.
     shape = (block.length, block.sel.size)
-    j = np.add(np.arange(block.length)[:, None], first - first[0],
+    j = np.add(np.arange(block.length)[:, None], block.start - block.start[0],
                out=_scratch("index", shape, np.intp))
     pts = np.take(samples.points, block.sel, axis=0, mode="wrap",
                   out=_scratch("points", (block.sel.size, 3), np.float64))
@@ -702,24 +697,7 @@ def _block_atoms(
         params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.own, block.length,
         sample_rate, _scratch("atoms", shape, np.complex128),
     )
-    return int(first[0]) + grid_len // 2 + guard, j.T, atoms.T
-
-
-def _clipped_starts(block: _AtomBlock, grid_len: int) -> np.ndarray:
-    # The block's first samples, clipped to [-M/2 - length, M/2] when an
-    # atom lies wholly off the grid (see _block_atoms).
-    half = grid_len // 2
-    first = block.start
-    if first[0] < -half - block.length or first[-1] > half:
-        first = np.clip(first, -half - block.length, half)
-    return first
-
-
-def _max_support_samples(params: LtftParams, sample_rate: float) -> int:
-    # A bound on every atom's support sample count: at most S0 * L plus one,
-    # and one more for the rounding of the support's ends.  It is the width
-    # of the zero guard band on each side of the grid in both directions.
-    return int(np.ceil(params.s0 * sample_rate)) + 2
+    return int(block.start[0]), j.T, atoms.T
 
 
 def _predicted_atom_samples(params: LtftParams, sample_rate: float, n: int) -> float:
@@ -731,8 +709,15 @@ def _predicted_atom_samples(params: LtftParams, sample_rate: float, n: int) -> f
     )
 
 
-def _analysis_input(signal: DigitalSignal, guard: int) -> np.ndarray:
-    # The analysis signal with a zero guard band of `guard` cells on each side.
+def _analysis_input(signal: DigitalSignal, params: LtftParams) -> np.ndarray:
+    # The analysis signal inside a zero guard band on each side as wide as a
+    # bound on every support sample count (S0 * L plus one, and one for the
+    # rounding of the ends), so a planned atom's padded row stays inside.
+    # M is even, so grid sample 0 sits at the centre, index sig.size // 2.
+    guard = np.ceil(params.s0 * signal.sample_rate) + 2.0
+    if not signal.m + 2.0 * guard <= _MAX_SIGNAL_SAMPLES:  # an inf guard too
+        raise BudgetExceededError(f"a guard band of {guard:g} samples exceeds the budget")
+    guard = int(guard)
     sig = np.zeros(signal.m + 2 * guard, dtype=np.complex128)
     sig[guard : guard + signal.m] = signal.samples
     return sig
@@ -746,10 +731,12 @@ def _check_box_rate(signal: DigitalSignal, samples: SampleSet) -> None:
 def _block_coeffs(
     sig: np.ndarray, lo: int, j: np.ndarray, atoms: np.ndarray, sample_rate: float
 ) -> np.ndarray:
-    # One block's analysis coefficients, on this thread's scratch; vecdot
-    # conjugates its first argument.  The gather wraps rather than checks
-    # each index (np.take buffers its output when it checks), so the
-    # block's extreme indices, its first and its last, are checked here.
+    # One block's analysis coefficients against the input of _analysis_input,
+    # on this thread's scratch; lo is a grid index, and vecdot conjugates its
+    # first argument.  The gather wraps rather than checks each index (np.take
+    # buffers its output when it checks), so the block's extreme indices, its
+    # first and its last, are checked here.
+    lo += sig.size // 2
     if lo < 0 or lo + int(j[-1, -1]) >= sig.size:
         raise IndexError("atom block reaches past the analysis guard band")
     gathered = np.take(sig[lo:], j.T, mode="wrap",
@@ -760,43 +747,41 @@ def _block_coeffs(
 
 
 def _tile_coeffs(
-    sig: np.ndarray, guard: int, samples: SampleSet, params: LtftParams, grid_len: int,
-    sample_rate: float,
+    sig: np.ndarray, samples: SampleSet, params: LtftParams, grid_len: int, sample_rate: float
 ) -> np.ndarray:
     # Analysis coefficients of every sample against the padded input `sig`
-    # (guard band of `guard` cells, see _analysis_input), block by block in
-    # this thread.
+    # of a grid_len signal, block by block in this thread; atoms left out
+    # of the plan analyse to 0.
     out = np.zeros(samples.n, dtype=np.complex128)
-    for block in _atom_blocks(params, samples, sample_rate):
-        lo, j, atoms = _block_atoms(params, samples, sample_rate, grid_len, guard, block)
+    for block in _atom_blocks(params, samples, sample_rate, grid_len):
+        lo, j, atoms = _block_atoms(params, samples, sample_rate, block)
         out[block.sel] = _block_coeffs(sig, lo, j, atoms, sample_rate)
     return out
 
 
 def _tile_sum(
-    samples: SampleSet, params: LtftParams, grid_len: int, sample_rate: float, guard: int,
+    samples: SampleSet, params: LtftParams, grid_len: int, sample_rate: float,
     coeffs: Callable[..., np.ndarray],
 ) -> Tuple[int, np.ndarray]:
     # sum_n coeffs_n * atom_n on the grid_len grid, unweighted, block by block
     # in this thread.  coeffs(block, lo, j, atoms) gives a block's
     # coefficients while its atoms (see _block_atoms) are in hand; the block
     # is scaled in place by them and added, by one unbuffered add in
-    # sample-major order, straight into an accumulator over the storage span
-    # the blocks reach, in block order.  Returns the grid index of the sum's
-    # first sample and the sum, cropped to the grid: a tile of points whose
-    # times lie in a slab sums over that slab, not over the grid.
-    blocks = _atom_blocks(params, samples, sample_rate)
-    base = grid_len // 2 + guard
-    firsts = [_clipped_starts(block, grid_len) for block in blocks]
-    start = min((int(first[0]) for first in firsts), default=0) + base
-    stop = max((int(f[-1]) + b.length for f, b in zip(firsts, blocks)), default=0) + base
+    # sample-major order, straight into an accumulator over the grid indices
+    # the blocks reach, in block order.  Returns the output index (M/2 plus
+    # the grid index) of the sum's first sample and the sum, cropped to the
+    # grid: a tile of points in a time slab sums over that slab, not the grid.
+    blocks = _atom_blocks(params, samples, sample_rate, grid_len)
+    start = min((int(block.start[0]) for block in blocks), default=0)
+    stop = max((int(block.start[-1]) + block.length for block in blocks), default=0)
     acc = np.zeros(stop - start, dtype=np.complex128)
     for block in blocks:
-        lo, j, atoms = _block_atoms(params, samples, sample_rate, grid_len, guard, block)
+        lo, j, atoms = _block_atoms(params, samples, sample_rate, block)
         atoms *= coeffs(block, lo, j, atoms)[:, None]
         np.add.at(acc[lo - start :], j.T.ravel(), atoms.T.ravel())
-    lo, hi = max(start, guard), min(stop, guard + grid_len)
-    return lo - guard, acc[lo - start : max(hi, lo) - start]
+    half = grid_len // 2
+    lo, hi = max(start, -half), min(stop, half)
+    return lo + half, acc[lo - start : max(hi, lo) - start]
 
 
 def _ruled(rule: Rule, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -832,10 +817,8 @@ def analyze(
     atoms that miss the grid contribute zero.
     """
     _check_box_rate(signal, samples)
-    rate = signal.sample_rate
-    guard = _max_support_samples(params, rate)
-    sig = _analysis_input(signal, guard)
-    values = _tile_coeffs(sig, guard, samples, params, signal.m, rate)
+    sig = _analysis_input(signal, params)
+    values = _tile_coeffs(sig, samples, params, signal.m, signal.sample_rate)
     return CoefficientVector(values, weight=samples.box.volume / samples.n)
 
 
@@ -856,8 +839,7 @@ def synthesize(
     if coeffs.values.shape[0] != samples.n:
         raise InvalidParameterError("coefficients and samples must align")
     lo, tile = _tile_sum(
-        samples, params, out_len, sample_rate, _max_support_samples(params, sample_rate),
-        lambda block, *_: coeffs.values[block.sel],
+        samples, params, out_len, sample_rate, lambda block, *_: coeffs.values[block.sel]
     )
     out = np.zeros(out_len, dtype=np.complex128)
     out[lo : lo + tile.size] = tile * coeffs.weight

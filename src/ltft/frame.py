@@ -38,6 +38,9 @@ _GRID_STEP = 1.0 / 1024.0  # dimensionless tabulation step
 _GRID_MARGIN = 40.0  # spectral tail margin beyond the needed range
 _FLOOR_FACTOR = 1e-8  # floor = factor * max(h)
 _CHUNK = 1 << 13  # arguments per evaluation step of an _Integral
+# Nodes of one table, 2^24 (128 MiB of doubles): default parameters need
+# about 165k, and the build holds a few tables at once.
+_MAX_TABLE_NODES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -118,7 +121,10 @@ def _integrals(params: LtftParams, sample_rate: float):
     xi = params.xi
     u_lo = -(g * sample_rate / params.b1 + xi) - _GRID_MARGIN
     u_hi = g * sample_rate / params.b0 + _GRID_MARGIN
-    n = int(np.ceil((u_hi - u_lo) / _GRID_STEP)) + 1
+    n = np.ceil((u_hi - u_lo) / _GRID_STEP) + 1.0
+    if not n <= _MAX_TABLE_NODES:  # an infinite span too
+        raise BudgetExceededError(f"a frame table of {n:g} nodes exceeds the budget")
+    n = int(n)
     u = np.arange(n, dtype=np.float64)
     u *= _GRID_STEP
     u += u_lo

@@ -36,8 +36,8 @@ from .core import (
     PhaseSpaceBox,
     Rule,
     SampleSet,
+    _MAX_SIGNAL_SAMPLES,
     _analysis_input,
-    _max_support_samples,
     _predicted_atom_samples,
     _round_trip_coeffs,
     _ruled,
@@ -50,7 +50,13 @@ from .errors import BudgetExceededError, InvalidParameterError
 from .frame import apply_inverse_frame, frame_diagonal
 from .lds import _check_rows, generate_unit_points, scale_rows, scale_to_box, unit_point_rows
 
-_MAX_OUTPUT_SAMPLES = 1 << 26
+
+def _check_dilation(dilation) -> int:
+    # The time dilation D as an int; a bool, a non-integer (inf and NaN
+    # included) or D < 1 is refused.
+    if isinstance(dilation, bool) or not float(dilation).is_integer() or dilation < 1:
+        raise InvalidParameterError("dilation must be an integer >= 1")
+    return int(dilation)
 
 
 def samples_for_redundancy(redundancy: float, m: int) -> int:
@@ -78,12 +84,7 @@ class VocoderJob:
     samples: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if (
-            isinstance(self.dilation, bool)
-            or not float(self.dilation).is_integer()
-            or self.dilation < 1
-        ):
-            raise InvalidParameterError("dilation must be an integer >= 1")
+        _check_dilation(self.dilation)
         if self.redundancy is not None:
             samples_for_redundancy(self.redundancy, 1)  # refuse a bad A now
         if self.samples is not None:
@@ -148,15 +149,14 @@ def vocoder_phase_rule(z, dilation: int):
     Computed as |z| * (z/|z|)^D by complex multiplies, with no complex exp
     or arg; z = 0 maps to 0 and NaN propagates.
     """
-    if int(dilation) != dilation or dilation < 1:
-        raise InvalidParameterError("dilation must be an integer >= 1")
-    if dilation == 1:
+    d = _check_dilation(dilation)
+    if d == 1:
         return z
     z = np.asarray(z, dtype=np.complex128)
     r = np.abs(z)
     with np.errstate(invalid="ignore"):  # NaN / NaN
         unit = np.divide(z, r, out=np.zeros_like(z), where=r != 0)
-    np.power(unit, int(dilation), out=unit)
+    np.power(unit, d, out=unit)
     unit *= r
     return unit
 
@@ -271,8 +271,7 @@ def _analysis_synthesis(
     # tiles allocate.
     hd = frame_diagonal(params, rate, out_len, folded=True)
     box = PhaseSpaceBox.for_signal(signal, params, padded=padded)
-    guard = _max_support_samples(params, rate)
-    sig = _analysis_input(to_analytic(signal), guard)
+    sig = _analysis_input(to_analytic(signal), params)
     edges = sorted({*range(0, n, _TILE_POINTS), *counts})
     spans = list(zip(edges, edges[1:]))
     pooled = len(spans) >= 2 and _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
@@ -282,7 +281,7 @@ def _analysis_synthesis(
         return SampleSet(scale_rows(rows, box), box, kind)
 
     def coeffs_of(samples: SampleSet) -> np.ndarray:
-        return _tile_coeffs(sig, guard, samples, params, signal.m, rate)
+        return _tile_coeffs(sig, samples, params, signal.m, rate)
 
     if at_peak is not None:
         peaks = _map_tiles(lambda k: np.abs(coeffs_of(tile_points(k))).max(), len(spans), pooled)
@@ -293,7 +292,7 @@ def _analysis_synthesis(
         def task(k: int) -> Tuple[int, np.ndarray]:
             samples = tile_points(k)
             source = _round_trip_coeffs(sig, samples, rate, rule)
-            return _tile_sum(samples, params, signal.m, rate, guard, source)
+            return _tile_sum(samples, params, signal.m, rate, source)
 
     else:
 
@@ -304,9 +303,7 @@ def _analysis_synthesis(
                 values = _ruled(rule, values, samples.points)
             samples.points[:, 0] *= float(dilation)
             dilated = SampleSet(samples.points, box.scaled(float(dilation)), kind)
-            return _tile_sum(
-                dilated, params, out_len, rate, guard, lambda block, *_: values[block.sel]
-            )
+            return _tile_sum(dilated, params, out_len, rate, lambda block, *_: values[block.sel])
 
     raw = np.zeros(out_len, dtype=np.complex128)
     outputs = []
@@ -337,8 +334,8 @@ def reconstruct(
     be elementwise and pure, and return one value per coefficient.  The
     cubature weight volume(box)/N scales the normalized sum once.
 
-    Memory: besides a few signal-length arrays (the input, its analytic
-    form with a guard band, the output and the frame diagonal), a call
+    Memory: besides a few signal-length arrays (the input, its zero-padded
+    analytic form, the output and the frame diagonal), a call
     holds the points, block plan and partial sums of a few tiles of
     ``_TILE_POINTS`` points, one per worker thread, whatever N is.  The
     rule maps one atom block's coefficients at a time, so it adds nothing
@@ -382,7 +379,7 @@ def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
     """
     d = int(job.dilation)
     out_len = d * signal.m
-    if out_len > _MAX_OUTPUT_SAMPLES:
+    if out_len > _MAX_SIGNAL_SAMPLES:
         raise BudgetExceededError(f"output of {out_len} samples exceeds the budget")
     return _analysis_synthesis(
         signal, job.params, [job.sample_count(signal.m)], job.sequence, job.seed, job.padded,

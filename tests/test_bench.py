@@ -140,9 +140,9 @@ def test_mc_sweep_builds_atoms_for_the_largest_count_once_per_seed(monkeypatch, 
     rows = []
     original = core._block_atoms
 
-    def counting(params, samples, rate, grid_len, guard, block):
+    def counting(params, samples, rate, block):
         rows.append(block.sel.size)
-        return original(params, samples, rate, grid_len, guard, block)
+        return original(params, samples, rate, block)
 
     monkeypatch.setattr(core, "_block_atoms", counting)
     bench_reconstruction(signal, params, ["mc"], [1, 2, 4], mc_seeds=range(3))

@@ -599,6 +599,31 @@ def test_huge_sample_count_is_budget_exceeded(tmp_path, command):
     assert not (tmp_path / "o.wav").exists()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "reconstruct -A 2 --gamma 1e300",
+        "reconstruct -A 2 --xi 1e300",
+        "reconstruct -A 2 --b0-frac 1e-300",
+        "frame-diag --xi 1e300",
+        "frame-diag --gamma 1e300 --b0-frac 1e-10",
+    ],
+)
+def test_unbounded_frame_table_is_budget_exceeded(tmp_path, capsys, command):
+    # The frame table's node count, infinite for the last, is refused before
+    # anything is allocated.
+    if command.startswith("reconstruct"):
+        out = tmp_path / "o.wav"
+        args = command.split() + [_sine_wav(tmp_path / "in.wav"), str(out)]
+    else:
+        out = tmp_path / "f.csv"
+        args = command.split() + ["--csv", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: budget-exceeded:")
+    assert not out.exists()
+
+
 def test_out_of_memory_is_budget_exceeded(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 GiB for an array")

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ltft import (
+    BudgetExceededError,
     CoefficientVector,
     DigitalSignal,
     InvalidParameterError,
@@ -20,6 +21,7 @@ from ltft import (
     analyze,
     atom_support_length,
     dft,
+    frame_diagonal,
     from_analytic,
     idft,
     ltft_atom_freq,
@@ -38,9 +40,8 @@ RATE = 64.0
 def _round_trip(signal, samples, params, rule=None):
     # The one-pass round trip over one sample set on the signal's own grid.
     rate = signal.sample_rate
-    guard = core._max_support_samples(params, rate)
-    source = core._round_trip_coeffs(core._analysis_input(signal, guard), samples, rate, rule)
-    lo, tile = core._tile_sum(samples, params, signal.m, rate, guard, source)
+    source = core._round_trip_coeffs(core._analysis_input(signal, params), samples, rate, rule)
+    lo, tile = core._tile_sum(samples, params, signal.m, rate, source)
     out = np.zeros(signal.m, dtype=np.complex128)
     out[lo : lo + tile.size] = tile * (samples.box.volume / samples.n)
     return DigitalSignal(out, rate)
@@ -435,6 +436,26 @@ def test_analyze_box_rate_guard(params):
         analyze(sig, samples, params)
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        LtftParams(b0=1e-300, b1=1.0),
+        LtftParams(b0=0.1 * RATE, b1=0.4 * RATE, gamma=1e300),
+        LtftParams(b0=1e-10, b1=0.4 * RATE, gamma=1e300),  # S0 * L overflows to inf
+    ],
+    ids=["b0", "gamma", "inf"],
+)
+def test_unbounded_support_is_budget_exceeded(bad):
+    # The frame table and the analysis input's guard band grow with the
+    # longest support S0 = gamma/b0; both are refused before they allocate.
+    sig = DigitalSignal(np.zeros(64), RATE)
+    samples = SampleSet(np.array([[0.0, 1.0, 0.0]]), PhaseSpaceBox.for_signal(sig, bad), "regular")
+    with pytest.raises(BudgetExceededError):
+        frame_diagonal(bad, RATE, 64)
+    with pytest.raises(BudgetExceededError):
+        analyze(sig, samples, bad)
+
+
 # ---------------------------------------------------------------------------
 # sampled atom operator: naive oracle and property tests
 # ---------------------------------------------------------------------------
@@ -466,16 +487,17 @@ def _oracle_samples(p, m):
 def _check_blocks(p, samples, m):
     # Every row of every block against the naive formula on its own support,
     # with the padding up to the block's length below 1e-60 of the row's peak,
-    # and its storage indices against the grid index shifted past the zero
-    # guard band; samples off the grid address a guard cell.  Rows ordered by
-    # first sample; every sample in exactly one block.  Returns the blocks.
+    # and its indices against the grid indices of its span; indices off the
+    # grid stay inside the analysis input's zero guard band.  Rows ordered by
+    # first sample; every sample with a sample on the grid in exactly one
+    # block, and no other sample in any.  Returns the blocks.
     pts = samples.points
-    blocks = _atom_blocks(p, samples, RATE)
-    guard = core._max_support_samples(p, RATE)
+    blocks = _atom_blocks(p, samples, RATE, m)
+    guard = (core._analysis_input(DigitalSignal(np.zeros(m), RATE), p).size - m) // 2
     assert max(block.length for block in blocks) <= guard
     seen = []
     for block in blocks:
-        lo, j, atoms = _block_atoms(p, samples, RATE, m, guard, block)
+        lo, j, atoms = _block_atoms(p, samples, RATE, block)
         assert j.shape == atoms.shape == (block.sel.size, block.length)
         assert np.all(np.diff(block.start) >= 0)
         assert j[0, 0] == 0 and j[-1, -1] == j.max()
@@ -492,13 +514,20 @@ def _check_blocks(p, samples, m):
             full = idx[0] + np.arange(block.length)
             on_grid = (full >= -(m // 2)) & (full < m // 2)
             stored = lo + j[row]
-            grid_index = full[on_grid].astype(np.int64) + m // 2 + guard
-            assert np.array_equal(stored[on_grid], grid_index)
+            assert np.array_equal(stored, full.astype(np.int64))
             off = stored[~on_grid]
-            assert np.all((off >= 0) & (off < guard) | (off >= m + guard) & (off < m + 2 * guard))
+            assert np.all((off >= -(m // 2) - guard) & (off < m // 2 + guard))
         seen.extend(block.sel)
-    assert sorted(seen) == list(range(samples.n))
+    assert sorted(seen) == [n for n in range(samples.n) if _has_grid_sample(p, pts[n], m)]
     return blocks
+
+
+def _has_grid_sample(p, point, m):
+    # Whether the atom at `point` has a sample in [-M/2, M/2), one index at a time.
+    a, b, _ = point
+    s_len = p.gamma / min(max(b, p.b0), p.b1)
+    idx = np.arange(np.ceil((a - s_len / 2) * RATE), np.floor((a + s_len / 2) * RATE) + 1)
+    return bool(np.any((idx >= -(m // 2)) & (idx < m // 2)))
 
 
 @pytest.mark.parametrize("b0_frac", [0.1, 0.01, 0.001])
@@ -567,7 +596,7 @@ def test_operator_matches_dense_naive_sums(params, padded, dilation, monkeypatch
 
     for budget in (core._BLOCK_ATOM_SAMPLES, 64):
         monkeypatch.setattr(core, "_BLOCK_ATOM_SAMPLES", budget)
-        assert budget > 64 or len(_atom_blocks(params, samples, RATE)) >= 40
+        assert budget > 64 or len(_atom_blocks(params, samples, RATE, grid_len)) >= 40
         coeffs = analyze(sig, samples, params).values
         expected = dense.conj() @ sig.samples / RATE
         assert w * np.sum(np.abs(g)) * np.max(np.abs(coeffs - expected)) <= 1e-12 * scale
@@ -593,14 +622,16 @@ def test_atom_blocks_split_groups_in_order(monkeypatch):
         )
 
 
-def _reference_blocks(own, m_start):
-    # The plan by its definition, one atom at a time: order by support count,
-    # then first sample (np.lexsort), cut greedily where the next atom is
-    # longer than _PACK_RATIO times the block's shortest or its padded rows
-    # would pass _BLOCK_ATOM_SAMPLES, and order each block's rows by first
-    # sample, then support count, then index.
+def _reference_blocks(own, m_start, m):
+    # The plan by its definition, one atom at a time: leave out the atoms
+    # whose span [m_start, m_start + own) misses [-M/2, M/2), order the rest
+    # by support count, then first sample (np.lexsort), cut greedily where
+    # the next atom is longer than _PACK_RATIO times the block's shortest or
+    # its padded rows would pass _BLOCK_ATOM_SAMPLES, and order each block's
+    # rows by first sample, then support count, then index.
     order = np.lexsort((m_start, own))
-    order = order[own[order] > 0]
+    meets = np.maximum(m_start, -(m // 2)) < np.minimum(m_start + own, m // 2)
+    order = order[meets[order]]
     blocks, i = [], 0
     while i < order.size:
         shortest, k = own[order[i]], i + 1
@@ -626,14 +657,14 @@ def test_plan_order_matches_lexsort_reference(kind, padded, m, n):
     samples = sample_phase_space(sig, p, n, kind, seed=4, padded=padded)
     m_start, _ = core._support_index_range(p, samples.a, samples.b, RATE)
     assert (np.ptp(m_start) < 1 << 16) == (m < 1 << 16)
-    _check_plan_order(p, samples)
+    _check_plan_order(p, samples, m)
 
 
-def _check_plan_order(p, samples):
+def _check_plan_order(p, samples, m):
     m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
     own = m_end - m_start + 1
-    blocks = _atom_blocks(p, samples, RATE)
-    expected = _reference_blocks(own, m_start)
+    blocks = _atom_blocks(p, samples, RATE, m)
+    expected = _reference_blocks(own, m_start, m)
     assert len(blocks) == len(expected)
     for block, sel in zip(blocks, expected):
         assert np.array_equal(block.sel, sel)
@@ -643,22 +674,27 @@ def _check_plan_order(p, samples):
 
 
 def test_plan_leaves_out_supports_shorter_than_a_sample():
-    # gamma / b1 is 0.56 samples, so some atoms cover no grid sample: they
-    # are in no block, their coefficients are 0, and the round trip still
-    # equals analysis followed by synthesis.
+    # gamma / b1 is 0.56 samples, so some atoms cover no grid sample, and a
+    # padded box also puts atoms wholly past both grid ends: they are in no
+    # block, their coefficients are 0, and the round trip still equals
+    # analysis followed by synthesis.
     p = LtftParams(b0=0.1 * RATE, b1=0.9 * RATE, gamma=0.5, xi=1.0)
     m = 256
     rng = np.random.default_rng(9)
     sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
-    samples = sample_phase_space(sig, p, 4 * m, "halton")
-    m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
-    empty = m_end < m_start
-    assert 0 < empty.sum() < samples.n
-    _check_plan_order(p, samples)
-    coeffs = analyze(sig, samples, p)
-    assert np.all(coeffs.values[empty] == 0) and np.all(coeffs.values[~empty] != 0)
-    expected = synthesize(coeffs, samples, p, m, RATE)
-    assert np.array_equal(_round_trip(sig, samples, p).samples, expected.samples)
+    for padded in (False, True):
+        samples = sample_phase_space(sig, p, 4 * m, "halton", padded=padded)
+        m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
+        empty = m_end < m_start
+        before, past = m_end < -(m // 2), m_start >= m // 2
+        assert 0 < empty.sum() < samples.n
+        assert padded == (np.any(before & ~empty) and np.any(past & ~empty))
+        left_out = empty | before | past
+        _check_plan_order(p, samples, m)
+        coeffs = analyze(sig, samples, p)
+        assert np.all(coeffs.values[left_out] == 0) and np.all(coeffs.values[~left_out] != 0)
+        expected = synthesize(coeffs, samples, p, m, RATE)
+        assert np.array_equal(_round_trip(sig, samples, p).samples, expected.samples)
 
 
 def test_small_call_packs_neighbouring_lengths(monkeypatch):
@@ -670,7 +706,7 @@ def test_small_call_packs_neighbouring_lengths(monkeypatch):
     rng = np.random.default_rng(3)
     sig = DigitalSignal(rng.standard_normal(m), RATE)
     samples = sample_phase_space(sig, p, m, "mc", seed=1)
-    blocks = _atom_blocks(p, samples, RATE)
+    blocks = _atom_blocks(p, samples, RATE, m)
     assert len(blocks) <= 8
     m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
     own = m_end - m_start + 1
@@ -680,7 +716,7 @@ def test_small_call_packs_neighbouring_lengths(monkeypatch):
     packed = reconstruct(sig, p, m, kind="mc", seed=1)
     monkeypatch.setattr(core, "_PACK_RATIO", 1.0)
     # Unpacked, the rows follow np.lexsort by support length, then first sample.
-    unpacked_blocks = _atom_blocks(p, samples, RATE)
+    unpacked_blocks = _atom_blocks(p, samples, RATE, m)
     assert len(unpacked_blocks) > 8
     order = np.lexsort((m_start, own))
     assert np.array_equal(np.concatenate([b.sel for b in unpacked_blocks]), order[own[order] > 0])
@@ -729,7 +765,7 @@ def test_round_trip_equals_analyze_then_synthesize(kind, padded, pooled):
     rng = np.random.default_rng(11)
     sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
     samples = sample_phase_space(sig, p, 8 * m, kind, seed=2, padded=padded)
-    assert len(_atom_blocks(p, samples, RATE)) >= 4
+    assert len(_atom_blocks(p, samples, RATE, m)) >= 4
     coeffs = analyze(sig, samples, p)
     shrink = soft_threshold(0.5 * np.median(np.abs(coeffs.values)))
     for rule in (None, _low_pass, lambda values, a, b, c: shrink(values)):

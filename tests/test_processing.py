@@ -186,6 +186,16 @@ def test_vocoder_job_sample_count_from_samples(params):
             VocoderJob(params=params, dilation=2, **bad)
 
 
+@pytest.mark.parametrize("dilation", [float("inf"), float("nan"), True, 0, 2.5, -1])
+def test_bad_dilation_is_invalid_parameter(params, dilation):
+    # One check behind both library entry points: no OverflowError or
+    # ValueError, and True is not D = 1.
+    with pytest.raises(InvalidParameterError, match="dilation"):
+        VocoderJob(params=params, dilation=dilation)
+    with pytest.raises(InvalidParameterError, match="dilation"):
+        vocoder_phase_rule(np.array([1.0 + 1.0j]), dilation)
+
+
 def test_vocoder_job_boolean_dilation_is_invalid(params):
     with pytest.raises(InvalidParameterError):
         VocoderJob(params=params, dilation=True)
@@ -214,7 +224,7 @@ def test_reconstruct_builds_each_atom_block_once(monkeypatch, params, tapered_to
         return original(*args)
 
     monkeypatch.setattr(core, "_block_atoms", counting)
-    blocks = core._atom_blocks(params, sample_phase_space(s, params, 8 * m), RATE)
+    blocks = core._atom_blocks(params, sample_phase_space(s, params, 8 * m), RATE, m)
     runs = [
         (1, lambda: reconstruct(s, params, 8 * m)),
         (1, lambda: reconstruct(s, params, 8 * m, rule=_low_pass(12.0))),
