@@ -66,9 +66,7 @@ from .processing import (
     denoise,
     phase_vocoder,
     reconstruct,
-    sample_phase_space,
     shrinkage,
-    soft_threshold,
     vocoder_phase_rule,
 )
 from .wavio import WavAudio, wav_read, wav_write

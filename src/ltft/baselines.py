@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import LtftParams, PhaseSpaceBox, SampleSet
+from .core import LtftParams, PhaseSpaceBox, SampleSet, _guard_samples
 from .errors import BudgetExceededError, InvalidParameterError
 from .lds import UnitPointSet, generate_unit_points, star_discrepancy
 
@@ -191,7 +191,10 @@ def coverage_queries(
 
     Frequencies are log-uniform in (b0, b1); times are uniform at least
     gamma/b away from the time edges, so every adjoint box fits the box.
+    Supports that no run on the box's grid, at rate freq_hi, could use raise
+    BudgetExceededError.
     """
+    _guard_samples(params, box.freq_hi, (box.t_hi - box.t_lo) * box.freq_hi)
     if count < 1:
         raise InvalidParameterError("need at least one query")
     if seed < 0:

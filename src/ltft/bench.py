@@ -12,6 +12,7 @@ from .core import (
     DigitalSignal,
     LtftParams,
     SampleSet,
+    _guard_samples,
     _predicted_atom_samples,
     atom_support_length,
     relative_error,
@@ -132,8 +133,10 @@ def complexity_count(
     """Actual atom-sample total against the cubature prediction.
 
     Returns (C_actual, A_predicted) with C = sum round(L * S(b_n)) and
-    A = gamma * N * (1 + ln(b1/b0) + (L - b1)/b1).
+    A = gamma * N * (1 + ln(b1/b0) + (L - b1)/b1).  Supports that no run on
+    the grid of the samples' box could use raise BudgetExceededError.
     """
+    _guard_samples(params, sample_rate, (samples.box.t_hi - samples.box.t_lo) * sample_rate)
     supports = atom_support_length(params, samples.b)
     c_actual = int(np.round(sample_rate * supports).sum())
     return c_actual, _predicted_atom_samples(params, sample_rate, samples.n)

@@ -709,23 +709,25 @@ def _predicted_atom_samples(params: LtftParams, sample_rate: float, n: int) -> f
     )
 
 
-def _analysis_input(signal: DigitalSignal, params: LtftParams) -> np.ndarray:
-    # The analysis signal inside a zero guard band on each side as wide as a
-    # bound on every support sample count (S0 * L plus one, and one for the
-    # rounding of the ends), so a planned atom's padded row stays inside.
-    # M is even, so grid sample 0 sits at the centre, index sig.size // 2.
-    guard = np.ceil(params.s0 * signal.sample_rate) + 2.0
-    if not signal.m + 2.0 * guard <= _MAX_SIGNAL_SAMPLES:  # an inf guard too
+def _guard_samples(params: LtftParams, sample_rate: float, m: float) -> int:
+    # The zero guard band on each side of an m-sample analysis input: a bound
+    # on every support sample count (S0 * L plus one, and one for the
+    # rounding of the ends).  No run could use a band that takes the input
+    # past _MAX_SIGNAL_SAMPLES (an infinite one too), so it is refused.
+    guard = np.ceil(params.s0 * sample_rate) + 2.0
+    if not m + 2.0 * guard <= _MAX_SIGNAL_SAMPLES:
         raise BudgetExceededError(f"a guard band of {guard:g} samples exceeds the budget")
-    guard = int(guard)
+    return int(guard)
+
+
+def _analysis_input(signal: DigitalSignal, params: LtftParams) -> np.ndarray:
+    # The analysis signal inside a zero guard band on each side, so a
+    # planned atom's padded row stays inside.  M is even, so grid sample 0
+    # sits at the centre, index sig.size // 2.
+    guard = _guard_samples(params, signal.sample_rate, signal.m)
     sig = np.zeros(signal.m + 2 * guard, dtype=np.complex128)
     sig[guard : guard + signal.m] = signal.samples
     return sig
-
-
-def _check_box_rate(signal: DigitalSignal, samples: SampleSet) -> None:
-    if samples.box.freq_hi > signal.sample_rate * (1 + 1e-12):
-        raise InvalidParameterError("box frequency side exceeds the signal rate")
 
 
 def _block_coeffs(
@@ -816,7 +818,8 @@ def analyze(
     conj(atom(t_m)) with dt = 1/L, restricted to the atom's support;
     atoms that miss the grid contribute zero.
     """
-    _check_box_rate(signal, samples)
+    if samples.box.freq_hi > signal.sample_rate * (1 + 1e-12):
+        raise InvalidParameterError("box frequency side exceeds the signal rate")
     sig = _analysis_input(signal, params)
     values = _tile_coeffs(sig, samples, params, signal.m, signal.sample_rate)
     return CoefficientVector(values, weight=samples.box.volume / samples.n)

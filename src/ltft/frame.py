@@ -27,7 +27,7 @@ oracle arbitrates the convention.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,28 +47,26 @@ _MAX_TABLE_NODES = 1 << 24
 class FrameDiagonal:
     """H(w) = q0 + q1 + q2 on the frequency grid w_k = k L / M.
 
-    Frozen, and its arrays are read-only: :func:`frame_diagonal` hands the
-    same instance to every caller with the same configuration.
+    H and its floor, _FLOOR_FACTOR * max(H), are derived from the band
+    terms.  Frozen, and its arrays are read-only: :func:`frame_diagonal`
+    hands the same instance to every caller with the same configuration.
     """
 
     omega: np.ndarray
-    h: np.ndarray
     q0: np.ndarray
     q1: np.ndarray
     q2: np.ndarray
-    floor: float
+    h: np.ndarray = field(init=False)
+    floor: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (
-            self.h.shape == self.q0.shape == self.q1.shape == self.q2.shape
-        ):
-            raise InvalidParameterError("diagonal components must share the grid")
+        if self.q0.size == 0 or not self.q0.shape == self.q1.shape == self.q2.shape:
+            raise InvalidParameterError("diagonal components must share one non-empty grid")
+        h = self.q0 + self.q1 + self.q2
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "floor", _FLOOR_FACTOR * float(h.max()))
         for values in (self.omega, self.h, self.q0, self.q1, self.q2):
             values.flags.writeable = False
-
-    @property
-    def m(self) -> int:
-        return self.h.shape[0]
 
 
 class _Integral:
@@ -149,7 +147,8 @@ def frame_diagonal(
     params: LtftParams, sample_rate: float, m: int, folded: bool = False
 ) -> FrameDiagonal:
     """Closed-form diagonal on the M-point frequency grid: each band term is
-    a difference of exact running integrals of tabulated interpolants.
+    a difference of exact running integrals of tabulated interpolants; H and
+    its floor are derived from the band terms by :class:`FrameDiagonal`.
 
     With ``folded`` the diagonal is summed over the DFT's periodic
     frequency identification (arguments shifted by -L, 0, +L).  Sampled
@@ -189,15 +188,7 @@ def _build_diagonal(
         w_hi = (g / params.b1) * (w - params.b1)
         w_lo = (g / params.b1) * (w - sample_rate)
         q2 += (g3(w_hi) - g3(w_hi - xi) - g3(w_lo) + g3(w_lo - xi)) / xi
-    h = q0 + q1 + q2
-    return FrameDiagonal(
-        omega=omega,
-        h=h,
-        q0=q0,
-        q1=q1,
-        q2=q2,
-        floor=_FLOOR_FACTOR * float(h.max()),
-    )
+    return FrameDiagonal(omega, q0, q1, q2)
 
 
 def frame_diagonal_oracle(
@@ -244,22 +235,14 @@ def frame_diagonal_oracle(
     q0 = band(0.0, params.b0, "low")
     q1 = band(params.b0, params.b1, "mid")
     q2 = band(params.b1, sample_rate, "high")
-    h = q0 + q1 + q2
-    return FrameDiagonal(
-        omega=omega,
-        h=h,
-        q0=q0,
-        q1=q1,
-        q2=q2,
-        floor=_FLOOR_FACTOR * float(h.max()),
-    )
+    return FrameDiagonal(omega, q0, q1, q2)
 
 
 def apply_inverse_frame(signal: DigitalSignal, hd: FrameDiagonal) -> DigitalSignal:
     """Divide the spectrum by H bin-wise; bins at or below the floor are
     zeroed (band-limited contract, avoids noise blow-up off the covered
     band)."""
-    if hd.m != signal.m:
+    if hd.h.size != signal.m:
         raise InvalidParameterError("frame diagonal grid does not match the signal")
     spec = dft(signal)
     safe = hd.h > hd.floor

@@ -1,11 +1,11 @@
 """Phase-space signal processing on sampled transform coefficients.
 
-Processing is a per-point rule on the coefficients (:data:`ltft.core.Rule`).
-Multipliers scale each coefficient by a symbol evaluated at its phase-space
-point; pointwise nonlinearities act on coefficient values alone (e.g. soft
-thresholding for shrinkage denoising); the integer-dilation phase vocoder
-moves atoms to (D*a, b, c) while raising coefficient phases to the D-th
-power, stretching time without dilating frequency content.
+Every processing step is a per-point rule on the coefficients,
+rule(values, a, b, c) (:data:`ltft.core.Rule`).  Multipliers scale each
+coefficient by a symbol evaluated at its phase-space point; shrinkage
+denoising soft-thresholds each coefficient; the integer-dilation phase
+vocoder moves atoms to (D*a, b, c) while raising coefficient phases to the
+D-th power, stretching time without dilating frequency content.
 
 The pipelines take their N points in tiles of consecutive indices.  Each
 tile is generated on its own, bit for bit equal to the same rows of the
@@ -48,7 +48,7 @@ from .core import (
 )
 from .errors import BudgetExceededError, InvalidParameterError
 from .frame import apply_inverse_frame, frame_diagonal
-from .lds import _check_rows, generate_unit_points, scale_rows, scale_to_box, unit_point_rows
+from .lds import _check_rows, scale_rows, unit_point_rows
 
 
 def _check_dilation(dilation) -> int:
@@ -102,28 +102,15 @@ class VocoderJob:
         return samples_for_redundancy(a, m)
 
 
-def soft_threshold(threshold: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Shrinkage rule z -> z * max(0, 1 - threshold/|z|)."""
-    if not 0 <= threshold < np.inf:
-        raise InvalidParameterError(f"threshold must be finite and non-negative, got {threshold}")
-
-    def rule(values: np.ndarray) -> np.ndarray:
-        mag = np.abs(values)
-        scale = np.maximum(0.0, 1.0 - threshold / np.where(mag > 0, mag, 1.0))
-        return values * np.where(mag > 0, scale, 0.0)
-
-    return rule
-
-
 def shrinkage(threshold: float, relative: bool = True) -> Callable[[float], Rule]:
     """The rule of :func:`denoise` as a function of max |F|.
 
-    The rule soft-thresholds every coefficient at ``threshold`` times max
-    |F| when ``relative``, else at ``threshold``.  A threshold that zeroes
-    every coefficient, so that the output would be silence, is refused:
-    here when it is relative and outside [0, 1) or absolute and negative or
-    not finite, and once max |F| is known when it is absolute and at or
-    above it.
+    The rule soft-thresholds every coefficient, z -> z * max(0, 1 - lam/|z|)
+    with z = 0 kept at 0, at lam = ``threshold`` times max |F| when
+    ``relative``, else at ``threshold``.  A threshold that zeroes every
+    coefficient, so that the output would be silence, is refused: here when
+    it is relative and outside [0, 1) or absolute and negative or not
+    finite, and once max |F| is known when it is absolute and at or above it.
     """
     if not 0.0 <= threshold < (1.0 if relative else np.inf):
         if relative:
@@ -137,8 +124,14 @@ def shrinkage(threshold: float, relative: bool = True) -> Callable[[float], Rule
             raise InvalidParameterError(
                 f"absolute threshold {threshold:g} zeroes every coefficient (max |F| = {peak:g})"
             )
-        shrink = soft_threshold(threshold * peak if relative else threshold)
-        return lambda values, a, b, c: shrink(values)
+        lam = threshold * peak if relative else threshold
+
+        def rule(values, a, b, c):
+            mag = np.abs(values)
+            scale = np.maximum(0.0, 1.0 - lam / np.where(mag > 0, mag, 1.0))
+            return values * np.where(mag > 0, scale, 0.0)
+
+        return rule
 
     return at_peak
 
@@ -159,19 +152,6 @@ def vocoder_phase_rule(z, dilation: int):
     np.power(unit, d, out=unit)
     unit *= r
     return unit
-
-
-def sample_phase_space(
-    signal: DigitalSignal,
-    params: LtftParams,
-    n: int,
-    kind: str = "hammersley",
-    seed: int = 0,
-    padded: bool = False,
-) -> SampleSet:
-    """N generator points scaled onto the signal's phase-space box."""
-    box = PhaseSpaceBox.for_signal(signal, params, padded=padded)
-    return scale_to_box(generate_unit_points(kind, n, 3, seed), box)
 
 
 # The pipelines take the points in tiles of this many consecutive indices.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ltft import (
+    BudgetExceededError,
     DwtGridParams,
     InvalidParameterError,
     LtftParams,
@@ -161,3 +162,16 @@ def test_funnel_coverage_3d_queries(params):
     assert report.kept.size >= 30
     assert np.all(report.values >= 0)
     assert abs(report.mean - 1.0) < 0.5
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [LtftParams(b0=1e-300, b1=1.0), LtftParams(b0=0.1 * RATE, b1=0.4 * RATE, gamma=1e300)],
+    ids=["b0", "gamma"],
+)
+def test_coverage_queries_refuse_supports_no_run_could_use(bad):
+    # Query times at least gamma/b from the edges would lie far outside the
+    # box; such supports are refused as a reconstruction refuses them.
+    box = PhaseSpaceBox(t_lo=-8.0, t_hi=8.0, freq_hi=RATE)
+    with pytest.raises(BudgetExceededError, match="guard band"):
+        coverage_queries(box, bad, 10)

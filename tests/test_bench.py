@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ltft import (
+    BudgetExceededError,
     DigitalSignal,
     InvalidParameterError,
     LtftParams,
@@ -169,3 +170,17 @@ def test_bench_refuses_every_bad_argument_before_reconstructing(monkeypatch, par
     with pytest.raises(InvalidParameterError):
         bench_reconstruction(signal, params, **{**args, **kwargs})
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [LtftParams(b0=1e-300, b1=1.0), LtftParams(b0=0.1 * RATE, b1=0.4 * RATE, gamma=1e300)],
+    ids=["b0", "gamma"],
+)
+def test_complexity_count_refuses_supports_no_run_could_use(bad):
+    # A support past the analysis guard band's budget is refused, as a
+    # reconstruction refuses it, not counted.
+    box = PhaseSpaceBox(t_lo=-8.0, t_hi=8.0, freq_hi=RATE)
+    samples = scale_to_box(generate_unit_points("hammersley", 64, 3), box)
+    with pytest.raises(BudgetExceededError, match="guard band"):
+        complexity_count(samples, bad, RATE)

@@ -607,11 +607,16 @@ def test_huge_sample_count_is_budget_exceeded(tmp_path, command):
         "reconstruct -A 2 --b0-frac 1e-300",
         "frame-diag --xi 1e300",
         "frame-diag --gamma 1e300 --b0-frac 1e-10",
+        "coverage --gamma 1e300",
+        "bench-complexity --gamma 1e300",
+        "bench-complexity --b0-frac 1e-300",
     ],
 )
 def test_unbounded_frame_table_is_budget_exceeded(tmp_path, capsys, command):
-    # The frame table's node count, infinite for the last, is refused before
-    # anything is allocated.
+    # The frame table's node count, infinite for the frame-diag --b0-frac
+    # case, is refused before anything is allocated; coverage and
+    # bench-complexity refuse the analysis guard band's width, as no run
+    # could use such supports.
     if command.startswith("reconstruct"):
         out = tmp_path / "o.wav"
         args = command.split() + [_sine_wav(tmp_path / "in.wav"), str(out)]

@@ -32,7 +32,8 @@ from ltft import (
 )
 from ltft import core, processing
 from ltft.core import SampleSet, _atom_blocks, _block_atoms
-from ltft.processing import reconstruct, sample_phase_space, soft_threshold
+from ltft.lds import generate_unit_points, scale_to_box
+from ltft.processing import reconstruct, shrinkage
 
 RATE = 64.0
 
@@ -300,7 +301,8 @@ def test_atom_freq_disjoint_support(params):
 
 def _toy_setup(params, m=512, n=256):
     sig = DigitalSignal(np.zeros(m), RATE)
-    samples = sample_phase_space(sig, params, n)
+    box = PhaseSpaceBox.for_signal(sig, params)
+    samples = scale_to_box(generate_unit_points("hammersley", n, 3, 0), box)
     return sig, samples
 
 
@@ -349,7 +351,8 @@ def test_analyze_linearity(params, tapered_tone):
     m = 512
     x1 = tapered_tone(m, freqs=(9.0,))
     x2 = tapered_tone(m, freqs=(17.0,))
-    samples = sample_phase_space(x1, params, 400)
+    box = PhaseSpaceBox.for_signal(x1, params)
+    samples = scale_to_box(generate_unit_points("hammersley", 400, 3, 0), box)
     alpha, beta = 1.7, -0.45 + 0.3j
     mix = DigitalSignal(alpha * x1.samples + beta * x2.samples, RATE)
     direct = analyze(mix, samples, params).values
@@ -395,7 +398,8 @@ def test_adjointness_identity(params, tapered_tone):
     # <synthesize(F), s> = w * sum_n F_n * conj(analyze(s)_n)
     m = 512
     s = tapered_tone(m)
-    samples = sample_phase_space(s, params, 300)
+    box = PhaseSpaceBox.for_signal(s, params)
+    samples = scale_to_box(generate_unit_points("hammersley", 300, 3, 0), box)
     rng = np.random.default_rng(9)
     f = rng.standard_normal(samples.n) + 1j * rng.standard_normal(samples.n)
     w = samples.box.volume / samples.n
@@ -577,7 +581,8 @@ def test_operator_matches_dense_naive_sums(params, padded, dilation, monkeypatch
     # offsets.
     m = 128
     base = DigitalSignal(np.zeros(m), RATE)
-    samples = sample_phase_space(base, params, 160, "halton", padded=padded)
+    box = PhaseSpaceBox.for_signal(base, params, padded=padded)
+    samples = scale_to_box(generate_unit_points("halton", 160, 3, 0), box)
     samples = samples.with_dilated_times(float(dilation))
     grid_len = dilation * m
     t = (np.arange(grid_len) - grid_len // 2) / RATE
@@ -654,7 +659,8 @@ def test_plan_order_matches_lexsort_reference(kind, padded, m, n):
     # First-sample spans below and above 2**16 take the 16- and 32-bit sort keys.
     p = LtftParams.for_rate(RATE)
     sig = DigitalSignal(np.zeros(m), RATE)
-    samples = sample_phase_space(sig, p, n, kind, seed=4, padded=padded)
+    box = PhaseSpaceBox.for_signal(sig, p, padded=padded)
+    samples = scale_to_box(generate_unit_points(kind, n, 3, 4), box)
     m_start, _ = core._support_index_range(p, samples.a, samples.b, RATE)
     assert (np.ptp(m_start) < 1 << 16) == (m < 1 << 16)
     _check_plan_order(p, samples, m)
@@ -683,7 +689,8 @@ def test_plan_leaves_out_supports_shorter_than_a_sample():
     rng = np.random.default_rng(9)
     sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
     for padded in (False, True):
-        samples = sample_phase_space(sig, p, 4 * m, "halton", padded=padded)
+        box = PhaseSpaceBox.for_signal(sig, p, padded=padded)
+        samples = scale_to_box(generate_unit_points("halton", 4 * m, 3, 0), box)
         m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
         empty = m_end < m_start
         before, past = m_end < -(m // 2), m_start >= m // 2
@@ -705,7 +712,7 @@ def test_small_call_packs_neighbouring_lengths(monkeypatch):
     p = LtftParams.for_rate(RATE)
     rng = np.random.default_rng(3)
     sig = DigitalSignal(rng.standard_normal(m), RATE)
-    samples = sample_phase_space(sig, p, m, "mc", seed=1)
+    samples = scale_to_box(generate_unit_points("mc", m, 3, 1), PhaseSpaceBox.for_signal(sig, p))
     blocks = _atom_blocks(p, samples, RATE, m)
     assert len(blocks) <= 8
     m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
@@ -764,11 +771,12 @@ def test_round_trip_equals_analyze_then_synthesize(kind, padded, pooled):
     p = LtftParams.for_rate(RATE)
     rng = np.random.default_rng(11)
     sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
-    samples = sample_phase_space(sig, p, 8 * m, kind, seed=2, padded=padded)
+    box = PhaseSpaceBox.for_signal(sig, p, padded=padded)
+    samples = scale_to_box(generate_unit_points(kind, 8 * m, 3, 2), box)
     assert len(_atom_blocks(p, samples, RATE, m)) >= 4
     coeffs = analyze(sig, samples, p)
-    shrink = soft_threshold(0.5 * np.median(np.abs(coeffs.values)))
-    for rule in (None, _low_pass, lambda values, a, b, c: shrink(values)):
+    shrink = shrinkage(0.5)(np.median(np.abs(coeffs.values)))
+    for rule in (None, _low_pass, shrink):
         values = coeffs.values
         if rule is not None:
             values = rule(values, samples.a, samples.b, samples.c)
@@ -808,7 +816,8 @@ def test_support_index_range_matches_the_support_length_formula(params):
     # The plan's support ends equal ceil / floor of (a -/+ S(b)/2) * L, with
     # S from atom_support_length, bit for bit, on both branches and the band.
     sig = DigitalSignal(np.zeros(1024), RATE)
-    samples = sample_phase_space(sig, params, 5000, "mc", seed=8, padded=True)
+    box = PhaseSpaceBox.for_signal(sig, params, padded=True)
+    samples = scale_to_box(generate_unit_points("mc", 5000, 3, 8), box)
     a, b = samples.a, samples.b
     m_start, m_end = core._support_index_range(params, a, b, RATE)
     s = atom_support_length(params, b)
@@ -834,8 +843,9 @@ def _operator_case(params, case):
     # off the grid.
     m = 2 * case["half_m"]
     base = DigitalSignal(np.zeros(m), RATE)
-    samples = sample_phase_space(
-        base, params, case["n"], case["sequence"], case["seed"], case["padded"]
+    samples = scale_to_box(
+        generate_unit_points(case["sequence"], case["n"], 3, case["seed"]),
+        PhaseSpaceBox.for_signal(base, params, padded=case["padded"]),
     ).with_dilated_times(float(case["dilation"]))
     rng = np.random.default_rng(case["seed"])
     grid_len = case["dilation"] * m

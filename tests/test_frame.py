@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ltft import (
     BudgetExceededError,
     DigitalSignal,
+    FrameDiagonal,
     InvalidParameterError,
     LtftParams,
     Spectrum,
@@ -36,6 +37,23 @@ def oracle(params):
 
 def test_components_sum_exactly(diag):
     assert np.max(np.abs(diag.h - (diag.q0 + diag.q1 + diag.q2))) <= 1e-12
+
+
+@pytest.mark.parametrize("build", ["unfolded", "folded", "oracle"])
+def test_h_and_floor_are_derived_from_the_components(params, build):
+    if build == "oracle":
+        hd = frame_diagonal_oracle(params, RATE, 64, quad_res=128)
+    else:
+        hd = frame_diagonal(params, RATE, M, folded=build == "folded")
+    assert np.array_equal(hd.h, hd.q0 + hd.q1 + hd.q2)
+    assert hd.floor == 1e-8 * hd.h.max()
+
+
+@pytest.mark.parametrize("lengths", [(4, 3, 4), (4, 1, 4), (0, 0, 0)],
+                         ids=["shorter", "broadcastable", "empty"])
+def test_components_of_unequal_length_are_refused(lengths):
+    with pytest.raises(InvalidParameterError, match="share one non-empty grid"):
+        FrameDiagonal(np.arange(4.0), *(np.ones(n) for n in lengths))
 
 
 def test_low_band_component_vanishes_far_above(diag, params):

@@ -6,19 +6,21 @@ import pytest
 from ltft import (
     DigitalSignal,
     InvalidParameterError,
+    PhaseSpaceBox,
     VocoderJob,
     analyze,
     denoise,
     dft,
     phase_vocoder,
     relative_error,
+    scale_to_box,
     shrinkage,
-    soft_threshold,
     to_analytic,
     vocoder_phase_rule,
 )
 from ltft import core, processing
-from ltft.processing import reconstruct, sample_phase_space
+from ltft.lds import generate_unit_points
+from ltft.processing import reconstruct
 
 RATE = 64.0
 
@@ -52,20 +54,20 @@ def test_multiplier_low_pass_attenuation(params, tapered_tone):
 
 
 def test_soft_threshold_rule():
-    rule = soft_threshold(0.0)
+    rule = shrinkage(0.0, relative=False)(3.0)
     z = np.array([1 + 1j, -0.2, 0.0, 3j])
-    assert np.array_equal(rule(z), z)
-    rule = soft_threshold(1.0)
+    assert np.array_equal(rule(z, None, None, None), z)
+    rule = shrinkage(1.0, relative=False)(3.0)
     small = np.array([0.5, -0.3j, 0.99, 0.0])
-    assert np.all(rule(small) == 0)
-    out = rule(np.array([2.0 + 0j]))
+    assert np.all(rule(small, None, None, None) == 0)
+    out = rule(np.array([2.0 + 0j]), None, None, None)
     assert out[0] == pytest.approx(1.0)  # magnitude shrinks by lambda
 
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
 def test_soft_threshold_refuses_non_finite_or_negative(threshold):
     with pytest.raises(InvalidParameterError, match="threshold"):
-        soft_threshold(threshold)
+        shrinkage(threshold, relative=False)(3.0)
 
 
 def test_pointwise_nonlinearity_elementwise(monkeypatch, params, tapered_tone):
@@ -83,7 +85,9 @@ def test_pointwise_nonlinearity_elementwise(monkeypatch, params, tapered_tone):
     doubled = reconstruct(s, params, n, "halton", rule=doubling)
     assert np.array_equal(doubled.samples, 2 * reconstruct(s, params, n, "halton").samples)
     seen = np.concatenate(seen)
-    samples = sample_phase_space(s, params, n, "halton")
+    samples = scale_to_box(
+        generate_unit_points("halton", n, 3, 0), PhaseSpaceBox.for_signal(s, params)
+    )
     coeffs = analyze(to_analytic(s), samples, params).values
     assert seen.shape[0] == n
     order = np.lexsort(seen[:, 2::-1].T)
@@ -124,8 +128,9 @@ def test_shrinkage_refuses_an_absolute_threshold_above_every_coefficient():
     with pytest.raises(InvalidParameterError, match="zeroes every coefficient"):
         at_peak(2.0)
     z = np.array([3.0 + 0j, 1.0j])
-    assert np.array_equal(at_peak(3.0)(z, None, None, None), soft_threshold(2.0)(z))
-    assert np.array_equal(shrinkage(0.5)(4.0)(z, None, None, None), soft_threshold(2.0)(z))
+    soft = z * np.maximum(0.0, 1.0 - 2.0 / np.abs(z))  # soft threshold at 2
+    assert np.array_equal(at_peak(3.0)(z, None, None, None), soft)
+    assert np.array_equal(shrinkage(0.5)(4.0)(z, None, None, None), soft)
 
 
 def test_rule_that_changes_the_shape_is_refused(params, tapered_tone):
@@ -224,7 +229,10 @@ def test_reconstruct_builds_each_atom_block_once(monkeypatch, params, tapered_to
         return original(*args)
 
     monkeypatch.setattr(core, "_block_atoms", counting)
-    blocks = core._atom_blocks(params, sample_phase_space(s, params, 8 * m), RATE, m)
+    samples = scale_to_box(
+        generate_unit_points("hammersley", 8 * m, 3, 0), PhaseSpaceBox.for_signal(s, params)
+    )
+    blocks = core._atom_blocks(params, samples, RATE, m)
     runs = [
         (1, lambda: reconstruct(s, params, 8 * m)),
         (1, lambda: reconstruct(s, params, 8 * m, rule=_low_pass(12.0))),
@@ -329,12 +337,12 @@ def test_tiled_transform_sees_every_coefficient_once(monkeypatch, params, tapere
     s = tapered_tone(512)
     n = 10 * 512
     sizes = []
-    shrink = soft_threshold(1e-3)
+    shrink = shrinkage(1e-3, relative=False)(1.0)
 
     def rule(values, a, b, c):
         assert values.shape == a.shape == b.shape == c.shape
         sizes.append(values.size)
-        return shrink(values)
+        return shrink(values, a, b, c)
 
     for dilation in (1, 2):
         outs = []
