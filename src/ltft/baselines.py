@@ -192,7 +192,8 @@ def coverage_queries(
     Frequencies are log-uniform in (b0, b1); times are uniform at least
     gamma/b away from the time edges, so every adjoint box fits the box.
     Supports that no run on the box's grid, at rate freq_hi, could use raise
-    BudgetExceededError.
+    BudgetExceededError, and a query whose adjoint box, 2 gamma/b wide, is
+    wider than the box's time side raises InvalidParameterError.
     """
     _guard_samples(params, box.freq_hi, (box.t_hi - box.t_lo) * box.freq_hi)
     if count < 1:
@@ -202,7 +203,13 @@ def coverage_queries(
     rng = np.random.default_rng(seed)
     b = np.exp(rng.uniform(np.log(params.b0 * 1.01), np.log(params.b1 * 0.99), count))
     margin = params.gamma / b
-    a = box.t_lo + margin + rng.random(count) * (box.t_hi - box.t_lo - 2 * margin)
+    side = box.t_hi - box.t_lo
+    if 2.0 * margin.max() > side:
+        raise InvalidParameterError(
+            f"a query at b = {b.min():g} needs a time margin of {2.0 * margin.max():g} s, "
+            f"more than the box's {side:g} s"
+        )
+    a = box.t_lo + margin + rng.random(count) * (side - 2 * margin)
     return np.column_stack([a, b])
 
 

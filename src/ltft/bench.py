@@ -96,7 +96,9 @@ def bench_reconstruction(
     the given seeds and record the spread.  Every argument is checked
     before the first reconstruction.  Halton and seeded Monte Carlo points
     are prefixes of one sequence, so one pass per seed over the largest N
-    gives every row; a Hammersley set depends on N, so each row is a call.
+    gives every row, each count a sum row of the tile it falls in, so the
+    pass runs the same tiles as a single reconstruction at that N; a
+    Hammersley set depends on N, so each row is a call.
     """
     if not all(1 <= a < np.inf for a in redundancies):
         raise InvalidParameterError("redundancies must be finite and >= 1")

@@ -20,7 +20,8 @@ on narrow unsigned keys, which numpy runs as radix sorts when a key fits
 the operator's two directions: analysis takes the inner product of the
 signal with every block, and synthesis scales each block by its
 coefficients and adds it, one block after another in block order, straight
-into one accumulator over the span the blocks reach; the cubature weight
+into one accumulator over the span the blocks reach, with one row per
+segment of point indices a caller sums apart; the cubature weight
 volume(box)/N scales the sum once.  The blocks of one call run in the
 calling thread, on arrays that each thread keeps for its next block; the
 pipelines in :mod:`ltft.processing` run tiles of points on a thread pool,
@@ -60,7 +61,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar, List, NamedTuple, Optional, Tuple
+from typing import Callable, ClassVar, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -763,27 +764,34 @@ def _tile_coeffs(
 
 def _tile_sum(
     samples: SampleSet, params: LtftParams, grid_len: int, sample_rate: float,
-    coeffs: Callable[..., np.ndarray],
+    coeffs: Callable[..., np.ndarray], cuts: Sequence[int] = (),
 ) -> Tuple[int, np.ndarray]:
     # sum_n coeffs_n * atom_n on the grid_len grid, unweighted, block by block
-    # in this thread.  coeffs(block, lo, j, atoms) gives a block's
-    # coefficients while its atoms (see _block_atoms) are in hand; the block
-    # is scaled in place by them and added, by one unbuffered add in
-    # sample-major order, straight into an accumulator over the grid indices
-    # the blocks reach, in block order.  Returns the output index (M/2 plus
-    # the grid index) of the sum's first sample and the sum, cropped to the
-    # grid: a tile of points in a time slab sums over that slab, not the grid.
+    # in this thread, in one row per segment of sample indices between the
+    # ascending `cuts` (row k from cuts[k - 1], or 0, up to cuts[k], or the
+    # end).  coeffs(block, lo, j, atoms) gives a block's coefficients while
+    # its atoms (see _block_atoms) are in hand; the block is scaled in place
+    # by them, each atom's indices j are moved into its segment's row, and
+    # the block is added, by one unbuffered add in sample-major order,
+    # straight into an accumulator over the grid indices the blocks reach,
+    # in block order.  Returns the output index (M/2 plus the grid index) of
+    # the rows' first sample and the rows, cropped to the grid: a tile of
+    # points in a time slab sums over that slab, not the grid.
     blocks = _atom_blocks(params, samples, sample_rate, grid_len)
     start = min((int(block.start[0]) for block in blocks), default=0)
     stop = max((int(block.start[-1]) + block.length for block in blocks), default=0)
-    acc = np.zeros(stop - start, dtype=np.complex128)
+    width = stop - start
+    acc = np.zeros((len(cuts) + 1, width), dtype=np.complex128)
+    flat, cuts = acc.reshape(-1), np.asarray(cuts, dtype=np.int64)
     for block in blocks:
         lo, j, atoms = _block_atoms(params, samples, sample_rate, block)
         atoms *= coeffs(block, lo, j, atoms)[:, None]
-        np.add.at(acc[lo - start :], j.T.ravel(), atoms.T.ravel())
+        if cuts.size:
+            np.add(j.T, np.searchsorted(cuts, block.sel, side="right") * width, out=j.T)
+        np.add.at(flat[lo - start :], j.T.ravel(), atoms.T.ravel())
     half = grid_len // 2
     lo, hi = max(start, -half), min(stop, half)
-    return lo + half, acc[lo - start : max(hi, lo) - start]
+    return lo + half, acc[:, lo - start : max(hi, lo) - start]
 
 
 def _ruled(rule: Rule, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -841,7 +849,7 @@ def synthesize(
     """
     if coeffs.values.shape[0] != samples.n:
         raise InvalidParameterError("coefficients and samples must align")
-    lo, tile = _tile_sum(
+    lo, (tile,) = _tile_sum(
         samples, params, out_len, sample_rate, lambda block, *_: coeffs.values[block.sel]
     )
     out = np.zeros(out_len, dtype=np.complex128)

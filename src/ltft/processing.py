@@ -14,10 +14,13 @@ block loops of :mod:`ltft.core`, and the tile sums are added in tile order
 into the output.  So the memory a call holds does not grow with N,
 whatever the rule.  The cubature weight volume(box)/N is applied once, to
 the normalized sum, so one pass over the first N points of a Halton or
-seeded Monte Carlo sequence also gives the output at every smaller N.
-Large calls run the tiles on a thread pool, one thread per usable core,
-with a few tiles in flight; the partition and the order of the sums do
-not depend on the thread count, so neither does the output, bit for bit.
+seeded Monte Carlo sequence also gives the output at every smaller N: a
+tile sums the points between two requested counts into a row of its own,
+and the rows are added in index order, so the counts do not change how
+the points are tiled.  Large calls run the tiles on a thread pool, one
+thread per usable core, with a few tiles in flight; the partition and the
+order of the sums do not depend on the thread count, so neither does the
+output, bit for bit.
 """
 
 from __future__ import annotations
@@ -157,7 +160,10 @@ def vocoder_phase_rule(z, dilation: int):
 # The pipelines take the points in tiles of this many consecutive indices.
 # Each tile is generated, planned, analysed and summed on its own, so the
 # points, the block plan and the coefficients held at once do not grow with
-# N.  Hammersley's time coordinate is n/N, so its tiles are time slabs.
+# N.  Hammersley's time coordinate is n/N, so its tiles are time slabs.  A
+# tile's sum holds one row per requested count inside it, and its rows hold
+# at most this many complex samples too, the size of the tile's points: a
+# tile is cut at a count only where one more row would pass that.
 _TILE_POINTS = 1 << 15
 # Calls with fewer predicted atom-samples, or one tile, run their tiles in
 # the caller, where the pool's threads would save little.  Of the error
@@ -224,15 +230,16 @@ def _analysis_synthesis(
     # dilated centers cover a box D times larger, so the sum underweights
     # by 1/D (measured on pure tones).  At D = 1 this is reconstruction.
     #
-    # The points run in tiles of _TILE_POINTS consecutive indices, also cut
-    # at each count, where the output is emitted: Halton and Monte Carlo
-    # rows are prefixes of one sequence, so one pass serves every count.  A
+    # The points run in tiles of _TILE_POINTS consecutive indices, and the
+    # output is emitted at each count: Halton and Monte Carlo rows are
+    # prefixes of one sequence, so one pass serves every count.  A
     # Hammersley set depends on N, and max |F| on all N points, so these
     # take one count.  A tile's rows come straight from the generator, are
     # scaled onto the box in place, and are analysed and summed by the block
-    # loops of core; each tile gives a (grid index, sum) pair, and the pairs
-    # are added in tile order, so the output does not depend on the thread
-    # count, bit for bit.  At D = 1 synthesis uses the very atoms analysis
+    # loops of core into one sum row per segment between the counts; each
+    # tile gives a (grid index, sum rows) pair, and the rows are added in
+    # index order, so the output does not depend on the thread count, bit
+    # for bit.  At D = 1 synthesis uses the very atoms analysis
     # built, so a tile takes the one-pass round trip, the rule mapping each
     # block's coefficients while the block is in hand.  At D > 1 a tile is
     # analysed, its coefficients mapped, its times dilated in place and its
@@ -252,19 +259,33 @@ def _analysis_synthesis(
     hd = frame_diagonal(params, rate, out_len, folded=True)
     box = PhaseSpaceBox.for_signal(signal, params, padded=padded)
     sig = _analysis_input(to_analytic(signal), params)
+    # A tile's sum rows each span at most the output grid plus the analysis
+    # input's guard band, which bounds every support, on each side.
+    width = out_len + sig.size - signal.m
+    max_rows = max(1, _TILE_POINTS // width)
     edges = sorted({*range(0, n, _TILE_POINTS), *counts})
-    spans = list(zip(edges, edges[1:]))
-    pooled = len(spans) >= 2 and _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
+    tiles: List[Tuple[int, List[int]]] = []  # (first index, each row's end)
+    for start, stop in zip(edges, edges[1:]):
+        if start % _TILE_POINTS and len(tiles[-1][1]) < max_rows:
+            tiles[-1][1].append(stop)
+        else:
+            tiles.append((start, [stop]))
+    pooled = len(tiles) >= 2 and _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
 
     def tile_points(k: int) -> SampleSet:
-        rows = unit_point_rows(kind, n, 3, seed, *spans[k])
+        start, ends = tiles[k]
+        rows = unit_point_rows(kind, n, 3, seed, start, ends[-1])
         return SampleSet(scale_rows(rows, box), box, kind)
+
+    def cuts(k: int) -> List[int]:
+        start, ends = tiles[k]
+        return [end - start for end in ends[:-1]]
 
     def coeffs_of(samples: SampleSet) -> np.ndarray:
         return _tile_coeffs(sig, samples, params, signal.m, rate)
 
     if at_peak is not None:
-        peaks = _map_tiles(lambda k: np.abs(coeffs_of(tile_points(k))).max(), len(spans), pooled)
+        peaks = _map_tiles(lambda k: np.abs(coeffs_of(tile_points(k))).max(), len(tiles), pooled)
         rule = at_peak(float(max(peaks)))
 
     if dilation == 1:
@@ -272,7 +293,7 @@ def _analysis_synthesis(
         def task(k: int) -> Tuple[int, np.ndarray]:
             samples = tile_points(k)
             source = _round_trip_coeffs(sig, samples, rate, rule)
-            return _tile_sum(samples, params, signal.m, rate, source)
+            return _tile_sum(samples, params, signal.m, rate, source, cuts(k))
 
     else:
 
@@ -283,15 +304,19 @@ def _analysis_synthesis(
                 values = _ruled(rule, values, samples.points)
             samples.points[:, 0] *= float(dilation)
             dilated = SampleSet(samples.points, box.scaled(float(dilation)), kind)
-            return _tile_sum(dilated, params, out_len, rate, lambda block, *_: values[block.sel])
+            return _tile_sum(
+                dilated, params, out_len, rate, lambda block, *_: values[block.sel], cuts(k)
+            )
 
     raw = np.zeros(out_len, dtype=np.complex128)
     outputs = []
-    for (lo, part), (_, stop) in zip(_map_tiles(task, len(spans), pooled), spans):
-        raw[lo : lo + part.size] += part
-        if stop in counts:
+    for (lo, rows), (_, ends) in zip(_map_tiles(task, len(tiles), pooled), tiles):
+        for row, end in zip(rows, ends):
+            raw[lo : lo + row.size] += row
+            if end not in counts:
+                continue
             normalized = apply_inverse_frame(DigitalSignal(raw, rate), hd).samples
-            scaled = normalized * (dilation * box.volume / stop)
+            scaled = normalized * (dilation * box.volume / end)
             outputs.append(from_analytic(DigitalSignal(scaled, rate)))
     return outputs
 

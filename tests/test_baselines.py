@@ -175,3 +175,17 @@ def test_coverage_queries_refuse_supports_no_run_could_use(bad):
     box = PhaseSpaceBox(t_lo=-8.0, t_hi=8.0, freq_hi=RATE)
     with pytest.raises(BudgetExceededError, match="guard band"):
         coverage_queries(box, bad, 10)
+
+
+def test_coverage_queries_refuse_a_margin_wider_than_the_box():
+    # At gamma = 1e5 the guard band is within budget, but a query needs
+    # gamma/b of clearance from each time edge, more than the 16 s box has,
+    # so its time would fall outside the box.  At gamma = 100 some queries
+    # fit and some do not; the margin at b = b0 is 2 * 100 / 6.4 = 31 s.
+    box = PhaseSpaceBox(t_lo=-8.0, t_hi=8.0, freq_hi=RATE)
+    for gamma in (1e5, 100.0):
+        params = LtftParams.for_rate(RATE, gamma=gamma)
+        with pytest.raises(InvalidParameterError, match="time margin"):
+            coverage_queries(box, params, 10)
+    fits = coverage_queries(box, LtftParams.for_rate(RATE), 200)
+    assert np.all((fits[:, 0] > box.t_lo) & (fits[:, 0] < box.t_hi))

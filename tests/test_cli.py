@@ -629,6 +629,17 @@ def test_unbounded_frame_table_is_budget_exceeded(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_coverage_margin_wider_than_the_box_is_invalid(tmp_path, capsys):
+    # The guard band at gamma = 1e5 is within budget, but no query time
+    # clears gamma/b of the 16 s box on both sides: one invalid-parameter
+    # line and no CSV, where the queries once fell outside the box.
+    out = tmp_path / "c.csv"
+    assert main(["coverage", "--gamma", "1e5", "--csv", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+    assert not out.exists()
+
+
 def test_out_of_memory_is_budget_exceeded(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 GiB for an array")

@@ -42,7 +42,7 @@ def _round_trip(signal, samples, params, rule=None):
     # The one-pass round trip over one sample set on the signal's own grid.
     rate = signal.sample_rate
     source = core._round_trip_coeffs(core._analysis_input(signal, params), samples, rate, rule)
-    lo, tile = core._tile_sum(samples, params, signal.m, rate, source)
+    lo, (tile,) = core._tile_sum(samples, params, signal.m, rate, source)
     out = np.zeros(signal.m, dtype=np.complex128)
     out[lo : lo + tile.size] = tile * (samples.box.volume / samples.n)
     return DigitalSignal(out, rate)
@@ -794,6 +794,38 @@ def test_round_trip_equals_analyze_then_synthesize(kind, padded, pooled):
         for out in outs:
             assert out.sample_rate == RATE
             assert np.array_equal(out.samples, expected.samples)
+
+
+@pytest.mark.parametrize("kind", ["halton", "mc"])
+def test_tile_sum_rows_split_the_sum_by_sample_index(kind):
+    # Row k of a tile sum takes the samples between cuts k - 1 and k.  With
+    # every sample in one row, that row is the uncut sum bit for bit and the
+    # other is zero; with a cut inside, each row is the sum of its own
+    # samples alone, to rounding.
+    m = 1024
+    p = LtftParams.for_rate(RATE)
+    rng = np.random.default_rng(12)
+    sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
+    box = PhaseSpaceBox.for_signal(sig, p)
+    samples = scale_to_box(generate_unit_points(kind, 8 * m, 3, 2), box)
+    padded = core._analysis_input(sig, p)
+
+    def on_grid(points, cuts=()):
+        source = core._round_trip_coeffs(padded, points, RATE, _low_pass)
+        lo, rows = core._tile_sum(points, p, m, RATE, source, cuts)
+        out = np.zeros((rows.shape[0], m), dtype=np.complex128)
+        out[:, lo : lo + rows.shape[1]] = rows
+        return out
+
+    (whole,) = on_grid(samples)
+    for cuts, row in (([samples.n], 0), ([0], 1)):
+        rows = on_grid(samples, cuts)
+        assert np.array_equal(rows[row], whole) and not rows[1 - row].any()
+    cut = 3 * m + 17
+    rows = on_grid(samples, [cut])
+    for row, part in zip(rows, (samples.points[:cut], samples.points[cut:])):
+        (alone,) = on_grid(SampleSet(part.copy(), box, kind))
+        assert np.linalg.norm(row - alone) <= 1e-13 * np.linalg.norm(alone)
 
 
 def test_map_blocks_keeps_order_and_raises_worker_errors(monkeypatch):

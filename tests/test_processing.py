@@ -413,3 +413,84 @@ def test_counts_a_pass_cannot_share_are_refused(params, tapered_tone, kind, coun
     s = tapered_tone(256)
     with pytest.raises(InvalidParameterError):
         processing._analysis_synthesis(s, params, counts, kind, 0, False, at_peak=at_peak)
+
+
+@pytest.mark.parametrize("m", [1024, 16000])
+def test_many_counts_in_one_tile_hold_a_bounded_accumulator(
+    monkeypatch, params, tapered_tone, m
+):
+    # 200 counts inside one tile of _TILE_POINTS points.  A tile's rows hold
+    # at most _TILE_POINTS complex samples, so the tile is cut where the
+    # next row would not fit: 28 rows of 1,148 samples at M = 1024, two of
+    # 16,124 at M = 16000, where 200 rows would take 3.7 and 52 MB.  Besides
+    # the outputs it returns, the pass's traced peak is within that bound of
+    # a one-count pass over the same points, the tiles running in the caller.
+    # Its outputs are those of one-count calls to rounding.
+    monkeypatch.setattr(processing, "_usable_cores", lambda: 1)
+    tile = processing._TILE_POINTS
+    s = tapered_tone(m)
+    counts = [160 * k for k in range(1, 201)]
+    assert counts[-1] < tile
+    sums = []
+    original = processing._tile_sum
+
+    def counting(*args):
+        lo, rows = original(*args)
+        sums.append(rows.shape)
+        return lo, rows
+
+    monkeypatch.setattr(processing, "_tile_sum", counting)
+    processing._analysis_synthesis(s, params, counts[-1:], "halton", 0, False)
+    outs = processing._analysis_synthesis(s, params, counts, "halton", 0, False)
+    assert max(rows * width for rows, width in sums) <= tile
+    width = m + 2 * core._guard_samples(params, RATE, m)
+    assert len(sums) - 1 == -(-len(counts) // max(1, tile // width))
+    extra = []
+    for ns in (counts[-1:], counts):
+        tracemalloc.start()
+        try:
+            kept = processing._analysis_synthesis(s, params, ns, "halton", 0, False)
+            extra.append(tracemalloc.get_traced_memory()[1] - sum(o.samples.nbytes for o in kept))
+        finally:
+            tracemalloc.stop()
+        del kept
+    assert extra[1] - extra[0] <= 16 * tile
+    for k in (0, 57, 143, 199):
+        one = processing._analysis_synthesis(s, params, [counts[k]], "halton", 0, False)[0]
+        assert relative_error(outs[k], one) <= 1e-13
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["caller", "pool"])
+@pytest.mark.parametrize("dilation", [1, 2])
+def test_counts_that_fit_leave_the_tile_partition_alone(
+    monkeypatch, params, tapered_tone, dilation, pooled
+):
+    # Counts inside tiles, and one on a tile edge, become rows of the tiles'
+    # sums: the pass generates ceil(N / _TILE_POINTS) tiles of points, as a
+    # one-count pass over N points does, the pool gives the same bits, and
+    # the outputs are those of one-count calls to rounding.
+    if pooled:
+        monkeypatch.setattr(processing, "_POOL_MIN_ATOM_SAMPLES", 0)
+        monkeypatch.setattr(processing, "_usable_cores", lambda: 2)
+    tile = processing._TILE_POINTS
+    s = tapered_tone(256)
+    counts = [300, 1000, 5000, tile, tile + 7000, 2 * tile + 5000]
+    spans = []
+    original = processing.unit_point_rows
+
+    def counting(kind, n, dim, seed, start, stop):
+        spans.append((start, stop))
+        return original(kind, n, dim, seed, start, stop)
+
+    monkeypatch.setattr(processing, "unit_point_rows", counting)
+    outs = processing._analysis_synthesis(s, params, counts, "mc", 1, False, dilation=dilation)
+    assert sorted(spans) == [(0, tile), (tile, 2 * tile), (2 * tile, counts[-1])]
+    assert len(outs) == len(counts)
+    monkeypatch.undo()
+    same = processing._analysis_synthesis(s, params, counts, "mc", 1, False, dilation=dilation)
+    assert all(np.array_equal(a.samples, b.samples) for a, b in zip(outs, same))
+    for k in (1, 4):
+        one = processing._analysis_synthesis(
+            s, params, [counts[k]], "mc", 1, False, dilation=dilation
+        )[0]
+        assert relative_error(outs[k], one) <= 1e-13
