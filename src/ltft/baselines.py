@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import LtftParams, PhaseSpaceBox, SampleSet, _guard_samples
 from .errors import BudgetExceededError, InvalidParameterError
-from .lds import UnitPointSet, generate_unit_points, star_discrepancy
+from .lds import KINDS, UnitPointSet, _check_count, generate_unit_points, seeded, star_discrepancy
 
 
 @dataclass(frozen=True)
@@ -116,8 +116,6 @@ def _dwt_unit_points(target_n: int) -> UnitPointSet:
     unit_p = sized(1.0).n
     best = None
     for trial in np.linspace(0.4 * target_n / unit_p, 2.5 * target_n / unit_p, 61):
-        if trial <= 0:
-            continue
         grid = sized(float(trial))
         if best is None or abs(grid.n - target_n) < abs(best.n - target_n):
             best = grid
@@ -143,13 +141,14 @@ def discrepancy_scaling(generator: str, sizes: Sequence[int]) -> Tuple[List[Scal
 
     Monte Carlo rows average over seeds 0..9; wavelet grids vary the time
     density p at fixed r and are rescaled to the unit square; the regular
-    lattice uses a side of roughly sqrt(N).  Sizes must stay within the
-    exact-discrepancy budget, and give at least two distinct N.
+    lattice uses a side of roughly sqrt(N).  Sizes are point counts under
+    the rule of :mod:`ltft.lds`, within the exact-discrepancy budget, and
+    give at least two distinct N.
     """
     rows: List[ScalingRow] = []
-    for target in sizes:
-        if generator in ("hammersley", "halton", "mc"):
-            seeds = range(10) if generator == "mc" else [0]
+    for target in [_check_count(n) for n in sizes]:
+        if generator in KINDS:
+            seeds = range(10) if seeded(generator) else [0]
             vals = [
                 star_discrepancy(generate_unit_points(generator, target, 2, seed))
                 for seed in seeds
@@ -179,7 +178,8 @@ def dwt_grid_with_size(
     gamma: float = 6.0,
 ) -> SampleSet:
     """Wavelet grid at dilation step 1.15, with the time density tuned to
-    roughly target_n points."""
+    roughly target_n points (a count under the rule of :mod:`ltft.lds`)."""
+    target_n = _check_count(target_n)
     base = DwtGridParams(r=1.15, p=1.0, b0=b0, sample_rate=sample_rate, m=m, gamma=gamma)
     return dwt_grid(replace(base, p=max(target_n / dwt_grid(base).n, 1e-6)))
 

@@ -18,8 +18,8 @@ from .core import (
     relative_error,
 )
 from .errors import InvalidParameterError
-from .lds import _check_rows
-from .processing import _analysis_synthesis, samples_for_redundancy
+from .lds import _check_rows, extensible, seeded
+from .processing import _analysis_synthesis, sample_count
 
 _NOISE_FLOOR_DB = -60.0
 
@@ -94,7 +94,7 @@ def bench_reconstruction(
     Error is the relative L2 distance between the input and the
     analyze/synthesize/inverse-frame output; Monte Carlo rows average over
     the given seeds and record the spread.  Every argument is checked
-    before the first reconstruction.  Halton and seeded Monte Carlo points
+    before the first reconstruction.  Extensible rows (lds.extensible)
     are prefixes of one sequence, so one pass per seed over the largest N
     gives every row, each count a sum row of the tile it falls in, so the
     pass runs the same tiles as a single reconstruction at that N; a
@@ -102,22 +102,21 @@ def bench_reconstruction(
     """
     if not all(1 <= a < np.inf for a in redundancies):
         raise InvalidParameterError("redundancies must be finite and >= 1")
-    counts = [samples_for_redundancy(a, signal.m) for a in redundancies]
+    counts = [sample_count(signal.m, None, a, default=a) for a in redundancies]
     ladder = sorted(set(counts))
     mc_seeds = list(mc_seeds)
     for method in methods:
-        _check_rows(method, max(ladder, default=1), 3, 0)
-    if "mc" in methods and not mc_seeds:
-        raise InvalidParameterError("mc needs at least one seed")
-    for seed in mc_seeds if "mc" in methods else ():
-        _check_rows("mc", 1, 3, seed)
+        if seeded(method) and not mc_seeds:
+            raise InvalidParameterError(f"{method} needs at least one seed")
+        for seed in mc_seeds if seeded(method) else (0,):
+            _check_rows(method, max(ladder, default=1), 3, seed)
     if not ladder:
         return []
     rows: List[ErrorRow] = []
     for method in methods:
-        passes = [[n] for n in ladder] if method == "hammersley" else [ladder]
+        passes = [ladder] if extensible(method) else [[n] for n in ladder]
         errs: Dict[int, List[float]] = {n: [] for n in ladder}
-        for seed in mc_seeds if method == "mc" else (0,):
+        for seed in mc_seeds if seeded(method) else (0,):
             for ns in passes:
                 outs = _analysis_synthesis(signal, params, ns, method, seed, padded)
                 for n, out in zip(ns, outs):

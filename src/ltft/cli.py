@@ -33,14 +33,14 @@ from .baselines import (
 from .core import DigitalSignal, LtftParams, PhaseSpaceBox
 from .errors import InvalidParameterError, LtftError, ParseError
 from .frame import frame_diagonal
-from .lds import scale_to_box, generate_unit_points
+from .lds import KINDS, scale_to_box, generate_unit_points
 from .processing import (
     VocoderJob,
     _check_dilation,
     denoise,
     phase_vocoder,
     reconstruct,
-    samples_for_redundancy,
+    sample_count,
     shrinkage,
 )
 from .wavio import WavAudio, wav_read, wav_write
@@ -92,16 +92,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _resolve_count(options: Dict[str, object], m: int, default_a: float) -> int:
-    n = options.get("samples")
-    a = options.get("redundancy")
-    if n is not None and a is not None:
-        raise InvalidParameterError("give either --samples or --redundancy, not both")
-    if n is not None:
-        return int(n)
-    return samples_for_redundancy(float(a if a is not None else default_a), m)
-
-
 def _list_option(options: Dict[str, object], key: str, convert=str) -> list:
     # A comma-separated flag value of at least one item; blanks are skipped.
     text = str(options[key])
@@ -143,7 +133,7 @@ def _reconstruct_audio(
 ) -> int:
     # reconstruct with the rule, or denoise with the shrinkage when given.
     audio, signal, params = loaded
-    n = _resolve_count(options, signal.m, default_a=16.0)
+    n = sample_count(signal.m, options.get("samples"), options.get("redundancy"), 16.0)
     sampling = dict(
         kind=str(options["sequence"]), seed=int(options["seed"]), padded=bool(options["padded"])
     )
@@ -276,7 +266,7 @@ def _cmd_coverage(config: RunConfig) -> int:
     params = _params_from(options, rate)
     half = m / (2.0 * rate)
     box = PhaseSpaceBox(t_lo=-half, t_hi=half, freq_hi=rate)
-    n = _resolve_count(options, m, default_a=16.0)
+    n = sample_count(m, options.get("samples"), options.get("redundancy"), 16.0)
     kind = str(options["generator"])
     if kind == "dwt":
         samples = dwt_grid_with_size(n, params.b0, rate, m, gamma=params.gamma)
@@ -324,8 +314,7 @@ def _add_padded_flag(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_sampling_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--sequence", choices=("hammersley", "halton", "mc"),
-                    default="hammersley")
+    sp.add_argument("--sequence", choices=KINDS, default="hammersley")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("-N", "--samples", type=int, default=None)
     sp.add_argument("-A", "--redundancy", type=float, default=None)
@@ -376,12 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--seed", type=int, default=0)
         if name == "bench-complexity":
             sp.add_argument("--sizes", default="256,1024,4096,16384")
-            sp.add_argument("--sequence", choices=("hammersley", "halton", "mc"),
-                            default="hammersley")
+            sp.add_argument("--sequence", choices=KINDS, default="hammersley")
             sp.add_argument("--seed", type=int, default=0)
         if name == "coverage":
-            sp.add_argument("--generator", choices=("hammersley", "halton", "mc", "dwt"),
-                            default="hammersley")
+            sp.add_argument("--generator", choices=(*KINDS, "dwt"), default="hammersley")
             sp.add_argument("--queries", type=int, default=100)
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("-N", "--samples", type=int, default=None)

@@ -12,8 +12,12 @@ divided by the power of the base that bounds N.  The quotient is correctly
 rounded, as is the exact-integer scalar :func:`radical_inverse`, so both
 agree in every bit.  Any index range of a set is made on its own, bit for
 bit equal to the same rows of the whole set (:func:`unit_point_rows`), so
-a pipeline can hold one tile of points at a time.  Generators refuse counts
-beyond ``_MAX_POINTS`` before they allocate.
+a pipeline can hold one tile of points at a time.
+
+This module owns the generator list (:data:`KINDS`), which generators extend
+(:func:`extensible`) and read the seed (:func:`seeded`), and the point-count
+rule: a count is an integer in [1, ``_MAX_POINTS``], refused before anything
+is allocated.  No other module tests the name of a kind.
 """
 
 from __future__ import annotations
@@ -42,12 +46,33 @@ _EXACT_BUDGET = {1: 1 << 16, 2: 1 << 10, 3: 1 << 7}
 # in 3D take 24 GiB of coordinates alone.
 _MAX_POINTS = 1 << 30
 
+KINDS = ("hammersley", "halton", "mc")
+
+
+def extensible(kind: str) -> bool:
+    """Whether the rows of ``kind`` at count N are the first N at any larger count."""
+    return kind != "hammersley"
+
+
+def seeded(kind: str) -> bool:
+    """Whether the rows of ``kind`` read the seed."""
+    return kind == "mc"
+
 
 def _check_int(name: str, value) -> int:
     # An integer argument: a Python or numpy integer, not a bool or a float.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_count(count) -> int:
+    count = _check_int("count", count)
+    if count < 1:
+        raise InvalidParameterError(f"count must be >= 1, got {count}")
+    if count > _MAX_POINTS:
+        raise BudgetExceededError(f"{count} points exceed the budget of {_MAX_POINTS}")
+    return count
 
 
 def radical_inverse(n: int, base: int) -> float:
@@ -133,15 +158,10 @@ class UnitPointSet:
 
 def _check_rows(kind: str, count, dim, seed) -> Tuple[int, int, int]:
     # The arguments of a point set, checked before anything is allocated.
-    # Only Monte Carlo points read the seed.
-    if kind not in ("halton", "hammersley", "mc"):
+    if kind not in KINDS:
         raise InvalidParameterError(f"unknown generator kind {kind!r}")
-    count, dim = _check_int("count", count), _check_int("dim", dim)
-    if count < 1:
-        raise InvalidParameterError("count must be >= 1")
-    if count > _MAX_POINTS:
-        raise BudgetExceededError(f"{count} points exceed the budget of {_MAX_POINTS}")
-    if kind == "mc":
+    count, dim = _check_count(count), _check_int("dim", dim)
+    if seeded(kind):
         seed = _check_int("seed", seed)
         if seed < 0:
             raise InvalidParameterError("seed must be non-negative")
@@ -192,10 +212,9 @@ def generate_unit_points(kind: str, count: int, dim: int, seed: int = 0) -> Unit
     inverse of n + 1 in the j-th prime base; indexing starts at 1 so that
     no point sits on the origin corner, which degrades small-N discrepancy.
     Hammersley point n is (n/N, Halton coordinates of point n), so it needs
-    dim >= 2 and is not extendable.  Monte Carlo points are i.i.d. uniform
-    from a PCG64 stream seeded by ``seed``, the only kind that reads it;
-    the set does not record it.  Halton and Monte Carlo prefixes are
-    stable: the first N points never change as count grows.
+    dim >= 2 and its rows do not extend (:func:`extensible`).  Monte Carlo
+    points are i.i.d. uniform from a PCG64 stream seeded by ``seed``, the
+    only kind that reads it (:func:`seeded`); the set does not record it.
     """
     return UnitPointSet(unit_point_rows(kind, count, dim, seed, 0, count), generator=kind)
 

@@ -13,14 +13,14 @@ whole set, then planned, analysed, mapped by the rule and summed by the
 block loops of :mod:`ltft.core`, and the tile sums are added in tile order
 into the output.  So the memory a call holds does not grow with N,
 whatever the rule.  The cubature weight volume(box)/N is applied once, to
-the normalized sum, so one pass over the first N points of a Halton or
-seeded Monte Carlo sequence also gives the output at every smaller N: a
-tile sums the points between two requested counts into a row of its own,
-and the rows are added in index order, so the counts do not change how
-the points are tiled.  Large calls run the tiles on a thread pool, one
-thread per usable core, with a few tiles in flight; the partition and the
-order of the sums do not depend on the thread count, so neither does the
-output, bit for bit.
+the normalized sum, so one pass over the first N points of a sequence
+whose rows extend (:func:`ltft.lds.extensible`) also gives the output at
+every smaller N: a tile sums the points between two requested counts into
+a row of its own, and the rows are added in index order, so the counts do
+not change how the points are tiled.  Large calls run the tiles on a
+thread pool, one thread per usable core, with a few tiles in flight; the
+partition and the order of the sums do not depend on the thread count, so
+neither does the output, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .core import (
 )
 from .errors import BudgetExceededError, InvalidParameterError
 from .frame import apply_inverse_frame, frame_diagonal
-from .lds import _check_rows, scale_rows, unit_point_rows
+from .lds import _check_count, _check_rows, extensible, scale_rows, unit_point_rows
 
 
 def _check_dilation(dilation) -> int:
@@ -62,11 +62,17 @@ def _check_dilation(dilation) -> int:
     return int(dilation)
 
 
-def samples_for_redundancy(redundancy: float, m: int) -> int:
-    """N = ceil(A*M) samples for redundancy A on an M-point signal."""
-    if not 0 < redundancy * m < np.inf:
+def sample_count(m: int, samples, redundancy, default: float) -> int:
+    """N = ``samples``, else ceil(A*M) for A = ``redundancy``, or ``default``
+    when neither is given; N follows the point-count rule of :mod:`ltft.lds`."""
+    if samples is not None:
+        if redundancy is not None:
+            raise InvalidParameterError("give either samples or redundancy, not both")
+        return _check_count(samples)
+    a = default if redundancy is None else redundancy
+    if not 0 < a * m < np.inf:
         raise InvalidParameterError("redundancy must be positive and finite")
-    return int(np.ceil(redundancy * m))
+    return _check_count(int(np.ceil(a * m)))
 
 
 @dataclass(frozen=True)
@@ -88,21 +94,10 @@ class VocoderJob:
 
     def __post_init__(self) -> None:
         _check_dilation(self.dilation)
-        if self.redundancy is not None:
-            samples_for_redundancy(self.redundancy, 1)  # refuse a bad A now
-        if self.samples is not None:
-            if self.redundancy is not None:
-                raise InvalidParameterError("give either samples or redundancy, not both")
-            if isinstance(self.samples, bool) or not (
-                float(self.samples).is_integer() and self.samples >= 1
-            ):
-                raise InvalidParameterError("samples must be an integer >= 1")
+        self.sample_count(1)  # refuse a bad N or A now
 
     def sample_count(self, m: int) -> int:
-        if self.samples is not None:
-            return int(self.samples)
-        a = 4.0 * self.dilation if self.redundancy is None else self.redundancy
-        return samples_for_redundancy(a, m)
+        return sample_count(m, self.samples, self.redundancy, 4.0 * self.dilation)
 
 
 def shrinkage(threshold: float, relative: bool = True) -> Callable[[float], Rule]:
@@ -231,9 +226,9 @@ def _analysis_synthesis(
     # by 1/D (measured on pure tones).  At D = 1 this is reconstruction.
     #
     # The points run in tiles of _TILE_POINTS consecutive indices, and the
-    # output is emitted at each count: Halton and Monte Carlo rows are
-    # prefixes of one sequence, so one pass serves every count.  A
-    # Hammersley set depends on N, and max |F| on all N points, so these
+    # output is emitted at each count: the rows of an extensible kind
+    # (lds.extensible) are prefixes of one sequence, so one pass serves every
+    # count.  Other sets depend on N, and max |F| on all N points, so these
     # take one count.  A tile's rows come straight from the generator, are
     # scaled onto the box in place, and are analysed and summed by the block
     # loops of core into one sum row per segment between the counts; each
@@ -248,8 +243,8 @@ def _analysis_synthesis(
     checked = [_check_rows(kind, n, 3, seed) for n in counts]
     if not checked or any(a[0] >= b[0] for a, b in zip(checked, checked[1:])):
         raise InvalidParameterError("point counts must be a non-empty ascending list")
-    if len(checked) > 1 and (kind == "hammersley" or at_peak is not None):
-        raise InvalidParameterError("hammersley points and denoising take one point count")
+    if len(checked) > 1 and not (extensible(kind) and at_peak is None):
+        raise InvalidParameterError("several point counts need an extensible kind, no denoising")
     counts, seed = [n for n, _, _ in checked], checked[0][2]
     n = counts[-1]
     rate = signal.sample_rate

@@ -102,6 +102,27 @@ def test_unknown_generator():
         discrepancy_scaling("sobol", [8])
 
 
+@pytest.mark.parametrize("generator", ["mc", "dwt", "regular"])
+@pytest.mark.parametrize("size", [0, -4])
+def test_discrepancy_sizes_below_one_are_invalid(generator, size):
+    # Sizes are point counts: no ZeroDivisionError, math domain error or
+    # one-point lattice row for them.
+    with pytest.raises(InvalidParameterError):
+        discrepancy_scaling(generator, [size, 8])
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [(0, InvalidParameterError), (-5, InvalidParameterError), (2.0, InvalidParameterError),
+     (10**11, BudgetExceededError)],
+)
+def test_dwt_grid_size_is_a_point_count(params, target, error):
+    # Refused before any grid is built, where 0 gave a grid of ~70 points
+    # and 10**11 tried to allocate 8 GiB.
+    with pytest.raises(error):
+        dwt_grid_with_size(target, params.b0, RATE, 1024, gamma=params.gamma)
+
+
 def _hammersley_samples(params, m, redundancy=16):
     half = m / (2.0 * RATE)
     box = PhaseSpaceBox(t_lo=-half, t_hi=half, freq_hi=RATE)

@@ -408,6 +408,28 @@ def test_failing_bench_leaves_no_csv(tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        ("bench-discrepancy --generators dwt --sizes 0,8", "invalid-parameter"),
+        ("bench-discrepancy --generators dwt --sizes=-4,8", "invalid-parameter"),
+        ("bench-discrepancy --generators regular --sizes=-4,8", "invalid-parameter"),
+        ("bench-discrepancy --generators regular --sizes 0,8", "invalid-parameter"),
+        ("coverage --generator dwt -N 0", "invalid-parameter"),
+        ("coverage --generator dwt -N -5", "invalid-parameter"),
+        ("coverage --generator dwt -N 100000000000", "budget-exceeded"),
+    ],
+)
+def test_point_count_outside_the_rule_is_one_line_and_no_csv(tmp_path, capsys, args, code):
+    # Every generator's sizes follow the point-count rule, refused before
+    # any grid or point set is built.
+    out = tmp_path / "x.csv"
+    assert main(args.split() + ["--csv", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {code}:")
+    assert not out.exists()
+
+
 def test_coverage_csv(tmp_path, capsys):
     out = tmp_path / "cov.csv"
     assert main(["coverage", "--csv", str(out), "-M", "256", "--queries", "20"]) == 0

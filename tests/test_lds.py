@@ -18,8 +18,11 @@ from ltft import (
 from ltft.lds import (
     _MAX_POINTS,
     _PRIMES,
+    KINDS,
     UnitPointSet,
     _radical_inverses,
+    extensible,
+    seeded,
     unit_point_rows,
 )
 
@@ -175,6 +178,17 @@ def test_count_beyond_the_budget_is_refused_before_allocation(kind):
     assert _MAX_POINTS < 10**14
     with pytest.raises(BudgetExceededError):
         generate_unit_points(kind, 10**14, 3)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_predicates_match_the_rows(kind):
+    # The pipelines plan their passes from these flags alone: a kind
+    # registered with the wrong one would give wrong outputs, not an error.
+    rows = generate_unit_points(kind, 64, 3, seed=0).points
+    longer = generate_unit_points(kind, 128, 3, seed=0).points
+    assert np.array_equal(rows, longer[:64]) == extensible(kind)
+    reseeded = generate_unit_points(kind, 64, 3, seed=1).points
+    assert (not np.array_equal(rows, reseeded)) == seeded(kind)
 
 
 @pytest.mark.parametrize("column", [0, 1, 2])

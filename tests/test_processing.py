@@ -185,7 +185,7 @@ def test_vocoder_job_defaults(params):
 
 def test_vocoder_job_sample_count_from_samples(params):
     assert VocoderJob(params=params, dilation=2, samples=300).sample_count(1024) == 300
-    for bad in (dict(samples=0), dict(samples=True), dict(samples=2.5),
+    for bad in (dict(samples=0), dict(samples=True), dict(samples=2.5), dict(samples=2.0),
                 dict(samples=100, redundancy=2.0)):
         with pytest.raises(InvalidParameterError):
             VocoderJob(params=params, dilation=2, **bad)
