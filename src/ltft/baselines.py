@@ -16,7 +16,15 @@ import numpy as np
 
 from .core import LtftParams, PhaseSpaceBox, SampleSet, _guard_samples
 from .errors import BudgetExceededError, InvalidParameterError
-from .lds import KINDS, UnitPointSet, _check_count, generate_unit_points, seeded, star_discrepancy
+from .lds import (
+    KINDS,
+    UnitPointSet,
+    _check_count,
+    _check_exact_budget,
+    generate_unit_points,
+    seeded,
+    star_discrepancy,
+)
 
 
 @dataclass(frozen=True)
@@ -145,8 +153,10 @@ def discrepancy_scaling(generator: str, sizes: Sequence[int]) -> Tuple[List[Scal
     the rule of :mod:`ltft.lds`, within the exact-discrepancy budget, and
     give at least two distinct N.
     """
+    targets = [_check_count(n) for n in sizes]
+    _check_exact_budget(max(targets, default=0), 2)
     rows: List[ScalingRow] = []
-    for target in [_check_count(n) for n in sizes]:
+    for target in targets:
         if generator in KINDS:
             seeds = range(10) if seeded(generator) else [0]
             vals = [

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -144,7 +143,5 @@ def complexity_count(
 
 
 def complexity_per_point_bound(params: LtftParams, sample_rate: float) -> float:
-    """Uniform bound on C/N from the per-band support maxima."""
-    c1 = params.b0 / sample_rate
-    c2 = params.b1 / sample_rate
-    return params.gamma * (1.0 + math.log(c2 / c1) + (1.0 - c2) / c2) + 1.0
+    """Uniform bound on C/N: the predicted atom-samples of one point, plus one."""
+    return _predicted_atom_samples(params, sample_rate, 1) + 1.0

@@ -9,8 +9,9 @@ config-file key is the long name of one of the subcommand's optional
 flags, without its leading dashes (b0-frac or b0_frac); the input and
 output paths and --csv are given on the command line only.  So a flag or
 key that would change nothing is an error, never silently ignored:
-bench-discrepancy takes no transform, rate or resolution flags, and only
-the audio subcommands and bench-error take --padded.
+bench-discrepancy takes no transform, rate or resolution flags,
+bench-complexity and coverage (which xi does not change) take no --xi,
+and only the audio subcommands and bench-error take --padded.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ def _params_from(options: Dict[str, object], sample_rate: float) -> LtftParams:
         b0_frac=float(options["b0_frac"]),
         b1_frac=float(options["b1_frac"]),
         gamma=float(options["gamma"]),
-        xi=float(options["xi"]),
+        xi=float(options.get("xi", LtftParams.xi)),
         window_kind=str(options["window"]),
     )
 
@@ -300,11 +301,12 @@ _HANDLERS = {
 # ---------------------------------------------------------------------------
 
 
-def _add_param_flags(sp: argparse.ArgumentParser) -> None:
+def _add_param_flags(sp: argparse.ArgumentParser, xi: bool = True) -> None:
     sp.add_argument("--b0-frac", dest="b0_frac", type=float, default=0.1)
     sp.add_argument("--b1-frac", dest="b1_frac", type=float, default=0.4)
     sp.add_argument("--gamma", type=float, default=6.0)
-    sp.add_argument("--xi", type=float, default=6.0)
+    if xi:
+        sp.add_argument("--xi", type=float, default=6.0)
     sp.add_argument("--window", default="cos4")
 
 
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--generators", default="hammersley,mc,dwt,regular")
             sp.add_argument("--sizes", default="8,16,32,64,128")
             continue
-        _add_param_flags(sp)
+        _add_param_flags(sp, xi=name not in ("bench-complexity", "coverage"))
         sp.add_argument("--rate", type=float, default=_BENCH_RATE)
         sp.add_argument("-M", "--resolution", type=int, default=_BENCH_M)
         if name == "bench-error":

@@ -1,27 +1,26 @@
 """Frame-operator diagonal H(w) and its inverse for normalized synthesis.
 
-Integrating the squared atom spectra over the oscillation and frequency
-axes collapses to nested integrals of the window's spectral power, so the
-diagonal splits into three band contributions:
+Integrating the squared atom spectra over the oscillation axis first
+averages the window's spectral power over a width xi:
 
-    q0(w) = (1/xi) * [G3(v) - G3(v - gamma) - G3(v - xi) + G3(v - gamma - xi)]
-            with v = gamma * w / b0   (low STFT band, after substitution)
+    Q(u) = (1/xi) * [G2(u) - G2(u - xi)],   R(u) = integral of Q up to u,
+
+where G2 is the cumulative integral of |w_hat|^2.  Q vanishes off the
+window's spectral support and R rises from 0 to ||w_hat||^2 = 1.  The
+frequency axis then splits the diagonal into three band contributions:
+
+    q0(w) = R(v) - R(v - gamma),  v = gamma * w / b0      (low STFT band)
     q1(w) = integral over q in [gamma*w/b1, gamma*w/b0] of P1(q)/q dq,
-            P1(q) = (gamma/xi) * [G2(q - gamma) - G2(q - gamma - xi)]
-    q2(w) = same structure as q0 with b1 and an [b1, L] outer window
+            P1(q) = gamma * Q(q - gamma)                   (wavelet band)
+    q2(w) = R(gamma (w - b1) / b1) - R(gamma (w - L) / b1) (high STFT band)
 
-where G2 is the cumulative integral of |w_hat|^2 and G3 the cumulative of
-G2.  Each of the three band terms is a difference of values of one
-primitive, :class:`_Integral`: the exact running integral of a
-piecewise-linear interpolant tabulated on a fixed grid.  G2 integrates the
-tabulated power, G3 integrates G2's cumulative, and the wavelet band
-integrates P1(q)/q, tabulated once since it does not depend on w.  The
-cost is O(M) per fold shift plus a fixed tabulation.
-
-The low-band and wavelet-band prefactors follow the full derivation of the
-diagonal (the low band carries gamma^2/(b0^2 xi) and the oscillation
-average is a convolution against an indicator); the brute-force quadrature
-oracle arbitrates the convention.
+Each band term is one difference of values of one primitive,
+:class:`_Integral`: the exact running integral of a piecewise-linear
+interpolant tabulated on a fixed grid.  G2 integrates the tabulated power,
+R integrates Q, and the wavelet band integrates P1(q)/q; no table depends
+on w, so the cost is O(M) per fold shift plus a fixed tabulation.  The
+brute-force quadrature, :func:`frame_diagonal_oracle`, arbitrates the
+prefactors.
 """
 
 from __future__ import annotations
@@ -70,77 +69,68 @@ class FrameDiagonal:
 
 
 class _Integral:
-    """Exact integral from x0 to t of the piecewise-linear interpolant of
-    ``values``, tabulated at x0 + k * _GRID_STEP.  Outside the table the
-    integrand is zero, or, with ``extend``, held at its edge value (for a
-    cumulative integrand, which saturates to a constant).  Arguments are
+    """Exact integral from x0 to t, or with ``width`` from t - width to t,
+    of the piecewise-linear interpolant of ``values``, tabulated at
+    x0 + k * _GRID_STEP.  Outside the table the integrand is zero: every
+    tabulated integrand vanishes at both table edges.  Arguments are
     evaluated _CHUNK at a time, so a long one makes no argument-length
     temporaries."""
 
-    def __init__(self, x0: float, values: np.ndarray, extend: bool = False) -> None:
+    def __init__(self, x0: float, values: np.ndarray) -> None:
         self.x0 = x0
         self.values = values
-        self.extend = extend
         # Trapezoid cumulative at the nodes, zero at the first node.
         self.cum = np.zeros_like(values)
         steps = np.add(values[1:], values[:-1])
         steps *= 0.5 * _GRID_STEP
         np.cumsum(steps, out=self.cum[1:])
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
+    def __call__(self, t: np.ndarray, width: float = 0.0) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         out = np.empty_like(t)
         for k in range(0, t.size, _CHUNK):
-            out[k : k + _CHUNK] = self._eval(t[k : k + _CHUNK])
+            part = t[k : k + _CHUNK]
+            out[k : k + _CHUNK] = self._eval(part)
+            if width:
+                out[k : k + _CHUNK] -= self._eval(part - width)
         return out
 
     def _eval(self, t: np.ndarray) -> np.ndarray:
         x0, values, step = self.x0, self.values, _GRID_STEP
         n = values.shape[0]
-        top = x0 + (n - 1) * step
-        tc = np.clip(t, x0, top)
+        tc = np.clip(t, x0, x0 + (n - 1) * step)
         i = np.minimum(((tc - x0) / step).astype(np.int64), n - 2)
         frac = tc - (x0 + i * step)
         vt = values[i] + (values[i + 1] - values[i]) * (frac / step)
-        out = self.cum[i] + 0.5 * frac * (values[i] + vt)
-        if self.extend:
-            out = out + np.where(t > top, (t - top) * values[-1], 0.0)
-            out = out + np.where(t < x0, (t - x0) * values[0], 0.0)
-        return out
+        return self.cum[i] + 0.5 * frac * (values[i] + vt)
 
 
 def _integrals(params: LtftParams, sample_rate: float):
-    """G3 and the wavelet-band integral of P1(q)/q (positive nodes only).
+    """R, the running integral of the xi-averaged window power Q, and the
+    wavelet-band integral of P1(q)/q = gamma Q(q - gamma)/q on q > 0.
 
-    The grid and the window power are freed as soon as they are used, and
-    the power and P1 are formed in place, so the build holds few tables at
-    once."""
+    The table spans every u at which Q is non-zero, plus a tail margin, so
+    both integrands vanish at its edges.  The window power is freed once Q
+    and P1 are formed, so the build holds few tables at once."""
     g = params.gamma
     xi = params.xi
     u_lo = -(g * sample_rate / params.b1 + xi) - _GRID_MARGIN
-    u_hi = g * sample_rate / params.b0 + _GRID_MARGIN
+    u_hi = max(g * sample_rate / params.b0, xi) + _GRID_MARGIN
     n = np.ceil((u_hi - u_lo) / _GRID_STEP) + 1.0
     if not n <= _MAX_TABLE_NODES:  # an infinite span too
         raise BudgetExceededError(f"a frame table of {n:g} nodes exceeds the budget")
-    n = int(n)
-    u = np.arange(n, dtype=np.float64)
-    u *= _GRID_STEP
-    u += u_lo
+    u = np.arange(int(n)) * _GRID_STEP + u_lo
     power = params.window.freq(u)
-    del u
     g2 = _Integral(u_lo, np.square(power, out=power))
-    first = int(np.ceil((_GRID_STEP - u_lo) / _GRID_STEP))
-    q = np.arange(first, n, dtype=np.float64)
-    q *= _GRID_STEP
-    q += u_lo
-    p1 = g2(q - g)
-    p1 -= g2(q - g - xi)
+    q = u[int(np.ceil((_GRID_STEP - u_lo) / _GRID_STEP)) :]
+    p1 = g2(q - g, xi)
     p1 *= g / xi
-    g3 = _Integral(u_lo, g2.cum, extend=True)
+    mean = g2(u, xi)  # Q at the nodes: the mean window power over [u - xi, u]
+    mean /= xi
     del g2, power
     np.maximum(p1, 0.0, out=p1)
     p1 /= q
-    return g3, _Integral(q[0], p1)
+    return _Integral(u_lo, mean), _Integral(q[0], p1)
 
 
 def frame_diagonal(
@@ -173,21 +163,16 @@ def _build_diagonal(
     params: LtftParams, sample_rate: float, m: int, folded: bool
 ) -> FrameDiagonal:
     g = params.gamma
-    xi = params.xi
-    g3, wavelet = _integrals(params, sample_rate)
+    r, wavelet = _integrals(params, sample_rate)
     omega = np.arange(m) * (sample_rate / m)
     shifts = (-sample_rate, 0.0, sample_rate) if folded else (0.0,)
-    q0 = np.zeros(m)
-    q1 = np.zeros(m)
-    q2 = np.zeros(m)
+    q0, q1, q2 = np.zeros((3, m))
     for shift in shifts:
         w = omega + shift
         v = g * w / params.b0
-        q0 += (g3(v) - g3(v - g) - g3(v - xi) + g3(v - g - xi)) / xi
-        q1 += wavelet(g * w / params.b0) - wavelet(g * w / params.b1)
-        w_hi = (g / params.b1) * (w - params.b1)
-        w_lo = (g / params.b1) * (w - sample_rate)
-        q2 += (g3(w_hi) - g3(w_hi - xi) - g3(w_lo) + g3(w_lo - xi)) / xi
+        q0 += r(v, g)
+        q1 += wavelet(v) - wavelet(g * w / params.b1)
+        q2 += r((g / params.b1) * (w - params.b1)) - r((g / params.b1) * (w - sample_rate))
     return FrameDiagonal(omega, q0, q1, q2)
 
 

@@ -261,6 +261,16 @@ def _corner_counts(points: np.ndarray, candidates: Sequence[np.ndarray], side: s
     return counts
 
 
+def _check_exact_budget(n: int, d: int) -> None:
+    # Refuses N points in d dimensions past the exact-discrepancy budget.
+    budget = _EXACT_BUDGET.get(d)
+    if budget is None or n > budget:
+        raise BudgetExceededError(
+            f"exact star discrepancy supports N <= {budget or 0} in d={d}; "
+            f"got N={n} (subsample or reduce the set)"
+        )
+
+
 def star_discrepancy(points: UnitPointSet) -> float:
     """Exact star discrepancy over anchored boxes [0, u), a value in [0, 1].
 
@@ -271,12 +281,7 @@ def star_discrepancy(points: UnitPointSet) -> float:
     """
     pts = points.points
     n, d = pts.shape
-    budget = _EXACT_BUDGET.get(d)
-    if budget is None or n > budget:
-        raise BudgetExceededError(
-            f"exact star discrepancy supports N <= {budget or 0} in d={d}; "
-            f"got N={n} (subsample or reduce the set)"
-        )
+    _check_exact_budget(n, d)
     candidates = [
         np.concatenate([np.unique(pts[:, j]), [1.0]]) for j in range(d)
     ]

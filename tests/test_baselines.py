@@ -14,6 +14,7 @@ from ltft import (
     funnel_coverage,
     scale_to_box,
 )
+from ltft import baselines
 from ltft.core import SampleSet
 from ltft.lds import generate_unit_points, star_discrepancy
 
@@ -109,6 +110,19 @@ def test_discrepancy_sizes_below_one_are_invalid(generator, size):
     # one-point lattice row for them.
     with pytest.raises(InvalidParameterError):
         discrepancy_scaling(generator, [size, 8])
+
+
+@pytest.mark.parametrize("generator", ["hammersley", "halton", "mc", "dwt", "regular"])
+def test_discrepancy_size_past_the_exact_budget_builds_no_set(monkeypatch, generator):
+    # Every size is checked against the 1024-point 2D budget of
+    # star_discrepancy before the first set is built, so a size past it
+    # costs no set of that size.
+    built = []
+    for name in ("generate_unit_points", "_dwt_unit_points", "_lattice_unit_points"):
+        monkeypatch.setattr(baselines, name, lambda *args: built.append(args))
+    with pytest.raises(BudgetExceededError, match="N <= 1024"):
+        discrepancy_scaling(generator, [8, 20_000_000])
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -418,6 +418,7 @@ def test_failing_bench_leaves_no_csv(tmp_path, args):
         ("coverage --generator dwt -N 0", "invalid-parameter"),
         ("coverage --generator dwt -N -5", "invalid-parameter"),
         ("coverage --generator dwt -N 100000000000", "budget-exceeded"),
+        ("bench-discrepancy --generators hammersley --sizes 8,20000000", "budget-exceeded"),
     ],
 )
 def test_point_count_outside_the_rule_is_one_line_and_no_csv(tmp_path, capsys, args, code):
@@ -454,6 +455,8 @@ def test_unknown_flag_is_usage_error(tmp_path):
         "frame-diag --padded",
         "bench-complexity --padded",
         "coverage --padded",
+        "bench-complexity --xi 3",
+        "coverage --xi 3",
     ],
 )
 def test_flag_the_command_does_not_read_is_usage_error(tmp_path, command):

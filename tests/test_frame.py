@@ -210,9 +210,41 @@ def test_interp_integral_helper():
     exact = 0.5 * t**2
     out = _Integral(0.0, vals)(t)
     assert np.max(np.abs(out - exact)) < 1e-14
-    # extension holds the edge value
-    ext = _Integral(0.0, vals, extend=True)(np.array([5.0]))
-    assert ext[0] == pytest.approx(8.0 + 4.0 * 1.0)
+
+
+def test_diagonal_keeps_its_digits_at_small_xi(monkeypatch):
+    # Each band term is a difference of R, which is bounded by 1, so
+    # rounding in the tables is not magnified by 1/xi: moving every node of
+    # the window spectrum by one ulp, alternately up and down, moves H by
+    # rounding only.
+    rate = 16000.0
+    p = LtftParams.for_rate(rate, gamma=3.0, xi=1e-6)
+    base = _build_diagonal.__wrapped__(p, rate, 1024, False)
+    grid, vals = p.window._freq_table
+    up = np.arange(vals.size) % 2 == 0
+    moved = np.where(up, np.nextafter(vals, np.inf), np.nextafter(vals, -np.inf))
+    monkeypatch.setitem(p.window.__dict__, "_freq_table", (grid, moved))
+    perturbed = _build_diagonal.__wrapped__(p, rate, 1024, False)
+    assert np.max(np.abs(perturbed.h - base.h)) < 1e-12 * base.h.max()
+
+
+@pytest.mark.parametrize("omega", [110.0, 127.0])
+def test_wavelet_band_is_whole_at_large_xi(omega):
+    # At xi = 200 the wavelet integrand reaches far above gamma*L/b0; the
+    # table spans it, so the band matches a midpoint quadrature of the atom
+    # spectra over b in [b0, b1] and c in [0, 1] (127 is the folded
+    # diagonal's +L term).
+    p = LtftParams.for_rate(RATE, xi=200.0)
+    g = p.gamma
+    _, wavelet = _integrals(p, RATE)
+    band = wavelet(np.array([g * omega / p.b0])) - wavelet(np.array([g * omega / p.b1]))
+    k = 1000
+    b = p.b0 + (np.arange(k) + 0.5) * (p.b1 - p.b0) / k
+    c = (np.arange(k) + 0.5) / k
+    scale = g / b
+    center = ((p.xi / g) * c[:, None] + 1.0) * b
+    quad = np.mean(scale * p.window.freq(scale * (omega - center)) ** 2) * (p.b1 - p.b0)
+    assert band[0] == pytest.approx(quad, rel=1e-5)
 
 
 def _assert_same_diagonal(got, want):
