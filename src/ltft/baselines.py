@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import LtftParams, PhaseSpaceBox, SampleSet, _guard_samples
+from .core import LtftParams, PhaseSpaceBox, SampleSet, _check_int, _guard_samples
 from .errors import BudgetExceededError, InvalidParameterError
 from .lds import (
     KINDS,
@@ -205,11 +205,8 @@ def coverage_queries(
     BudgetExceededError, and a query whose adjoint box, 2 gamma/b wide, is
     wider than the box's time side raises InvalidParameterError.
     """
+    count, seed = _check_count(count, "query count"), _check_int("seed", seed, 0)
     _guard_samples(params, box.freq_hi, (box.t_hi - box.t_lo) * box.freq_hi)
-    if count < 1:
-        raise InvalidParameterError("need at least one query")
-    if seed < 0:
-        raise InvalidParameterError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     b = np.exp(rng.uniform(np.log(params.b0 * 1.01), np.log(params.b1 * 0.99), count))
     margin = params.gamma / b

@@ -11,6 +11,8 @@ from .core import (
     DigitalSignal,
     LtftParams,
     SampleSet,
+    _check_grid,
+    _check_int,
     _guard_samples,
     _predicted_atom_samples,
     atom_support_length,
@@ -32,8 +34,7 @@ def make_test_signal(
     sweeping that band in opposite directions, and a seeded noise floor at
     -60 dB relative to the tone mix.
     """
-    if seed < 0:
-        raise InvalidParameterError("seed must be non-negative")
+    m, seed = _check_grid(m, sample_rate), _check_int("seed", seed, 0)
     if params is None:
         params = LtftParams.for_rate(sample_rate)
     rng = np.random.default_rng(seed)

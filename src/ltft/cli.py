@@ -31,13 +31,12 @@ from .baselines import (
     dwt_grid_with_size,
     funnel_coverage,
 )
-from .core import DigitalSignal, LtftParams, PhaseSpaceBox
+from .core import DigitalSignal, LtftParams, PhaseSpaceBox, _check_int
 from .errors import InvalidParameterError, LtftError, ParseError
 from .frame import frame_diagonal
 from .lds import KINDS, scale_to_box, generate_unit_points
 from .processing import (
     VocoderJob,
-    _check_dilation,
     denoise,
     phase_vocoder,
     reconstruct,
@@ -148,7 +147,7 @@ def _reconstruct_audio(
 
 def _cmd_vocoder(config: RunConfig) -> int:
     options = config.options
-    dilation = _check_dilation(options["dilation"])  # refused before the WAV is read
+    dilation = _check_int("dilation", options["dilation"], 1)  # refused before the WAV is read
     audio, signal, params = _load_audio(options)
     job = VocoderJob(
         params=params,

@@ -6,11 +6,11 @@ Fourier atoms below b0 and above b1 and wavelet atoms in between, with the
 oscillation axis scaling the wavelet's cycle count from gamma to
 gamma + xi.
 
-The sampled operator evaluates the atom at each of N points of a sample
-set on the signal grid, in dense blocks of atoms with nearby support
-lengths.  The atoms are ordered by support length and then by first
-sample, and cut into consecutive blocks of a bounded number of
-atom-samples whose longest support is at most 5/4 of their shortest;
+The sampled operator evaluates the atom at each row (a, b, c) of an (n, 3)
+array of phase-space points on the signal grid, in dense blocks of atoms
+with nearby support lengths.  The atoms are ordered by support length and
+then by first sample, and cut into consecutive blocks of a bounded number
+of atom-samples whose longest support is at most 5/4 of their shortest;
 each row is padded to the block's longest support.  So a small call runs
 in a few full blocks, and the operator's working memory is bounded
 whatever N and M are.  The plan is a few linear passes: both orders (by
@@ -58,6 +58,7 @@ accumulator to the grid, so neither direction masks or clips.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -68,8 +69,28 @@ import numpy as np
 from .errors import BudgetExceededError, InvalidParameterError
 
 # ---------------------------------------------------------------------------
-# Digital signals and the frequency grid
+# Argument rules, digital signals and the frequency grid
 # ---------------------------------------------------------------------------
+
+
+def _check_int(name: str, value, least: int) -> int:
+    # An integer argument of at least `least`: a Python or numpy integer,
+    # not a bool or a float.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise InvalidParameterError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
+def _check_grid(m, sample_rate) -> int:
+    # A sampling grid: an even integer length M >= 4 at a rate in (0, inf).
+    m = _check_int("grid length", m, 4)
+    if m % 2:
+        raise InvalidParameterError(f"grid length must be even, got {m}")
+    if not 0 < sample_rate < np.inf:
+        raise InvalidParameterError("sample rate must be positive and finite")
+    return m
 
 
 @dataclass
@@ -86,11 +107,7 @@ class DigitalSignal:
         self.samples = np.asarray(self.samples)
         if self.samples.ndim != 1:
             raise InvalidParameterError("signal samples must be a 1D array")
-        m = self.samples.shape[0]
-        if m < 4 or m % 2 != 0:
-            raise InvalidParameterError(f"signal length must be even and >= 4, got {m}")
-        if not 0 < self.sample_rate < np.inf:
-            raise InvalidParameterError("sample rate must be positive and finite")
+        _check_grid(self.samples.shape[0], self.sample_rate)
         if not np.all(np.isfinite(self.samples)):
             raise InvalidParameterError("signal samples must be finite")
 
@@ -511,7 +528,8 @@ def _support_index_range(
 ):
     # First and last grid sample of each atom's support [a - s/2, a + s/2],
     # s = gamma / clip(b, b0, b1) as in atom_support_length.  b is not
-    # checked for sign: a SampleSet already holds it in [0, freq_hi].
+    # checked for sign: the callers hold it in [0, freq_hi], the SampleSet
+    # at the public boundary and lds.scale_rows in the pipelines.
     half = np.clip(b, params.b0, params.b1)
     np.divide(params.gamma, half, out=half)
     half *= 0.5
@@ -604,9 +622,10 @@ def _index_type(low: int, high: int):
 
 
 def _atom_blocks(
-    params: LtftParams, samples: SampleSet, sample_rate: float, grid_len: int
+    params: LtftParams, points: np.ndarray, sample_rate: float, grid_len: int
 ) -> List[_AtomBlock]:
-    # The sampled atom operator's plan on the grid [-M/2, M/2), M = grid_len.
+    # The sampled atom operator's plan for the (n, 3) rows of `points` on the
+    # grid [-M/2, M/2), M = grid_len.
     # Atoms with no sample on the grid (wholly past either end, or a support
     # shorter than one sample) are left out.  The others are ordered by
     # support sample count and then by first sample, and cut into consecutive
@@ -614,7 +633,7 @@ def _atom_blocks(
     # shortest row, or before it would exceed _BLOCK_ATOM_SAMPLES atom-samples
     # with every row padded to its longest.  Within a block the rows are
     # ordered by first sample, ties by support count and then by index.  The
-    # partition depends on the samples and M alone, so the block order is the
+    # partition depends on the points and M alone, so the block order is the
     # accumulation order.
     #
     # Both orders come from stable argsorts on narrow unsigned keys (least
@@ -622,7 +641,7 @@ def _atom_blocks(
     # fits 16 bits; block ids are such a key too, so no block is sorted on
     # its own.  Indices, first samples and counts are stored as int32 when
     # they fit.
-    m_start, m_end = _support_index_range(params, samples.a, samples.b, sample_rate)
+    m_start, m_end = _support_index_range(params, points[:, 0], points[:, 1], sample_rate)
     lengths = m_end - m_start + 1
     half = grid_len // 2
     kept = None
@@ -672,7 +691,7 @@ def _atom_blocks(
     start, own = m_start[sel], lengths[sel]
     if kept is not None:
         sel = kept[sel]
-    sel = sel.astype(_index_type(0, samples.n - 1), copy=False)
+    sel = sel.astype(_index_type(0, points.shape[0] - 1), copy=False)
     return [
         _AtomBlock(sel[i:k], start[i:k], own[i:k], length)
         for i, k, length in zip(bounds, bounds[1:], block_lengths)
@@ -680,7 +699,7 @@ def _atom_blocks(
 
 
 def _block_atoms(
-    params: LtftParams, samples: SampleSet, sample_rate: float, block: _AtomBlock
+    params: LtftParams, points: np.ndarray, sample_rate: float, block: _AtomBlock
 ) -> Tuple[int, np.ndarray, np.ndarray]:
     # One block's grid indices and atom values.  Returns the grid index lo of
     # the block's first sample, the block-relative indices j (lo + j is a
@@ -692,7 +711,7 @@ def _block_atoms(
     shape = (block.length, block.sel.size)
     j = np.add(np.arange(block.length)[:, None], block.start - block.start[0],
                out=_scratch("index", shape, np.intp))
-    pts = np.take(samples.points, block.sel, axis=0, mode="wrap",
+    pts = np.take(points, block.sel, axis=0, mode="wrap",
                   out=_scratch("points", (block.sel.size, 3), np.float64))
     atoms = _atom_values(
         params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.own, block.length,
@@ -750,41 +769,42 @@ def _block_coeffs(
 
 
 def _tile_coeffs(
-    sig: np.ndarray, samples: SampleSet, params: LtftParams, grid_len: int, sample_rate: float
+    sig: np.ndarray, points: np.ndarray, params: LtftParams, grid_len: int, sample_rate: float
 ) -> np.ndarray:
-    # Analysis coefficients of every sample against the padded input `sig`
-    # of a grid_len signal, block by block in this thread; atoms left out
-    # of the plan analyse to 0.
-    out = np.zeros(samples.n, dtype=np.complex128)
-    for block in _atom_blocks(params, samples, sample_rate, grid_len):
-        lo, j, atoms = _block_atoms(params, samples, sample_rate, block)
+    # Analysis coefficients of every row of `points` against the padded
+    # input `sig` of a grid_len signal, block by block in this thread; atoms
+    # left out of the plan analyse to 0.
+    out = np.zeros(points.shape[0], dtype=np.complex128)
+    for block in _atom_blocks(params, points, sample_rate, grid_len):
+        lo, j, atoms = _block_atoms(params, points, sample_rate, block)
         out[block.sel] = _block_coeffs(sig, lo, j, atoms, sample_rate)
     return out
 
 
 def _tile_sum(
-    samples: SampleSet, params: LtftParams, grid_len: int, sample_rate: float,
+    points: np.ndarray, params: LtftParams, grid_len: int, sample_rate: float,
     coeffs: Callable[..., np.ndarray], cuts: Sequence[int] = (),
 ) -> Tuple[int, np.ndarray]:
-    # sum_n coeffs_n * atom_n on the grid_len grid, unweighted, block by block
-    # in this thread, in one row per segment of sample indices between the
-    # ascending `cuts` (row k from cuts[k - 1], or 0, up to cuts[k], or the
-    # end).  coeffs(block, lo, j, atoms) gives a block's coefficients while
-    # its atoms (see _block_atoms) are in hand; the block is scaled in place
-    # by them, each atom's indices j are moved into its segment's row, and
-    # the block is added, by one unbuffered add in sample-major order,
-    # straight into an accumulator over the grid indices the blocks reach,
-    # in block order.  Returns the output index (M/2 plus the grid index) of
-    # the rows' first sample and the rows, cropped to the grid: a tile of
-    # points in a time slab sums over that slab, not the grid.
-    blocks = _atom_blocks(params, samples, sample_rate, grid_len)
+    # sum_n coeffs_n * atom_n over the rows n of `points` on the grid_len
+    # grid, unweighted, block by block in this thread, in one row per
+    # segment of point indices between the ascending `cuts` (row k from
+    # cuts[k - 1], or 0, up to cuts[k], or the end).  coeffs(block, lo, j,
+    # atoms) gives a block's coefficients while its atoms (see _block_atoms)
+    # are in hand; the block is scaled in place by them, each atom's indices
+    # j are moved into its segment's row, and the block is added, by one
+    # unbuffered add in sample-major order, straight into an accumulator
+    # over the grid indices the blocks reach, in block order.  Returns the
+    # output index (M/2 plus the grid index) of the rows' first sample and
+    # the rows, cropped to the grid: a tile of points in a time slab sums
+    # over that slab, not the grid.
+    blocks = _atom_blocks(params, points, sample_rate, grid_len)
     start = min((int(block.start[0]) for block in blocks), default=0)
     stop = max((int(block.start[-1]) + block.length for block in blocks), default=0)
     width = stop - start
     acc = np.zeros((len(cuts) + 1, width), dtype=np.complex128)
     flat, cuts = acc.reshape(-1), np.asarray(cuts, dtype=np.int64)
     for block in blocks:
-        lo, j, atoms = _block_atoms(params, samples, sample_rate, block)
+        lo, j, atoms = _block_atoms(params, points, sample_rate, block)
         atoms *= coeffs(block, lo, j, atoms)[:, None]
         if cuts.size:
             np.add(j.T, np.searchsorted(cuts, block.sel, side="right") * width, out=j.T)
@@ -804,7 +824,7 @@ def _ruled(rule: Rule, values: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 def _round_trip_coeffs(
-    sig: np.ndarray, samples: SampleSet, sample_rate: float, rule: Optional[Rule]
+    sig: np.ndarray, points: np.ndarray, sample_rate: float, rule: Optional[Rule]
 ) -> Callable[..., np.ndarray]:
     # The one-pass round trip's source for _tile_sum: a block's analysis
     # coefficients against the padded input `sig`, mapped by the rule.  The
@@ -812,7 +832,7 @@ def _round_trip_coeffs(
     # for bit, with each atom block built once.
     def coeffs(block: _AtomBlock, lo: int, j: np.ndarray, atoms: np.ndarray) -> np.ndarray:
         values = _block_coeffs(sig, lo, j, atoms, sample_rate)
-        return values if rule is None else _ruled(rule, values, samples.points[block.sel])
+        return values if rule is None else _ruled(rule, values, points[block.sel])
 
     return coeffs
 
@@ -829,7 +849,7 @@ def analyze(
     if samples.box.freq_hi > signal.sample_rate * (1 + 1e-12):
         raise InvalidParameterError("box frequency side exceeds the signal rate")
     sig = _analysis_input(signal, params)
-    values = _tile_coeffs(sig, samples, params, signal.m, signal.sample_rate)
+    values = _tile_coeffs(sig, samples.points, params, signal.m, signal.sample_rate)
     return CoefficientVector(values, weight=samples.box.volume / samples.n)
 
 
@@ -847,10 +867,11 @@ def synthesize(
     accumulator in block order (by support length), which depends on the
     samples alone, so the result is bit-identical across runs.
     """
+    out_len = _check_grid(out_len, sample_rate)
     if coeffs.values.shape[0] != samples.n:
         raise InvalidParameterError("coefficients and samples must align")
     lo, (tile,) = _tile_sum(
-        samples, params, out_len, sample_rate, lambda block, *_: coeffs.values[block.sel]
+        samples.points, params, out_len, sample_rate, lambda block, *_: coeffs.values[block.sel]
     )
     out = np.zeros(out_len, dtype=np.complex128)
     out[lo : lo + tile.size] = tile * coeffs.weight

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DigitalSignal, LtftParams, Spectrum, dft, idft
+from .core import DigitalSignal, LtftParams, Spectrum, _check_grid, _check_int, dft, idft
 from .errors import BudgetExceededError, InvalidParameterError
 
 _GRID_STEP = 1.0 / 1024.0  # dimensionless tabulation step
@@ -125,12 +125,16 @@ def _integrals(params: LtftParams, sample_rate: float):
     q = u[int(np.ceil((_GRID_STEP - u_lo) / _GRID_STEP)) :]
     p1 = g2(q - g, xi)
     p1 *= g / xi
-    mean = g2(u, xi)  # Q at the nodes: the mean window power over [u - xi, u]
-    mean /= xi
-    del g2, power
     np.maximum(p1, 0.0, out=p1)
     p1 /= q
-    return _Integral(u_lo, mean), _Integral(q[0], p1)
+    q_lo = float(q[0])
+    # Q at the nodes, the mean window power over [u - xi, u], written over
+    # u: G2 at a node is its cumulative, so only G2(u - xi) is evaluated.
+    u -= xi
+    mean = np.subtract(g2.cum, g2(u), out=u)
+    mean /= xi
+    del g2, power
+    return _Integral(u_lo, mean), _Integral(q_lo, p1)
 
 
 def frame_diagonal(
@@ -153,9 +157,7 @@ def frame_diagonal(
     :class:`FrameDiagonal` is shared: it is frozen and its arrays are
     read-only.
     """
-    if m < 4 or m % 2 != 0:
-        raise InvalidParameterError("grid length must be even and >= 4")
-    return _build_diagonal(params, sample_rate, m, folded)
+    return _build_diagonal(params, sample_rate, _check_grid(m, sample_rate), folded)
 
 
 @functools.lru_cache(maxsize=1)
@@ -185,8 +187,7 @@ def frame_diagonal_oracle(
     quad_res midpoints per axis on each of the three frequency bands and
     on the oscillation interval.  Cost O(M * quad_res^2); test-only.
     """
-    if quad_res < 128:
-        raise InvalidParameterError("quad_res must be >= 128")
+    m, quad_res = _check_grid(m, sample_rate), _check_int("quad_res", quad_res, 128)
     if m > 1024 or quad_res > 1024:
         raise BudgetExceededError(
             "oracle quadrature limited to m <= 1024 and quad_res <= 1024"

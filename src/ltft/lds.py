@@ -22,13 +22,12 @@ is allocated.  No other module tests the name of a kind.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .core import PhaseSpaceBox, SampleSet
+from .core import PhaseSpaceBox, SampleSet, _check_int
 from .errors import (
     BudgetExceededError,
     InvalidParameterError,
@@ -59,17 +58,8 @@ def seeded(kind: str) -> bool:
     return kind == "mc"
 
 
-def _check_int(name: str, value) -> int:
-    # An integer argument: a Python or numpy integer, not a bool or a float.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_count(count) -> int:
-    count = _check_int("count", count)
-    if count < 1:
-        raise InvalidParameterError(f"count must be >= 1, got {count}")
+def _check_count(count, name: str = "count") -> int:
+    count = _check_int(name, count, 1)
     if count > _MAX_POINTS:
         raise BudgetExceededError(f"{count} points exceed the budget of {_MAX_POINTS}")
     return count
@@ -82,11 +72,7 @@ def radical_inverse(n: int, base: int) -> float:
     reversal is an exact integer r over base**K, K the digit count, and the
     one division r / base**K is correctly rounded.
     """
-    n, base = _check_int("index", n), _check_int("radix base", base)
-    if base < 2:
-        raise InvalidParameterError(f"radix base must be >= 2, got {base}")
-    if n < 0:
-        raise InvalidParameterError(f"index must be non-negative, got {n}")
+    n, base = _check_int("index", n, 0), _check_int("radix base", base, 2)
     if max(n, base) >= 1 << 63:
         raise InvalidParameterError("index and radix base must be below 2**63")
     r, scale = 0, 1
@@ -160,15 +146,11 @@ def _check_rows(kind: str, count, dim, seed) -> Tuple[int, int, int]:
     # The arguments of a point set, checked before anything is allocated.
     if kind not in KINDS:
         raise InvalidParameterError(f"unknown generator kind {kind!r}")
-    count, dim = _check_count(count), _check_int("dim", dim)
+    count, dim = _check_count(count), _check_int("dim", dim, 1)
     if seeded(kind):
-        seed = _check_int("seed", seed)
-        if seed < 0:
-            raise InvalidParameterError("seed must be non-negative")
+        seed = _check_int("seed", seed, 0)
     if kind == "hammersley" and dim < 2:
         raise InvalidParameterError("hammersley needs dim >= 2; use the halton kind for 1D")
-    if dim < 1:
-        raise InvalidParameterError("dim must be >= 1")
     if kind != "mc" and dim > len(_PRIMES):
         raise UnsupportedDimensionError(f"{kind} supports dim <= {len(_PRIMES)}")
     return count, dim, seed
@@ -186,8 +168,8 @@ def unit_point_rows(
     Returns a fresh (stop - start, dim) float64 array.
     """
     count, dim, seed = _check_rows(kind, count, dim, seed)
-    start, stop = _check_int("start", start), _check_int("stop", stop)
-    if not 0 <= start < stop <= count:
+    start, stop = _check_int("start", start, 0), _check_int("stop", stop, 1)
+    if not start < stop <= count:
         raise InvalidParameterError(f"need 0 <= start < stop <= count, got [{start}, {stop})")
     pts = np.empty((stop - start, dim))
     if kind == "mc":
@@ -304,6 +286,7 @@ def star_discrepancy_scan(points: UnitPointSet, resolution: int = 512) -> float:
     """
     pts = points.points
     n, d = pts.shape
+    resolution = _check_count(resolution, "resolution")
     grid = [np.arange(1, resolution + 1) / resolution] * d
     closed = _corner_counts(pts, grid, side="left")
     strict = _corner_counts(pts, grid, side="right")

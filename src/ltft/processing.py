@@ -8,17 +8,18 @@ vocoder moves atoms to (D*a, b, c) while raising coefficient phases to the
 D-th power, stretching time without dilating frequency content.
 
 The pipelines take their N points in tiles of consecutive indices.  Each
-tile is generated on its own, bit for bit equal to the same rows of the
-whole set, then planned, analysed, mapped by the rule and summed by the
-block loops of :mod:`ltft.core`, and the tile sums are added in tile order
-into the output.  So the memory a call holds does not grow with N,
-whatever the rule.  The cubature weight volume(box)/N is applied once, to
-the normalized sum, so one pass over the first N points of a sequence
-whose rows extend (:func:`ltft.lds.extensible`) also gives the output at
-every smaller N: a tile sums the points between two requested counts into
-a row of its own, and the rows are added in index order, so the counts do
-not change how the points are tiled.  Large calls run the tiles on a
-thread pool, one thread per usable core, with a few tiles in flight; the
+tile is a plain (n, 3) array, generated on its own, bit for bit equal to
+the same rows of the whole set, and scaled onto the box in place; it is
+then planned, analysed, mapped by the rule and summed by the block loops
+of :mod:`ltft.core`, and the tile sums are added in tile order into the
+output.  So the memory a call holds does not grow with N, whatever the
+rule.  The cubature weight volume(box)/N is applied once, to the
+normalized sum, so one pass over the first N points of a sequence whose
+rows extend (:func:`ltft.lds.extensible`) also gives the output at every
+smaller N: a tile sums the points between two requested counts into a row
+of its own, and the rows are added in index order, so the counts do not
+change how the points are tiled.  Large calls run the tiles on a thread
+pool, one thread per usable core, with a few tiles in flight; the
 partition and the order of the sums do not depend on the thread count, so
 neither does the output, bit for bit.
 """
@@ -38,9 +39,9 @@ from .core import (
     LtftParams,
     PhaseSpaceBox,
     Rule,
-    SampleSet,
     _MAX_SIGNAL_SAMPLES,
     _analysis_input,
+    _check_int,
     _predicted_atom_samples,
     _round_trip_coeffs,
     _ruled,
@@ -52,14 +53,6 @@ from .core import (
 from .errors import BudgetExceededError, InvalidParameterError
 from .frame import apply_inverse_frame, frame_diagonal
 from .lds import _check_count, _check_rows, extensible, scale_rows, unit_point_rows
-
-
-def _check_dilation(dilation) -> int:
-    # The time dilation D as an int; a bool, a non-integer (inf and NaN
-    # included) or D < 1 is refused.
-    if isinstance(dilation, bool) or not float(dilation).is_integer() or dilation < 1:
-        raise InvalidParameterError("dilation must be an integer >= 1")
-    return int(dilation)
 
 
 def sample_count(m: int, samples, redundancy, default: float) -> int:
@@ -93,7 +86,7 @@ class VocoderJob:
     samples: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _check_dilation(self.dilation)
+        _check_int("dilation", self.dilation, 1)
         self.sample_count(1)  # refuse a bad N or A now
 
     def sample_count(self, m: int) -> int:
@@ -140,7 +133,7 @@ def vocoder_phase_rule(z, dilation: int):
     Computed as |z| * (z/|z|)^D by complex multiplies, with no complex exp
     or arg; z = 0 maps to 0 and NaN propagates.
     """
-    d = _check_dilation(dilation)
+    d = _check_int("dilation", dilation, 1)
     if d == 1:
         return z
     z = np.asarray(z, dtype=np.complex128)
@@ -230,11 +223,11 @@ def _analysis_synthesis(
     # (lds.extensible) are prefixes of one sequence, so one pass serves every
     # count.  Other sets depend on N, and max |F| on all N points, so these
     # take one count.  A tile's rows come straight from the generator, are
-    # scaled onto the box in place, and are analysed and summed by the block
-    # loops of core into one sum row per segment between the counts; each
-    # tile gives a (grid index, sum rows) pair, and the rows are added in
-    # index order, so the output does not depend on the thread count, bit
-    # for bit.  At D = 1 synthesis uses the very atoms analysis
+    # scaled onto the box in place, and that array is analysed and summed by
+    # the block loops of core into one sum row per segment between the
+    # counts; each tile gives a (grid index, sum rows) pair, and the rows are
+    # added in index order, so the output does not depend on the thread
+    # count, bit for bit.  At D = 1 synthesis uses the very atoms analysis
     # built, so a tile takes the one-pass round trip, the rule mapping each
     # block's coefficients while the block is in hand.  At D > 1 a tile is
     # analysed, its coefficients mapped, its times dilated in place and its
@@ -249,6 +242,8 @@ def _analysis_synthesis(
     n = counts[-1]
     rate = signal.sample_rate
     out_len = dilation * signal.m
+    if out_len > _MAX_SIGNAL_SAMPLES:
+        raise BudgetExceededError(f"output of {out_len} samples exceeds the budget")
     # The frame diagonal first: its build's temporaries are gone before the
     # tiles allocate.
     hd = frame_diagonal(params, rate, out_len, folded=True)
@@ -267,17 +262,16 @@ def _analysis_synthesis(
             tiles.append((start, [stop]))
     pooled = len(tiles) >= 2 and _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
 
-    def tile_points(k: int) -> SampleSet:
+    def tile_points(k: int) -> np.ndarray:
         start, ends = tiles[k]
-        rows = unit_point_rows(kind, n, 3, seed, start, ends[-1])
-        return SampleSet(scale_rows(rows, box), box, kind)
+        return scale_rows(unit_point_rows(kind, n, 3, seed, start, ends[-1]), box)
 
     def cuts(k: int) -> List[int]:
         start, ends = tiles[k]
         return [end - start for end in ends[:-1]]
 
-    def coeffs_of(samples: SampleSet) -> np.ndarray:
-        return _tile_coeffs(sig, samples, params, signal.m, rate)
+    def coeffs_of(points: np.ndarray) -> np.ndarray:
+        return _tile_coeffs(sig, points, params, signal.m, rate)
 
     if at_peak is not None:
         peaks = _map_tiles(lambda k: np.abs(coeffs_of(tile_points(k))).max(), len(tiles), pooled)
@@ -286,21 +280,20 @@ def _analysis_synthesis(
     if dilation == 1:
 
         def task(k: int) -> Tuple[int, np.ndarray]:
-            samples = tile_points(k)
-            source = _round_trip_coeffs(sig, samples, rate, rule)
-            return _tile_sum(samples, params, signal.m, rate, source, cuts(k))
+            points = tile_points(k)
+            source = _round_trip_coeffs(sig, points, rate, rule)
+            return _tile_sum(points, params, signal.m, rate, source, cuts(k))
 
     else:
 
         def task(k: int) -> Tuple[int, np.ndarray]:
-            samples = tile_points(k)
-            values = coeffs_of(samples)
+            points = tile_points(k)
+            values = coeffs_of(points)
             if rule is not None:
-                values = _ruled(rule, values, samples.points)
-            samples.points[:, 0] *= float(dilation)
-            dilated = SampleSet(samples.points, box.scaled(float(dilation)), kind)
+                values = _ruled(rule, values, points)
+            points[:, 0] *= float(dilation)
             return _tile_sum(
-                dilated, params, out_len, rate, lambda block, *_: values[block.sel], cuts(k)
+                points, params, out_len, rate, lambda block, *_: values[block.sel], cuts(k)
             )
 
     raw = np.zeros(out_len, dtype=np.complex128)
@@ -372,16 +365,13 @@ def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
 
     Memory: the phase rule acts on each coefficient alone, so the vocoder
     runs tile by tile like :func:`reconstruct`: a few signal-length arrays
-    at the output length D*M, and the points, coefficients, block plans and
-    partial sums of a few tiles.  At D = 1 it is the round trip of
+    at the output length D*M, and the point arrays, coefficients, block
+    plans and partial sums of a few tiles; a tile's times are dilated in
+    its own array.  At D = 1 it is the round trip of
     :func:`reconstruct`; at D > 1 synthesis uses other atoms than analysis,
     so each atom block is built twice.
     """
-    d = int(job.dilation)
-    out_len = d * signal.m
-    if out_len > _MAX_SIGNAL_SAMPLES:
-        raise BudgetExceededError(f"output of {out_len} samples exceeds the budget")
     return _analysis_synthesis(
         signal, job.params, [job.sample_count(signal.m)], job.sequence, job.seed, job.padded,
-        rule=lambda z, a, b, c: vocoder_phase_rule(z, d), dilation=d,
+        rule=lambda z, a, b, c: vocoder_phase_rule(z, job.dilation), dilation=job.dilation,
     )[0]

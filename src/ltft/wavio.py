@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DigitalSignal
+from .core import DigitalSignal, _check_int
 from .errors import InvalidParameterError, ParseError, UnsupportedFormatError
 
 _SCALE = 32768.0
@@ -27,8 +27,7 @@ class WavAudio:
         # PCM has no NaN or infinity: they would be written as 0 and full scale.
         if not np.isfinite(self.samples).all():
             raise InvalidParameterError("audio samples must be finite")
-        if self.rate <= 0:
-            raise InvalidParameterError("sample rate must be positive")
+        self.rate = _check_int("sample rate", self.rate, 1)
 
     def to_signal(self) -> DigitalSignal:
         """Signal at one time unit per second, zero-padded to even length."""

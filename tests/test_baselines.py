@@ -224,3 +224,10 @@ def test_coverage_queries_refuse_a_margin_wider_than_the_box():
             coverage_queries(box, params, 10)
     fits = coverage_queries(box, LtftParams.for_rate(RATE), 200)
     assert np.all((fits[:, 0] > box.t_lo) & (fits[:, 0] < box.t_hi))
+
+
+@pytest.mark.parametrize("count, seed", [(2.5, 0), (3, 1.5)], ids=["count", "seed"])
+def test_coverage_queries_refuse_a_non_integer_count_or_seed(params, count, seed):
+    box = PhaseSpaceBox(t_lo=-8.0, t_hi=8.0, freq_hi=RATE)
+    with pytest.raises(InvalidParameterError):
+        coverage_queries(box, params, count, seed=seed)

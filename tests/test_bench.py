@@ -45,6 +45,15 @@ def test_test_signal_band_limited(params):
     assert inside / total > 0.999
 
 
+@pytest.mark.parametrize(
+    "m, seed", [(0, 0), (256, 1.5)], ids=["empty-grid", "non-integer-seed"]
+)
+def test_test_signal_refuses_a_bad_grid_or_seed(m, seed):
+    # M = 0 divided by zero, and a float seed failed inside numpy.
+    with pytest.raises(InvalidParameterError):
+        make_test_signal(m, RATE, seed=seed)
+
+
 def _box(m):
     half = m / (2.0 * RATE)
     return PhaseSpaceBox(t_lo=-half, t_hi=half, freq_hi=RATE)

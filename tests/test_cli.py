@@ -121,6 +121,14 @@ def test_wav_audio_refuses_non_finite_samples(bad):
         WavAudio([0.1, bad, 0.2], RATE)
 
 
+@pytest.mark.parametrize("rate", [1.5, 0.4, True], ids=str)
+def test_wav_audio_refuses_a_rate_that_is_not_a_positive_integer(rate):
+    # 1.5 was written as a 2 Hz file, 0.4 failed inside the wave module,
+    # and True stood for 1 Hz.
+    with pytest.raises(InvalidParameterError, match="sample rate"):
+        WavAudio(np.zeros(8), rate)
+
+
 def test_non_finite_output_is_one_line_invalid_parameter(tmp_path, capsys, monkeypatch):
     # A pipeline that returned non-finite samples is refused at the WAV
     # boundary: one line, exit status 1, no output file.

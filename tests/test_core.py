@@ -41,8 +41,9 @@ RATE = 64.0
 def _round_trip(signal, samples, params, rule=None):
     # The one-pass round trip over one sample set on the signal's own grid.
     rate = signal.sample_rate
-    source = core._round_trip_coeffs(core._analysis_input(signal, params), samples, rate, rule)
-    lo, (tile,) = core._tile_sum(samples, params, signal.m, rate, source)
+    points = samples.points
+    source = core._round_trip_coeffs(core._analysis_input(signal, params), points, rate, rule)
+    lo, (tile,) = core._tile_sum(points, params, signal.m, rate, source)
     out = np.zeros(signal.m, dtype=np.complex128)
     out[lo : lo + tile.size] = tile * (samples.box.volume / samples.n)
     return DigitalSignal(out, rate)
@@ -496,12 +497,12 @@ def _check_blocks(p, samples, m):
     # first sample; every sample with a sample on the grid in exactly one
     # block, and no other sample in any.  Returns the blocks.
     pts = samples.points
-    blocks = _atom_blocks(p, samples, RATE, m)
+    blocks = _atom_blocks(p, pts, RATE, m)
     guard = (core._analysis_input(DigitalSignal(np.zeros(m), RATE), p).size - m) // 2
     assert max(block.length for block in blocks) <= guard
     seen = []
     for block in blocks:
-        lo, j, atoms = _block_atoms(p, samples, RATE, block)
+        lo, j, atoms = _block_atoms(p, pts, RATE, block)
         assert j.shape == atoms.shape == (block.sel.size, block.length)
         assert np.all(np.diff(block.start) >= 0)
         assert j[0, 0] == 0 and j[-1, -1] == j.max()
@@ -601,7 +602,7 @@ def test_operator_matches_dense_naive_sums(params, padded, dilation, monkeypatch
 
     for budget in (core._BLOCK_ATOM_SAMPLES, 64):
         monkeypatch.setattr(core, "_BLOCK_ATOM_SAMPLES", budget)
-        assert budget > 64 or len(_atom_blocks(params, samples, RATE, grid_len)) >= 40
+        assert budget > 64 or len(_atom_blocks(params, samples.points, RATE, grid_len)) >= 40
         coeffs = analyze(sig, samples, params).values
         expected = dense.conj() @ sig.samples / RATE
         assert w * np.sum(np.abs(g)) * np.max(np.abs(coeffs - expected)) <= 1e-12 * scale
@@ -669,7 +670,7 @@ def test_plan_order_matches_lexsort_reference(kind, padded, m, n):
 def _check_plan_order(p, samples, m):
     m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
     own = m_end - m_start + 1
-    blocks = _atom_blocks(p, samples, RATE, m)
+    blocks = _atom_blocks(p, samples.points, RATE, m)
     expected = _reference_blocks(own, m_start, m)
     assert len(blocks) == len(expected)
     for block, sel in zip(blocks, expected):
@@ -713,7 +714,7 @@ def test_small_call_packs_neighbouring_lengths(monkeypatch):
     rng = np.random.default_rng(3)
     sig = DigitalSignal(rng.standard_normal(m), RATE)
     samples = scale_to_box(generate_unit_points("mc", m, 3, 1), PhaseSpaceBox.for_signal(sig, p))
-    blocks = _atom_blocks(p, samples, RATE, m)
+    blocks = _atom_blocks(p, samples.points, RATE, m)
     assert len(blocks) <= 8
     m_start, m_end = core._support_index_range(p, samples.a, samples.b, RATE)
     own = m_end - m_start + 1
@@ -723,7 +724,7 @@ def test_small_call_packs_neighbouring_lengths(monkeypatch):
     packed = reconstruct(sig, p, m, kind="mc", seed=1)
     monkeypatch.setattr(core, "_PACK_RATIO", 1.0)
     # Unpacked, the rows follow np.lexsort by support length, then first sample.
-    unpacked_blocks = _atom_blocks(p, samples, RATE, m)
+    unpacked_blocks = _atom_blocks(p, samples.points, RATE, m)
     assert len(unpacked_blocks) > 8
     order = np.lexsort((m_start, own))
     assert np.array_equal(np.concatenate([b.sel for b in unpacked_blocks]), order[own[order] > 0])
@@ -773,7 +774,7 @@ def test_round_trip_equals_analyze_then_synthesize(kind, padded, pooled):
     sig = DigitalSignal(rng.standard_normal(m) + 1j * rng.standard_normal(m), RATE)
     box = PhaseSpaceBox.for_signal(sig, p, padded=padded)
     samples = scale_to_box(generate_unit_points(kind, 8 * m, 3, 2), box)
-    assert len(_atom_blocks(p, samples, RATE, m)) >= 4
+    assert len(_atom_blocks(p, samples.points, RATE, m)) >= 4
     coeffs = analyze(sig, samples, p)
     shrink = shrinkage(0.5)(np.median(np.abs(coeffs.values)))
     for rule in (None, _low_pass, shrink):
@@ -817,14 +818,14 @@ def test_tile_sum_rows_split_the_sum_by_sample_index(kind):
         out[:, lo : lo + rows.shape[1]] = rows
         return out
 
-    (whole,) = on_grid(samples)
+    (whole,) = on_grid(samples.points)
     for cuts, row in (([samples.n], 0), ([0], 1)):
-        rows = on_grid(samples, cuts)
+        rows = on_grid(samples.points, cuts)
         assert np.array_equal(rows[row], whole) and not rows[1 - row].any()
     cut = 3 * m + 17
-    rows = on_grid(samples, [cut])
+    rows = on_grid(samples.points, [cut])
     for row, part in zip(rows, (samples.points[:cut], samples.points[cut:])):
-        (alone,) = on_grid(SampleSet(part.copy(), box, kind))
+        (alone,) = on_grid(part.copy())
         assert np.linalg.norm(row - alone) <= 1e-13 * np.linalg.norm(alone)
 
 

@@ -274,6 +274,30 @@ def test_chunked_integrals_give_the_same_diagonal(monkeypatch, params, folded):
     _assert_same_diagonal(_build_diagonal.__wrapped__(params, RATE, M, folded), whole)
 
 
+def test_q_table_takes_one_window_power_integral_per_node(monkeypatch, params):
+    # G2 at a node of its own table is its cumulative there, so Q's table
+    # evaluates G2 once per node, at u - xi.  The wavelet integrand P1 takes
+    # two per node: q - gamma lies off the node grid.
+    sizes = []
+    original = _Integral._eval
+
+    def counting(self, t):
+        sizes.append(t.size)
+        return original(self, t)
+
+    monkeypatch.setattr(_Integral, "_eval", counting)
+    r, wavelet = _integrals(params, RATE)
+    assert sum(sizes) == r.values.size + 2 * wavelet.values.size
+
+
+@pytest.mark.parametrize("rate", [0.0, -64.0, np.nan, np.inf], ids=str)
+def test_rate_outside_the_grid_rule_is_invalid_parameter(params, rate):
+    # Rate 0 gave H = 0 in every bin and -64 a negative H; NaN and infinity
+    # reported a table past the budget rather than a bad rate.
+    with pytest.raises(InvalidParameterError, match="sample rate"):
+        frame_diagonal(params, rate, M)
+
+
 def test_equal_params_share_the_window_and_the_memo():
     first, second = LtftParams.for_rate(RATE), LtftParams.for_rate(RATE)
     assert first == second and first.window is second.window

@@ -164,8 +164,13 @@ def test_tile_rows_refuse_ranges_outside_the_set(start, stop):
         lambda: generate_unit_points("hammersley", 2.5, 3),
         lambda: generate_unit_points("halton", True, 3),
         lambda: generate_unit_points("mc", 4.0, 3, 0),
+        # A scan resolution follows the count rule: 0 ended in an IndexError
+        # and 2.5 scanned corners past 1.
+        lambda: star_discrepancy_scan(generate_unit_points("halton", 16, 2), resolution=0),
+        lambda: star_discrepancy_scan(generate_unit_points("halton", 16, 2), resolution=2.5),
     ],
-    ids=["radical-base", "radical-index", "hammersley-count", "halton-bool", "mc-count"],
+    ids=["radical-base", "radical-index", "hammersley-count", "halton-bool", "mc-count",
+         "scan-resolution-0", "scan-resolution-float"],
 )
 def test_non_integer_count_or_base_is_invalid(call):
     with pytest.raises(InvalidParameterError):

@@ -191,7 +191,7 @@ def test_vocoder_job_sample_count_from_samples(params):
             VocoderJob(params=params, dilation=2, **bad)
 
 
-@pytest.mark.parametrize("dilation", [float("inf"), float("nan"), True, 0, 2.5, -1])
+@pytest.mark.parametrize("dilation", [float("inf"), float("nan"), True, 0, 2.5, -1, 2.0])
 def test_bad_dilation_is_invalid_parameter(params, dilation):
     # One check behind both library entry points: no OverflowError or
     # ValueError, and True is not D = 1.
@@ -214,6 +214,28 @@ def test_vocoder_dilation_one_reduces_to_reconstruction(params, tapered_tone):
     assert np.array_equal(v.samples, r.samples)
 
 
+def test_pipelines_build_no_sample_set(monkeypatch, params, tapered_tone):
+    # The tiles are plain point arrays, so neither a two-tile reconstruction
+    # nor a D = 2 vocoder run builds a SampleSet, each of which would check
+    # every point against its box.
+    m = 512
+    s = tapered_tone(m)
+    built = []
+    original = core.SampleSet.__post_init__
+
+    def counting(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(core.SampleSet, "__post_init__", counting)
+    monkeypatch.setattr(processing, "_TILE_POINTS", 2 * m)
+    reconstruct(s, params, 4 * m)
+    phase_vocoder(s, VocoderJob(params=params, dilation=2, samples=4 * m))
+    assert built == []
+    core.SampleSet(np.zeros((1, 3)), PhaseSpaceBox(t_lo=-1.0, t_hi=1.0, freq_hi=RATE), "mc")
+    assert built == [1]
+
+
 def test_reconstruct_builds_each_atom_block_once(monkeypatch, params, tapered_tone):
     # Reconstruction, with a rule or without, and the vocoder at D = 1 take
     # the one-pass round trip; denoising first finds max |F| by an analysis
@@ -232,7 +254,7 @@ def test_reconstruct_builds_each_atom_block_once(monkeypatch, params, tapered_to
     samples = scale_to_box(
         generate_unit_points("hammersley", 8 * m, 3, 0), PhaseSpaceBox.for_signal(s, params)
     )
-    blocks = core._atom_blocks(params, samples, RATE, m)
+    blocks = core._atom_blocks(params, samples.points, RATE, m)
     runs = [
         (1, lambda: reconstruct(s, params, 8 * m)),
         (1, lambda: reconstruct(s, params, 8 * m, rule=_low_pass(12.0))),
