@@ -33,7 +33,8 @@ class DwtGridParams:
 
     The dilation step r must satisfy 1 < r < (gamma+0.5)/(gamma-0.5) so
     that the frequency bands of adjacent scales overlap; p scales the
-    per-row time density.
+    per-row time density.  The grid spans M >= 1 samples, odd M included,
+    at a finite rate L.
     """
 
     r: float
@@ -53,8 +54,9 @@ class DwtGridParams:
             )
         if self.p <= 0:
             raise InvalidParameterError("time-spacing factor p must be positive")
-        if not 0 < self.b0 < self.sample_rate:
-            raise InvalidParameterError("need 0 < b0 < sample rate")
+        if not 0 < self.b0 < self.sample_rate < np.inf:
+            raise InvalidParameterError("need 0 < b0 < sample rate < inf")
+        _check_int("grid length", self.m, 1)  # odd M is legal here
 
     def scale_exponents(self) -> range:
         """Integer scales k with r^k covering [b0, L]: ceil(K0)..ceil(K1)."""

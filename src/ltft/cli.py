@@ -17,24 +17,16 @@ and only the audio subcommands and bench-error take --padded.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from . import bench as bench_mod
-from .baselines import (
-    coverage_queries,
-    discrepancy_scaling,
-    dwt_grid_with_size,
-    funnel_coverage,
-)
 from .core import DigitalSignal, LtftParams, PhaseSpaceBox, _check_int
 from .errors import InvalidParameterError, LtftError, ParseError
 from .frame import frame_diagonal
-from .lds import KINDS, scale_to_box, generate_unit_points
+from .lds import KINDS, _check_rows, scale_to_box, generate_unit_points
 from .processing import (
     VocoderJob,
     denoise,
@@ -78,7 +70,10 @@ def _config_comment(config: RunConfig) -> str:
 def _write_csv(config: RunConfig, header: List[str], rows: Iterable[Sequence]) -> None:
     # The CSV format: the config line, the header, then one row per line
     # with floats at 17 significant digits.  Callers compute every row
-    # first, so a failing command leaves no file.
+    # first, so a failing command leaves no file.  Only the benchmark
+    # subcommands write CSV, so only they load the csv module.
+    import csv
+
     with open(str(config.options["csv"]), "w", newline="") as handle:
         handle.write(_config_comment(config) + "\r\n")
         writer = csv.writer(handle)
@@ -105,6 +100,8 @@ def _list_option(options: Dict[str, object], key: str, convert=str) -> list:
 
 
 def _load_audio(options: Dict[str, object]) -> tuple:
+    # A bad sequence or seed is refused before the WAV is read.
+    _check_rows(str(options["sequence"]), 1, 3, options["seed"])
     audio = wav_read(str(options["input"]))
     signal = audio.to_signal()
     params = _params_from(options, signal.sample_rate)
@@ -121,6 +118,9 @@ def _write_audio(path: str, signal: DigitalSignal, audio: WavAudio, dilation: in
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
+
+# The benchmark handlers import ltft.bench and ltft.baselines themselves, so
+# the audio commands never load those modules.
 
 
 def _cmd_reconstruct(config: RunConfig) -> int:
@@ -196,6 +196,8 @@ def _cmd_multiplier(config: RunConfig) -> int:
 
 
 def _cmd_bench_error(config: RunConfig) -> int:
+    from . import bench as bench_mod
+
     options = config.options
     m = int(options["resolution"])
     rate = float(options["rate"])
@@ -215,6 +217,8 @@ def _cmd_bench_error(config: RunConfig) -> int:
 
 
 def _cmd_bench_discrepancy(config: RunConfig) -> int:
+    from .baselines import discrepancy_scaling
+
     options = config.options
     generators = _list_option(options, "generators")
     sizes = _list_option(options, "sizes", int)
@@ -227,6 +231,8 @@ def _cmd_bench_discrepancy(config: RunConfig) -> int:
 
 
 def _cmd_bench_complexity(config: RunConfig) -> int:
+    from . import bench as bench_mod
+
     options = config.options
     rate = float(options["rate"])
     m = int(options["resolution"])
@@ -260,6 +266,8 @@ def _cmd_frame_diag(config: RunConfig) -> int:
 
 
 def _cmd_coverage(config: RunConfig) -> int:
+    from .baselines import coverage_queries, dwt_grid_with_size, funnel_coverage
+
     options = config.options
     rate = float(options["rate"])
     m = int(options["resolution"])

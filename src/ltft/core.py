@@ -188,6 +188,11 @@ _TABLE_SPACING = 1.0 / 256.0  # frequency grid step of the tabulated spectrum
 _TABLE_RANGE = 96.0  # spectrum kept on [-range, range]
 # cos^4(pi t) = 3/8 + cos(2 pi t)/2 + cos(4 pi t)/8, as weights of exp(2 pi i j t), |j| <= 2.
 _COS4_TERMS = (1.0 / 16.0, 0.25, 0.375, 0.25, 1.0 / 16.0)
+# The table's sinc terms are summed over this many nodes at a time.  Their
+# temporaries (64 KiB) stay below glibc's 128 KiB mmap threshold, so they
+# reuse heap pages, where full-length ones (384 KiB) would each be mapped
+# and faulted in afresh: the build then takes twice the page faults.
+_TABLE_CHUNK = 8192
 
 
 class WindowSpec:
@@ -214,13 +219,18 @@ class WindowSpec:
 
     @cached_property
     def _freq_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        # Term j of cos^4 transforms to sinc(nu - j) on (-1/2, 1/2).
+        # Term j of cos^4 transforms to sinc(nu - j) on (-1/2, 1/2).  Each
+        # node's sum is the same whichever chunk it falls in.
         last = int(_TABLE_RANGE / _TABLE_SPACING)
-        freqs = np.arange(-last, last + 1) * _TABLE_SPACING
+        freqs = np.arange(-last, last + 1, dtype=np.float64)
+        freqs *= _TABLE_SPACING
         table = np.zeros_like(freqs)
-        for j, weight in zip(range(-2, 3), _COS4_TERMS):
-            table += weight * np.sinc(freqs - j)
-        return freqs, _COS4_NORM * table
+        for lo in range(0, freqs.size, _TABLE_CHUNK):
+            nodes, sums = freqs[lo : lo + _TABLE_CHUNK], table[lo : lo + _TABLE_CHUNK]
+            for j, weight in zip(range(-2, 3), _COS4_TERMS):
+                sums += weight * np.sinc(nodes - j)
+        table *= _COS4_NORM
+        return freqs, table
 
     def freq(self, nu) -> np.ndarray:
         """Spectrum w_hat(nu) by linear interpolation of the tabulation."""

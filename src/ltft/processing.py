@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -87,7 +86,8 @@ class VocoderJob:
 
     def __post_init__(self) -> None:
         _check_int("dilation", self.dilation, 1)
-        self.sample_count(1)  # refuse a bad N or A now
+        _check_rows(self.sequence, 1, 3, self.seed)  # refuse a bad kind or seed now
+        self.sample_count(1)  # and a bad N or A
 
     def sample_count(self, m: int) -> int:
         return sample_count(m, self.samples, self.redundancy, 4.0 * self.dilation)
@@ -185,6 +185,10 @@ def _map_tiles(task: Callable[[int], T], count: int, pooled: bool) -> Iterator[T
         for k in range(count):
             yield task(k)
         return
+    # Imported here: the pool's modules (logging and queue among them) take
+    # milliseconds to load, which a process that pools nothing need not pay.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         try:

@@ -11,11 +11,15 @@ from .core import DigitalSignal, _check_int
 from .errors import InvalidParameterError, ParseError, UnsupportedFormatError
 
 _SCALE = 32768.0
+# The header's rate and byte-rate fields are 32 bits, and a mono PCM16 file's
+# byte rate is twice its sample rate.
+_MAX_RATE = 2**31 - 1
 
 
 @dataclass
 class WavAudio:
-    """Mono float samples in [-1, 1) with an integer sample rate."""
+    """Mono float samples in [-1, 1) at an integer rate in [1, 2**31 - 1] Hz,
+    the rates whose byte rate fits the WAV header's 32-bit field."""
 
     samples: np.ndarray
     rate: int
@@ -28,6 +32,8 @@ class WavAudio:
         if not np.isfinite(self.samples).all():
             raise InvalidParameterError("audio samples must be finite")
         self.rate = _check_int("sample rate", self.rate, 1)
+        if self.rate > _MAX_RATE:
+            raise InvalidParameterError(f"sample rate {self.rate} exceeds {_MAX_RATE}")
 
     def to_signal(self) -> DigitalSignal:
         """Signal at one time unit per second, zero-padded to even length."""

@@ -30,6 +30,19 @@ def test_dwt_params_validation():
     DwtGridParams(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=256)
 
 
+@pytest.mark.parametrize(
+    "bad", [dict(sample_rate=np.inf), dict(m=2.5), dict(m=0), dict(m=True)], ids=str
+)
+def test_dwt_params_refuse_an_infinite_rate_or_a_non_integer_m(bad):
+    # An infinite rate overflowed in scale_exponents; M = 2.5 built a grid.
+    with pytest.raises(InvalidParameterError):
+        DwtGridParams(**{**dict(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=256), **bad})
+
+
+def test_dwt_params_take_an_odd_m():
+    assert dwt_grid(DwtGridParams(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=1023)).n > 0
+
+
 def test_dwt_scale_exponents_hand_case():
     # L=4, gamma=1, b0=0.5, r=2: K0 = log2(1/3), K1 = log2(8) = 3
     p = DwtGridParams(r=2.0, p=1.0, b0=0.5, sample_rate=4.0, m=16, gamma=1.0)

@@ -129,6 +129,20 @@ def test_wav_audio_refuses_a_rate_that_is_not_a_positive_integer(rate):
         WavAudio(np.zeros(8), rate)
 
 
+@pytest.mark.parametrize("rate", [2**31, 2**32 - 1, 2**32])
+def test_wav_audio_refuses_a_rate_past_the_header_field(tmp_path, rate):
+    # The header holds the rate and the byte rate, twice the rate, in 32
+    # bits each; these ended in a struct.error.
+    with pytest.raises(InvalidParameterError, match="sample rate"):
+        wav_write(str(tmp_path / "fast.wav"), WavAudio(np.zeros(8), rate))
+
+
+def test_wav_largest_rate_round_trips(tmp_path):
+    path = str(tmp_path / "fast.wav")
+    wav_write(path, WavAudio(np.zeros(8), 2**31 - 1))
+    assert wav_read(path).rate == 2**31 - 1
+
+
 def test_non_finite_output_is_one_line_invalid_parameter(tmp_path, capsys, monkeypatch):
     # A pipeline that returned non-finite samples is refused at the WAV
     # boundary: one line, exit status 1, no output file.
@@ -338,6 +352,23 @@ def test_dilation_or_cutoff_is_refused_before_the_wav_is_read(tmp_path, capsys, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
     assert ("dilation" if command.startswith("vocoder") else "cutoff") in err[0]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "reconstruct --sequence mc --seed -1",
+        "vocoder --sequence mc --seed -1",
+        "denoise --sequence mc --seed -1",
+        "multiplier --low-pass 1000 --sequence mc --seed -1",
+    ],
+)
+def test_seed_is_refused_before_the_wav_is_read(tmp_path, capsys, command):
+    args = command.split() + [str(tmp_path / "missing.wav"), str(tmp_path / "o.wav")]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+    assert "seed" in err[0]
 
 
 def test_bench_error_csv(tmp_path):
@@ -600,17 +631,58 @@ def test_non_finite_redundancy_is_invalid_parameter(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
 
 
-def _run_cli(args, **kwargs):
-    # ltft as a child process that imports the same ltft as this process.
+def _run_python(args, **kwargs):
+    # A child Python process that imports the same ltft as this process.
     src = os.path.dirname(os.path.dirname(ltft.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "ltft.cli", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         **kwargs,
     )
+
+
+def _run_cli(args, **kwargs):
+    return _run_python(["-m", "ltft.cli", *args], **kwargs)
+
+
+# Names of the top-level package that load their module on first access.
+_LAZY_EXPORTS = {
+    "baselines": [
+        "CoverageReport", "DwtGridParams", "coverage_queries", "discrepancy_scaling",
+        "dwt_grid", "dwt_grid_with_size", "funnel_coverage",
+    ],
+    "bench": [
+        "bench_reconstruction", "complexity_count", "complexity_per_point_bound",
+        "make_test_signal",
+    ],
+}
+
+
+def test_cli_import_loads_neither_bench_modules_nor_the_pool():
+    # A fresh process: `import ltft.cli` runs no benchmark module and loads
+    # no thread pool, and each lazy name then resolves to its module's own
+    # object and is listed by dir(ltft).
+    code = f"""
+import importlib, sys
+import ltft.cli
+loaded = {{"ltft.baselines", "ltft.bench", "concurrent.futures"}} & set(sys.modules)
+assert not loaded, loaded
+import ltft
+for module, names in {_LAZY_EXPORTS!r}.items():
+    for name in names:
+        assert name in dir(ltft), name
+        assert getattr(ltft, name) is getattr(importlib.import_module("ltft." + module), name)
+"""
+    proc = _run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ltft.no_such_name
 
 
 @pytest.mark.parametrize(

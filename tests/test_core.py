@@ -115,6 +115,30 @@ def test_window_spectrum_matches_cosine_sum():
     assert np.max(np.abs(w.freq(nu) - ref(nu))) < 5e-6
 
 
+def test_window_table_is_the_unchunked_sum_at_a_small_peak():
+    # The table sums its five sinc terms a chunk of nodes at a time, so no
+    # temporary is signal-table sized; each node gets the same bits as the
+    # whole-array sum.  Whole-array temporaries peaked at 2.25 MiB.
+    import tracemalloc
+
+    from ltft.core import _COS4_NORM, _COS4_TERMS
+
+    w = WindowSpec()
+    tracemalloc.start()
+    try:
+        grid, vals = w._freq_table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    freqs = np.arange(-24576, 24577) * (1.0 / 256.0)
+    table = np.zeros_like(freqs)
+    for j, weight in zip(range(-2, 3), _COS4_TERMS):
+        table += weight * np.sinc(freqs - j)
+    assert np.array_equal(grid, freqs)
+    assert np.array_equal(vals, _COS4_NORM * table)
+    assert peak < 1.25 * 2**20
+
+
 def test_window_table_matches_direct_midpoint_sum():
     # The table's nodes are the closed-form transform, at nu = m / 256.  The
     # midpoint-rule DFT of the window over 8192 samples equals it to rounding

@@ -191,6 +191,14 @@ def test_vocoder_job_sample_count_from_samples(params):
             VocoderJob(params=params, dilation=2, **bad)
 
 
+@pytest.mark.parametrize("bad", [dict(sequence="sobol"), dict(sequence="mc", seed=-1),
+                                 dict(sequence="mc", seed=1.5)], ids=str)
+def test_vocoder_job_refuses_a_bad_sequence_or_seed(params, bad):
+    # Refused when the job is made, not when its points are drawn.
+    with pytest.raises(InvalidParameterError, match="kind|seed"):
+        VocoderJob(params=params, dilation=2, **bad)
+
+
 @pytest.mark.parametrize("dilation", [float("inf"), float("nan"), True, 0, 2.5, -1, 2.0])
 def test_bad_dilation_is_invalid_parameter(params, dilation):
     # One check behind both library entry points: no OverflowError or
