@@ -13,10 +13,11 @@ The names of the comparison baselines (:mod:`ltft.baselines`:
 ``complexity_per_point_bound``, ``make_test_signal``) load on first access,
 so a process that only transforms or processes audio never imports those
 two modules.  Each such name is the module's own object and is listed by
-``dir(ltft)``.
+``dir(ltft)`` and in ``__all__``.
 """
 
 from importlib import import_module as _import_module
+from types import ModuleType as _ModuleType
 
 from .core import (
     CoefficientVector,
@@ -94,6 +95,13 @@ _LAZY = {
         "bench",
     ),
 }
+
+# A star import binds the lazy names too, and so loads their modules.
+__all__ = [
+    *(name for name, value in globals().items()
+      if not name.startswith("_") and not isinstance(value, _ModuleType)),
+    *_LAZY,
+]
 
 
 def __getattr__(name: str):

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import LtftParams, PhaseSpaceBox, SampleSet, _check_int, _guard_samples
+from .core import LtftParams, PhaseSpaceBox, SampleSet, _check_grid, _check_int, _guard_samples
 from .errors import BudgetExceededError, InvalidParameterError
 from .lds import (
     KINDS,
@@ -34,7 +34,7 @@ class DwtGridParams:
     The dilation step r must satisfy 1 < r < (gamma+0.5)/(gamma-0.5) so
     that the frequency bands of adjacent scales overlap; p scales the
     per-row time density.  The grid spans M >= 1 samples, odd M included,
-    at a finite rate L.
+    at a finite rate L, under the grid budget of :mod:`ltft.core`.
     """
 
     r: float
@@ -56,7 +56,7 @@ class DwtGridParams:
             raise InvalidParameterError("time-spacing factor p must be positive")
         if not 0 < self.b0 < self.sample_rate < np.inf:
             raise InvalidParameterError("need 0 < b0 < sample rate < inf")
-        _check_int("grid length", self.m, 1)  # odd M is legal here
+        _check_grid(self.m, self.sample_rate, odd=True)
 
     def scale_exponents(self) -> range:
         """Integer scales k with r^k covering [b0, L]: ceil(K0)..ceil(K1)."""

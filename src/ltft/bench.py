@@ -19,7 +19,7 @@ from .core import (
     relative_error,
 )
 from .errors import InvalidParameterError
-from .lds import _check_rows, extensible, seeded
+from .lds import _check_rows, seeded
 from .processing import _analysis_synthesis, sample_count
 
 _NOISE_FLOOR_DB = -60.0
@@ -94,11 +94,10 @@ def bench_reconstruction(
     Error is the relative L2 distance between the input and the
     analyze/synthesize/inverse-frame output; Monte Carlo rows average over
     the given seeds and record the spread.  Every argument is checked
-    before the first reconstruction.  Extensible rows (lds.extensible)
-    are prefixes of one sequence, so one pass per seed over the largest N
-    gives every row, each count a sum row of the tile it falls in, so the
-    pass runs the same tiles as a single reconstruction at that N; a
-    Hammersley set depends on N, so each row is a call.
+    before the first reconstruction.  Each method and seed is one pipeline
+    call over every count, which plans its own passes: one in all for
+    extensible rows (lds.extensible), each count a sum row of the tile it
+    falls in, and one per count for a Hammersley set, which depends on N.
     """
     if not all(1 <= a < np.inf for a in redundancies):
         raise InvalidParameterError("redundancies must be finite and >= 1")
@@ -114,13 +113,11 @@ def bench_reconstruction(
         return []
     rows: List[ErrorRow] = []
     for method in methods:
-        passes = [ladder] if extensible(method) else [[n] for n in ladder]
         errs: Dict[int, List[float]] = {n: [] for n in ladder}
         for seed in mc_seeds if seeded(method) else (0,):
-            for ns in passes:
-                outs = _analysis_synthesis(signal, params, ns, method, seed, padded)
-                for n, out in zip(ns, outs):
-                    errs[n].append(relative_error(out, signal))
+            outs = _analysis_synthesis(signal, params, ladder, method, seed, padded)
+            for n, out in zip(ladder, outs):
+                errs[n].append(relative_error(out, signal))
         rows += [
             ErrorRow(method, a, n, float(np.mean(errs[n])), float(np.std(errs[n])))
             for a, n in zip(redundancies, counts)

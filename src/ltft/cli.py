@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from .core import DigitalSignal, LtftParams, PhaseSpaceBox, _check_int
-from .errors import InvalidParameterError, LtftError, ParseError
+from .errors import BudgetExceededError, InvalidParameterError, LtftError, ParseError
 from .frame import frame_diagonal
 from .lds import KINDS, _check_rows, scale_to_box, generate_unit_points
 from .processing import (
@@ -100,8 +100,16 @@ def _list_option(options: Dict[str, object], key: str, convert=str) -> list:
 
 
 def _load_audio(options: Dict[str, object]) -> tuple:
-    # A bad sequence or seed is refused before the WAV is read.
+    # Every argument that needs nothing from the WAV is refused before it is
+    # read: the sequence and seed, N or A, and the transform, checked at the
+    # lowest rate a WAV can have.  A count past the budget is refused once M
+    # is known: only M tells it from an A*M that overflows, which is invalid.
     _check_rows(str(options["sequence"]), 1, 3, options["seed"])
+    try:
+        sample_count(1, options.get("samples"), options.get("redundancy"), 16.0)
+    except BudgetExceededError:
+        pass
+    _params_from(options, 1.0)
     audio = wav_read(str(options["input"]))
     signal = audio.to_signal()
     params = _params_from(options, signal.sample_rate)

@@ -23,17 +23,17 @@ coefficients and adds it, one block after another in block order, straight
 into one accumulator over the span the blocks reach, with one row per
 segment of point indices a caller sums apart; the cubature weight
 volume(box)/N scales the sum once.  The blocks of one call run in the
-calling thread, on arrays that each thread keeps for its next block; the
-pipelines in :mod:`ltft.processing` run tiles of points on a thread pool,
-and call these block loops once per tile.
+calling thread, on arrays that each thread keeps for its next block.
+:mod:`ltft.processing` plans the pipelines' tiles and passes, and this
+module runs a tile.  Every grid is at most ``_MAX_SIGNAL_SAMPLES`` long.
 
 The synthesis loop asks for each block's coefficients while the block's
-atoms are in hand.  Synthesis reads them from a vector.  Reconstruction
-synthesizes the atoms it analysed, on the same grid, so its private round
-trip takes the block's analysis coefficients, mapped by an optional
-per-point rule: each block is built once, with the same bits as analysis,
-the rule, then synthesis.  Synthesis at a time dilation uses other atoms,
-so that pipeline keeps the two passes.
+atoms are in hand.  Synthesis reads them from a vector.  A pipeline tile
+at D = 1 synthesizes the atoms it analysed, on the same grid, so each
+block is built once and its analysis coefficients are mapped by the
+optional per-point rule while it is in hand, with the same bits as
+analysis, the rule, then synthesis.  At D > 1 synthesis uses other atoms,
+so the tile is analysed and summed in two passes.
 
 The block kernel takes no transcendental per sample and makes no serial
 scan.  A block is sample-major, (length, rows), so each step is one
@@ -83,11 +83,19 @@ def _check_int(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _check_grid(m, sample_rate) -> int:
-    # A sampling grid: an even integer length M >= 4 at a rate in (0, inf).
-    m = _check_int("grid length", m, 4)
-    if m % 2:
+# The longest signal array a call makes: a grid, the analysis input with its
+# guard band, or a dilated output of D*M samples (2^26 complex samples, 1 GiB).
+_MAX_SIGNAL_SAMPLES = 1 << 26
+
+
+def _check_grid(m, sample_rate, odd: bool = False) -> int:
+    # A sampling grid: an integer length M of at most _MAX_SIGNAL_SAMPLES,
+    # even and >= 4 (or with `odd`, any M >= 1), at a rate in (0, inf).
+    m = _check_int("grid length", m, 1 if odd else 4)
+    if m % 2 and not odd:
         raise InvalidParameterError(f"grid length must be even, got {m}")
+    if m > _MAX_SIGNAL_SAMPLES:
+        raise BudgetExceededError(f"a grid of {m} samples exceeds the budget")
     if not 0 < sample_rate < np.inf:
         raise InvalidParameterError("sample rate must be positive and finite")
     return m
@@ -188,10 +196,11 @@ _TABLE_SPACING = 1.0 / 256.0  # frequency grid step of the tabulated spectrum
 _TABLE_RANGE = 96.0  # spectrum kept on [-range, range]
 # cos^4(pi t) = 3/8 + cos(2 pi t)/2 + cos(4 pi t)/8, as weights of exp(2 pi i j t), |j| <= 2.
 _COS4_TERMS = (1.0 / 16.0, 0.25, 0.375, 0.25, 1.0 / 16.0)
-# The table's sinc terms are summed over this many nodes at a time.  Their
-# temporaries (64 KiB) stay below glibc's 128 KiB mmap threshold, so they
-# reuse heap pages, where full-length ones (384 KiB) would each be mapped
-# and faulted in afresh: the build then takes twice the page faults.
+# This table's sinc terms, and the frame diagonal's integrals, are taken
+# this many nodes at a time.  Their temporaries (64 KiB) stay below glibc's
+# 128 KiB mmap threshold, so they reuse heap pages, where full-length ones
+# (384 KiB) would each be mapped and faulted in afresh: the build then takes
+# twice the page faults.
 _TABLE_CHUNK = 8192
 
 
@@ -423,11 +432,11 @@ def atom_support_length(params: LtftParams, b) -> np.ndarray:
     """Time-support length of the atom at frequency b.
 
     gamma/b0 for b <= b0, gamma/b in the wavelet band, gamma/b1 for
-    b >= b1; continuous across both transitions.
+    b >= b1; continuous across both transitions.  b must be finite.
     """
     b = np.asarray(b, dtype=np.float64)
-    if np.any(b < 0):
-        raise InvalidParameterError("frequency must be non-negative")
+    if not np.all((b >= 0) & (b < np.inf)):  # NaN too
+        raise InvalidParameterError("frequency must be finite and non-negative")
     mid = np.clip(b, params.b0, params.b1)
     return params.gamma / mid
 
@@ -559,8 +568,10 @@ def ltft_atom_freq(params: LtftParams, b: float, c: float, freq_grid) -> np.ndar
     with center = (xi/gamma) c beff + b on the STFT branches and
     ((xi/gamma) c + 1) b on the wavelet branch.
     """
-    if b < 0:
-        raise InvalidParameterError("frequency must be non-negative")
+    if not 0 <= b < np.inf:
+        raise InvalidParameterError("frequency must be finite and non-negative")
+    if not -np.inf < c < np.inf:
+        raise InvalidParameterError("oscillation must be finite")
     omega = np.asarray(freq_grid, dtype=np.float64)
     beff, center = _branch_arrays(
         params, np.asarray([b]), np.asarray([float(c)])
@@ -588,9 +599,6 @@ _PACK_RATIO = 1.25
 # thread's next block; larger ones (a block of very long rows) are made
 # afresh each time.
 _SCRATCH_KEEP = 1 << 18
-# The longest signal array a call makes: the analysis input with its guard
-# band, or a dilated output of D*M samples (2^26 complex samples, 1 GiB).
-_MAX_SIGNAL_SAMPLES = 1 << 26
 
 _SCRATCH = threading.local()
 
@@ -833,18 +841,29 @@ def _ruled(rule: Rule, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _round_trip_coeffs(
-    sig: np.ndarray, points: np.ndarray, sample_rate: float, rule: Optional[Rule]
-) -> Callable[..., np.ndarray]:
-    # The one-pass round trip's source for _tile_sum: a block's analysis
-    # coefficients against the padded input `sig`, mapped by the rule.  The
-    # sum then equals the synthesis of rule(_tile_coeffs(...), a, b, c) bit
-    # for bit, with each atom block built once.
-    def coeffs(block: _AtomBlock, lo: int, j: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-        values = _block_coeffs(sig, lo, j, atoms, sample_rate)
-        return values if rule is None else _ruled(rule, values, points[block.sel])
+def _tile_pass(
+    sig: np.ndarray, points: np.ndarray, params: LtftParams, grid_len: int,
+    sample_rate: float, rule: Optional[Rule] = None, dilation: int = 1, cuts: Sequence[int] = (),
+) -> Tuple[int, np.ndarray]:
+    # One pipeline tile, as _tile_sum returns it: the rows of `points`
+    # analysed against the padded input `sig` of a grid_len signal, mapped
+    # by the rule, and summed at (D*a, b, c) on the D*grid_len grid in one
+    # row per segment between the `cuts`.  At D = 1 the sum equals the
+    # synthesis of rule(_tile_coeffs(...), a, b, c) bit for bit.  At D > 1
+    # the times are dilated in place, so `points` is the caller's to give up.
+    if dilation == 1:
+        def coeffs(block: _AtomBlock, lo: int, j: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+            values = _block_coeffs(sig, lo, j, atoms, sample_rate)
+            return values if rule is None else _ruled(rule, values, points[block.sel])
 
-    return coeffs
+        return _tile_sum(points, params, grid_len, sample_rate, coeffs, cuts)
+    values = _tile_coeffs(sig, points, params, grid_len, sample_rate)
+    if rule is not None:
+        values = _ruled(rule, values, points)
+    points[:, 0] *= float(dilation)
+    return _tile_sum(
+        points, params, dilation * grid_len, sample_rate, lambda block, *_: values[block.sel], cuts
+    )
 
 
 def analyze(

@@ -30,13 +30,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DigitalSignal, LtftParams, Spectrum, _check_grid, _check_int, dft, idft
+from .core import DigitalSignal, LtftParams, Spectrum, dft, idft
+from .core import _TABLE_CHUNK, _check_grid, _check_int
 from .errors import BudgetExceededError, InvalidParameterError
 
 _GRID_STEP = 1.0 / 1024.0  # dimensionless tabulation step
 _GRID_MARGIN = 40.0  # spectral tail margin beyond the needed range
 _FLOOR_FACTOR = 1e-8  # floor = factor * max(h)
-_CHUNK = 1 << 13  # arguments per evaluation step of an _Integral
 # Nodes of one table, 2^24 (128 MiB of doubles): default parameters need
 # about 165k, and the build holds a few tables at once.
 _MAX_TABLE_NODES = 1 << 24
@@ -73,8 +73,8 @@ class _Integral:
     of the piecewise-linear interpolant of ``values``, tabulated at
     x0 + k * _GRID_STEP.  Outside the table the integrand is zero: every
     tabulated integrand vanishes at both table edges.  Arguments are
-    evaluated _CHUNK at a time, so a long one makes no argument-length
-    temporaries."""
+    evaluated _TABLE_CHUNK at a time, so a long one makes no
+    argument-length temporaries."""
 
     def __init__(self, x0: float, values: np.ndarray) -> None:
         self.x0 = x0
@@ -88,11 +88,11 @@ class _Integral:
     def __call__(self, t: np.ndarray, width: float = 0.0) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         out = np.empty_like(t)
-        for k in range(0, t.size, _CHUNK):
-            part = t[k : k + _CHUNK]
-            out[k : k + _CHUNK] = self._eval(part)
+        for k in range(0, t.size, _TABLE_CHUNK):
+            part = t[k : k + _TABLE_CHUNK]
+            out[k : k + _TABLE_CHUNK] = self._eval(part)
             if width:
-                out[k : k + _CHUNK] -= self._eval(part - width)
+                out[k : k + _TABLE_CHUNK] -= self._eval(part - width)
         return out
 
     def _eval(self, t: np.ndarray) -> np.ndarray:

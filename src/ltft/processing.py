@@ -7,21 +7,23 @@ denoising soft-thresholds each coefficient; the integer-dilation phase
 vocoder moves atoms to (D*a, b, c) while raising coefficient phases to the
 D-th power, stretching time without dilating frequency content.
 
+This module plans the tiles and the passes; :mod:`ltft.core` runs a tile.
 The pipelines take their N points in tiles of consecutive indices.  Each
 tile is a plain (n, 3) array, generated on its own, bit for bit equal to
-the same rows of the whole set, and scaled onto the box in place; it is
-then planned, analysed, mapped by the rule and summed by the block loops
-of :mod:`ltft.core`, and the tile sums are added in tile order into the
-output.  So the memory a call holds does not grow with N, whatever the
-rule.  The cubature weight volume(box)/N is applied once, to the
-normalized sum, so one pass over the first N points of a sequence whose
-rows extend (:func:`ltft.lds.extensible`) also gives the output at every
-smaller N: a tile sums the points between two requested counts into a row
-of its own, and the rows are added in index order, so the counts do not
-change how the points are tiled.  Large calls run the tiles on a thread
-pool, one thread per usable core, with a few tiles in flight; the
-partition and the order of the sums do not depend on the thread count, so
-neither does the output, bit for bit.
+the same rows of the whole set, and scaled onto the box in place; one core
+routine then analyses it, maps it by the rule and sums it, and the tile
+sums are added in tile order into the output.  So the memory a call holds
+does not grow with N, whatever the rule.  The cubature weight
+volume(box)/N is applied once, to the normalized sum, so one pass over
+the first N points of a sequence whose rows extend
+(:func:`ltft.lds.extensible`) also gives the output at every smaller N: a
+tile sums the points between two requested counts into a row of its own,
+and the rows are added in index order, so the counts do not change how
+the points are tiled.  Other point sets, and denoising, which needs max
+|F| over all N points, take one pass per count.  Large passes run the
+tiles on a thread pool, one thread per usable core, with a few tiles in
+flight; the partition and the order of the sums do not depend on the
+thread count, so neither does the output, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,18 +40,15 @@ from .core import (
     LtftParams,
     PhaseSpaceBox,
     Rule,
-    _MAX_SIGNAL_SAMPLES,
     _analysis_input,
     _check_int,
     _predicted_atom_samples,
-    _round_trip_coeffs,
-    _ruled,
     _tile_coeffs,
-    _tile_sum,
+    _tile_pass,
     from_analytic,
     to_analytic,
 )
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import InvalidParameterError
 from .frame import apply_inverse_frame, frame_diagonal
 from .lds import _check_count, _check_rows, extensible, scale_rows, unit_point_rows
 
@@ -153,15 +152,15 @@ def vocoder_phase_rule(z, dilation: int):
 # at most this many complex samples too, the size of the tile's points: a
 # tile is cut at a count only where one more row would pass that.
 _TILE_POINTS = 1 << 15
-# Calls with fewer predicted atom-samples, or one tile, run their tiles in
-# the caller, where the pool's threads would save little.  Of the error
-# sweep's calls only A = 64 Hammersley (65,536 points, 2 tiles, 1.53M
-# atom-samples) comes near the bound; its Monte Carlo passes stay under
-# 0.4M.  speech-reconstruct (8 tiles, 5.97M) and vocoder-cli (4 tiles,
-# 2.98M) pool either way.  Pooling that call (2-vCPU Xeon, three runs of 15
-# interleaved in-process rounds) took 0.046-0.065 s median against
-# 0.038-0.053 s in the caller, and the whole sweep 0.178-0.220 s against
-# 0.168-0.215 s; the caller won in every run.
+# Passes with fewer predicted atom-samples run their tiles in the caller,
+# where the pool's threads would save little.  Of the error sweep's passes
+# only A = 64 Hammersley (65,536 points, 2 tiles, 1.53M atom-samples) comes
+# near the bound; its Monte Carlo passes stay under 0.4M.
+# speech-reconstruct (8 tiles, 5.97M) and vocoder-cli (4 tiles, 2.98M) pool
+# either way.  Pooling that pass (2-vCPU Xeon, three runs of 15 interleaved
+# in-process rounds) took 0.046-0.065 s median against 0.038-0.053 s in the
+# caller, and the whole sweep 0.178-0.220 s against 0.168-0.215 s; the
+# caller won in every run.
 _POOL_MIN_ATOM_SAMPLES = 2_000_000
 
 T = TypeVar("T")
@@ -222,95 +221,75 @@ def _analysis_synthesis(
     # dilated centers cover a box D times larger, so the sum underweights
     # by 1/D (measured on pure tones).  At D = 1 this is reconstruction.
     #
-    # The points run in tiles of _TILE_POINTS consecutive indices, and the
-    # output is emitted at each count: the rows of an extensible kind
-    # (lds.extensible) are prefixes of one sequence, so one pass serves every
-    # count.  Other sets depend on N, and max |F| on all N points, so these
-    # take one count.  A tile's rows come straight from the generator, are
-    # scaled onto the box in place, and that array is analysed and summed by
-    # the block loops of core into one sum row per segment between the
-    # counts; each tile gives a (grid index, sum rows) pair, and the rows are
-    # added in index order, so the output does not depend on the thread
-    # count, bit for bit.  At D = 1 synthesis uses the very atoms analysis
-    # built, so a tile takes the one-pass round trip, the rule mapping each
-    # block's coefficients while the block is in hand.  At D > 1 a tile is
-    # analysed, its coefficients mapped, its times dilated in place and its
-    # atoms summed.  With `at_peak` the rule is at_peak(max |F|), and an
-    # analysis-only pass over the same tiles finds max |F| first.
+    # The rows of an extensible kind (lds.extensible) are prefixes of one
+    # sequence, so one pass serves every count.  Other sets depend on N, and
+    # max |F| on all N points, so these take one pass per count.  A pass
+    # runs its points in tiles of _TILE_POINTS consecutive indices; a tile's
+    # rows come straight from the generator, are scaled onto the box in
+    # place, and core._tile_pass sums them into one row per segment between
+    # the counts.  Each tile gives a (grid index, sum rows) pair, and the
+    # rows are added in index order, so the output does not depend on the
+    # thread count, bit for bit.  With `at_peak` the rule is at_peak(max
+    # |F|), and an analysis-only pass over the same tiles finds max |F|
+    # first.
     checked = [_check_rows(kind, n, 3, seed) for n in counts]
     if not checked or any(a[0] >= b[0] for a, b in zip(checked, checked[1:])):
         raise InvalidParameterError("point counts must be a non-empty ascending list")
-    if len(checked) > 1 and not (extensible(kind) and at_peak is None):
-        raise InvalidParameterError("several point counts need an extensible kind, no denoising")
     counts, seed = [n for n, _, _ in checked], checked[0][2]
-    n = counts[-1]
     rate = signal.sample_rate
     out_len = dilation * signal.m
-    if out_len > _MAX_SIGNAL_SAMPLES:
-        raise BudgetExceededError(f"output of {out_len} samples exceeds the budget")
-    # The frame diagonal first: its build's temporaries are gone before the
-    # tiles allocate.
+    # The frame diagonal first: its grid rule refuses an output past the
+    # budget before anything else is made, and its build's temporaries are
+    # gone before the tiles allocate.
     hd = frame_diagonal(params, rate, out_len, folded=True)
     box = PhaseSpaceBox.for_signal(signal, params, padded=padded)
     sig = _analysis_input(to_analytic(signal), params)
     # A tile's sum rows each span at most the output grid plus the analysis
     # input's guard band, which bounds every support, on each side.
-    width = out_len + sig.size - signal.m
-    max_rows = max(1, _TILE_POINTS // width)
-    edges = sorted({*range(0, n, _TILE_POINTS), *counts})
-    tiles: List[Tuple[int, List[int]]] = []  # (first index, each row's end)
-    for start, stop in zip(edges, edges[1:]):
-        if start % _TILE_POINTS and len(tiles[-1][1]) < max_rows:
-            tiles[-1][1].append(stop)
-        else:
-            tiles.append((start, [stop]))
-    pooled = len(tiles) >= 2 and _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
+    max_rows = max(1, _TILE_POINTS // (out_len + sig.size - signal.m))
 
-    def tile_points(k: int) -> np.ndarray:
-        start, ends = tiles[k]
-        return scale_rows(unit_point_rows(kind, n, 3, seed, start, ends[-1]), box)
+    def run_pass(ns: List[int]) -> List[DigitalSignal]:
+        n = ns[-1]
+        edges = sorted({*range(0, n, _TILE_POINTS), *ns})
+        tiles: List[Tuple[int, List[int]]] = []  # (first index, each row's end)
+        for start, stop in zip(edges, edges[1:]):
+            if start % _TILE_POINTS and len(tiles[-1][1]) < max_rows:
+                tiles[-1][1].append(stop)
+            else:
+                tiles.append((start, [stop]))
+        pooled = _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
 
-    def cuts(k: int) -> List[int]:
-        start, ends = tiles[k]
-        return [end - start for end in ends[:-1]]
+        def tile_points(k: int) -> np.ndarray:
+            start, ends = tiles[k]
+            return scale_rows(unit_point_rows(kind, n, 3, seed, start, ends[-1]), box)
 
-    def coeffs_of(points: np.ndarray) -> np.ndarray:
-        return _tile_coeffs(sig, points, params, signal.m, rate)
-
-    if at_peak is not None:
-        peaks = _map_tiles(lambda k: np.abs(coeffs_of(tile_points(k))).max(), len(tiles), pooled)
-        rule = at_peak(float(max(peaks)))
-
-    if dilation == 1:
-
-        def task(k: int) -> Tuple[int, np.ndarray]:
-            points = tile_points(k)
-            source = _round_trip_coeffs(sig, points, rate, rule)
-            return _tile_sum(points, params, signal.m, rate, source, cuts(k))
-
-    else:
-
-        def task(k: int) -> Tuple[int, np.ndarray]:
-            points = tile_points(k)
-            values = coeffs_of(points)
-            if rule is not None:
-                values = _ruled(rule, values, points)
-            points[:, 0] *= float(dilation)
-            return _tile_sum(
-                points, params, out_len, rate, lambda block, *_: values[block.sel], cuts(k)
+        ruled = rule
+        if at_peak is not None:
+            peaks = _map_tiles(
+                lambda k: np.abs(_tile_coeffs(sig, tile_points(k), params, signal.m, rate)).max(),
+                len(tiles), pooled,
             )
+            ruled = at_peak(float(max(peaks)))
 
-    raw = np.zeros(out_len, dtype=np.complex128)
-    outputs = []
-    for (lo, rows), (_, ends) in zip(_map_tiles(task, len(tiles), pooled), tiles):
-        for row, end in zip(rows, ends):
-            raw[lo : lo + row.size] += row
-            if end not in counts:
-                continue
-            normalized = apply_inverse_frame(DigitalSignal(raw, rate), hd).samples
-            scaled = normalized * (dilation * box.volume / end)
-            outputs.append(from_analytic(DigitalSignal(scaled, rate)))
-    return outputs
+        def task(k: int) -> Tuple[int, np.ndarray]:
+            start, ends = tiles[k]
+            cuts = [end - start for end in ends[:-1]]
+            return _tile_pass(sig, tile_points(k), params, signal.m, rate, ruled, dilation, cuts)
+
+        raw = np.zeros(out_len, dtype=np.complex128)
+        outputs = []
+        for (lo, rows), (_, ends) in zip(_map_tiles(task, len(tiles), pooled), tiles):
+            for row, end in zip(rows, ends):
+                raw[lo : lo + row.size] += row
+                if end not in ns:
+                    continue
+                normalized = apply_inverse_frame(DigitalSignal(raw, rate), hd).samples
+                scaled = normalized * (dilation * box.volume / end)
+                outputs.append(from_analytic(DigitalSignal(scaled, rate)))
+        return outputs
+
+    passes = [counts] if extensible(kind) and at_peak is None else [[n] for n in counts]
+    return [out for ns in passes for out in run_pass(ns)]
 
 
 def reconstruct(

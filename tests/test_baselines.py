@@ -43,6 +43,14 @@ def test_dwt_params_take_an_odd_m():
     assert dwt_grid(DwtGridParams(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=1023)).n > 0
 
 
+@pytest.mark.parametrize("m", [2**26 + 1, 2**50])
+def test_dwt_params_take_the_grid_budget(m):
+    # An odd M too: the grid rule caps every signal length, so a grid that
+    # would run out of memory is refused before any row is made.
+    with pytest.raises(BudgetExceededError, match="grid of"):
+        DwtGridParams(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=m)
+
+
 def test_dwt_scale_exponents_hand_case():
     # L=4, gamma=1, b0=0.5, r=2: K0 = log2(1/3), K1 = log2(8) = 3
     p = DwtGridParams(r=2.0, p=1.0, b0=0.5, sample_rate=4.0, m=16, gamma=1.0)

@@ -371,6 +371,30 @@ def test_seed_is_refused_before_the_wav_is_read(tmp_path, capsys, command):
     assert "seed" in err[0]
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "reconstruct -N 0",
+        "reconstruct -A -1",
+        "reconstruct -A nan",
+        "vocoder -N 0",
+        "denoise --gamma -1",
+        "reconstruct --b0-frac 0.5 --b1-frac 0.2",
+        "multiplier --low-pass 1000 --xi 0",
+        "vocoder --window hann",
+    ],
+)
+def test_count_or_transform_is_refused_before_the_wav_is_read(tmp_path, capsys, command):
+    # N, A and the transform's parameters need nothing from the WAV, so a
+    # bad one is refused, and nothing written, before the missing input is
+    # opened.
+    out = tmp_path / "o.wav"
+    assert main(command.split() + [str(tmp_path / "missing.wav"), str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
+    assert not out.exists()
+
+
 def test_bench_error_csv(tmp_path):
     out = tmp_path / "fig.csv"
     code = main([
@@ -675,6 +699,24 @@ for module, names in {_LAZY_EXPORTS!r}.items():
     for name in names:
         assert name in dir(ltft), name
         assert getattr(ltft, name) is getattr(importlib.import_module("ltft." + module), name)
+"""
+    proc = _run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_star_import_binds_the_lazy_names():
+    # `from ltft import *` binds every public name, the lazy ones included,
+    # while a plain `import ltft.cli` still loads neither benchmark module.
+    code = """
+import sys, types
+import ltft.cli
+assert not {"ltft.baselines", "ltft.bench"} & set(sys.modules)
+from ltft import *
+make_test_signal, funnel_coverage
+import ltft
+public = {name for name in dir(ltft)
+          if not name.startswith("_") and not isinstance(getattr(ltft, name), types.ModuleType)}
+assert sorted(ltft.__all__) == sorted(public), set(ltft.__all__) ^ public
 """
     proc = _run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr

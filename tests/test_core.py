@@ -25,6 +25,7 @@ from ltft import (
     from_analytic,
     idft,
     ltft_atom_freq,
+    make_test_signal,
     phase_vocoder,
     relative_error,
     synthesize,
@@ -42,8 +43,8 @@ def _round_trip(signal, samples, params, rule=None):
     # The one-pass round trip over one sample set on the signal's own grid.
     rate = signal.sample_rate
     points = samples.points
-    source = core._round_trip_coeffs(core._analysis_input(signal, params), points, rate, rule)
-    lo, (tile,) = core._tile_sum(points, params, signal.m, rate, source)
+    lo, (tile,) = core._tile_pass(core._analysis_input(signal, params), points, params,
+                                  signal.m, rate, rule)
     out = np.zeros(signal.m, dtype=np.complex128)
     out[lo : lo + tile.size] = tile * (samples.box.volume / samples.n)
     return DigitalSignal(out, rate)
@@ -262,6 +263,21 @@ def test_support_length_branches(params):
     assert below == pytest.approx(above, rel=1e-6)
     with pytest.raises(InvalidParameterError):
         atom_support_length(params, -1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_frequencies_are_refused(params, bad):
+    # Neither the support length nor the spectrum takes a non-finite
+    # coordinate, where it would give NaN or a wrong finite value.
+    grid = np.arange(8) * (RATE / 8)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        atom_support_length(params, bad)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        atom_support_length(params, np.array([1.0, bad]))
+    with pytest.raises(InvalidParameterError, match="finite"):
+        ltft_atom_freq(params, bad, 0.5, grid)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        ltft_atom_freq(params, 10.0, bad, grid)
 
 
 @pytest.mark.parametrize("ratio,tol", [(4, 0.10), (8, 0.04), (16, 0.02)])
@@ -483,6 +499,27 @@ def test_unbounded_support_is_budget_exceeded(bad):
         frame_diagonal(bad, RATE, 64)
     with pytest.raises(BudgetExceededError):
         analyze(sig, samples, bad)
+
+
+def test_a_grid_past_the_signal_budget_is_refused_before_it_is_made(params):
+    # The grid rule caps every signal length: a grid of 2**44 samples would
+    # take 256 TiB, so each entry point refuses it before making anything.
+    one = SampleSet(np.zeros((1, 3)), PhaseSpaceBox(t_lo=-1.0, t_hi=1.0, freq_hi=RATE), "mc")
+    coeffs = CoefficientVector(np.ones(1), weight=1.0)
+    for make in (
+        lambda: synthesize(coeffs, one, params, 2**44, RATE),
+        lambda: frame_diagonal(params, RATE, 2**44),
+        lambda: make_test_signal(2**44, RATE),
+    ):
+        with pytest.raises(BudgetExceededError, match="grid of 17592186044416 samples"):
+            make()
+
+
+def test_digital_signal_takes_the_grid_budget(monkeypatch):
+    monkeypatch.setattr(core, "_MAX_SIGNAL_SAMPLES", 64)
+    assert DigitalSignal(np.zeros(64), RATE).m == 64
+    with pytest.raises(BudgetExceededError):
+        DigitalSignal(np.zeros(66), RATE)
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +873,7 @@ def test_tile_sum_rows_split_the_sum_by_sample_index(kind):
     padded = core._analysis_input(sig, p)
 
     def on_grid(points, cuts=()):
-        source = core._round_trip_coeffs(padded, points, RATE, _low_pass)
-        lo, rows = core._tile_sum(points, p, m, RATE, source, cuts)
+        lo, rows = core._tile_pass(padded, points, p, m, RATE, _low_pass, cuts=cuts)
         out = np.zeros((rows.shape[0], m), dtype=np.complex128)
         out[:, lo : lo + rows.shape[1]] = rows
         return out

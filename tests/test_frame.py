@@ -268,9 +268,9 @@ def test_repeated_diagonal_is_the_memo_and_equals_a_fresh_build(params):
 def test_chunked_integrals_give_the_same_diagonal(monkeypatch, params, folded):
     # The tables and H, evaluated a few arguments at a time, are the same
     # bits as in one pass: every step is elementwise.
-    monkeypatch.setattr(frame_module, "_CHUNK", 1 << 30)
+    monkeypatch.setattr(frame_module, "_TABLE_CHUNK", 1 << 30)
     whole = _build_diagonal.__wrapped__(params, RATE, M, folded)
-    monkeypatch.setattr(frame_module, "_CHUNK", 37)
+    monkeypatch.setattr(frame_module, "_TABLE_CHUNK", 37)
     _assert_same_diagonal(_build_diagonal.__wrapped__(params, RATE, M, folded), whole)
 
 

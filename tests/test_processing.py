@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ltft import (
+    BudgetExceededError,
     DigitalSignal,
     InvalidParameterError,
     PhaseSpaceBox,
@@ -428,21 +429,69 @@ def test_one_pass_gives_the_output_at_every_count(monkeypatch, params, tapered_t
         assert relative_error(out, one) <= 1e-13
 
 
+def test_a_dilated_output_past_the_signal_budget_is_refused_before_any_tile(
+    monkeypatch, params, tapered_tone
+):
+    # Under a cap of 1024 samples a 512-sample input, its guard band
+    # included, and a D = 2 output fit; a D = 3 output of 1536 samples does
+    # not, and the grid rule refuses it before any point is made.
+    monkeypatch.setattr(core, "_MAX_SIGNAL_SAMPLES", 1024)
+    s = tapered_tone(512)
+    tiles = []
+    original = processing.unit_point_rows
+
+    def counting(*args):
+        tiles.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(processing, "unit_point_rows", counting)
+    assert phase_vocoder(s, VocoderJob(params, dilation=2, redundancy=2.0)).m == 1024
+    tiles.clear()
+    with pytest.raises(BudgetExceededError, match="grid of 1536 samples"):
+        phase_vocoder(s, VocoderJob(params, dilation=3, redundancy=2.0))
+    assert tiles == []
+
+
 @pytest.mark.parametrize(
-    "kind, counts, at_peak",
-    [
-        ("hammersley", [512, 1024], None),
-        ("halton", [1024, 512], None),
-        ("mc", [512, 512], None),
-        ("mc", [], None),
-        ("halton", [512, 1024], shrinkage(0.1)),
-    ],
-    ids=["hammersley", "descending", "repeated", "empty", "denoise"],
+    "kind, counts",
+    [("halton", [1024, 512]), ("mc", [512, 512]), ("mc", [])],
+    ids=["descending", "repeated", "empty"],
 )
-def test_counts_a_pass_cannot_share_are_refused(params, tapered_tone, kind, counts, at_peak):
+def test_counts_a_pass_cannot_share_are_refused(params, tapered_tone, kind, counts):
     s = tapered_tone(256)
     with pytest.raises(InvalidParameterError):
-        processing._analysis_synthesis(s, params, counts, kind, 0, False, at_peak=at_peak)
+        processing._analysis_synthesis(s, params, counts, kind, 0, False)
+
+
+@pytest.mark.parametrize(
+    "kind, at_peak",
+    [("hammersley", None), ("halton", shrinkage(0.1))],
+    ids=["hammersley", "denoise"],
+)
+def test_counts_a_pass_cannot_share_run_one_pass_each(
+    monkeypatch, params, tapered_tone, kind, at_peak
+):
+    # A Hammersley set depends on N, and denoising on max |F| over all N
+    # points, so each count takes a pass of its own: the outputs are those
+    # of one-count calls bit for bit, with the points of each count
+    # generated from index 0.
+    s = tapered_tone(256)
+    counts = [300, 512, 1024]
+    spans = []
+    original = processing.unit_point_rows
+
+    def counting(kind, n, dim, seed, start, stop):
+        spans.append((n, start, stop))
+        return original(kind, n, dim, seed, start, stop)
+
+    monkeypatch.setattr(processing, "unit_point_rows", counting)
+    outs = processing._analysis_synthesis(s, params, counts, kind, 0, False, at_peak=at_peak)
+    reads = 2 if at_peak else 1  # denoising reads each tile twice
+    assert spans == [(n, 0, n) for n in counts for _ in range(reads)]
+    assert len(outs) == len(counts)
+    for n, out in zip(counts, outs):
+        (one,) = processing._analysis_synthesis(s, params, [n], kind, 0, False, at_peak=at_peak)
+        assert np.array_equal(out.samples, one.samples)
 
 
 @pytest.mark.parametrize("m", [1024, 16000])
@@ -462,14 +511,14 @@ def test_many_counts_in_one_tile_hold_a_bounded_accumulator(
     counts = [160 * k for k in range(1, 201)]
     assert counts[-1] < tile
     sums = []
-    original = processing._tile_sum
+    original = core._tile_sum
 
     def counting(*args):
         lo, rows = original(*args)
         sums.append(rows.shape)
         return lo, rows
 
-    monkeypatch.setattr(processing, "_tile_sum", counting)
+    monkeypatch.setattr(core, "_tile_sum", counting)
     processing._analysis_synthesis(s, params, counts[-1:], "halton", 0, False)
     outs = processing._analysis_synthesis(s, params, counts, "halton", 0, False)
     assert max(rows * width for rows, width in sums) <= tile
