@@ -52,8 +52,10 @@ class DwtGridParams:
             raise InvalidParameterError(
                 f"dilation step must lie in (1, {r_max:.6g}), got {self.r}"
             )
-        if self.p <= 0:
-            raise InvalidParameterError("time-spacing factor p must be positive")
+        if not 0 < self.p < np.inf:
+            raise InvalidParameterError(
+                f"time-spacing factor p must be positive and finite, got {self.p}"
+            )
         if not 0 < self.b0 < self.sample_rate < np.inf:
             raise InvalidParameterError("need 0 < b0 < sample rate < inf")
         _check_grid(self.m, self.sample_rate, odd=True)
@@ -85,10 +87,17 @@ def dwt_grid(params: DwtGridParams) -> SampleSet:
     ks = params.scale_exponents()
     if len(ks) == 0:
         raise InvalidParameterError("empty scale range; increase L/b0 or r")
+    # The row sizes come under the point-count rule before any row is made.
+    # A row past 2^62 points is past any budget; the cap keeps round() off
+    # an overflowed size.
+    sizes = [
+        max(1, round(min(params.r**k * (params.m / params.sample_rate) * params.p, 2.0**62)))
+        for k in ks
+    ]
+    _check_count(sum(sizes), "wavelet grid size")
     half = params.m / (2.0 * params.sample_rate)
     rows = []
-    for k in ks:
-        n_t = max(1, round(params.r**k * (params.m / params.sample_rate) * params.p))
+    for k, n_t in zip(ks, sizes):
         times = -half + (np.arange(n_t) + 0.5) * (2.0 * half / n_t)
         freq = params.r**k * params.gamma
         rows.append(

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from .core import DigitalSignal, LtftParams, PhaseSpaceBox, _check_int
-from .errors import BudgetExceededError, InvalidParameterError, LtftError, ParseError
+from .errors import InvalidParameterError, LtftError, ParseError
 from .frame import frame_diagonal
 from .lds import KINDS, _check_rows, scale_to_box, generate_unit_points
 from .processing import (
@@ -102,13 +102,10 @@ def _list_option(options: Dict[str, object], key: str, convert=str) -> list:
 def _load_audio(options: Dict[str, object]) -> tuple:
     # Every argument that needs nothing from the WAV is refused before it is
     # read: the sequence and seed, N or A, and the transform, checked at the
-    # lowest rate a WAV can have.  A count past the budget is refused once M
-    # is known: only M tells it from an A*M that overflows, which is invalid.
+    # lowest rate a WAV can have.  N or A is checked at M = 1: a count past
+    # the budget there is past it at every M.
     _check_rows(str(options["sequence"]), 1, 3, options["seed"])
-    try:
-        sample_count(1, options.get("samples"), options.get("redundancy"), 16.0)
-    except BudgetExceededError:
-        pass
+    sample_count(1, options.get("samples"), options.get("redundancy"), 16.0)
     _params_from(options, 1.0)
     audio = wav_read(str(options["input"]))
     signal = audio.to_signal()

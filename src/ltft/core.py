@@ -197,10 +197,10 @@ _TABLE_RANGE = 96.0  # spectrum kept on [-range, range]
 # cos^4(pi t) = 3/8 + cos(2 pi t)/2 + cos(4 pi t)/8, as weights of exp(2 pi i j t), |j| <= 2.
 _COS4_TERMS = (1.0 / 16.0, 0.25, 0.375, 0.25, 1.0 / 16.0)
 # This table's sinc terms, and the frame diagonal's integrals, are taken
-# this many nodes at a time.  Their temporaries (64 KiB) stay below glibc's
-# 128 KiB mmap threshold, so they reuse heap pages, where full-length ones
-# (384 KiB) would each be mapped and faulted in afresh: the build then takes
-# twice the page faults.
+# this many nodes at a time.  Their temporaries (64 KiB, 72 KiB for the
+# widened sinc pass) stay below glibc's 128 KiB mmap threshold, so they
+# reuse heap pages, where full-length ones (384 KiB) would each be mapped
+# and faulted in afresh: the build then takes twice the page faults.
 _TABLE_CHUNK = 8192
 
 
@@ -212,9 +212,11 @@ class WindowSpec:
     per process.  The time evaluator is closed form and vanishes outside
     (-1/2, 1/2); the zero-extension is twice continuously differentiable
     and has unit L2 norm.  The frequency evaluator interpolates linearly
-    between nodes of the window's exact Fourier transform, closed-form sinc
-    sums computed on first use; the interpolation is its only error, at
-    most 1.08e-6.
+    between nodes of the window's exact Fourier transform, closed-form sums
+    of five sinc terms computed on first use; the interpolation is its only
+    error, at most 1.08e-6.  The nodes lie on a 1/256 grid and the terms are
+    whole units apart, so one sinc pass over the grid, widened by two units
+    on each side, gives every term as a shifted slice.
     """
 
     bandwidth = 3.0  # first spectral null at |nu| = 3
@@ -228,16 +230,25 @@ class WindowSpec:
 
     @cached_property
     def _freq_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        # Term j of cos^4 transforms to sinc(nu - j) on (-1/2, 1/2).  Each
-        # node's sum is the same whichever chunk it falls in.
+        # Term j of cos^4 transforms to sinc(nu - j) on (-1/2, 1/2).  On the
+        # grid, nu_k - j is exactly node k - j * unit, so one sinc pass over
+        # a chunk's nodes, two units wider on each side, gives all five terms
+        # as shifted slices, summed in the order j = -2..2.  Each node's sum
+        # is the same whichever chunk it falls in.
         last = int(_TABLE_RANGE / _TABLE_SPACING)
+        unit = int(1.0 / _TABLE_SPACING)
         freqs = np.arange(-last, last + 1, dtype=np.float64)
         freqs *= _TABLE_SPACING
         table = np.zeros_like(freqs)
         for lo in range(0, freqs.size, _TABLE_CHUNK):
-            nodes, sums = freqs[lo : lo + _TABLE_CHUNK], table[lo : lo + _TABLE_CHUNK]
+            sums = table[lo : lo + _TABLE_CHUNK]
+            first = lo - last - 2 * unit
+            wide = np.arange(first, first + sums.size + 4 * unit, dtype=np.float64)
+            wide *= _TABLE_SPACING
+            sinc = np.sinc(wide)
             for j, weight in zip(range(-2, 3), _COS4_TERMS):
-                sums += weight * np.sinc(nodes - j)
+                start = (2 - j) * unit
+                sums += weight * sinc[start : start + sums.size]
         table *= _COS4_NORM
         return freqs, table
 

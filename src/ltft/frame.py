@@ -18,14 +18,18 @@ Each band term is one difference of values of one primitive,
 :class:`_Integral`: the exact running integral of a piecewise-linear
 interpolant tabulated on a fixed grid.  G2 integrates the tabulated power,
 R integrates Q, and the wavelet band integrates P1(q)/q; no table depends
-on w, so the cost is O(M) per fold shift plus a fixed tabulation.  The
-brute-force quadrature, :func:`frame_diagonal_oracle`, arbitrates the
-prefactors.
+on w, so the cost is a fixed tabulation plus O(M) per fold shift.  The
+tabulation costs one evaluation per node: G2 is only needed at its own
+nodes moved by gamma, gamma + xi and xi, each shift one whole number of
+nodes plus one fraction of a cell, so Q and P1 are a few shifted slices of
+G2's table, with no per-node search.  The brute-force quadrature,
+:func:`frame_diagonal_oracle`, arbitrates the prefactors.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,35 +78,82 @@ class _Integral:
     x0 + k * _GRID_STEP.  Outside the table the integrand is zero: every
     tabulated integrand vanishes at both table edges.  Arguments are
     evaluated _TABLE_CHUNK at a time, so a long one makes no
-    argument-length temporaries."""
+    argument-length temporaries.
+
+    A call locates each argument in the table on its own, as the per-bin
+    terms of the diagonal need.  The table stage only needs the integral at
+    the table's own nodes moved by a fixed shift, which :meth:`at_nodes`
+    gives as shifted slices of the table."""
 
     def __init__(self, x0: float, values: np.ndarray) -> None:
         self.x0 = x0
         self.values = values
-        # Trapezoid cumulative at the nodes, zero at the first node.
-        self.cum = np.zeros_like(values)
-        steps = np.add(values[1:], values[:-1])
+        # Trapezoid cumulative at the nodes, zero at the first node, summed
+        # in place.
+        self.cum = np.empty_like(values)
+        self.cum[0] = 0.0
+        steps = np.add(values[1:], values[:-1], out=self.cum[1:])
         steps *= 0.5 * _GRID_STEP
-        np.cumsum(steps, out=self.cum[1:])
+        np.cumsum(steps, out=steps)
 
     def __call__(self, t: np.ndarray, width: float = 0.0) -> np.ndarray:
         t = np.asarray(t, dtype=np.float64)
         out = np.empty_like(t)
         for k in range(0, t.size, _TABLE_CHUNK):
-            part = t[k : k + _TABLE_CHUNK]
-            out[k : k + _TABLE_CHUNK] = self._eval(part)
+            part, dest = t[k : k + _TABLE_CHUNK], out[k : k + _TABLE_CHUNK]
             if width:
-                out[k : k + _TABLE_CHUNK] -= self._eval(part - width)
+                np.subtract(self._eval(part), self._eval(part, width), out=dest)
+            else:
+                dest[...] = self._eval(part)
         return out
 
-    def _eval(self, t: np.ndarray) -> np.ndarray:
-        x0, values, step = self.x0, self.values, _GRID_STEP
-        n = values.shape[0]
-        tc = np.clip(t, x0, x0 + (n - 1) * step)
-        i = np.minimum(((tc - x0) / step).astype(np.int64), n - 2)
-        frac = tc - (x0 + i * step)
-        vt = values[i] + (values[i + 1] - values[i]) * (frac / step)
-        return self.cum[i] + 0.5 * frac * (values[i] + vt)
+    def _eval(self, t: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        # The integral at t - shift.  x is the argument in cells from x0,
+        # clipped to the table just below its last node, so that cell
+        # i = floor(x) has a right neighbour and the top gives the total
+        # (the integrand vanishes there).  With a = x - i, the cell adds
+        # (step / 2) a (2 v_i + a (v_i+1 - v_i)).
+        values = self.values
+        x = np.subtract(t, self.x0 + shift)
+        x *= 1.0 / _GRID_STEP
+        np.clip(x, 0.0, np.nextafter(values.size - 1.0, 0.0), out=x)
+        i = np.floor(x)
+        x -= i
+        i = i.astype(np.intp)
+        lo = values.take(i)
+        part = values[1:].take(i)
+        part -= lo
+        part *= x
+        part += lo
+        part += lo
+        part *= x
+        part *= 0.5 * _GRID_STEP
+        part += self.cum.take(i)
+        return part
+
+    def at_nodes(self, shift: float, lo: int, hi: int) -> np.ndarray:
+        """The integral at x0 + k * _GRID_STEP - shift for nodes lo <= k < hi:
+        0 below the table and the total above it.  Every such argument lies
+        the same fraction a of a cell above node k - d, so the values are
+        shifted slices of the table: cum, plus two of values unless a = 0."""
+        cells = shift / _GRID_STEP  # exact: the step is a power of two
+        d = math.ceil(cells)
+        a = d - cells
+        n = self.values.size
+        first = min(max(lo, d), hi)
+        last = max(min(hi, n - 1 + d), first)
+        out = np.empty(hi - lo)
+        out[: first - lo] = 0.0
+        out[last - lo :] = self.cum[-1]
+        i, j = first - d, last - d
+        part = out[first - lo : last - lo]
+        if a:
+            np.multiply(self.values[i:j], _GRID_STEP * a * (1.0 - 0.5 * a), out=part)
+            part += self.cum[i:j]
+            part += (0.5 * _GRID_STEP * a * a) * self.values[i + 1 : j + 1]
+        else:
+            part[...] = self.cum[i:j]
+        return out
 
 
 def _integrals(params: LtftParams, sample_rate: float):
@@ -110,8 +161,12 @@ def _integrals(params: LtftParams, sample_rate: float):
     wavelet-band integral of P1(q)/q = gamma Q(q - gamma)/q on q > 0.
 
     The table spans every u at which Q is non-zero, plus a tail margin, so
-    both integrands vanish at its edges.  The window power is freed once Q
-    and P1 are formed, so the build holds few tables at once."""
+    both integrands vanish at its edges.  G2 is only evaluated at its own
+    nodes moved by gamma, gamma + xi and xi, so both tables are slice
+    arithmetic on G2's table (:meth:`_Integral.at_nodes`), a chunk at a
+    time: P1 is written into its own buffer and Q over u.  The window power
+    is freed once Q and P1 are formed, so the build holds few tables at
+    once."""
     g = params.gamma
     xi = params.xi
     u_lo = -(g * sample_rate / params.b1 + xi) - _GRID_MARGIN
@@ -119,22 +174,33 @@ def _integrals(params: LtftParams, sample_rate: float):
     n = np.ceil((u_hi - u_lo) / _GRID_STEP) + 1.0
     if not n <= _MAX_TABLE_NODES:  # an infinite span too
         raise BudgetExceededError(f"a frame table of {n:g} nodes exceeds the budget")
-    u = np.arange(int(n)) * _GRID_STEP + u_lo
+    n = int(n)
+    u = np.arange(n, dtype=np.float64)
+    u *= _GRID_STEP
+    u += u_lo
     power = params.window.freq(u)
     g2 = _Integral(u_lo, np.square(power, out=power))
-    q = u[int(np.ceil((_GRID_STEP - u_lo) / _GRID_STEP)) :]
-    p1 = g2(q - g, xi)
+    # P1 on the nodes q > 0: G2(q - gamma) - G2(q - gamma - xi), scaled.
+    first = int(np.ceil((_GRID_STEP - u_lo) / _GRID_STEP))
+    q = u[first:]
+    p1 = np.empty_like(q)
+    for lo in range(first, n, _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, n)
+        np.subtract(
+            g2.at_nodes(g, lo, hi), g2.at_nodes(g + xi, lo, hi), out=p1[lo - first : hi - first]
+        )
     p1 *= g / xi
     np.maximum(p1, 0.0, out=p1)
     p1 /= q
     q_lo = float(q[0])
     # Q at the nodes, the mean window power over [u - xi, u], written over
-    # u: G2 at a node is its cumulative, so only G2(u - xi) is evaluated.
-    u -= xi
-    mean = np.subtract(g2.cum, g2(u), out=u)
-    mean /= xi
+    # u: G2 at a node is its cumulative.
+    for lo in range(0, n, _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, n)
+        np.subtract(g2.cum[lo:hi], g2.at_nodes(xi, lo, hi), out=u[lo:hi])
+    u /= xi
     del g2, power
-    return _Integral(u_lo, mean), _Integral(q_lo, p1)
+    return _Integral(u_lo, u), _Integral(q_lo, p1)
 
 
 def frame_diagonal(
@@ -165,16 +231,20 @@ def _build_diagonal(
     params: LtftParams, sample_rate: float, m: int, folded: bool
 ) -> FrameDiagonal:
     g = params.gamma
+    high = g / params.b1
     r, wavelet = _integrals(params, sample_rate)
     omega = np.arange(m) * (sample_rate / m)
     shifts = (-sample_rate, 0.0, sample_rate) if folded else (0.0,)
     q0, q1, q2 = np.zeros((3, m))
-    for shift in shifts:
-        w = omega + shift
-        v = g * w / params.b0
-        q0 += r(v, g)
-        q1 += wavelet(v) - wavelet(g * w / params.b1)
-        q2 += r((g / params.b1) * (w - params.b1)) - r((g / params.b1) * (w - sample_rate))
+    # A chunk of bins at a time, so no temporary is grid-sized.
+    for lo in range(0, m, _TABLE_CHUNK):
+        bins = slice(lo, lo + _TABLE_CHUNK)
+        for shift in shifts:
+            w = omega[bins] + shift
+            v = g * w / params.b0
+            q0[bins] += r(v, g)
+            q1[bins] += wavelet(v) - wavelet(g * w / params.b1)
+            q2[bins] += r(high * (w - params.b1)) - r(high * (w - sample_rate))
     return FrameDiagonal(omega, q0, q1, q2)
 
 

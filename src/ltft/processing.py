@@ -28,6 +28,7 @@ thread count, so neither does the output, bit for bit.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from .core import (
     from_analytic,
     to_analytic,
 )
-from .errors import InvalidParameterError
+from .errors import BudgetExceededError, InvalidParameterError
 from .frame import apply_inverse_frame, frame_diagonal
 from .lds import _check_count, _check_rows, extensible, scale_rows, unit_point_rows
 
@@ -61,9 +62,12 @@ def sample_count(m: int, samples, redundancy, default: float) -> int:
             raise InvalidParameterError("give either samples or redundancy, not both")
         return _check_count(samples)
     a = default if redundancy is None else redundancy
-    if not 0 < a * m < np.inf:
+    if not 0 < a < np.inf:
         raise InvalidParameterError("redundancy must be positive and finite")
-    return _check_count(int(np.ceil(a * m)))
+    n = a * m
+    if not n < np.inf:  # past the budget, like any finite A*M above it
+        raise BudgetExceededError(f"A*M = {a:g} * {m} overflows the point budget")
+    return _check_count(math.ceil(n))
 
 
 @dataclass(frozen=True)

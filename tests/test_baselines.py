@@ -39,6 +39,20 @@ def test_dwt_params_refuse_an_infinite_rate_or_a_non_integer_m(bad):
         DwtGridParams(**{**dict(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=256), **bad})
 
 
+@pytest.mark.parametrize(
+    "p, error",
+    [(np.inf, InvalidParameterError), (np.nan, InvalidParameterError),
+     (1e15, BudgetExceededError)],
+    ids=["inf", "nan", "1e15"],
+)
+def test_dwt_time_density_is_finite_and_its_grid_a_point_count(p, error):
+    # inf ended in a raw OverflowError, nan in a ValueError, and 1e15 in a
+    # MemoryError for 28.4 PiB: the total row count is put under the
+    # point-count rule before any row is made.
+    with pytest.raises(error):
+        dwt_grid(DwtGridParams(r=1.15, p=p, b0=6.4, sample_rate=64.0, m=256))
+
+
 def test_dwt_params_take_an_odd_m():
     assert dwt_grid(DwtGridParams(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=1023)).n > 0
 

@@ -635,7 +635,6 @@ def test_negative_seed_is_invalid_parameter(tmp_path, capsys, subcommand):
     [
         "reconstruct -A inf",
         "reconstruct -A nan",
-        "reconstruct -A 1e308",
         "denoise -A nan",
         "vocoder -A inf",
         "coverage -A inf",
@@ -644,7 +643,7 @@ def test_negative_seed_is_invalid_parameter(tmp_path, capsys, subcommand):
     ],
 )
 def test_non_finite_redundancy_is_invalid_parameter(tmp_path, capsys, command):
-    # N = ceil(A*M) must be a finite positive count: A*M = 1e308 * M overflows.
+    # A must be positive and finite for N = ceil(A*M) to be a count.
     args = command.split()
     if args[0] in ("coverage", "bench-error"):
         args += ["--csv", str(tmp_path / "x.csv"), "-M", "64"]
@@ -731,13 +730,20 @@ def test_unknown_package_attribute_is_an_attribute_error():
     "command",
     [
         "reconstruct -A 1e300",
+        # A*M overflows: past the budget, like any A*M above it.
+        "reconstruct -A 1e308",
         "reconstruct -N 100000000000000",
         "vocoder -N 100000000000000",
+        # Past the budget at M = 1, so refused before the WAV is opened.
+        "vocoder -A 1e300 missing.wav",
     ],
 )
 def test_huge_sample_count_is_budget_exceeded(tmp_path, command):
     # The point generators refuse the count before they allocate anything.
-    args = command.split() + [_sine_wav(tmp_path / "in.wav"), str(tmp_path / "o.wav")]
+    args = command.split()
+    missing = args.pop() if args[-1].endswith(".wav") else None
+    wav = str(tmp_path / missing) if missing else _sine_wav(tmp_path / "in.wav")
+    args += [wav, str(tmp_path / "o.wav")]
     proc = _run_cli(args, timeout=60)
     err = proc.stderr.splitlines()
     assert proc.returncode == 1

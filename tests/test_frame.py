@@ -19,7 +19,7 @@ from ltft import (
     idft,
 )
 from ltft import frame as frame_module
-from ltft.frame import _GRID_STEP, _build_diagonal, _Integral, _integrals
+from ltft.frame import _GRID_MARGIN, _GRID_STEP, _build_diagonal, _Integral, _integrals
 
 RATE = 64.0
 M = 256
@@ -275,19 +275,118 @@ def test_chunked_integrals_give_the_same_diagonal(monkeypatch, params, folded):
 
 
 def test_q_table_takes_one_window_power_integral_per_node(monkeypatch, params):
-    # G2 at a node of its own table is its cumulative there, so Q's table
-    # evaluates G2 once per node, at u - xi.  The wavelet integrand P1 takes
-    # two per node: q - gamma lies off the node grid.
-    sizes = []
-    original = _Integral._eval
+    # The table stage reads G2 only at its own nodes moved by xi (Q), and by
+    # gamma and gamma + xi (P1), as shifted slices: no argument is located in
+    # the table on its own.
+    per_element, nodes = [], []
+    original_eval, original_at_nodes = _Integral._eval, _Integral.at_nodes
 
-    def counting(self, t):
-        sizes.append(t.size)
-        return original(self, t)
+    def counting_eval(self, t, shift=0.0):
+        per_element.append(t.size)
+        return original_eval(self, t, shift)
 
-    monkeypatch.setattr(_Integral, "_eval", counting)
+    def counting_at_nodes(self, shift, lo, hi):
+        nodes.append(hi - lo)
+        return original_at_nodes(self, shift, lo, hi)
+
+    monkeypatch.setattr(_Integral, "_eval", counting_eval)
+    monkeypatch.setattr(_Integral, "at_nodes", counting_at_nodes)
     r, wavelet = _integrals(params, RATE)
-    assert sum(sizes) == r.values.size + 2 * wavelet.values.size
+    assert per_element == []
+    assert sum(nodes) == r.values.size + 2 * wavelet.values.size
+
+
+class _PerElementIntegral:
+    """The frame integrals as each argument was once evaluated on its own:
+    clipped to the table, located by a floor and gathered."""
+
+    def __init__(self, x0, values):
+        self.x0, self.values = x0, values
+        steps = np.add(values[1:], values[:-1]) * (0.5 * _GRID_STEP)
+        self.cum = np.concatenate([[0.0], np.cumsum(steps)])
+
+    def __call__(self, t, width=0.0):
+        out = self._eval(t)
+        if width:
+            out -= self._eval(t - width)
+        return out
+
+    def _eval(self, t):
+        x0, values, step = self.x0, self.values, _GRID_STEP
+        n = values.shape[0]
+        tc = np.clip(t, x0, x0 + (n - 1) * step)
+        i = np.minimum(((tc - x0) / step).astype(np.int64), n - 2)
+        frac = tc - (x0 + i * step)
+        vt = values[i] + (values[i + 1] - values[i]) * (frac / step)
+        return self.cum[i] + 0.5 * frac * (values[i] + vt)
+
+
+def _per_element_h(params, rate, m, folded):
+    g, xi = params.gamma, params.xi
+    u_lo = -(g * rate / params.b1 + xi) - _GRID_MARGIN
+    u_hi = max(g * rate / params.b0, xi) + _GRID_MARGIN
+    u = np.arange(int(np.ceil((u_hi - u_lo) / _GRID_STEP)) + 1) * _GRID_STEP + u_lo
+    g2 = _PerElementIntegral(u_lo, params.window.freq(u) ** 2)
+    q = u[int(np.ceil((_GRID_STEP - u_lo) / _GRID_STEP)) :]
+    p1 = np.maximum(g2(q - g, xi) * (g / xi), 0.0) / q
+    r = _PerElementIntegral(u_lo, (g2.cum - g2(u - xi)) / xi)
+    wavelet = _PerElementIntegral(q[0], p1)
+    omega = np.arange(m) * (rate / m)
+    h = np.zeros(m)
+    for shift in (-rate, 0.0, rate) if folded else (0.0,):
+        w = omega + shift
+        v = g * w / params.b0
+        h += r(v, g) + wavelet(v) - wavelet(g * w / params.b1)
+        h += r((g / params.b1) * (w - params.b1)) - r((g / params.b1) * (w - rate))
+    return h
+
+
+@pytest.mark.parametrize("folded", [False, True], ids=["unfolded", "folded"])
+@pytest.mark.parametrize(
+    "rate, m, kwargs",
+    [
+        (RATE, M, {}),
+        (16000.0, 32000, {}),
+        (RATE, M, {"gamma": 2.4, "xi": 0.37}),
+        (RATE, M, {"gamma": 3.3, "xi": 1e-3, "b0_frac": 0.05, "b1_frac": 0.7}),
+    ],
+    ids=["defaults", "vocoder-size", "fractional-shifts", "small-xi"],
+)
+def test_node_aligned_tables_match_per_element_evaluation(rate, m, kwargs, folded):
+    # gamma = xi = 6 are whole numbers of nodes; 2.4, 0.37 and 1e-3 are
+    # not, so the slices take a fraction of a cell.
+    p = LtftParams.for_rate(rate, **kwargs)
+    want = _per_element_h(p, rate, m, folded)
+    got = _build_diagonal.__wrapped__(p, rate, m, folded).h
+    assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
+
+
+def test_node_shifted_integral_is_zero_below_and_the_total_above():
+    # f(x) = 1 on [0, 4] (the edges need not vanish here): the integral at
+    # node k moved by s is clip(k step - s, 0, 4), whatever the shift.
+    table = _Integral(0.0, np.ones(4097))
+    k = np.arange(4097)
+    for shift in (-5.0, -0.3, 0.0, 0.37, 2.0 + _GRID_STEP / 3, 4.5):
+        got = np.concatenate(
+            [table.at_nodes(shift, lo, min(lo + 1000, 4097)) for lo in range(0, 4097, 1000)]
+        )
+        assert np.max(np.abs(got - np.clip(k * _GRID_STEP - shift, 0.0, 4.0))) < 1e-13, shift
+
+
+def test_diagonal_build_peak_at_the_vocoder_size():
+    # L = 16000, D*M = 32000, folded, with the window table built: the
+    # per-element tables peaked at 6.78 MiB.
+    import tracemalloc
+
+    p = LtftParams.for_rate(16000.0)
+    p.window.freq(0.0)
+    tracemalloc.start()
+    try:
+        _build_diagonal.__wrapped__(p, 16000.0, 32000, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.78 * 2**20
 
 
 @pytest.mark.parametrize("rate", [0.0, -64.0, np.nan, np.inf], ids=str)
