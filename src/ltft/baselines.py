@@ -75,26 +75,29 @@ class DwtGridParams:
         )
         return h * (self.sample_rate - self.b0)
 
+    def row_sizes(self) -> List[int]:
+        """Points per scale k of :meth:`scale_exponents`, round(r^k (M/L) p)
+        and at least 1, whose sum is a count under the rule of :mod:`ltft.lds`."""
+        ks = self.scale_exponents()
+        if len(ks) == 0:
+            raise InvalidParameterError("empty scale range; increase L/b0 or r")
+        # A row past 2^62 points is past any budget; the cap keeps round()
+        # off an overflowed size.
+        duration = self.m / self.sample_rate
+        sizes = [max(1, round(min(self.r**k * duration * self.p, 2.0**62))) for k in ks]
+        _check_count(sum(sizes), "wavelet grid size")
+        return sizes
+
 
 def dwt_grid(params: DwtGridParams) -> SampleSet:
     """Wavelet-grid sample set: per scale k, a uniform row of
-    round(r^k * (M/L) * p) time midpoints at frequency r^k * gamma.
+    :meth:`DwtGridParams.row_sizes` time midpoints at frequency r^k * gamma.
 
     All points carry oscillation coordinate 0.  The box's frequency side
     extends to the top scale's band edge r^K1 * (gamma + 0.5), which can
     exceed the sample rate.
     """
-    ks = params.scale_exponents()
-    if len(ks) == 0:
-        raise InvalidParameterError("empty scale range; increase L/b0 or r")
-    # The row sizes come under the point-count rule before any row is made.
-    # A row past 2^62 points is past any budget; the cap keeps round() off
-    # an overflowed size.
-    sizes = [
-        max(1, round(min(params.r**k * (params.m / params.sample_rate) * params.p, 2.0**62)))
-        for k in ks
-    ]
-    _check_count(sum(sizes), "wavelet grid size")
+    ks, sizes = params.scale_exponents(), params.row_sizes()
     half = params.m / (2.0 * params.sample_rate)
     rows = []
     for k, n_t in zip(ks, sizes):
@@ -129,15 +132,12 @@ def _dwt_unit_points(target_n: int) -> UnitPointSet:
     r_max = (gamma + 0.5) / (gamma - 0.5)
     r = min(1.0 / (1.0 - min(0.5 / math.sqrt(target_n), 0.6)), 0.999 * r_max)
 
-    def sized(p: float) -> SampleSet:
-        return dwt_grid(replace(_DWT_BASE, r=r, p=p))
-
-    unit_p = sized(1.0).n
-    best = None
-    for trial in np.linspace(0.4 * target_n / unit_p, 2.5 * target_n / unit_p, 61):
-        grid = sized(float(trial))
-        if best is None or abs(grid.n - target_n) < abs(best.n - target_n):
-            best = grid
+    base = replace(_DWT_BASE, r=r)
+    unit_p = sum(base.row_sizes())
+    trials = np.linspace(0.4 * target_n / unit_p, 2.5 * target_n / unit_p, 61)
+    # The grid of the first trial nearest the target in size.
+    best = dwt_grid(min((replace(base, p=float(p)) for p in trials),
+                        key=lambda trial: abs(sum(trial.row_sizes()) - target_n)))
     box = best.box
     unit = np.column_stack([(best.a - box.t_lo) / (box.t_hi - box.t_lo), best.b / box.freq_hi])
     # Row frequencies sit strictly inside (0, 1); keep [0, 1) by clipping
@@ -202,7 +202,7 @@ def dwt_grid_with_size(
     roughly target_n points (a count under the rule of :mod:`ltft.lds`)."""
     target_n = _check_count(target_n)
     base = DwtGridParams(r=1.15, p=1.0, b0=b0, sample_rate=sample_rate, m=m, gamma=gamma)
-    return dwt_grid(replace(base, p=max(target_n / dwt_grid(base).n, 1e-6)))
+    return dwt_grid(replace(base, p=max(target_n / sum(base.row_sizes()), 1e-6)))
 
 
 def coverage_queries(

@@ -559,15 +559,20 @@ def _support_index_range(
     # First and last grid sample of each atom's support [a - s/2, a + s/2],
     # s = gamma / clip(b, b0, b1) as in atom_support_length.  b is not
     # checked for sign: the callers hold it in [0, freq_hi], the SampleSet
-    # at the public boundary and lds.scale_rows in the pipelines.
+    # at the public boundary and lds.scale_rows in the pipelines.  The grid
+    # and guard rules keep every edge of an atom with a grid sample within
+    # +-2 _MAX_SIGNAL_SAMPLES, so edges are bounded there before the cast.
+    bound = 2.0 * _MAX_SIGNAL_SAMPLES
     half = np.clip(b, params.b0, params.b1)
     np.divide(params.gamma, half, out=half)
     half *= 0.5
     edge = np.subtract(a, half)
     edge *= sample_rate
+    np.clip(edge, -bound, bound, out=edge)
     m_start = np.ceil(edge, out=edge).astype(np.int64)
     np.add(a, half, out=edge)
     edge *= sample_rate
+    np.clip(edge, -bound, bound, out=edge)
     m_end = np.floor(edge, out=edge).astype(np.int64)
     return m_start, m_end
 
@@ -908,6 +913,7 @@ def synthesize(
     samples alone, so the result is bit-identical across runs.
     """
     out_len = _check_grid(out_len, sample_rate)
+    _guard_samples(params, sample_rate, out_len)
     if coeffs.values.shape[0] != samples.n:
         raise InvalidParameterError("coefficients and samples must align")
     lo, (tile,) = _tile_sum(

@@ -102,6 +102,27 @@ def test_dwt_size_matches_estimate(r, p_factor):
     assert estimate / 2 <= grid.n <= estimate * 2
 
 
+def test_dwt_row_sizes_are_the_grid_rows():
+    # L=4, gamma=1, b0=0.5, M=16, r=2: scales -1..3, rows of round(2^k * 4).
+    p = DwtGridParams(r=2.0, p=1.0, b0=0.5, sample_rate=4.0, m=16, gamma=1.0)
+    assert p.row_sizes() == [2, 4, 8, 16, 32]
+    _, counts = np.unique(dwt_grid(p).b, return_counts=True)
+    assert counts.tolist() == p.row_sizes()
+
+
+def test_sized_wavelet_grids_build_one_grid_each(monkeypatch):
+    # The size searches read row_sizes; only the chosen grid is built.
+    built = []
+    original = baselines.dwt_grid
+    monkeypatch.setattr(baselines, "dwt_grid", lambda p: built.append(p) or original(p))
+    rows, _ = discrepancy_scaling("dwt", [8, 16, 32])
+    assert len(built) == 3
+    assert [row.n for row in rows] == [sum(grid.row_sizes()) for grid in built]
+    built.clear()
+    assert dwt_grid_with_size(4096, 6.4, 64.0, 1024).n == sum(built[0].row_sizes())
+    assert len(built) == 1
+
+
 def test_lattice_discrepancy_slope():
     rows, slope = discrepancy_scaling("regular", [16, 64, 256])
     assert -0.6 <= slope <= -0.4

@@ -515,6 +515,40 @@ def test_a_grid_past_the_signal_budget_is_refused_before_it_is_made(params):
             make()
 
 
+def test_synthesis_takes_the_support_budget_of_analysis(monkeypatch):
+    # At b0 = 0.08 the longest support is S0 * L = 4800 samples: under a cap
+    # of 4096 analysis refuses its guard band, and synthesis refuses the same
+    # supports before any atom is planned.  At b0 = 1e-300 synthesis planned
+    # atoms whose support edges, 6e300 samples, overflowed the int64 cast.
+    monkeypatch.setattr(core, "_MAX_SIGNAL_SAMPLES", 4096)
+    planned = []
+    monkeypatch.setattr(core, "_atom_blocks", lambda *args: planned.append(args) or [])
+    box = PhaseSpaceBox(t_lo=-2.0, t_hi=2.0, freq_hi=RATE)
+    two = SampleSet(np.array([[-1.0, 3.0, 0.2], [1.5, 40.0, 0.7]]), box, "mc")
+    coeffs = CoefficientVector(np.ones(2), weight=1.0)
+    for p in (LtftParams(b0=0.08, b1=25.6), LtftParams(b0=1e-300, b1=1.0)):
+        with pytest.raises(BudgetExceededError, match="guard band"):
+            analyze(DigitalSignal(np.zeros(256), RATE), two, p)
+        with pytest.raises(BudgetExceededError, match="guard band"):
+            synthesize(coeffs, two, p, 256, RATE)
+    assert planned == []
+
+
+def test_atoms_far_off_the_grid_leave_the_plan_without_an_overflowing_cast(params):
+    # Atoms at a = +-1e299 have support edges near +-6.4e300 samples, past
+    # int64: the plan bounds them before the cast, so both atoms are left
+    # out and the one on the grid is kept as it was.
+    box = PhaseSpaceBox(t_lo=-1e300, t_hi=1e300, freq_hi=RATE)
+    near = SampleSet(np.array([[0.5, 10.0, 0.3]]), box, "mc")
+    far = SampleSet(np.vstack([near.points, [[1e299, 10.0, 0.3], [-1e299, 20.0, 0.6]]]), box, "mc")
+    sig = make_test_signal(256, RATE)
+    got = analyze(sig, far, params).values
+    assert np.array_equal(got, np.concatenate([analyze(sig, near, params).values, [0.0, 0.0]]))
+    ones = CoefficientVector(np.ones(3), weight=1.0)
+    want = synthesize(CoefficientVector(np.ones(1), weight=1.0), near, params, 256, RATE)
+    assert np.array_equal(synthesize(ones, far, params, 256, RATE).samples, want.samples)
+
+
 def test_digital_signal_takes_the_grid_budget(monkeypatch):
     monkeypatch.setattr(core, "_MAX_SIGNAL_SAMPLES", 64)
     assert DigitalSignal(np.zeros(64), RATE).m == 64

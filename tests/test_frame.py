@@ -279,21 +279,82 @@ def test_q_table_takes_one_window_power_integral_per_node(monkeypatch, params):
     # gamma and gamma + xi (P1), as shifted slices: no argument is located in
     # the table on its own.
     per_element, nodes = [], []
-    original_eval, original_at_nodes = _Integral._eval, _Integral.at_nodes
+    original_call, original_at_nodes = _Integral.__call__, _Integral.at_nodes
 
-    def counting_eval(self, t, shift=0.0):
+    def counting_call(self, t, shift=0.0):
         per_element.append(t.size)
-        return original_eval(self, t, shift)
+        return original_call(self, t, shift)
 
     def counting_at_nodes(self, shift, lo, hi):
         nodes.append(hi - lo)
         return original_at_nodes(self, shift, lo, hi)
 
-    monkeypatch.setattr(_Integral, "_eval", counting_eval)
+    monkeypatch.setattr(_Integral, "__call__", counting_call)
     monkeypatch.setattr(_Integral, "at_nodes", counting_at_nodes)
     r, wavelet = _integrals(params, RATE)
     assert per_element == []
     assert sum(nodes) == r.values.size + 2 * wavelet.values.size
+
+
+def _per_shift_loop_h(params, rate, m, folded):
+    # The per-bin stage as it read the tables before the -L wavelet reads
+    # were skipped: every fold shift reads all three band terms, and q0 is
+    # a width-mode read, the two evaluations subtracted in one call.
+    g, high = params.gamma, params.gamma / params.b1
+    r, wavelet = _integrals(params, rate)
+
+    def read(table, t, width=0.0):
+        return table(t) - table(t, width) if width else table(t).copy()
+
+    omega = np.arange(m) * (rate / m)
+    q0, q1, q2 = np.zeros((3, m))
+    for shift in (-rate, 0.0, rate) if folded else (0.0,):
+        w = omega + shift
+        v = g * w / params.b0
+        q0 += read(r, v, g)
+        q1 += read(wavelet, v) - read(wavelet, g * w / params.b1)
+        q2 += read(r, high * (w - params.b1)) - read(r, high * (w - rate))
+    return q0, q1, q2
+
+
+_DIAGONAL_SETS = [
+    (16000.0, 32000, {}),
+    (64.0, 1024, {}),
+    (64.0, 512, {"gamma": 2.4, "xi": 0.37}),
+    (16000.0, 1024, {"gamma": 3.3, "xi": 1e-3, "b0_frac": 0.05, "b1_frac": 0.7}),
+    (64.0, 256, {"xi": 200.0}),
+]
+
+
+@pytest.mark.parametrize("folded", [False, True], ids=["unfolded", "folded"])
+@pytest.mark.parametrize(
+    "rate, m, kwargs", _DIAGONAL_SETS,
+    ids=["vocoder-size", "defaults", "fractional-shifts", "small-xi", "large-xi"],
+)
+def test_diagonal_equals_the_per_shift_loop_bit_for_bit(rate, m, kwargs, folded):
+    # Skipping the -L wavelet reads drops only additions of exact zeros.
+    p = LtftParams.for_rate(rate, **kwargs)
+    got = _build_diagonal.__wrapped__(p, rate, m, folded)
+    q0, q1, q2 = _per_shift_loop_h(p, rate, m, folded)
+    for name, want in (("q0", q0), ("q1", q1), ("q2", q2), ("h", q0 + q1 + q2)):
+        assert np.array_equal(getattr(got, name), want), name
+
+
+@pytest.mark.parametrize("folded, reads", [(False, 6), (True, 16)])
+def test_diagonal_makes_its_located_reads_once_per_bin_chunk(monkeypatch, params, folded, reads):
+    # Three chunks of bins: each reads R and the wavelet table once per
+    # located argument, every read one chunk long.
+    sizes = []
+    original = _Integral.__call__
+
+    def counting(self, t, shift=0.0):
+        sizes.append(t.size)
+        return original(self, t, shift)
+
+    monkeypatch.setattr(frame_module, "_TABLE_CHUNK", 100)
+    monkeypatch.setattr(_Integral, "__call__", counting)
+    _build_diagonal.__wrapped__(params, RATE, M, folded)
+    assert sizes == [100] * (2 * reads) + [M - 200] * reads
 
 
 class _PerElementIntegral:
