@@ -35,6 +35,11 @@ def make_test_signal(
     -60 dB relative to the tone mix.
     """
     m, seed = _check_grid(m, sample_rate), _check_int("seed", seed, 0)
+    span = m / sample_rate  # past these spans a chirp's u**2 or its rate ~L/span overflows
+    if not 1e-150 <= span <= 1e150:
+        raise InvalidParameterError(
+            f"rate {sample_rate:g} Hz spans {m} samples in {span:g} s, not in [1e-150, 1e150] s"
+        )
     if params is None:
         params = LtftParams.for_rate(sample_rate)
     rng = np.random.default_rng(seed)
@@ -46,7 +51,6 @@ def make_test_signal(
     for f, ph in zip(freqs, phases):
         sig += np.cos(2.0 * np.pi * f * t + ph)
 
-    span = m / sample_rate
     for center, f_start, f_end in (
         (-span / 4.0, lo, hi),
         (span / 4.0, hi, lo),

@@ -37,9 +37,6 @@ from .processing import (
 )
 from .wavio import WavAudio, wav_read, wav_write
 
-_BENCH_RATE = 64.0
-_BENCH_M = 1 << 10
-
 
 @dataclass
 class RunConfig:
@@ -60,13 +57,6 @@ def _params_from(options: Dict[str, object], sample_rate: float) -> LtftParams:
     )
 
 
-def _config_comment(config: RunConfig) -> str:
-    parts = [f"subcommand={config.subcommand}"]
-    for key in sorted(config.options):
-        parts.append(f"{key}={config.options[key]}")
-    return "# config: " + " ".join(parts)
-
-
 def _write_csv(config: RunConfig, header: List[str], rows: Iterable[Sequence]) -> None:
     # The CSV format: the config line, the header, then one row per line
     # with floats at 17 significant digits.  Callers compute every row
@@ -75,16 +65,13 @@ def _write_csv(config: RunConfig, header: List[str], rows: Iterable[Sequence]) -
     import csv
 
     with open(str(config.options["csv"]), "w", newline="") as handle:
-        handle.write(_config_comment(config) + "\r\n")
+        pairs = " ".join(f"{key}={config.options[key]}" for key in sorted(config.options))
+        handle.write(f"# config: subcommand={config.subcommand} {pairs}\r\n")
         writer = csv.writer(handle)
         writer.writerow(header)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+        writer.writerows(
+            [format(v, ".17g") if isinstance(v, float) else str(v) for v in row] for row in rows
+        )
 
 
 def _list_option(options: Dict[str, object], key: str, convert=str) -> list:
@@ -113,6 +100,12 @@ def _load_audio(options: Dict[str, object]) -> tuple:
     return audio, signal, params
 
 
+def _grid_options(options: Dict[str, object]) -> tuple:
+    # The rate L, grid length M and transform of a grid subcommand.
+    rate, m = float(options["rate"]), int(options["resolution"])
+    return rate, m, _params_from(options, rate)
+
+
 def _write_audio(path: str, signal: DigitalSignal, audio: WavAudio, dilation: int = 1) -> None:
     # The input's frame count times D: to_signal pads an odd or short input
     # with zeros, which are cropped here.
@@ -128,16 +121,11 @@ def _write_audio(path: str, signal: DigitalSignal, audio: WavAudio, dilation: in
 # the audio commands never load those modules.
 
 
-def _cmd_reconstruct(config: RunConfig) -> int:
+def _cmd_reconstruct(config: RunConfig, loaded: tuple = (), rule=None, shrink=None) -> int:
+    # reconstruct with the rule, or denoise with the shrinkage when given,
+    # on the audio `loaded` by _load_audio or loaded here.
     options = config.options
-    return _reconstruct_audio(options, _load_audio(options))
-
-
-def _reconstruct_audio(
-    options: Dict[str, object], loaded: tuple, rule=None, shrink=None
-) -> int:
-    # reconstruct with the rule, or denoise with the shrinkage when given.
-    audio, signal, params = loaded
+    audio, signal, params = loaded or _load_audio(options)
     n = sample_count(signal.m, options.get("samples"), options.get("redundancy"), 16.0)
     sampling = dict(
         kind=str(options["sequence"]), seed=int(options["seed"]), padded=bool(options["padded"])
@@ -172,7 +160,7 @@ def _cmd_denoise(config: RunConfig) -> int:
     options = config.options
     # A threshold that would write silence is refused before the WAV is read.
     shrink = shrinkage(float(options["threshold"]), str(options["threshold_mode"]) == "relative")
-    return _reconstruct_audio(options, _load_audio(options), shrink=shrink)
+    return _cmd_reconstruct(config, shrink=shrink)
 
 
 def _cmd_multiplier(config: RunConfig) -> int:
@@ -189,24 +177,20 @@ def _cmd_multiplier(config: RunConfig) -> int:
     loaded = _load_audio(options)
     rate = loaded[1].sample_rate
     if not cutoff < rate:
-        raise InvalidParameterError(
-            f"cutoff frequency {cutoff:g} Hz must lie in (0, {rate:g}) Hz"
-        )
+        raise InvalidParameterError(f"cutoff frequency {cutoff:g} Hz must lie in (0, {rate:g}) Hz")
 
     def rule(values, a, b, c):
         kept = b < cutoff if low is not None else b >= cutoff
         return values * kept.astype(float)
 
-    return _reconstruct_audio(options, loaded, rule=rule)
+    return _cmd_reconstruct(config, loaded, rule=rule)
 
 
 def _cmd_bench_error(config: RunConfig) -> int:
     from . import bench as bench_mod
 
     options = config.options
-    m = int(options["resolution"])
-    rate = float(options["rate"])
-    params = _params_from(options, rate)
+    rate, m, params = _grid_options(options)
     signal = bench_mod.make_test_signal(m, rate, seed=int(options["seed"]), params=params)
     methods = _list_option(options, "methods")
     redundancies = _list_option(options, "redundancies", float)
@@ -239,34 +223,23 @@ def _cmd_bench_complexity(config: RunConfig) -> int:
     from . import bench as bench_mod
 
     options = config.options
-    rate = float(options["rate"])
-    m = int(options["resolution"])
-    params = _params_from(options, rate)
+    rate, m, params = _grid_options(options)
     sizes = _list_option(options, "sizes", int)
-    half = m / (2.0 * rate)
-    box = PhaseSpaceBox(t_lo=-half, t_hi=half, freq_hi=rate)
+    box = PhaseSpaceBox(t_lo=-m / (2.0 * rate), t_hi=m / (2.0 * rate), freq_hi=rate)
     bound = bench_mod.complexity_per_point_bound(params, rate)
     rows = []
     for n in sizes:
-        samples = scale_to_box(
-            generate_unit_points(str(options["sequence"]), n, 3, int(options["seed"])),
-            box,
-        )
-        c_actual, a_pred = bench_mod.complexity_count(samples, params, rate)
+        units = generate_unit_points(str(options["sequence"]), n, 3, int(options["seed"]))
+        c_actual, a_pred = bench_mod.complexity_count(scale_to_box(units, box), params, rate)
         rows.append([n, c_actual, a_pred, bound])
     _write_csv(config, ["n", "c_actual", "a_predicted", "per_point_bound"], rows)
     return 0
 
 
 def _cmd_frame_diag(config: RunConfig) -> int:
-    options = config.options
-    rate = float(options["rate"])
-    m = int(options["resolution"])
-    params = _params_from(options, rate)
+    rate, m, params = _grid_options(config.options)
     hd = frame_diagonal(params, rate, m)
-    _write_csv(
-        config, ["omega", "h", "q0", "q1", "q2"], zip(hd.omega, hd.h, hd.q0, hd.q1, hd.q2)
-    )
+    _write_csv(config, ["omega", "h", "q0", "q1", "q2"], zip(hd.omega, hd.h, hd.q0, hd.q1, hd.q2))
     return 0
 
 
@@ -274,20 +247,15 @@ def _cmd_coverage(config: RunConfig) -> int:
     from .baselines import coverage_queries, dwt_grid_with_size, funnel_coverage
 
     options = config.options
-    rate = float(options["rate"])
-    m = int(options["resolution"])
-    params = _params_from(options, rate)
-    half = m / (2.0 * rate)
-    box = PhaseSpaceBox(t_lo=-half, t_hi=half, freq_hi=rate)
+    rate, m, params = _grid_options(options)
+    box = PhaseSpaceBox(t_lo=-m / (2.0 * rate), t_hi=m / (2.0 * rate), freq_hi=rate)
     n = sample_count(m, options.get("samples"), options.get("redundancy"), 16.0)
     kind = str(options["generator"])
     if kind == "dwt":
         samples = dwt_grid_with_size(n, params.b0, rate, m, gamma=params.gamma)
     else:
         samples = scale_to_box(generate_unit_points(kind, n, 3, int(options["seed"])), box)
-    queries = coverage_queries(
-        box, params, int(options["queries"]), seed=int(options["seed"])
-    )
+    queries = coverage_queries(box, params, int(options["queries"]), seed=int(options["seed"]))
     report = funnel_coverage(samples, queries, params)
     rows = [[q[0], q[1], v, int(f)] for q, v, f in zip(queries, report.values, report.flagged)]
     _write_csv(config, ["a", "b", "value", "flagged"], rows)
@@ -370,21 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--sizes", default="8,16,32,64,128")
             continue
         _add_param_flags(sp, xi=name not in ("bench-complexity", "coverage"))
-        sp.add_argument("--rate", type=float, default=_BENCH_RATE)
-        sp.add_argument("-M", "--resolution", type=int, default=_BENCH_M)
+        sp.add_argument("--rate", type=float, default=64.0)
+        sp.add_argument("-M", "--resolution", type=int, default=1024)
+        if name != "frame-diag":
+            sp.add_argument("--seed", type=int, default=0)
         if name == "bench-error":
             _add_padded_flag(sp)
             sp.add_argument("--methods", default="hammersley,mc")
             sp.add_argument("--redundancies", default="1,2,4,8,16,32,64")
-            sp.add_argument("--seed", type=int, default=0)
         if name == "bench-complexity":
             sp.add_argument("--sizes", default="256,1024,4096,16384")
             sp.add_argument("--sequence", choices=KINDS, default="hammersley")
-            sp.add_argument("--seed", type=int, default=0)
         if name == "coverage":
             sp.add_argument("--generator", choices=(*KINDS, "dwt"), default="hammersley")
             sp.add_argument("--queries", type=int, default=100)
-            sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("-N", "--samples", type=int, default=None)
             sp.add_argument("-A", "--redundancy", type=float, default=None)
 

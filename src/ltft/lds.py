@@ -227,20 +227,23 @@ def scale_to_box(points: UnitPointSet, box: PhaseSpaceBox) -> SampleSet:
     return SampleSet(coords, box=box, generator=points.generator)
 
 
-def _corner_counts(points: np.ndarray, candidates: Sequence[np.ndarray], side: str):
-    # Tensor of point counts at every candidate corner, cumulative per axis.
-    # side='left' counts coord <= corner (closed), side='right' counts
-    # coord < corner (strict); every coordinate occurs in its axis grid.
-    shape = tuple(len(c) for c in candidates)
-    counts = np.zeros(shape, dtype=np.int64)
-    idx = tuple(
-        np.searchsorted(candidates[j], points[:, j], side=side)
-        for j in range(points.shape[1])
-    )
-    np.add.at(counts, idx, 1)
-    for axis in range(points.shape[1]):
-        np.cumsum(counts, axis=axis, out=counts)
-    return counts
+def _deviation(points: np.ndarray, corners: Sequence[np.ndarray]) -> float:
+    # max |count/N - volume| over every corner of the per-axis grids, each
+    # ending at 1, with the count of points at or below the corner (side
+    # 'left') and of points strictly below it (side 'right').
+    n, d = points.shape
+    vol = corners[0].copy()
+    for grid in corners[1:]:
+        vol = np.multiply.outer(vol, grid)
+    deviation = 0.0
+    for side in ("left", "right"):
+        counts = np.zeros(vol.shape, dtype=np.int64)
+        idx = tuple(np.searchsorted(corners[j], points[:, j], side=side) for j in range(d))
+        np.add.at(counts, idx, 1)
+        for axis in range(d):
+            np.cumsum(counts, axis=axis, out=counts)
+        deviation = max(deviation, np.abs(counts / n - vol).max())
+    return float(deviation)
 
 
 def _check_exact_budget(n: int, d: int) -> None:
@@ -262,17 +265,8 @@ def star_discrepancy(points: UnitPointSet) -> float:
     half-open boxes is attained at one of these values, which is returned.
     """
     pts = points.points
-    n, d = pts.shape
-    _check_exact_budget(n, d)
-    candidates = [
-        np.concatenate([np.unique(pts[:, j]), [1.0]]) for j in range(d)
-    ]
-    closed = _corner_counts(pts, candidates, side="left")
-    strict = _corner_counts(pts, candidates, side="right")
-    vol = candidates[0].copy()
-    for j in range(1, d):
-        vol = np.multiply.outer(vol, candidates[j])
-    value = float(max(np.abs(closed / n - vol).max(), np.abs(strict / n - vol).max()))
+    _check_exact_budget(*pts.shape)
+    value = _deviation(pts, [np.concatenate([np.unique(col), [1.0]]) for col in pts.T])
     if not 0.0 <= value <= 1.0:
         raise InvalidParameterError(f"star discrepancy must be in [0, 1], got {value}")
     return value
@@ -284,15 +278,6 @@ def star_discrepancy_scan(points: UnitPointSet, resolution: int = 512) -> float:
     Every returned value is a true value (or one-sided limit) of the
     discrepancy function, so this never exceeds the exact supremum.
     """
-    pts = points.points
-    n, d = pts.shape
     resolution = _check_count(resolution, "resolution")
-    grid = [np.arange(1, resolution + 1) / resolution] * d
-    closed = _corner_counts(pts, grid, side="left")
-    strict = _corner_counts(pts, grid, side="right")
-    vol = grid[0].copy()
-    for j in range(1, d):
-        vol = np.multiply.outer(vol, grid[j])
-    return float(
-        max(np.abs(closed / n - vol).max(), np.abs(strict / n - vol).max())
-    )
+    grid = np.arange(1, resolution + 1) / resolution
+    return _deviation(points.points, [grid] * points.dim)

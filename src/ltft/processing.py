@@ -24,6 +24,11 @@ the points are tiled.  Other point sets, and denoising, which needs max
 tiles on a thread pool, one thread per usable core, with a few tiles in
 flight; the partition and the order of the sums do not depend on the
 thread count, so neither does the output, bit for bit.
+
+An input peaking outside [2^-500, 2^500] is divided by a power of two u
+that brings its peak below 2, and the outputs are multiplied by u, so
+no finite input overflows a sum.  A rule still maps F in the input's units,
+as rule(u*F, a, b, c)/u; the vocoder's phase rule keeps |F| and maps F.
 """
 
 from __future__ import annotations
@@ -42,12 +47,12 @@ from .core import (
     PhaseSpaceBox,
     Rule,
     _analysis_input,
+    _analytic_at_unit,
     _check_int,
     _predicted_atom_samples,
+    _times,
     _tile_coeffs,
     _tile_pass,
-    from_analytic,
-    to_analytic,
 )
 from .errors import BudgetExceededError, InvalidParameterError
 from .frame import apply_inverse_frame, frame_diagonal
@@ -128,6 +133,13 @@ def shrinkage(threshold: float, relative: bool = True) -> Callable[[float], Rule
         return rule
 
     return at_peak
+
+
+def _in_units(rule: Optional[Rule], unit: float) -> Optional[Rule]:
+    # `rule`, which maps the coefficients of an input x, on those of x/unit.
+    if rule is None or unit == 1.0:
+        return rule
+    return lambda values, a, b, c: np.asarray(rule(_times(values, unit), a, b, c)) / unit
 
 
 def vocoder_phase_rule(z, dilation: int):
@@ -247,7 +259,12 @@ def _analysis_synthesis(
     # gone before the tiles allocate.
     hd = frame_diagonal(params, rate, out_len, folded=True)
     box = PhaseSpaceBox.for_signal(signal, params, padded=padded)
-    sig = _analysis_input(to_analytic(signal), params)
+    sig, unit = _analytic_at_unit(signal)
+    sig = _analysis_input(sig, params)  # holding no second copy of the input
+    if rule is None and dilation > 1:  # the vocoder's, on the scaled F
+        rule = lambda z, a, b, c: vocoder_phase_rule(z, dilation)
+    else:
+        rule = _in_units(rule, unit)
     # A tile's sum rows each span at most the output grid plus the analysis
     # input's guard band, which bounds every support, on each side.
     max_rows = max(1, _TILE_POINTS // (out_len + sig.size - signal.m))
@@ -273,7 +290,7 @@ def _analysis_synthesis(
                 lambda k: np.abs(_tile_coeffs(sig, tile_points(k), params, signal.m, rate)).max(),
                 len(tiles), pooled,
             )
-            ruled = at_peak(float(max(peaks)))
+            ruled = _in_units(at_peak(float(max(peaks)) * unit), unit)
 
         def task(k: int) -> Tuple[int, np.ndarray]:
             start, ends = tiles[k]
@@ -288,8 +305,8 @@ def _analysis_synthesis(
                 if end not in ns:
                     continue
                 normalized = apply_inverse_frame(DigitalSignal(raw, rate), hd).samples
-                scaled = normalized * (dilation * box.volume / end)
-                outputs.append(from_analytic(DigitalSignal(scaled, rate)))
+                weight = dilation * box.volume / end * unit
+                outputs.append(DigitalSignal(_times(normalized.real, weight), rate))
         return outputs
 
     passes = [counts] if extensible(kind) and at_peak is None else [[n] for n in counts]
@@ -360,5 +377,5 @@ def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
     """
     return _analysis_synthesis(
         signal, job.params, [job.sample_count(signal.m)], job.sequence, job.seed, job.padded,
-        rule=lambda z, a, b, c: vocoder_phase_rule(z, job.dilation), dilation=job.dilation,
+        dilation=job.dilation,
     )[0]

@@ -36,12 +36,10 @@ class WavAudio:
             raise InvalidParameterError(f"sample rate {self.rate} exceeds {_MAX_RATE}")
 
     def to_signal(self) -> DigitalSignal:
-        """Signal at one time unit per second, zero-padded to even length."""
-        samples = self.samples
-        if samples.size % 2 == 1:
-            samples = np.concatenate([samples, [0.0]])
-        if samples.size < 4:
-            samples = np.concatenate([samples, np.zeros(4 - samples.size)])
+        """Signal at one time unit per second, zero-padded to an even length >= 4."""
+        size = self.samples.size
+        pad = max(4, size + size % 2) - size
+        samples = np.pad(self.samples, (0, pad)) if pad else self.samples
         return DigitalSignal(samples, float(self.rate))
 
 

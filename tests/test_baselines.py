@@ -236,10 +236,11 @@ def test_funnel_coverage_flags_boundary_queries(params):
     half = 2.0
     box = PhaseSpaceBox(t_lo=-half, t_hi=half, freq_hi=RATE)
     samples = SampleSet(np.array([[0.0, 12.0, 0.5]]), box=box, generator="mc")
-    # time margin gamma/b = 0.5 at b = 12; a query at the edge violates it
-    queries = np.array([[half - 0.1, 12.0], [0.0, 12.0]])
+    # time margin gamma/b = 0.5 at b = 12; a query at the edge violates it,
+    # and a query at b <= 0 has no adjoint box
+    queries = np.array([[half - 0.1, 12.0], [0.0, 12.0], [0.0, 0.0], [0.0, -1.0]])
     report = funnel_coverage(samples, queries, params)
-    assert report.flagged.tolist() == [True, False]
+    assert report.flagged.tolist() == [True, False, True, True]
 
 
 def test_funnel_coverage_3d_queries(params):

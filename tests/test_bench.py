@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,19 @@ def test_test_signal_refuses_a_bad_grid_or_seed(m, seed):
     # M = 0 divided by zero, and a float seed failed inside numpy.
     with pytest.raises(InvalidParameterError):
         make_test_signal(m, RATE, seed=seed)
+
+
+@pytest.mark.parametrize("rate", [1e200, 1e-200])
+def test_test_signal_refuses_a_rate_past_its_chirps(rate):
+    # 64 samples last 6.4e-199 s or 6.4e201 s: a chirp's sweep rate or its
+    # squared times left the float range, with a numpy warning and then a
+    # "signal samples must be finite".
+    with pytest.raises(InvalidParameterError, match=re.escape(f"rate {rate:g} Hz")):
+        make_test_signal(64, rate)
+
+
+def test_bench_without_redundancies_has_no_rows(params):
+    assert bench_reconstruction(make_test_signal(256, RATE), params, ["hammersley"], []) == []
 
 
 def _box(m):

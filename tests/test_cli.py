@@ -232,6 +232,17 @@ def test_odd_length_input_keeps_its_frame_count(tmp_path):
         assert wav_read(str(out)).samples.size == 801 * dilation
 
 
+def test_three_frame_input_keeps_its_frame_count(tmp_path):
+    # A WAV shorter than the 4-sample grid is padded to 4 and cropped back.
+    src = tmp_path / "in.wav"
+    wav_write(str(src), WavAudio(np.array([0.1, -0.2, 0.3]), RATE))
+    assert wav_read(str(src)).to_signal().m == 4
+    for dilation, args in [(1, ["reconstruct"]), (3, ["vocoder", "-D", "3"])]:
+        out = tmp_path / "out.wav"
+        assert main(args + [str(src), str(out)]) == 0
+        assert wav_read(str(out)).samples.size == 3 * dilation
+
+
 def test_denoise_and_multiplier_run(tmp_path):
     src = _sine_wav(tmp_path / "in.wav")
     assert main(["denoise", "--threshold", "0.2", "--redundancy", "4",
@@ -420,6 +431,41 @@ def test_frame_diag_csv(tmp_path):
     assert np.array_equal(parsed, np.column_stack([hd.omega, hd.h, hd.q0, hd.q1, hd.q2]))
 
 
+def test_csv_config_line_lists_every_option_sorted(tmp_path):
+    out = tmp_path / "h.csv"
+    assert main(["frame-diag", "--csv", str(out), "-M", "8"]) == 0
+    config = out.read_text().splitlines()[0]
+    assert config == (
+        f"# config: subcommand=frame-diag b0_frac=0.1 b1_frac=0.4 csv={out} gamma=6.0"
+        " rate=64.0 resolution=8 window=cos4 xi=6.0"
+    )
+
+
+@pytest.mark.parametrize("command", ["frame-diag", "bench-error"])
+def test_grid_length_below_four_is_refused_by_the_grid_rule(tmp_path, capsys, command):
+    # Neither command builds a phase-space box, whose "need t_lo < t_hi"
+    # would come first.
+    out = tmp_path / "x.csv"
+    assert main([command, "-M", "0", "--csv", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: invalid-parameter: grid length must be >= 4, got 0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["1e200", "1e-200"])
+def test_bench_error_refuses_a_rate_past_the_test_signal(tmp_path, capsys, rate):
+    # The transform runs at these rates, but the test signal's chirps
+    # overflow: refused in one line naming the rate, where a numpy warning
+    # came first.
+    out = tmp_path / "e.csv"
+    args = ["bench-error", "--rate", rate, "-M", "64", "--redundancies", "1",
+            "--methods", "mc", "--csv", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: invalid-parameter: rate {float(rate):g} Hz")
+    assert not out.exists()
+
+
 def test_bench_discrepancy_csv(tmp_path):
     out = tmp_path / "d.csv"
     assert main([
@@ -501,6 +547,16 @@ def test_coverage_csv(tmp_path, capsys):
     assert "max/min" in printed
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2 + 20
+
+
+def test_coverage_csv_of_the_wavelet_grid(tmp_path, capsys):
+    out = tmp_path / "cov.csv"
+    assert main(["coverage", "--generator", "dwt", "-A", "1", "-M", "256",
+                 "--queries", "20", "--csv", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("coverage mean=")
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[2:]]
+    assert len(rows) == 20
+    assert all(np.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_unknown_flag_is_usage_error(tmp_path):

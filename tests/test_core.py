@@ -249,6 +249,32 @@ def test_to_analytic_rejects_complex():
         to_analytic(DigitalSignal(np.full(8, 1j), RATE))
 
 
+@pytest.mark.parametrize(
+    "amplitude", [2.0**1020, 1e307, 1.7e308, 1e-310], ids=["2^1020", "1e307", "1.7e308", "1e-310"]
+)
+def test_to_analytic_takes_every_finite_amplitude(amplitude):
+    # Past a peak of 2^500 the bins are taken at a peak below 2: a sum of
+    # 1e307 samples overflowed the FFT, and the input was then refused as
+    # not finite.
+    m = 256
+    t = np.arange(-m // 2, m // 2) / RATE
+    unit = to_analytic(DigitalSignal(np.cos(2 * np.pi * 12.0 * t + 0.4), RATE)).samples
+    scaled = to_analytic(DigitalSignal(amplitude * np.cos(2 * np.pi * 12.0 * t + 0.4), RATE))
+    assert np.all(np.isfinite(scaled.samples))
+    if amplitude == 2.0**1020:  # a power-of-two scale moves no bit
+        assert np.array_equal(scaled.samples, unit * amplitude)
+    tol = 1e-14 * amplitude if amplitude > 1e-300 else 1e-9 * amplitude
+    assert np.max(np.abs(scaled.samples - unit * amplitude)) <= tol
+
+
+def test_to_analytic_refuses_a_result_past_the_float_range():
+    # A square wave's analytic extension peaks about (2/pi) ln M above the
+    # wave: at 1.7e308 its imaginary part is past the largest double.
+    wave = np.where(np.arange(256) < 128, 1.7e308, -1.7e308)
+    with pytest.raises(InvalidParameterError, match="overflows"):
+        to_analytic(DigitalSignal(wave, RATE))
+
+
 # ---------------------------------------------------------------------------
 # atoms
 # ---------------------------------------------------------------------------

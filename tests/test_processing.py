@@ -12,6 +12,7 @@ from ltft import (
     analyze,
     denoise,
     dft,
+    make_test_signal,
     phase_vocoder,
     relative_error,
     scale_to_box,
@@ -134,6 +135,94 @@ def test_shrinkage_refuses_an_absolute_threshold_above_every_coefficient():
     assert np.array_equal(shrinkage(0.5)(4.0)(z, None, None, None), soft)
 
 
+def _hard_threshold(t):
+    return lambda v, a, b, c: np.where(np.abs(v) > t, v, 0)
+
+
+@pytest.mark.parametrize("exponent", [-1, -600, 600])
+def test_a_rule_maps_the_coefficients_in_the_input_units(params, exponent):
+    # A hard threshold does not scale with its input.  Past a peak of 2^500
+    # (or below 2^-500) the pipeline runs on a scaled input, yet the rule
+    # still sees the coefficients in the input's units: scaling the input
+    # and the threshold by 2^k scales the output by 2^k, bit for bit.
+    s = make_test_signal(256, RATE)
+    scale = 2.0**exponent
+    unit = reconstruct(s, params, 4 * s.m, rule=_hard_threshold(0.1)).samples
+    assert not np.array_equal(unit, reconstruct(s, params, 4 * s.m).samples)
+    scaled = reconstruct(
+        DigitalSignal(s.samples * scale, RATE), params, 4 * s.m, rule=_hard_threshold(0.1 * scale)
+    )
+    assert np.array_equal(scaled.samples, unit * scale)
+
+
+def test_denoise_gives_its_rule_factory_max_f_in_the_input_units(params):
+    # Any one-argument factory is a shrink; it reads max |F| of the input.
+    s = make_test_signal(256, RATE)
+    peaks = []
+
+    def shrink(peak):
+        peaks.append(peak)
+        return _hard_threshold(0.5 * peak)
+
+    outs = [denoise(DigitalSignal(s.samples * scale, RATE), params, 4 * s.m, shrink)
+            for scale in (1.0, 2.0**600)]
+    assert peaks[1] == peaks[0] * 2.0**600
+    assert np.array_equal(outs[1].samples, outs[0].samples * 2.0**600)
+
+
+def test_a_rule_input_past_the_float_range_is_refused():
+    rule = processing._in_units(lambda v, a, b, c: v, 2.0**1000)
+    assert np.array_equal(rule(np.array([2.0**20 + 0j]), None, None, None), [2.0**20])
+    with pytest.raises(InvalidParameterError, match="overflows float64"):
+        rule(np.array([2.0**30 + 0j]), None, None, None)
+
+
+def _pipelines(params, absolute=1e-3):
+    return {
+        "reconstruct": lambda s: reconstruct(s, params, 4 * s.m),
+        "denoise": lambda s: denoise(s, params, 4 * s.m, shrinkage(0.1)),
+        "denoise-absolute": lambda s, t=absolute: denoise(
+            s, params, 4 * s.m, shrinkage(t, relative=False)
+        ),
+        "vocoder": lambda s: phase_vocoder(s, VocoderJob(params, dilation=2)),
+    }
+
+
+@pytest.mark.parametrize("name", ["reconstruct", "denoise", "denoise-absolute", "vocoder"])
+@pytest.mark.parametrize("exponent", [-7, 1020])
+def test_pipelines_move_no_bit_under_a_power_of_two_scale(params, name, exponent):
+    # A power-of-two input scale scales the output bit for bit, inside
+    # [2^-500, 2^500] by homogeneity and past it through the exact scale;
+    # at 2^1020 the FFT overflowed before, and the input was refused as not
+    # finite.
+    s = make_test_signal(256, RATE)
+    scale = 2.0**exponent
+    unit = _pipelines(params)[name](s).samples
+    scaled = _pipelines(params, 1e-3 * scale)[name](DigitalSignal(s.samples * scale, RATE))
+    assert np.array_equal(scaled.samples, unit * scale)
+
+
+@pytest.mark.parametrize("name", ["reconstruct", "denoise", "vocoder"])
+@pytest.mark.parametrize("amplitude", [1e307, 1.5e308, 1e-310])
+def test_pipelines_take_every_finite_amplitude(params, name, amplitude):
+    # 1e-310 is subnormal: the vocoder's phase rule overflowed dividing by
+    # its coefficients' magnitudes, and a naive scale 2.0**k overflowed.
+    s = make_test_signal(256, RATE)
+    unit = _pipelines(params)[name](s).samples
+    out = _pipelines(params)[name](DigitalSignal(s.samples * amplitude, RATE)).samples
+    assert np.all(np.isfinite(out))
+    # Subnormal outputs keep only their leading bits.
+    tol = 1e-14 if amplitude > 1e-300 else 1e-9
+    assert np.max(np.abs(out / amplitude - unit)) <= tol * np.max(np.abs(unit))
+
+
+def test_an_output_past_the_float_range_is_refused(params):
+    # At N = 4M the vocoder's output peaks 1.35 times above its input's.
+    s = DigitalSignal(make_test_signal(256, RATE).samples * 1.5e308, RATE)
+    with pytest.raises(InvalidParameterError, match="overflows"):
+        phase_vocoder(s, VocoderJob(params, dilation=2, redundancy=4.0))
+
+
 def test_rule_that_changes_the_shape_is_refused(params, tapered_tone):
     s = tapered_tone(256)
     for rule in (lambda z, a, b, c: z[:-1], lambda z, a, b, c: np.sum(z)):
@@ -190,6 +279,12 @@ def test_vocoder_job_sample_count_from_samples(params):
                 dict(samples=100, redundancy=2.0)):
         with pytest.raises(InvalidParameterError):
             VocoderJob(params=params, dilation=2, **bad)
+
+
+def test_sample_count_past_the_float_range_is_budget_exceeded():
+    # A*M overflows to infinity; the CLI's check at M = 1 never gets here.
+    with pytest.raises(BudgetExceededError, match="overflows the point budget"):
+        processing.sample_count(2**20, None, 1e303, 1.0)
 
 
 @pytest.mark.parametrize("bad", [dict(sequence="sobol"), dict(sequence="mc", seed=-1),
