@@ -3,7 +3,8 @@
 Low-discrepancy sampling of a 3D time-frequency-oscillation phase space,
 analysis/synthesis cubature for a hybrid STFT/wavelet atom family,
 closed-form frame normalization, phase-space processing (multipliers,
-shrinkage, an integer-dilation phase vocoder), and a benchmark harness.
+soft-threshold denoising at a multiple of the exact RMS coefficient, an
+integer-dilation phase vocoder), and a benchmark harness.
 
 The names of the comparison baselines (:mod:`ltft.baselines`:
 ``CoverageReport``, ``DwtGridParams``, ``coverage_queries``,

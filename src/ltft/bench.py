@@ -42,6 +42,8 @@ def make_test_signal(
         )
     if params is None:
         params = LtftParams.for_rate(sample_rate)
+    if not params.b1 <= sample_rate:  # the tones and chirps run up to b1
+        raise InvalidParameterError(f"b1 = {params.b1:g} Hz exceeds the rate {sample_rate:g} Hz")
     rng = np.random.default_rng(seed)
     t = np.arange(-m // 2, m // 2) / sample_rate
     lo, hi = 2.0 * params.b0, params.b1

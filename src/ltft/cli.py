@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from .core import DigitalSignal, LtftParams, PhaseSpaceBox, _check_int
+from .core import DigitalSignal, LtftParams, PhaseSpaceBox, _check_grid, _check_int
 from .errors import InvalidParameterError, LtftError, ParseError
 from .frame import frame_diagonal
 from .lds import KINDS, _check_rows, scale_to_box, generate_unit_points
@@ -101,8 +101,10 @@ def _load_audio(options: Dict[str, object]) -> tuple:
 
 
 def _grid_options(options: Dict[str, object]) -> tuple:
-    # The rate L, grid length M and transform of a grid subcommand.
-    rate, m = float(options["rate"]), int(options["resolution"])
+    # The rate L, grid length M and transform of a grid subcommand, M and L
+    # checked by the grid rule before any box is built from them.
+    rate = float(options["rate"])
+    m = _check_grid(options["resolution"], rate)
     return rate, m, _params_from(options, rate)
 
 
@@ -121,19 +123,20 @@ def _write_audio(path: str, signal: DigitalSignal, audio: WavAudio, dilation: in
 # the audio commands never load those modules.
 
 
-def _cmd_reconstruct(config: RunConfig, loaded: tuple = (), rule=None, shrink=None) -> int:
-    # reconstruct with the rule, or denoise with the shrinkage when given,
-    # on the audio `loaded` by _load_audio or loaded here.
+def _cmd_reconstruct(config: RunConfig, loaded: tuple = (), rule=None, threshold=None) -> int:
+    # reconstruct with the rule, or denoise at the threshold when given, on
+    # the audio `loaded` by _load_audio or loaded here.
     options = config.options
     audio, signal, params = loaded or _load_audio(options)
     n = sample_count(signal.m, options.get("samples"), options.get("redundancy"), 16.0)
     sampling = dict(
         kind=str(options["sequence"]), seed=int(options["seed"]), padded=bool(options["padded"])
     )
-    if shrink is None:
+    if threshold is None:
         out = reconstruct(signal, params, n, rule=rule, **sampling)
     else:
-        out = denoise(signal, params, n, shrink, **sampling)
+        relative = options["threshold_mode"] == "relative"
+        out = denoise(signal, params, n, threshold, relative, **sampling)
     _write_audio(str(options["output"]), out, audio)
     return 0
 
@@ -157,10 +160,9 @@ def _cmd_vocoder(config: RunConfig) -> int:
 
 
 def _cmd_denoise(config: RunConfig) -> int:
-    options = config.options
-    # A threshold that would write silence is refused before the WAV is read.
-    shrink = shrinkage(float(options["threshold"]), str(options["threshold_mode"]) == "relative")
-    return _cmd_reconstruct(config, shrink=shrink)
+    threshold = float(config.options["threshold"])
+    shrinkage(threshold)  # a negative or non-finite one is refused before the WAV is read
+    return _cmd_reconstruct(config, threshold=threshold)
 
 
 def _cmd_multiplier(config: RunConfig) -> int:
@@ -318,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "vocoder":
             sp.add_argument("-D", "--dilation", type=int, default=2)
         if name == "denoise":
-            sp.add_argument("--threshold", type=float, default=0.1)
+            sp.add_argument("--threshold", type=float, default=0.5,
+                            help="RMS coefficients (relative) or a magnitude of F (absolute)")
             sp.add_argument("--threshold-mode", dest="threshold_mode",
                             choices=("relative", "absolute"), default="relative")
         if name == "multiplier":

@@ -19,11 +19,10 @@ the first N points of a sequence whose rows extend
 (:func:`ltft.lds.extensible`) also gives the output at every smaller N: a
 tile sums the points between two requested counts into a row of its own,
 and the rows are added in index order, so the counts do not change how
-the points are tiled.  Other point sets, and denoising, which needs max
-|F| over all N points, take one pass per count.  Large passes run the
-tiles on a thread pool, one thread per usable core, with a few tiles in
-flight; the partition and the order of the sums do not depend on the
-thread count, so neither does the output, bit for bit.
+the points are tiled.  Other point sets take one pass per count.  Large
+passes run the tiles on a thread pool, one thread per usable core, with a
+few tiles in flight; the partition and the order of the sums do not depend
+on the thread count, so neither does the output, bit for bit.
 
 An input peaking outside [2^-500, 2^500] is divided by a power of two u
 that brings its peak below 2, and the outputs are multiplied by u, so
@@ -51,8 +50,8 @@ from .core import (
     _check_int,
     _predicted_atom_samples,
     _times,
-    _tile_coeffs,
     _tile_pass,
+    dft,
 )
 from .errors import BudgetExceededError, InvalidParameterError
 from .frame import apply_inverse_frame, frame_diagonal
@@ -101,38 +100,18 @@ class VocoderJob:
         return sample_count(m, self.samples, self.redundancy, 4.0 * self.dilation)
 
 
-def shrinkage(threshold: float, relative: bool = True) -> Callable[[float], Rule]:
-    """The rule of :func:`denoise` as a function of max |F|.
+def shrinkage(lam: float) -> Rule:
+    """The soft-threshold rule z -> z * max(0, 1 - lam/|z|), 0 at z = 0.
+    A negative or non-finite ``lam`` is refused."""
+    if not 0.0 <= lam < np.inf:
+        raise InvalidParameterError(f"threshold {lam:g} must be finite and non-negative")
 
-    The rule soft-thresholds every coefficient, z -> z * max(0, 1 - lam/|z|)
-    with z = 0 kept at 0, at lam = ``threshold`` times max |F| when
-    ``relative``, else at ``threshold``.  A threshold that zeroes every
-    coefficient, so that the output would be silence, is refused: here when
-    it is relative and outside [0, 1) or absolute and negative or not
-    finite, and once max |F| is known when it is absolute and at or above it.
-    """
-    if not 0.0 <= threshold < (1.0 if relative else np.inf):
-        if relative:
-            raise InvalidParameterError(f"relative threshold {threshold:g} must lie in [0, 1)")
-        raise InvalidParameterError(
-            f"absolute threshold {threshold:g} must be finite and non-negative"
-        )
+    def rule(values, a, b, c):
+        mag = np.abs(values)
+        kept = mag > lam
+        return np.where(kept, values * (1.0 - lam / np.where(kept, mag, np.inf)), 0.0)
 
-    def at_peak(peak: float) -> Rule:
-        if not relative and 0.0 < threshold >= peak:
-            raise InvalidParameterError(
-                f"absolute threshold {threshold:g} zeroes every coefficient (max |F| = {peak:g})"
-            )
-        lam = threshold * peak if relative else threshold
-
-        def rule(values, a, b, c):
-            mag = np.abs(values)
-            scale = np.maximum(0.0, 1.0 - lam / np.where(mag > 0, mag, 1.0))
-            return values * np.where(mag > 0, scale, 0.0)
-
-        return rule
-
-    return at_peak
+    return rule
 
 
 def _in_units(rule: Optional[Rule], unit: float) -> Optional[Rule]:
@@ -227,7 +206,6 @@ def _analysis_synthesis(
     padded: bool,
     rule: Optional[Rule] = None,
     dilation: int = 1,
-    at_peak: Optional[Callable[[float], Rule]] = None,
 ) -> List[DigitalSignal]:
     # Analysis of the analytic signal on N points of the phase-space box,
     # the optional per-point rule, synthesis of atoms at (D*a, b, c) onto a
@@ -238,16 +216,13 @@ def _analysis_synthesis(
     # by 1/D (measured on pure tones).  At D = 1 this is reconstruction.
     #
     # The rows of an extensible kind (lds.extensible) are prefixes of one
-    # sequence, so one pass serves every count.  Other sets depend on N, and
-    # max |F| on all N points, so these take one pass per count.  A pass
-    # runs its points in tiles of _TILE_POINTS consecutive indices; a tile's
-    # rows come straight from the generator, are scaled onto the box in
-    # place, and core._tile_pass sums them into one row per segment between
-    # the counts.  Each tile gives a (grid index, sum rows) pair, and the
-    # rows are added in index order, so the output does not depend on the
-    # thread count, bit for bit.  With `at_peak` the rule is at_peak(max
-    # |F|), and an analysis-only pass over the same tiles finds max |F|
-    # first.
+    # sequence, so one pass serves every count.  Other sets depend on N, so
+    # these take one pass per count.  A pass runs its points in tiles of
+    # _TILE_POINTS consecutive indices; a tile's rows come straight from the
+    # generator, are scaled onto the box in place, and core._tile_pass sums
+    # them into one row per segment between the counts.  Each tile gives a
+    # (grid index, sum rows) pair, and the rows are added in index order, so
+    # the output does not depend on the thread count, bit for bit.
     checked = [_check_rows(kind, n, 3, seed) for n in counts]
     if not checked or any(a[0] >= b[0] for a, b in zip(checked, checked[1:])):
         raise InvalidParameterError("point counts must be a non-empty ascending list")
@@ -280,22 +255,11 @@ def _analysis_synthesis(
                 tiles.append((start, [stop]))
         pooled = _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
 
-        def tile_points(k: int) -> np.ndarray:
-            start, ends = tiles[k]
-            return scale_rows(unit_point_rows(kind, n, 3, seed, start, ends[-1]), box)
-
-        ruled = rule
-        if at_peak is not None:
-            peaks = _map_tiles(
-                lambda k: np.abs(_tile_coeffs(sig, tile_points(k), params, signal.m, rate)).max(),
-                len(tiles), pooled,
-            )
-            ruled = _in_units(at_peak(float(max(peaks)) * unit), unit)
-
         def task(k: int) -> Tuple[int, np.ndarray]:
             start, ends = tiles[k]
+            points = scale_rows(unit_point_rows(kind, n, 3, seed, start, ends[-1]), box)
             cuts = [end - start for end in ends[:-1]]
-            return _tile_pass(sig, tile_points(k), params, signal.m, rate, ruled, dilation, cuts)
+            return _tile_pass(sig, points, params, signal.m, rate, rule, dilation, cuts)
 
         raw = np.zeros(out_len, dtype=np.complex128)
         outputs = []
@@ -309,7 +273,7 @@ def _analysis_synthesis(
                 outputs.append(DigitalSignal(_times(normalized.real, weight), rate))
         return outputs
 
-    passes = [counts] if extensible(kind) and at_peak is None else [[n] for n in counts]
+    passes = [counts] if extensible(kind) else [[n] for n in counts]
     return [out for ns in passes for out in run_pass(ns)]
 
 
@@ -341,22 +305,45 @@ def reconstruct(
     return _analysis_synthesis(signal, params, [n], kind, seed, padded, rule=rule)[0]
 
 
+def _rms_coefficient(signal: DigitalSignal, params: LtftParams, padded: bool) -> float:
+    # sqrt(E / volume(box)) in input units (see denoise), from the pass's own
+    # memoised folded H and the DFT of the analytic input at its unit.  np.sum,
+    # not a BLAS dot: past 10^4 terms OpenBLAS wakes its threads, whose
+    # spinning slowed the pass that follows by a third on two cores.
+    hd = frame_diagonal(params, signal.sample_rate, signal.m, folded=True)
+    sig, unit = _analytic_at_unit(signal)
+    energy = float(np.sum(hd.h * np.abs(dft(sig).bins) ** 2)) * (signal.sample_rate / signal.m)
+    box = PhaseSpaceBox.for_signal(signal, params, padded=padded)
+    return math.sqrt(energy / box.volume) * unit
+
+
 def denoise(
     signal: DigitalSignal,
     params: LtftParams,
     n: int,
-    shrink: Callable[[float], Rule],
+    threshold: float,
+    relative: bool = True,
     kind: str = "hammersley",
     seed: int = 0,
     padded: bool = False,
 ) -> DigitalSignal:
-    """:func:`reconstruct` with the rule shrink(max |F|), from :func:`shrinkage`.
+    """:func:`reconstruct` with the rule :func:`shrinkage` at lam = ``threshold``
+    times the RMS coefficient when ``relative``, else at ``threshold``.
 
-    max |F| over all N coefficients comes from an analysis-only pass over
-    the same tiles before the round trip, so each atom block is built
-    twice, and the call holds no more memory than :func:`reconstruct`.
+    The RMS coefficient sqrt(E / volume(box)) is exact: E, the integral of
+    |F|^2 over the box, is sum_k H(w_k) |Z_k|^2 L/M by the frame identity,
+    Z the DFT of the analytic input.  So lam is fixed before any tile and
+    does not depend on N, and each atom block is built once.  A threshold
+    that is negative or not finite is refused, and so, after the pass, is a
+    positive one that zeroes every coefficient of a non-zero input.
     """
-    return _analysis_synthesis(signal, params, [n], kind, seed, padded, at_peak=shrink)[0]
+    shrinkage(threshold)
+    lam = threshold * _rms_coefficient(signal, params, padded) if relative else threshold
+    rule = shrinkage(min(lam, np.finfo(np.float64).max))  # an overflowed lam zeroes every |F|
+    out = _analysis_synthesis(signal, params, [n], kind, seed, padded, rule=rule)[0]
+    if threshold > 0 and not np.any(out.samples) and np.any(signal.samples):
+        raise InvalidParameterError(f"threshold {threshold:g} zeroes every coefficient")
+    return out
 
 
 def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:

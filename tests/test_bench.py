@@ -65,6 +65,15 @@ def test_test_signal_refuses_a_rate_past_its_chirps(rate):
         make_test_signal(64, rate)
 
 
+def test_test_signal_refuses_a_band_edge_above_the_rate():
+    # Tones up to b1 = 1e308 Hz overflowed their phases, a numpy warning
+    # before any refusal; b1 at the rate itself still runs.
+    with pytest.raises(InvalidParameterError, match=re.escape("b1 = 1e+308 Hz exceeds the rate")):
+        make_test_signal(256, RATE, params=LtftParams(b0=1.0, b1=1e308))
+    edge = make_test_signal(256, RATE, params=LtftParams(b0=1.0, b1=RATE))
+    assert np.all(np.isfinite(edge.samples))
+
+
 def test_bench_without_redundancies_has_no_rows(params):
     assert bench_reconstruction(make_test_signal(256, RATE), params, ["hammersley"], []) == []
 

@@ -1,3 +1,6 @@
+import contextlib
+import io
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +8,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ltft
 from ltft import (
@@ -291,8 +296,8 @@ def test_cutoff_outside_the_band_is_invalid_parameter(tmp_path, capsys, flag, cu
 @pytest.mark.parametrize(
     "mode, threshold",
     [
-        ("relative", "1"),
-        ("relative", "1.5"),
+        ("relative", "30"),
+        ("relative", "1e9"),
         ("relative", "-0.5"),
         ("absolute", "1e9"),
         ("absolute", "inf"),
@@ -301,9 +306,9 @@ def test_cutoff_outside_the_band_is_invalid_parameter(tmp_path, capsys, flag, cu
 def test_threshold_that_zeroes_every_coefficient_is_invalid_parameter(
     tmp_path, capsys, mode, threshold
 ):
-    # A relative threshold of 1 or more, or an absolute one at or above
-    # max |F|, would write an all-zero WAV; a relative one below 0 is named
-    # as given, not scaled by max |F|.
+    # A threshold that zeroes every coefficient, 30 or 1e9 RMS coefficients
+    # or an absolute one at or above max |F|, would write an all-zero WAV; a
+    # relative one below 0 is named as given, not scaled by the RMS.
     src = str(tmp_path / "in.wav")
     t = np.arange(4000) / RATE
     tones = 0.4 * np.sin(2 * np.pi * 440.0 * t) + 0.3 * np.sin(2 * np.pi * 1250.0 * t)
@@ -334,16 +339,49 @@ def test_threshold_refusal_keeps_legal_edges(tmp_path):
         assert np.all(wav_read(str(out)).samples == 0)
 
 
+# Thresholds at every float boundary, and ordinary multiples of the RMS.
+_THRESHOLDS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 2.2e-308,
+                     1e9, 1e300, sys.float_info.max]),
+    st.floats(min_value=0.0, max_value=4.0),
+    st.floats(),
+)
+
+
+@settings(max_examples=40)
+@given(threshold=_THRESHOLDS, mode=st.sampled_from(["relative", "absolute"]))
+def test_denoise_writes_a_finite_wav_or_refuses_the_threshold(tmp_path_factory, threshold, mode):
+    # Exit 0 with a finite WAV, or exit 1 with one invalid-parameter line and
+    # no file; a threshold that is negative or not finite never runs.
+    src = tmp_path_factory.getbasetemp() / "denoise-in.wav"
+    if not src.exists():
+        _sine_wav(src, seconds=1024 / RATE)
+    out = src.with_name("denoise-out.wav")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["denoise", f"--threshold={threshold!r}", "--threshold-mode", mode, "-A", "2",
+                     str(src), str(out)])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [] and 0 <= threshold < math.inf
+        assert np.all(np.isfinite(wav_read(str(out)).samples))
+        out.unlink()
+    else:
+        assert code == 1 and not out.exists()
+        assert len(lines) == 1 and lines[0].startswith("error: invalid-parameter:")
+
+
 def test_relative_threshold_is_refused_before_the_wav_is_read(tmp_path, capsys):
-    # So is a negative or NaN absolute one: a missing input is not reached.
+    # A negative one in either mode, and a NaN one: a missing input is not
+    # reached.
     missing = str(tmp_path / "missing.wav")
-    for mode, threshold in [("relative", "2"), ("absolute", "-1"), ("absolute", "nan")]:
+    for mode, threshold in [("relative", "-1"), ("absolute", "-1"), ("absolute", "nan")]:
         args = ["denoise", "--threshold", threshold, "--threshold-mode", mode, missing,
                 str(tmp_path / "o.wav")]
         assert main(args) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: invalid-parameter:")
-        assert f"{mode} threshold {float(threshold):g}" in err[0]
+        assert f"threshold {float(threshold):g}" in err[0]
 
 
 @pytest.mark.parametrize(
@@ -441,14 +479,27 @@ def test_csv_config_line_lists_every_option_sorted(tmp_path):
     )
 
 
-@pytest.mark.parametrize("command", ["frame-diag", "bench-error"])
+_GRID_COMMANDS = ["frame-diag", "bench-error", "bench-complexity", "coverage"]
+
+
+@pytest.mark.parametrize("command", _GRID_COMMANDS)
 def test_grid_length_below_four_is_refused_by_the_grid_rule(tmp_path, capsys, command):
-    # Neither command builds a phase-space box, whose "need t_lo < t_hi"
-    # would come first.
+    # Before any phase-space box, whose "need t_lo < t_hi" came first in
+    # bench-complexity and coverage.
     out = tmp_path / "x.csv"
     assert main([command, "-M", "0", "--csv", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: invalid-parameter: grid length must be >= 4, got 0"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", _GRID_COMMANDS)
+def test_odd_grid_length_is_refused_by_the_grid_rule(tmp_path, capsys, command):
+    # bench-complexity and coverage wrote a CSV for M = 7.
+    out = tmp_path / "x.csv"
+    assert main([command, "-M", "7", "--csv", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: invalid-parameter: grid length must be even, got 7"]
     assert not out.exists()
 
 

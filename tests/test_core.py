@@ -897,7 +897,7 @@ def test_round_trip_equals_analyze_then_synthesize(kind, padded, pooled):
     samples = scale_to_box(generate_unit_points(kind, 8 * m, 3, 2), box)
     assert len(_atom_blocks(p, samples.points, RATE, m)) >= 4
     coeffs = analyze(sig, samples, p)
-    shrink = shrinkage(0.5)(np.median(np.abs(coeffs.values)))
+    shrink = shrinkage(0.5 * np.median(np.abs(coeffs.values)))
     for rule in (None, _low_pass, shrink):
         values = coeffs.values
         if rule is not None:

@@ -56,10 +56,10 @@ def test_multiplier_low_pass_attenuation(params, tapered_tone):
 
 
 def test_soft_threshold_rule():
-    rule = shrinkage(0.0, relative=False)(3.0)
+    rule = shrinkage(0.0)
     z = np.array([1 + 1j, -0.2, 0.0, 3j])
     assert np.array_equal(rule(z, None, None, None), z)
-    rule = shrinkage(1.0, relative=False)(3.0)
+    rule = shrinkage(1.0)
     small = np.array([0.5, -0.3j, 0.99, 0.0])
     assert np.all(rule(small, None, None, None) == 0)
     out = rule(np.array([2.0 + 0j]), None, None, None)
@@ -69,7 +69,7 @@ def test_soft_threshold_rule():
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1.0])
 def test_soft_threshold_refuses_non_finite_or_negative(threshold):
     with pytest.raises(InvalidParameterError, match="threshold"):
-        shrinkage(threshold, relative=False)(3.0)
+        shrinkage(threshold)
 
 
 def test_pointwise_nonlinearity_elementwise(monkeypatch, params, tapered_tone):
@@ -107,32 +107,83 @@ def test_denoise_improves_snr(params, tapered_tone):
     noise *= np.linalg.norm(clean.samples) / np.linalg.norm(noise)  # 0 dB SNR
     noisy = DigitalSignal(clean.samples + noise, RATE)
 
-    def snr_after(fraction):
-        out = denoise(noisy, params, 16 * m, shrinkage(fraction))
+    def snr_after(multiple):
+        out = denoise(noisy, params, 16 * m, multiple)
         resid = out.samples - clean.samples
         return 10 * np.log10(
             np.sum(clean.samples**2) / np.sum(resid**2)
         )
 
-    best = max(snr_after(f) for f in (0.05, 0.1, 0.2, 0.4))
+    best = max(snr_after(t) for t in (0.25, 0.5, 1.0, 2.0))
     assert best >= 5.0
 
 
-@pytest.mark.parametrize("relative, threshold", [(True, 1.0), (True, -0.1), (False, -1.0),
+def test_the_rms_coefficient_is_the_sampled_energy_per_volume(params):
+    # The frame identity: the closed-form integral of |F|^2 over the box is
+    # what Hammersley's cubature vol/N sum |F_n|^2 gives at A = 256.
+    s = make_test_signal(1024, RATE)
+    box = PhaseSpaceBox.for_signal(s, params)
+    samples = scale_to_box(generate_unit_points("hammersley", 256 * s.m, 3, 0), box)
+    coeffs = analyze(to_analytic(s), samples, params).values
+    sampled = box.volume / samples.n * np.sum(np.abs(coeffs) ** 2)
+    closed = processing._rms_coefficient(s, params, False) ** 2 * box.volume
+    assert closed == pytest.approx(sampled, rel=1e-3)
+
+
+def test_denoise_is_reconstruct_with_one_threshold_at_every_count(params):
+    # The relative threshold does not depend on N.
+    s = make_test_signal(256, RATE, seed=1)
+    rule = shrinkage(0.5 * processing._rms_coefficient(s, params, False))
+    for n in (4 * s.m, 64 * s.m):
+        expected = reconstruct(s, params, n, rule=rule).samples
+        assert np.array_equal(denoise(s, params, n, 0.5).samples, expected)
+
+
+def test_denoise_converges_at_the_cubature_rate(params):
+    # Against the A = 2048 output at the same threshold, Hammersley's error
+    # falls like ~1/N: the fitted log-log slope over A = 16..256 is >= 0.9.
+    # With the threshold a fraction of the sampled max |F|, which grows with
+    # N, it was 0.82 here.
+    s = make_test_signal(1024, RATE, seed=1)
+    reference = denoise(s, params, 2048 * s.m, 0.5)
+    ladder = [16, 64, 256]
+    errors = [relative_error(denoise(s, params, a * s.m, 0.5), reference) for a in ladder]
+    slope = -np.polyfit(np.log(ladder), np.log(errors), 1)[0]
+    assert slope >= 0.9
+
+
+@pytest.mark.parametrize("relative, threshold", [(True, -0.1), (False, -1.0),
                                                  (False, np.nan), (False, np.inf)])
-def test_shrinkage_refuses_a_threshold_before_any_analysis(relative, threshold):
+def test_shrinkage_refuses_a_threshold_before_any_analysis(
+    monkeypatch, params, tapered_tone, relative, threshold
+):
+    # In either mode, before the RMS coefficient or any atom block is made.
+    def never(*args):
+        raise AssertionError("analysis ran")
+
+    monkeypatch.setattr(processing, "_analytic_at_unit", never)
+    monkeypatch.setattr(core, "_block_atoms", never)
     with pytest.raises(InvalidParameterError, match="threshold"):
-        shrinkage(threshold, relative)
+        denoise(tapered_tone(256), params, 1024, threshold, relative)
 
 
-def test_shrinkage_refuses_an_absolute_threshold_above_every_coefficient():
-    at_peak = shrinkage(2.0, relative=False)
+def test_shrinkage_refuses_an_absolute_threshold_above_every_coefficient(params, tapered_tone):
+    # After the pass: an absolute threshold at or above max |F| zeroes every
+    # coefficient and is refused, one just below it runs.
+    s = tapered_tone(256)
+    samples = scale_to_box(
+        generate_unit_points("hammersley", 1024, 3, 0), PhaseSpaceBox.for_signal(s, params)
+    )
+    peak = np.abs(analyze(to_analytic(s), samples, params).values).max()
     with pytest.raises(InvalidParameterError, match="zeroes every coefficient"):
-        at_peak(2.0)
-    z = np.array([3.0 + 0j, 1.0j])
-    soft = z * np.maximum(0.0, 1.0 - 2.0 / np.abs(z))  # soft threshold at 2
-    assert np.array_equal(at_peak(3.0)(z, None, None, None), soft)
-    assert np.array_equal(shrinkage(0.5)(4.0)(z, None, None, None), soft)
+        denoise(s, params, 1024, peak * (1 + 1e-9), relative=False)
+    assert np.any(denoise(s, params, 1024, peak * (1 - 1e-6), relative=False).samples)
+    zero = DigitalSignal(np.zeros(256), RATE)  # silence in, silence out
+    assert not np.any(denoise(zero, params, 1024, 1.0).samples)
+    # A relative lam past the float range is refused by name, not as lam = inf.
+    loud = DigitalSignal(s.samples * 2.0**600, RATE)
+    with pytest.raises(InvalidParameterError, match="threshold 1e\\+300 zeroes every coefficient"):
+        denoise(loud, params, 1024, 1e300)
 
 
 def _hard_threshold(t):
@@ -155,21 +206,6 @@ def test_a_rule_maps_the_coefficients_in_the_input_units(params, exponent):
     assert np.array_equal(scaled.samples, unit * scale)
 
 
-def test_denoise_gives_its_rule_factory_max_f_in_the_input_units(params):
-    # Any one-argument factory is a shrink; it reads max |F| of the input.
-    s = make_test_signal(256, RATE)
-    peaks = []
-
-    def shrink(peak):
-        peaks.append(peak)
-        return _hard_threshold(0.5 * peak)
-
-    outs = [denoise(DigitalSignal(s.samples * scale, RATE), params, 4 * s.m, shrink)
-            for scale in (1.0, 2.0**600)]
-    assert peaks[1] == peaks[0] * 2.0**600
-    assert np.array_equal(outs[1].samples, outs[0].samples * 2.0**600)
-
-
 def test_a_rule_input_past_the_float_range_is_refused():
     rule = processing._in_units(lambda v, a, b, c: v, 2.0**1000)
     assert np.array_equal(rule(np.array([2.0**20 + 0j]), None, None, None), [2.0**20])
@@ -180,10 +216,8 @@ def test_a_rule_input_past_the_float_range_is_refused():
 def _pipelines(params, absolute=1e-3):
     return {
         "reconstruct": lambda s: reconstruct(s, params, 4 * s.m),
-        "denoise": lambda s: denoise(s, params, 4 * s.m, shrinkage(0.1)),
-        "denoise-absolute": lambda s, t=absolute: denoise(
-            s, params, 4 * s.m, shrinkage(t, relative=False)
-        ),
+        "denoise": lambda s: denoise(s, params, 4 * s.m, 0.1),
+        "denoise-absolute": lambda s, t=absolute: denoise(s, params, 4 * s.m, t, relative=False),
         "vocoder": lambda s: phase_vocoder(s, VocoderJob(params, dilation=2)),
     }
 
@@ -341,10 +375,10 @@ def test_pipelines_build_no_sample_set(monkeypatch, params, tapered_tone):
 
 
 def test_reconstruct_builds_each_atom_block_once(monkeypatch, params, tapered_tone):
-    # Reconstruction, with a rule or without, and the vocoder at D = 1 take
-    # the one-pass round trip; denoising first finds max |F| by an analysis
-    # pass, and the vocoder at D = 2 analyses and then synthesizes other
-    # atoms, so each builds every block twice.
+    # Reconstruction, with a rule or without, denoising, whose threshold is
+    # fixed before the pass, and the vocoder at D = 1 take the one-pass round
+    # trip; the vocoder at D = 2 analyses and then synthesizes other atoms,
+    # so it builds every block twice.
     m = 512
     s = tapered_tone(m)
     calls = []
@@ -363,7 +397,7 @@ def test_reconstruct_builds_each_atom_block_once(monkeypatch, params, tapered_to
         (1, lambda: reconstruct(s, params, 8 * m)),
         (1, lambda: reconstruct(s, params, 8 * m, rule=_low_pass(12.0))),
         (1, lambda: phase_vocoder(s, VocoderJob(params=params, dilation=1, redundancy=8.0))),
-        (2, lambda: denoise(s, params, 8 * m, shrinkage(0.1))),
+        (1, lambda: denoise(s, params, 8 * m, 0.5)),
         (2, lambda: phase_vocoder(s, VocoderJob(params=params, dilation=2, redundancy=8.0))),
     ]
     for builds, run in runs:
@@ -463,7 +497,7 @@ def test_tiled_transform_sees_every_coefficient_once(monkeypatch, params, tapere
     s = tapered_tone(512)
     n = 10 * 512
     sizes = []
-    shrink = shrinkage(1e-3, relative=False)(1.0)
+    shrink = shrinkage(1e-3)
 
     def rule(values, a, b, c):
         assert values.shape == a.shape == b.shape == c.shape
@@ -558,20 +592,38 @@ def test_counts_a_pass_cannot_share_are_refused(params, tapered_tone, kind, coun
         processing._analysis_synthesis(s, params, counts, kind, 0, False)
 
 
-@pytest.mark.parametrize(
-    "kind, at_peak",
-    [("hammersley", None), ("halton", shrinkage(0.1))],
-    ids=["hammersley", "denoise"],
-)
-def test_counts_a_pass_cannot_share_run_one_pass_each(
-    monkeypatch, params, tapered_tone, kind, at_peak
-):
-    # A Hammersley set depends on N, and denoising on max |F| over all N
-    # points, so each count takes a pass of its own: the outputs are those
-    # of one-count calls bit for bit, with the points of each count
-    # generated from index 0.
+@pytest.mark.parametrize("kind", ["hammersley"])
+def test_counts_a_pass_cannot_share_run_one_pass_each(monkeypatch, params, tapered_tone, kind):
+    # A Hammersley set depends on N, so each count takes a pass of its own:
+    # the outputs are those of one-count calls bit for bit, with the points
+    # of each count generated from index 0.
     s = tapered_tone(256)
     counts = [300, 512, 1024]
+    spans = _point_spans(monkeypatch)
+    outs = processing._analysis_synthesis(s, params, counts, kind, 0, False)
+    assert spans == [(n, 0, n) for n in counts]
+    assert len(outs) == len(counts)
+    for n, out in zip(counts, outs):
+        (one,) = processing._analysis_synthesis(s, params, [n], kind, 0, False)
+        assert np.array_equal(out.samples, one.samples)
+
+
+def test_a_shrinkage_rule_shares_one_pass_over_every_count(monkeypatch, params, tapered_tone):
+    # A soft threshold is fixed before the pass, so on an extensible kind it
+    # takes the one pass of any other rule.
+    s = tapered_tone(256)
+    counts = [300, 512, 1024]
+    spans = _point_spans(monkeypatch)
+    rule = shrinkage(0.5 * processing._rms_coefficient(s, params, False))
+    outs = processing._analysis_synthesis(s, params, counts, "halton", 0, False, rule=rule)
+    assert spans == [(1024, 0, 1024)]
+    for n, out in zip(counts, outs):
+        (one,) = processing._analysis_synthesis(s, params, [n], "halton", 0, False, rule=rule)
+        assert relative_error(out, one) <= 1e-13
+
+
+def _point_spans(monkeypatch):
+    # The (n, start, stop) of every tile of points the pipelines generate.
     spans = []
     original = processing.unit_point_rows
 
@@ -580,13 +632,7 @@ def test_counts_a_pass_cannot_share_run_one_pass_each(
         return original(kind, n, dim, seed, start, stop)
 
     monkeypatch.setattr(processing, "unit_point_rows", counting)
-    outs = processing._analysis_synthesis(s, params, counts, kind, 0, False, at_peak=at_peak)
-    reads = 2 if at_peak else 1  # denoising reads each tile twice
-    assert spans == [(n, 0, n) for n in counts for _ in range(reads)]
-    assert len(outs) == len(counts)
-    for n, out in zip(counts, outs):
-        (one,) = processing._analysis_synthesis(s, params, [n], kind, 0, False, at_peak=at_peak)
-        assert np.array_equal(out.samples, one.samples)
+    return spans
 
 
 @pytest.mark.parametrize("m", [1024, 16000])
