@@ -128,10 +128,18 @@ def relative_error(result: DigitalSignal, reference: DigitalSignal) -> float:
     """Relative L2 distance between two signals on the same grid."""
     if result.m != reference.m or result.sample_rate != reference.sample_rate:
         raise InvalidParameterError("signals must share grid and rate")
-    denom = np.linalg.norm(reference.samples)
+    denom = _norm(reference.samples)
     if denom == 0.0:
-        return float(np.linalg.norm(result.samples))
-    return float(np.linalg.norm(result.samples - reference.samples) / denom)
+        return _norm(result.samples)
+    return _norm(result.samples - reference.samples) / denom
+
+
+def _norm(x: np.ndarray) -> float:
+    # The L2 norm as sqrt(np.sum(|x|^2)), not np.linalg.norm: past 10^4
+    # terms its BLAS dot wakes OpenBLAS's threads, whose spinning slows
+    # whatever runs next on a host with few cores.
+    mag = np.abs(x)
+    return math.sqrt(float(np.sum(np.square(mag, out=mag))))
 
 
 @dataclass
@@ -148,9 +156,10 @@ def dft(signal: DigitalSignal) -> Spectrum:
     The Riemann weight dt makes the bins approximate the continuous Fourier
     transform of the underlying signal on [0, L).
     """
-    x = np.fft.ifftshift(np.asarray(signal.samples, dtype=np.complex128))
-    bins = np.fft.fft(x) / signal.sample_rate
-    return Spectrum(bins, signal.sample_rate)
+    x = np.fft.ifftshift(np.asarray(signal.samples, dtype=np.complex128))  # a new array
+    np.fft.fft(x, out=x)
+    x /= signal.sample_rate
+    return Spectrum(x, signal.sample_rate)
 
 
 def idft(spectrum: Spectrum) -> DigitalSignal:

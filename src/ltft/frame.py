@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DigitalSignal, LtftParams, Spectrum, dft, idft
+from .core import DigitalSignal, LtftParams, dft
 from .core import _TABLE_CHUNK, _check_grid, _check_int
 from .errors import BudgetExceededError, InvalidParameterError
 
@@ -50,9 +50,10 @@ _MAX_TABLE_NODES = 1 << 24
 class FrameDiagonal:
     """H(w) = q0 + q1 + q2 on the frequency grid w_k = k L / M.
 
-    H and its floor, _FLOOR_FACTOR * max(H), are derived from the band
-    terms.  Frozen, and its arrays are read-only: :func:`frame_diagonal`
-    hands the same instance to every caller with the same configuration.
+    H, its floor, _FLOOR_FACTOR * max(H), and the mask of the bins kept
+    above the floor are derived from the band terms.  Frozen, and its arrays
+    are read-only: :func:`frame_diagonal` hands the same instance to every
+    caller with the same configuration.
     """
 
     omega: np.ndarray
@@ -61,6 +62,7 @@ class FrameDiagonal:
     q2: np.ndarray
     h: np.ndarray = field(init=False)
     floor: float = field(init=False)
+    kept: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.q0.size == 0 or not self.q0.shape == self.q1.shape == self.q2.shape:
@@ -68,7 +70,8 @@ class FrameDiagonal:
         h = self.q0 + self.q1 + self.q2
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "floor", _FLOOR_FACTOR * float(h.max()))
-        for values in (self.omega, self.h, self.q0, self.q1, self.q2):
+        object.__setattr__(self, "kept", h > self.floor)
+        for values in (self.omega, self.h, self.kept, self.q0, self.q1, self.q2):
             values.flags.writeable = False
 
 
@@ -289,10 +292,14 @@ def frame_diagonal_oracle(
 def apply_inverse_frame(signal: DigitalSignal, hd: FrameDiagonal) -> DigitalSignal:
     """Divide the spectrum by H bin-wise; bins at or below the floor are
     zeroed (band-limited contract, avoids noise blow-up off the covered
-    band)."""
+    band).  The inverse DFT of :func:`~ltft.core.idft` runs in place on the
+    DFT's own bins, so the call makes two signal-length arrays: the bins
+    and the output."""
     if hd.h.size != signal.m:
         raise InvalidParameterError("frame diagonal grid does not match the signal")
-    spec = dft(signal)
-    safe = hd.h > hd.floor
-    bins = np.where(safe, spec.bins / np.where(safe, hd.h, 1.0), 0.0)
-    return idft(Spectrum(bins, signal.sample_rate))
+    bins = dft(signal).bins
+    np.divide(bins, hd.h, out=bins, where=hd.kept)
+    bins[~hd.kept] = 0.0
+    np.fft.ifft(bins, out=bins)
+    bins *= signal.sample_rate
+    return DigitalSignal(np.fft.fftshift(bins), signal.sample_rate)

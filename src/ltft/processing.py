@@ -20,9 +20,10 @@ the first N points of a sequence whose rows extend
 tile sums the points between two requested counts into a row of its own,
 and the rows are added in index order, so the counts do not change how
 the points are tiled.  Other point sets take one pass per count.  Large
-passes run the tiles on a thread pool, one thread per usable core, with a
-few tiles in flight; the partition and the order of the sums do not depend
-on the thread count, so neither does the output, bit for bit.
+passes run the tiles on the calling thread and one plain thread per further
+usable core, with a few tiles in flight; those threads end with the pass.
+The partition and the order of the sums do not depend on the thread count,
+so neither does the output, bit for bit.
 
 An input peaking outside [2^-500, 2^500] is divided by a power of two u
 that brings its peak below 2, and the outputs are multiplied by u, so
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
@@ -152,9 +153,10 @@ _TILE_POINTS = 1 << 15
 # only A = 64 Hammersley (65,536 points, 2 tiles, 1.53M atom-samples) comes
 # near the bound; its Monte Carlo passes stay under 0.4M.
 # speech-reconstruct (8 tiles, 5.97M) and vocoder-cli (4 tiles, 2.98M) pool
-# either way.  Pooling that pass (2-vCPU Xeon, three runs of 15 interleaved
-# in-process rounds) took 0.046-0.065 s median against 0.038-0.053 s in the
-# caller, and the whole sweep 0.178-0.220 s against 0.168-0.215 s; the
+# either way.  Pooling that pass, its two tiles on the caller and one
+# thread (2-vCPU Xeon, three runs of 15 interleaved in-process rounds), took
+# 0.038-0.048 s median against 0.035-0.043 s in the caller, and the whole
+# sweep with that pass pooled 0.138-0.165 s against 0.131-0.158 s; the
 # caller won in every run.
 _POOL_MIN_ATOM_SAMPLES = 2_000_000
 
@@ -169,32 +171,91 @@ def _usable_cores() -> int:
 
 
 def _map_tiles(task: Callable[[int], T], count: int, pooled: bool) -> Iterator[T]:
-    # task(k) for k = 0 .. count-1, yielded in tile order.  Pooled, the tiles
-    # run on one thread per usable core (the kernels release the interpreter
-    # lock), with at most one more tile submitted than there are threads,
-    # so the tiles in flight stay few whatever the count.  Either way the
-    # results are the same bits, and a task's exception is raised here.
+    # task(k) for k = 0 .. count-1, yielded in tile order.  Pooled, the
+    # calling thread and workers - 1 plain threads, one per usable core,
+    # take the tiles in index order (the kernels release the interpreter
+    # lock).  A tile is handed out only while at most `workers` are out and
+    # not yet taken back, so the results held stay few; the caller runs a
+    # tile whenever the next one to yield is not ready.  A thread ends when
+    # no tile is left to hand out, and every thread is joined before the
+    # last tile is yielded, so their block scratch is freed before the
+    # caller's last normalization.  Either way the results are the same
+    # bits, and a task's exception is raised here, after which no tile
+    # starts; no thread outlives the call, however it ends.
     workers = min(_usable_cores(), count)
     if not pooled or workers < 2:
         for k in range(count):
             yield task(k)
         return
-    # Imported here: the pool's modules (logging and queue among them) take
-    # milliseconds to load, which a process that pools nothing need not pay.
-    from concurrent.futures import ThreadPoolExecutor
+    lock = threading.Condition()
+    done = {}  # results not yet taken by the caller, by tile
+    handed = taken = 0  # tiles handed out, results taken; handed = count stops the pass
+    errors: List[BaseException] = []
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        pending = deque()
-        try:
-            for k in range(count):
-                pending.append(pool.submit(task, k))
-                if len(pending) > workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:  # after an error, tiles not yet started are not run
-            for future in pending:
-                future.cancel()
+    def hand_out() -> Optional[int]:
+        # The next tile, if one may start now; called holding the lock.
+        nonlocal handed
+        if handed == count or handed - taken > workers:
+            return None
+        handed += 1
+        if handed == count:  # idle threads end now
+            lock.notify_all()
+        return handed - 1
+
+    def finish(k: int, result: T) -> None:
+        # Stored through a call, so no thread keeps a result it handed on.
+        with lock:
+            done[k] = result
+            lock.notify_all()
+
+    def work() -> None:
+        nonlocal handed
+        while True:
+            with lock:
+                while (k := hand_out()) is None and handed < count:
+                    lock.wait()
+            if k is None:
+                return
+            try:
+                finish(k, task(k))
+            except BaseException as exc:  # raised in the caller
+                with lock:
+                    errors.append(exc)
+                    handed = count
+                    lock.notify_all()
+                return
+
+    def take(k: int) -> T:
+        # Tile k's result; the caller runs tiles while it is not ready.
+        nonlocal taken
+        while True:
+            with lock:
+                while not errors and k not in done and (j := hand_out()) is None:
+                    lock.wait()
+                if errors:
+                    raise errors[0]
+                if k in done:
+                    taken += 1
+                    lock.notify_all()
+                    return done.pop(k)
+            finish(j, task(j))
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        for k in range(count - 1):
+            yield take(k)
+        last = take(count - 1)
+        for thread in threads:
+            thread.join()
+        yield last
+    finally:
+        with lock:
+            handed = count
+            lock.notify_all()
+        for thread in threads:
+            thread.join()
 
 
 def _analysis_synthesis(
@@ -298,9 +359,12 @@ def reconstruct(
     Memory: besides a few signal-length arrays (the input, its zero-padded
     analytic form, the output and the frame diagonal), a call
     holds the points, block plan and partial sums of a few tiles of
-    ``_TILE_POINTS`` points, one per worker thread, whatever N is.  The
-    rule maps one atom block's coefficients at a time, so it adds nothing
-    to that, and each block is built once.
+    ``_TILE_POINTS`` points, whatever N is, and one block scratch per
+    thread running tiles: the caller's, plus, in a pooled pass, one per
+    further usable core.  Those threads end with the pass, before its last
+    normalization, and their scratch with them.  The rule maps one atom
+    block's coefficients at a time, so it adds nothing to that, and each
+    block is built once.
     """
     return _analysis_synthesis(signal, params, [n], kind, seed, padded, rule=rule)[0]
 
@@ -356,9 +420,11 @@ def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
 
     Memory: the phase rule acts on each coefficient alone, so the vocoder
     runs tile by tile like :func:`reconstruct`: a few signal-length arrays
-    at the output length D*M, and the point arrays, coefficients, block
-    plans and partial sums of a few tiles; a tile's times are dilated in
-    its own array.  At D = 1 it is the round trip of
+    at the output length D*M, the point arrays, coefficients, block plans
+    and partial sums of a few tiles, and one block scratch per thread
+    running tiles, the caller's plus, pooled, one per further usable core,
+    whose threads end before the last normalization; a tile's times are
+    dilated in its own array.  At D = 1 it is the round trip of
     :func:`reconstruct`; at D > 1 synthesis uses other atoms than analysis,
     so each atom block is built twice.
     """

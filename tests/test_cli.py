@@ -810,6 +810,35 @@ for module, names in {_LAZY_EXPORTS!r}.items():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_pooled_vocoder_leaves_no_thread_and_loads_no_pool_module(tmp_path):
+    # A fresh process runs `ltft vocoder` through cli.main with the tile pool
+    # forced on: the tiles run on two threads, and afterwards only the main
+    # thread is alive and concurrent.futures was never imported.
+    code = """
+import sys, threading
+import numpy as np
+from ltft import WavAudio, cli, processing, wav_write
+processing._usable_cores = lambda: 2
+processing._POOL_MIN_ATOM_SAMPLES = 0
+processing._TILE_POINTS = 1 << 11
+runners = set()
+tile_pass = processing._tile_pass
+def recording(*args):
+    runners.add(threading.get_ident())
+    return tile_pass(*args)
+processing._tile_pass = recording
+t = np.arange(2000) / 16000
+wav_write(sys.argv[1], WavAudio(0.5 * np.sin(2 * np.pi * 440 * t), 16000))
+assert cli.main(["vocoder", "-D", "2", sys.argv[1], sys.argv[2]]) == 0
+assert len(runners) == 2, runners
+assert threading.active_count() == 1, threading.enumerate()
+assert "concurrent.futures" not in sys.modules
+"""
+    proc = _run_python(["-c", code, str(tmp_path / "in.wav"), str(tmp_path / "out.wav")],
+                       timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_star_import_binds_the_lazy_names():
     # `from ltft import *` binds every public name, the lazy ones included,
     # while a plain `import ltft.cli` still loads neither benchmark module.

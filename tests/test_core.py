@@ -1,6 +1,9 @@
 import math
 import os
 import sys
+import threading
+import time
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -855,8 +858,8 @@ def test_small_call_packs_neighbouring_lengths(monkeypatch):
 
 def test_operator_bit_identical_across_worker_counts(monkeypatch):
     # The tile pool forced on with tiles of 2**11 points: one worker (tiles
-    # run in the caller) against more workers than cores, with frequent
-    # thread switches, for the round trip, the vocoder and a rule.
+    # run in the caller) against three and more workers than cores, with
+    # frequent thread switches, for the round trip, the vocoder and a rule.
     m = 2048
     p = LtftParams.for_rate(RATE)
     rng = np.random.default_rng(5)
@@ -868,17 +871,19 @@ def test_operator_bit_identical_across_worker_counts(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for workers in (1, (os.cpu_count() or 1) + 3):
+        for workers in (1, 3, (os.cpu_count() or 1) + 3):
             monkeypatch.setattr(processing, "_usable_cores", lambda: workers)
             results.append([
                 reconstruct(sig, p, 16 * m, "halton", padded=True).samples,
                 phase_vocoder(sig, job).samples,
                 reconstruct(sig, p, 8 * m, rule=_low_pass).samples,
+                # 8 tiles, the last of 5 points: no worker count above 1 divides it.
+                reconstruct(sig, p, 7 * (1 << 11) + 5, "mc").samples,
             ])
     finally:
         sys.setswitchinterval(interval)
-    for one, many in zip(*results):
-        assert np.array_equal(one, many)
+    for one, *many in zip(*results):
+        assert all(np.array_equal(one, other) for other in many)
 
 
 @pytest.mark.parametrize("pooled", [False, True], ids=["caller", "pool"])
@@ -963,6 +968,221 @@ def test_map_blocks_keeps_order_and_raises_worker_errors(monkeypatch):
 
     with pytest.raises(ValueError, match="tile 7"):
         list(processing._map_tiles(task, 20, pooled=True))
+
+
+def _slow_tile(k):
+    # A tile that lets the other threads run meanwhile.
+    time.sleep(0.002)
+    return k
+
+
+def test_tile_pool_runs_tiles_on_the_caller_too(monkeypatch):
+    # Pooled, the caller and workers - 1 threads run the tiles, no more than
+    # `workers` tiles run at once, and a slow consumer holds the tiles
+    # started ahead of it to workers + 1, with more workers than cores and
+    # frequent thread switches; the results come in tile order.
+    workers = (os.cpu_count() or 1) + 3
+    monkeypatch.setattr(processing, "_usable_cores", lambda: workers)
+    lock = threading.Lock()
+    running, most, started, runners = 0, 0, 0, set()
+
+    def task(k):
+        nonlocal running, most, started
+        with lock:
+            running += 1
+            started += 1
+            most = max(most, running)
+            runners.add(threading.get_ident())
+        try:
+            return _slow_tile(k)
+        finally:
+            with lock:
+                running -= 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    out, ahead = [], 0
+    try:
+        for k in processing._map_tiles(task, 40, pooled=True):
+            out.append(k)
+            with lock:
+                ahead = max(ahead, started - len(out))
+            time.sleep(0.004)
+    finally:
+        sys.setswitchinterval(interval)
+    assert out == list(range(40))
+    assert threading.get_ident() in runners
+    assert len(runners) <= workers and most <= workers
+    assert ahead <= workers + 1
+
+
+@pytest.mark.parametrize("on_caller", [False, True], ids=["worker", "caller"])
+def test_tile_pool_error_stops_the_pass_and_its_threads(monkeypatch, on_caller):
+    # A tile that raises on a worker thread, or on the caller, ends the pass
+    # with its error; the tiles not yet started are not run, and every
+    # thread the pass started has ended.
+    monkeypatch.setattr(processing, "_usable_cores", lambda: 3)
+    caller = threading.get_ident()
+    before = threading.active_count()
+    started = []
+
+    def task(k):
+        started.append(k)
+        if k >= 5 and (threading.get_ident() == caller) == on_caller:
+            raise ValueError(f"tile {k}")
+        return _slow_tile(k)
+
+    with pytest.raises(ValueError, match="tile"):
+        list(processing._map_tiles(task, 40, pooled=True))
+    assert threading.active_count() == before
+    assert len(started) < 40
+
+
+def test_tile_pool_worker_error_stops_the_hand_out_at_once(monkeypatch):
+    # A worker's error stops the other threads from starting tiles while
+    # the caller is still busy with a tile of its own: three tiles start,
+    # where the hand-out limit would let a fourth.
+    monkeypatch.setattr(processing, "_usable_cores", lambda: 3)
+    caller = threading.get_ident()
+    lock = threading.Lock()
+    caller_busy = threading.Event()
+    started, failed = [], []
+
+    def task(k):
+        with lock:
+            started.append(k)
+            fail = threading.get_ident() != caller and not any(failed)
+            failed.append(fail)
+        if threading.get_ident() == caller:
+            caller_busy.set()
+            time.sleep(0.1)
+        elif fail:
+            caller_busy.wait(timeout=5)
+            raise ValueError(f"tile {k}")
+        return _slow_tile(k)
+
+    with pytest.raises(ValueError, match="tile"):
+        list(processing._map_tiles(task, 40, pooled=True))
+    assert caller_busy.is_set()
+    assert len(started) <= 3
+
+
+def test_tile_pool_ends_its_threads_with_the_pass(monkeypatch):
+    # After a whole pass, and after a generator closed half-way, no thread
+    # the pass started is alive.
+    monkeypatch.setattr(processing, "_usable_cores", lambda: 3)
+    before = threading.active_count()
+    assert list(processing._map_tiles(_slow_tile, 20, pooled=True)) == list(range(20))
+    assert threading.active_count() == before
+    tiles = processing._map_tiles(_slow_tile, 20, pooled=True)
+    assert [next(tiles) for _ in range(5)] == list(range(5))
+    assert threading.active_count() > before
+    tiles.close()
+    assert threading.active_count() == before
+
+
+def test_tile_pool_frees_thread_state_before_the_last_tile(monkeypatch):
+    # Each pool thread's thread-local state, where core._scratch keeps its
+    # block scratch, is freed before the pass yields its last tile, even
+    # when freeing it is slow.
+    monkeypatch.setattr(processing, "_usable_cores", lambda: 3)
+    local = threading.local()
+    caller = threading.get_ident()
+    made, freed = [], []
+
+    class Held:
+        def __del__(self):
+            time.sleep(0.02)
+            freed.append(self)
+
+    def task(k):
+        if threading.get_ident() != caller and not hasattr(local, "held"):
+            local.held = Held()
+            made.append(1)
+        return _slow_tile(k)
+
+    seen = [(k, len(freed)) for k in processing._map_tiles(task, 12, pooled=True)]
+    assert [k for k, _ in seen] == list(range(12))
+    assert made and seen[-1][1] == len(made)
+
+
+def test_tile_pool_threads_end_before_the_last_normalization(monkeypatch):
+    # The pass joins its threads before it yields its last tile, so the
+    # inverse-frame normalization after it runs with no pool thread alive
+    # (their block scratch freed), for the round trip and the vocoder.
+    m = 1024
+    p = LtftParams.for_rate(RATE)
+    sig = DigitalSignal(np.random.default_rng(6).standard_normal(m), RATE)
+    monkeypatch.setattr(processing, "_POOL_MIN_ATOM_SAMPLES", 0)
+    monkeypatch.setattr(processing, "_TILE_POINTS", 1 << 11)
+    monkeypatch.setattr(processing, "_usable_cores", lambda: 3)
+    runners, alive = set(), []
+    tile_pass, normalize = processing._tile_pass, processing.apply_inverse_frame
+
+    def recording_tile(*args):
+        runners.add(threading.get_ident())
+        return tile_pass(*args)
+
+    def recording_normalize(*args):
+        alive.append(threading.active_count())
+        return normalize(*args)
+
+    monkeypatch.setattr(processing, "_tile_pass", recording_tile)
+    monkeypatch.setattr(processing, "apply_inverse_frame", recording_normalize)
+    before = threading.active_count()
+    reconstruct(sig, p, 16 * m)
+    phase_vocoder(sig, VocoderJob(params=p, dilation=2, redundancy=4.0))
+    assert len(runners) > 1
+    assert alive == [before, before]
+
+    # A normalization that raises half-way through a multi-count pass ends
+    # it, with no pool thread left while its error is in hand.
+    def failing(*args):
+        raise RuntimeError("normalization")
+
+    monkeypatch.setattr(processing, "apply_inverse_frame", failing)
+    with pytest.raises(RuntimeError, match="normalization"):
+        try:
+            processing._analysis_synthesis(sig, p, [3000, 16 * m], "mc", 0, False)
+        finally:
+            assert threading.active_count() == before
+
+
+def test_relative_error_matches_the_norm_formula():
+    # sqrt(sum |x|^2) gives the values of np.linalg.norm to 1e-15 relative,
+    # real and complex, with a zero reference too.
+    rng = np.random.default_rng(13)
+    for m in (4, 1024, 20000):
+        for x, y in (
+            (rng.standard_normal(m), rng.standard_normal(m)),
+            (rng.standard_normal(m) + 1j * rng.standard_normal(m), rng.standard_normal(m)),
+        ):
+            result, reference = DigitalSignal(x, RATE), DigitalSignal(y, RATE)
+            old = np.linalg.norm(x - y) / np.linalg.norm(y)
+            assert abs(relative_error(result, reference) - old) <= 1e-15 * old
+            zero = DigitalSignal(np.zeros(m), RATE)
+            old = np.linalg.norm(x)
+            assert abs(relative_error(result, zero) - old) <= 1e-15 * old
+    assert relative_error(zero, zero) == 0.0
+
+
+def test_relative_error_calls_no_blas(monkeypatch):
+    # The norms are np.sum reductions: no np.dot and no np.linalg call, so
+    # no BLAS thread wakes for a large signal.
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS call")
+
+    class Refusing(types.ModuleType):
+        def __getattr__(self, name):
+            raise AssertionError(f"np.linalg.{name}")
+
+    rng = np.random.default_rng(14)
+    x, y = rng.standard_normal(20000), rng.standard_normal(20000)
+    monkeypatch.setattr(np, "dot", refuse)
+    monkeypatch.setattr(np, "vdot", refuse)
+    monkeypatch.setattr(np, "linalg", Refusing("linalg"))
+    assert relative_error(DigitalSignal(x, RATE), DigitalSignal(y, RATE)) > 0.0
+    assert relative_error(DigitalSignal(x, RATE), DigitalSignal(0 * y, RATE)) > 0.0
 
 
 def test_support_index_range_matches_the_support_length_formula(params):

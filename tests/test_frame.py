@@ -184,6 +184,24 @@ def test_inverse_of_forward_is_identity_on_strong_bins(diag, params, tapered_ton
     assert np.max(np.abs(out_spec[strong] - in_spec[strong])) <= 1e-6 * scale
 
 
+def test_inverse_frame_in_place_equals_the_out_of_place_formula(params):
+    # Divided and inverted in the DFT's own buffer, the normalization gives
+    # the bits of the out-of-place formula, sign bits included, and leaves
+    # its input alone; the kept mask is H above the floor.
+    rng = np.random.default_rng(3)
+    for folded in (False, True):
+        hd = frame_diagonal(params, RATE, M, folded=folded)
+        assert np.array_equal(hd.kept, hd.h > hd.floor) and not hd.kept.flags.writeable
+        for x in (rng.standard_normal(M), rng.standard_normal(M) + 1j * rng.standard_normal(M)):
+            s = DigitalSignal(x.copy(), RATE)
+            safe = hd.h > hd.floor
+            bins = np.where(safe, dft(s).bins / np.where(safe, hd.h, 1.0), 0.0)
+            expected = idft(Spectrum(bins, RATE)).samples
+            out = apply_inverse_frame(s, hd).samples
+            assert np.array_equal(out.view(np.uint8), expected.view(np.uint8))
+            assert np.array_equal(s.samples, x)
+
+
 def test_inverse_frame_zero_signal(diag):
     zero = DigitalSignal(np.zeros(M), RATE)
     out = apply_inverse_frame(zero, diag)
