@@ -296,8 +296,9 @@ class LtftParams:
     """Transition frequencies b0 < b1 and oscillation parameters.
 
     Every parameter set shares the one cos^4 window, ``window``.  gamma is
-    the minimal wavelet cycle count and xi the oscillation range; atoms at
-    oscillation coordinate c carry gamma + xi*c cycles.  The maximal atom
+    the minimal wavelet cycle count and xi >= 1e-9 the oscillation range;
+    atoms at oscillation coordinate c carry gamma + xi*c cycles.  Below that
+    floor the frame diagonal loses digits as 1/xi.  The maximal atom
     support is S0 = gamma/b0.
     """
 
@@ -312,6 +313,8 @@ class LtftParams:
             raise InvalidParameterError("need 0 < b0 < b1 < inf")
         if not (0 < self.gamma < np.inf and 0 < self.xi < np.inf):
             raise InvalidParameterError("gamma and xi must be positive and finite")
+        if self.xi < 1e-9:  # H divides differences of window integrals by xi
+            raise InvalidParameterError(f"xi must be at least 1e-9, got {self.xi:g}")
 
     @property
     def s0(self) -> float:

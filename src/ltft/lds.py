@@ -276,8 +276,13 @@ def star_discrepancy_scan(points: UnitPointSet, resolution: int = 512) -> float:
     """Brute-force lower bound: evaluate both counts on a uniform corner grid.
 
     Every returned value is a true value (or one-sided limit) of the
-    discrepancy function, so this never exceeds the exact supremum.
+    discrepancy function, so this never exceeds the exact supremum.  A scan
+    of more than 2^22 corners (resolution^dim) is refused.
     """
     resolution = _check_count(resolution, "resolution")
+    if resolution**points.dim > 1 << 22:  # corners, in each of the scan's tensors
+        raise BudgetExceededError(
+            f"a scan of {resolution}^{points.dim} corners exceeds the budget of 2^22"
+        )
     grid = np.arange(1, resolution + 1) / resolution
     return _deviation(points.points, [grid] * points.dim)

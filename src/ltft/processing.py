@@ -20,10 +20,11 @@ the first N points of a sequence whose rows extend
 tile sums the points between two requested counts into a row of its own,
 and the rows are added in index order, so the counts do not change how
 the points are tiled.  Other point sets take one pass per count.  Large
-passes run the tiles on the calling thread and one plain thread per further
-usable core, with a few tiles in flight; those threads end with the pass.
-The partition and the order of the sums do not depend on the thread count,
-so neither does the output, bit for bit.
+passes use a fixed schedule: tile k runs on worker k mod W, worker 0 being
+the calling thread and the others one plain thread per further usable core,
+each starting a tile only once the caller has taken its last; those threads
+end with the pass.  The partition and the order of the sums do not depend
+on the thread count, so neither does the output, bit for bit.
 
 An input peaking outside [2^-500, 2^500] is divided by a power of two u
 that brings its peak below 2, and the outputs are multiplied by u, so
@@ -171,91 +172,59 @@ def _usable_cores() -> int:
 
 
 def _map_tiles(task: Callable[[int], T], count: int, pooled: bool) -> Iterator[T]:
-    # task(k) for k = 0 .. count-1, yielded in tile order.  Pooled, the
-    # calling thread and workers - 1 plain threads, one per usable core,
-    # take the tiles in index order (the kernels release the interpreter
-    # lock).  A tile is handed out only while at most `workers` are out and
-    # not yet taken back, so the results held stay few; the caller runs a
-    # tile whenever the next one to yield is not ready.  A thread ends when
-    # no tile is left to hand out, and every thread is joined before the
-    # last tile is yielded, so their block scratch is freed before the
-    # caller's last normalization.  Either way the results are the same
-    # bits, and a task's exception is raised here, after which no tile
-    # starts; no thread outlives the call, however it ends.
+    # task(k) for k = 0 .. count-1, yielded in tile order.  Pooled, tile k
+    # runs on worker k mod W, W = min(usable cores, count): worker 0 is the
+    # caller, the others threads with one result slot each (the kernels
+    # release the interpreter lock), which start a tile once their last was
+    # taken and end with their last tile.  All are joined before the last
+    # tile is yielded, so their block scratch is gone before the last
+    # normalization.  A task's error is raised here and ends the pass.
     workers = min(_usable_cores(), count)
     if not pooled or workers < 2:
-        for k in range(count):
-            yield task(k)
+        yield from map(task, range(count))
         return
-    lock = threading.Condition()
-    done = {}  # results not yet taken by the caller, by tile
-    handed = taken = 0  # tiles handed out, results taken; handed = count stops the pass
+    slots: List[Optional[T]] = [None] * workers
+    ready = [threading.Semaphore(0) for _ in range(workers)]  # a result in the slot
+    taken = [threading.Semaphore(1) for _ in range(workers)]  # the slot empty
+    stop = threading.Event()
     errors: List[BaseException] = []
 
-    def hand_out() -> Optional[int]:
-        # The next tile, if one may start now; called holding the lock.
-        nonlocal handed
-        if handed == count or handed - taken > workers:
-            return None
-        handed += 1
-        if handed == count:  # idle threads end now
-            lock.notify_all()
-        return handed - 1
-
-    def finish(k: int, result: T) -> None:
-        # Stored through a call, so no thread keeps a result it handed on.
-        with lock:
-            done[k] = result
-            lock.notify_all()
-
-    def work() -> None:
-        nonlocal handed
-        while True:
-            with lock:
-                while (k := hand_out()) is None and handed < count:
-                    lock.wait()
-            if k is None:
-                return
+    def work(w: int) -> None:
+        for k in range(w, count, workers):
+            taken[w].acquire()
             try:
-                finish(k, task(k))
+                if not stop.is_set():  # no tile starts after an error
+                    slots[w] = task(k)  # held by the slot alone
             except BaseException as exc:  # raised in the caller
-                with lock:
-                    errors.append(exc)
-                    handed = count
-                    lock.notify_all()
-                return
+                errors.append(exc)
+                stop.set()
+            ready[w].release()
 
     def take(k: int) -> T:
-        # Tile k's result; the caller runs tiles while it is not ready.
-        nonlocal taken
-        while True:
-            with lock:
-                while not errors and k not in done and (j := hand_out()) is None:
-                    lock.wait()
-                if errors:
-                    raise errors[0]
-                if k in done:
-                    taken += 1
-                    lock.notify_all()
-                    return done.pop(k)
-            finish(j, task(j))
+        w = k % workers
+        if w:
+            ready[w].acquire()
+        if errors:
+            raise errors[0]
+        if not w:
+            return task(k)
+        result, slots[w] = slots[w], None
+        taken[w].release()
+        return result
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
     for thread in threads:
         thread.start()
     try:
         for k in range(count - 1):
             yield take(k)
         last = take(count - 1)
-        for thread in threads:
-            thread.join()
-        yield last
     finally:
-        with lock:
-            handed = count
-            lock.notify_all()
-        for thread in threads:
+        stop.set()
+        for w, thread in enumerate(threads, 1):
+            taken[w].release(count)  # one per tile left; the thread waits on no other gate
             thread.join()
+    yield last
 
 
 def _analysis_synthesis(
@@ -357,14 +326,15 @@ def reconstruct(
     cubature weight volume(box)/N scales the normalized sum once.
 
     Memory: besides a few signal-length arrays (the input, its zero-padded
-    analytic form, the output and the frame diagonal), a call
-    holds the points, block plan and partial sums of a few tiles of
-    ``_TILE_POINTS`` points, whatever N is, and one block scratch per
-    thread running tiles: the caller's, plus, in a pooled pass, one per
-    further usable core.  Those threads end with the pass, before its last
-    normalization, and their scratch with them.  The rule maps one atom
-    block's coefficients at a time, so it adds nothing to that, and each
-    block is built once.
+    analytic form, the output and the frame diagonal), a call holds the
+    points, block plan and partial sums of a few tiles of ``_TILE_POINTS``
+    points, whatever N is, and one block scratch per thread running tiles:
+    the caller's, plus, in a pooled pass, one per further usable core.
+    Tile k runs on worker k mod W, and a thread holds at most one tile not
+    yet taken.  The threads end with their last tile, before the pass's
+    last normalization, and their scratch with them.  The rule maps one
+    atom block's coefficients at a time, so it adds nothing to that, and
+    each block is built once.
     """
     return _analysis_synthesis(signal, params, [n], kind, seed, padded, rule=rule)[0]
 
@@ -423,10 +393,11 @@ def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
     at the output length D*M, the point arrays, coefficients, block plans
     and partial sums of a few tiles, and one block scratch per thread
     running tiles, the caller's plus, pooled, one per further usable core,
-    whose threads end before the last normalization; a tile's times are
-    dilated in its own array.  At D = 1 it is the round trip of
-    :func:`reconstruct`; at D > 1 synthesis uses other atoms than analysis,
-    so each atom block is built twice.
+    on the fixed schedule of :func:`reconstruct`, whose threads end before
+    the last normalization; a tile's times are dilated in its own array.
+    At D = 1 it is the round trip of :func:`reconstruct`; at D > 1
+    synthesis uses other atoms than analysis, so each atom block is built
+    twice.
     """
     return _analysis_synthesis(
         signal, job.params, [job.sample_count(signal.m)], job.sequence, job.seed, job.padded,

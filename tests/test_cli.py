@@ -929,6 +929,18 @@ def test_coverage_margin_wider_than_the_box_is_invalid(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["frame-diag --xi 1e-300", "bench-error --xi 1e-300 -M 64"])
+def test_xi_below_its_floor_is_invalid(tmp_path, capsys, command):
+    # Below xi = 1e-9 the frame diagonal loses digits as 1/xi: one
+    # invalid-parameter line naming the floor, and no CSV, where bench-error
+    # once wrote rel_error 1 on every row.
+    out = tmp_path / "f.csv"
+    assert main(command.split() + ["--csv", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:") and "1e-9" in err[0]
+    assert not out.exists()
+
+
 def test_out_of_memory_is_budget_exceeded(tmp_path, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 8.00 GiB for an array")

@@ -207,6 +207,21 @@ def test_params_infinite_xi_is_invalid():
         LtftParams.for_rate(RATE, xi=np.inf)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda xi: LtftParams(b0=0.1 * RATE, b1=0.4 * RATE, xi=xi),
+     lambda xi: LtftParams.for_rate(RATE, xi=xi)],
+    ids=["init", "for_rate"],
+)
+def test_params_xi_below_its_floor_is_invalid(make):
+    # Below xi = 1e-9 the frame diagonal loses digits as 1/xi; the floor
+    # itself is accepted.
+    for xi in (1e-300, 5e-10):
+        with pytest.raises(InvalidParameterError, match="at least 1e-9"):
+            make(xi)
+    assert make(1e-9).xi == 1e-9
+
+
 def test_dft_round_trip():
     rng = np.random.default_rng(3)
     sig = DigitalSignal(rng.standard_normal(128) + 1j * rng.standard_normal(128), RATE)
@@ -979,8 +994,9 @@ def _slow_tile(k):
 def test_tile_pool_runs_tiles_on_the_caller_too(monkeypatch):
     # Pooled, the caller and workers - 1 threads run the tiles, no more than
     # `workers` tiles run at once, and a slow consumer holds the tiles
-    # started ahead of it to workers + 1, with more workers than cores and
-    # frequent thread switches; the results come in tile order.
+    # started ahead of it to workers - 1, one per pool thread, with more
+    # workers than cores and frequent thread switches; the results come in
+    # tile order.
     workers = (os.cpu_count() or 1) + 3
     monkeypatch.setattr(processing, "_usable_cores", lambda: workers)
     lock = threading.Lock()
@@ -1013,7 +1029,28 @@ def test_tile_pool_runs_tiles_on_the_caller_too(monkeypatch):
     assert out == list(range(40))
     assert threading.get_ident() in runners
     assert len(runners) <= workers and most <= workers
-    assert ahead <= workers + 1
+    assert ahead <= workers - 1
+
+
+def test_tile_pool_runs_tile_k_on_worker_k_mod_w(monkeypatch):
+    # The thread that runs tile k depends on k mod W alone, the same in two
+    # passes, with a tile count that W does not divide: the caller runs
+    # exactly the tiles k = 0 mod W, and each other residue has a thread.
+    workers = 3
+    monkeypatch.setattr(processing, "_usable_cores", lambda: workers)
+    caller = threading.get_ident()
+    residues = [list(range(w, 20, workers)) for w in range(workers)]
+    for _ in range(2):
+        runner = {}
+
+        def task(k):
+            runner[k] = threading.get_ident()
+            return _slow_tile(k)
+
+        assert list(processing._map_tiles(task, 20, pooled=True)) == list(range(20))
+        threads = {ident: [k for k in range(20) if runner[k] == ident] for ident in runner.values()}
+        assert threads[caller] == residues[0]
+        assert sorted(threads.values()) == residues
 
 
 @pytest.mark.parametrize("on_caller", [False, True], ids=["worker", "caller"])

@@ -246,6 +246,14 @@ def test_diagonal_keeps_its_digits_at_small_xi(monkeypatch):
     assert np.max(np.abs(perturbed.h - base.h)) < 1e-12 * base.h.max()
 
 
+def test_diagonal_at_the_xi_floor_matches_a_larger_xi():
+    # At the floor xi = 1e-9 the folded diagonal is within 1e-6 of max H of
+    # its value at xi = 1e-6, the window table's own interpolation error.
+    h = [frame_diagonal(LtftParams.for_rate(RATE, xi=xi), RATE, 1024, folded=True).h
+         for xi in (1e-9, 1e-6)]
+    assert np.max(np.abs(h[0] - h[1])) <= 1e-6 * h[1].max()
+
+
 @pytest.mark.parametrize("omega", [110.0, 127.0])
 def test_wavelet_band_is_whole_at_large_xi(omega):
     # At xi = 200 the wavelet integrand reaches far above gamma*L/b0; the

@@ -323,6 +323,12 @@ def test_star_discrepancy_budget():
         star_discrepancy(generate_unit_points("mc", 2**8, 3, 0))
 
 
+def test_star_discrepancy_scan_budget():
+    # 2^40 corners, 8 TiB per tensor, are refused before any is allocated.
+    with pytest.raises(BudgetExceededError):
+        star_discrepancy_scan(generate_unit_points("halton", 16, 2), resolution=2**20)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_star_discrepancy_grid_scan_oracle(seed):
     # The 1/512 corner scan only evaluates true values of the discrepancy
