@@ -146,25 +146,34 @@ class _Integral:
         return out
 
 
-def _integrals(params: LtftParams, sample_rate: float):
-    """R, the running integral of the xi-averaged window power Q, and the
-    wavelet-band integral of P1(q)/q = gamma Q(q - gamma)/q on q > 0.
+def _table_nodes(params: LtftParams, sample_rate: float):
+    """The first node u_lo and the node count of the frame tables at these
+    parameters, refusing a count past the budget (an infinite span too)
+    before any table is made.
 
     The table spans every u at which Q is non-zero, plus a tail margin, so
-    both integrands vanish at its edges.  G2 is only evaluated at its own
-    nodes moved by gamma, gamma + xi and xi, so both tables are slice
-    arithmetic on G2's table (:meth:`_Integral.at_nodes`), a chunk at a
-    time: P1 is written into its own buffer and Q over u.  The window power
-    is freed once Q and P1 are formed, so the build holds few tables at
-    once."""
+    every tabulated integrand vanishes at its edges."""
+    u_lo = -(params.gamma * sample_rate / params.b1 + params.xi) - _GRID_MARGIN
+    u_hi = max(params.gamma * sample_rate / params.b0, params.xi) + _GRID_MARGIN
+    n = np.ceil((u_hi - u_lo) / _GRID_STEP) + 1.0
+    if not n <= _MAX_TABLE_NODES:
+        raise BudgetExceededError(f"a frame table of {n:g} nodes exceeds the budget")
+    return u_lo, int(n)
+
+
+def _integrals(params: LtftParams, sample_rate: float):
+    """R, the running integral of the xi-averaged window power Q, and the
+    wavelet-band integral of P1(q)/q = gamma Q(q - gamma)/q on q > 0, on
+    the nodes of :func:`_table_nodes`.
+
+    G2 is only evaluated at its own nodes moved by gamma, gamma + xi and
+    xi, so both tables are slice arithmetic on G2's table
+    (:meth:`_Integral.at_nodes`), a chunk at a time: P1 is written into its
+    own buffer and Q over u.  The window power is freed once Q and P1 are
+    formed, so the build holds few tables at once."""
     g = params.gamma
     xi = params.xi
-    u_lo = -(g * sample_rate / params.b1 + xi) - _GRID_MARGIN
-    u_hi = max(g * sample_rate / params.b0, xi) + _GRID_MARGIN
-    n = np.ceil((u_hi - u_lo) / _GRID_STEP) + 1.0
-    if not n <= _MAX_TABLE_NODES:  # an infinite span too
-        raise BudgetExceededError(f"a frame table of {n:g} nodes exceeds the budget")
-    n = int(n)
+    u_lo, n = _table_nodes(params, sample_rate)
     u = np.arange(n, dtype=np.float64)
     u *= _GRID_STEP
     u += u_lo

@@ -22,8 +22,9 @@ is allocated.  No other module tests the name of a kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -272,13 +273,17 @@ def star_discrepancy(points: UnitPointSet) -> float:
     return value
 
 
-def star_discrepancy_scan(points: UnitPointSet, resolution: int = 512) -> float:
+def star_discrepancy_scan(points: UnitPointSet, resolution: Optional[int] = None) -> float:
     """Brute-force lower bound: evaluate both counts on a uniform corner grid.
 
     Every returned value is a true value (or one-sided limit) of the
     discrepancy function, so this never exceeds the exact supremum.  A scan
-    of more than 2^22 corners (resolution^dim) is refused.
+    of more than 2^22 corners (resolution^dim) is refused; the default
+    resolution, min(512, floor(2^(22/dim))), is the finest within that
+    budget up to 512: 512 in 1D and 2D, 161 in 3D.
     """
+    if resolution is None:
+        resolution = min(512, math.floor(2.0 ** (22 / points.dim)))
     resolution = _check_count(resolution, "resolution")
     if resolution**points.dim > 1 << 22:  # corners, in each of the scan's tensors
         raise BudgetExceededError(

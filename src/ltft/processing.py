@@ -24,7 +24,10 @@ passes use a fixed schedule: tile k runs on worker k mod W, worker 0 being
 the calling thread and the others one plain thread per further usable core,
 each starting a tile only once the caller has taken its last; those threads
 end with the pass.  The partition and the order of the sums do not depend
-on the thread count, so neither does the output, bit for bit.
+on the thread count, so neither does the output, bit for bit.  The frame
+diagonal H is built with no pool thread alive: after a one-count pass's
+last tile, and before the tiles of a pass with more counts.  Its budget
+rules are checked before any point is made.
 
 An input peaking outside [2^-500, 2^500] is divided by a power of two u
 that brings its peak below 2, and the outputs are multiplied by u, so
@@ -49,6 +52,7 @@ from .core import (
     Rule,
     _analysis_input,
     _analytic_at_unit,
+    _check_grid,
     _check_int,
     _predicted_atom_samples,
     _times,
@@ -56,7 +60,7 @@ from .core import (
     dft,
 )
 from .errors import BudgetExceededError, InvalidParameterError
-from .frame import apply_inverse_frame, frame_diagonal
+from .frame import _table_nodes, apply_inverse_frame, frame_diagonal
 from .lds import _check_count, _check_rows, extensible, scale_rows, unit_point_rows
 
 
@@ -178,7 +182,8 @@ def _map_tiles(task: Callable[[int], T], count: int, pooled: bool) -> Iterator[T
     # release the interpreter lock), which start a tile once their last was
     # taken and end with their last tile.  All are joined before the last
     # tile is yielded, so their block scratch is gone before the last
-    # normalization.  A task's error is raised here and ends the pass.
+    # normalization, which in a one-count pass builds H.  A task's error is
+    # raised here and ends the pass.
     workers = min(_usable_cores(), count)
     if not pooled or workers < 2:
         yield from map(task, range(count))
@@ -259,10 +264,11 @@ def _analysis_synthesis(
     counts, seed = [n for n, _, _ in checked], checked[0][2]
     rate = signal.sample_rate
     out_len = dilation * signal.m
-    # The frame diagonal first: its grid rule refuses an output past the
-    # budget before anything else is made, and its build's temporaries are
-    # gone before the tiles allocate.
-    hd = frame_diagonal(params, rate, out_len, folded=True)
+    # The frame diagonal's rules, its grid's and its tables', refuse an
+    # output past the budget before anything else is made; H itself is built
+    # in run_pass.
+    _check_grid(out_len, rate)
+    _table_nodes(params, rate)
     box = PhaseSpaceBox.for_signal(signal, params, padded=padded)
     sig, unit = _analytic_at_unit(signal)
     sig = _analysis_input(sig, params)  # holding no second copy of the input
@@ -284,6 +290,17 @@ def _analysis_synthesis(
             else:
                 tiles.append((start, [stop]))
         pooled = _predicted_atom_samples(params, rate, n) >= _POOL_MIN_ATOM_SAMPLES
+        # H is built with no pool thread alive: after the tiles of a one-count
+        # pass, whose one normalization follows its last tile, and before
+        # those of a pass with more counts, whose first normalization falls
+        # among them.  Before a pool's tiles, H's build leaves 4.6 MiB of the
+        # caller's heap resident, which the threads, allocating from their
+        # own malloc arenas, cannot reuse: `ltft vocoder -D 2` on 1 s at
+        # 16 kHz peaked at 47.3 MiB RSS, against 45.1 with H after the tiles.
+        # Among them its build stacks on their scratch: `ltft bench-error -M
+        # 16000 --methods halton --redundancies 4,8,16`, one pooled pass,
+        # peaked at 53.1 MiB, against 51.1 with H first.
+        hd = frame_diagonal(params, rate, out_len, folded=True) if len(ns) > 1 else None
 
         def task(k: int) -> Tuple[int, np.ndarray]:
             start, ends = tiles[k]
@@ -298,6 +315,8 @@ def _analysis_synthesis(
                 raw[lo : lo + row.size] += row
                 if end not in ns:
                     continue
+                if hd is None:
+                    hd = frame_diagonal(params, rate, out_len, folded=True)
                 normalized = apply_inverse_frame(DigitalSignal(raw, rate), hd).samples
                 weight = dilation * box.volume / end * unit
                 outputs.append(DigitalSignal(_times(normalized.real, weight), rate))
@@ -326,15 +345,16 @@ def reconstruct(
     cubature weight volume(box)/N scales the normalized sum once.
 
     Memory: besides a few signal-length arrays (the input, its zero-padded
-    analytic form, the output and the frame diagonal), a call holds the
-    points, block plan and partial sums of a few tiles of ``_TILE_POINTS``
-    points, whatever N is, and one block scratch per thread running tiles:
-    the caller's, plus, in a pooled pass, one per further usable core.
-    Tile k runs on worker k mod W, and a thread holds at most one tile not
-    yet taken.  The threads end with their last tile, before the pass's
-    last normalization, and their scratch with them.  The rule maps one
-    atom block's coefficients at a time, so it adds nothing to that, and
-    each block is built once.
+    analytic form and the output), a call holds the points, block plan and
+    partial sums of a few tiles of ``_TILE_POINTS`` points, whatever N is,
+    and one block scratch per thread running tiles (3.5 MiB on 1 s of
+    16 kHz audio at the default parameters): the caller's, plus, in a
+    pooled pass, one per further usable core.  Tile k runs on worker k mod
+    W, and a thread holds at most one tile not yet taken.  The threads end
+    with their last tile, and their scratch with them; only then are the
+    frame diagonal and its build's tables made, for the one normalization.
+    The rule maps one atom block's coefficients at a time, so it adds
+    nothing to that, and each block is built once.
     """
     return _analysis_synthesis(signal, params, [n], kind, seed, padded, rule=rule)[0]
 
@@ -394,7 +414,8 @@ def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
     and partial sums of a few tiles, and one block scratch per thread
     running tiles, the caller's plus, pooled, one per further usable core,
     on the fixed schedule of :func:`reconstruct`, whose threads end before
-    the last normalization; a tile's times are dilated in its own array.
+    the frame diagonal at D*M is built for the one normalization; a tile's
+    times are dilated in its own array.
     At D = 1 it is the round trip of :func:`reconstruct`; at D > 1
     synthesis uses other atoms than analysis, so each atom block is built
     twice.

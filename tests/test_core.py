@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +37,7 @@ from ltft import (
 )
 from ltft import core, processing
 from ltft.core import SampleSet, _atom_blocks, _block_atoms
-from ltft.lds import generate_unit_points, scale_to_box
+from ltft.lds import generate_unit_points, scale_rows, scale_to_box, unit_point_rows
 from ltft.processing import reconstruct, shrinkage
 
 RATE = 64.0
@@ -1141,6 +1142,42 @@ def test_tile_pool_frees_thread_state_before_the_last_tile(monkeypatch):
     seen = [(k, len(freed)) for k in processing._map_tiles(task, 12, pooled=True)]
     assert [k for k, _ in seen] == list(range(12))
     assert made and seen[-1][1] == len(made)
+
+
+def test_a_thread_keeps_at_most_3_5_mib_of_block_scratch():
+    # One speech-size tile, the fourth 2^15 Hammersley points of N = 256,000
+    # at 16 kHz and M = 16,000, on a fresh thread: the block scratch the
+    # thread keeps after the tile is at most 3.5 MiB, and releasing it frees
+    # that much traced memory, plus the buffers' array objects.  The window
+    # envelope is written into the index buffer; a buffer of its own kept
+    # 4.00 MiB.
+    rate, m, n = 16000.0, 16000, 256000
+    p = LtftParams.for_rate(rate)
+    sig = DigitalSignal(np.random.default_rng(2).standard_normal(m), rate)
+    start, stop = 3 * processing._TILE_POINTS, 4 * processing._TILE_POINTS
+    points = scale_rows(unit_point_rows("hammersley", n, 3, 0, start, stop),
+                        PhaseSpaceBox.for_signal(sig, p))
+    padded = core._analysis_input(sig, p)
+    kept = []
+
+    def tile():
+        tracemalloc.start()
+        try:
+            core._tile_pass(padded, points, p, m, rate)
+            held = tracemalloc.get_traced_memory()[0]
+            scratch = vars(core._SCRATCH)
+            kept.append(sum(buf.nbytes for buf in scratch.values()))
+            scratch.clear()
+            kept.append(held - tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+
+    thread = threading.Thread(target=tile)
+    thread.start()
+    thread.join()
+    data, freed = kept
+    assert 0 < data <= 3.5 * 2**20
+    assert data <= freed <= data + 4096
 
 
 def test_tile_pool_threads_end_before_the_last_normalization(monkeypatch):

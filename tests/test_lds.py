@@ -329,6 +329,21 @@ def test_star_discrepancy_scan_budget():
         star_discrepancy_scan(generate_unit_points("halton", 16, 2), resolution=2**20)
 
 
+def test_star_discrepancy_scan_default_resolution_follows_the_dimension():
+    # The default resolution is min(512, floor(2^(22/dim))), the finest
+    # scan within the 2^22-corner budget: 161 in 3D, where 512^3 corners
+    # were refused, and 512 in 1D and 2D, as before.
+    pts = generate_unit_points("halton", 64, 3)
+    scan = star_discrepancy_scan(pts)
+    assert scan == star_discrepancy_scan(pts, resolution=161)
+    assert 0.0 < scan <= star_discrepancy(pts) + 1e-12
+    with pytest.raises(BudgetExceededError):
+        star_discrepancy_scan(pts, resolution=162)
+    for dim in (1, 2):
+        pts = generate_unit_points("halton", 64, dim)
+        assert star_discrepancy_scan(pts) == star_discrepancy_scan(pts, resolution=512)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_star_discrepancy_grid_scan_oracle(seed):
     # The 1/512 corner scan only evaluates true values of the discrepancy

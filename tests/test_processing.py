@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from ltft import (
     BudgetExceededError,
     DigitalSignal,
     InvalidParameterError,
+    LtftParams,
     PhaseSpaceBox,
     VocoderJob,
     analyze,
@@ -579,6 +581,62 @@ def test_a_dilated_output_past_the_signal_budget_is_refused_before_any_tile(
     with pytest.raises(BudgetExceededError, match="grid of 1536 samples"):
         phase_vocoder(s, VocoderJob(params, dilation=3, redundancy=2.0))
     assert tiles == []
+
+
+def test_a_frame_table_past_its_budget_is_refused_before_any_tile(monkeypatch):
+    # At 16 kHz, b0_frac = 1e-4 passes the analysis guard band's rule, but
+    # the frame tables would take 6.15e7 nodes, past their 2^24.  H is built
+    # after the tiles, yet its tables' rule refuses the call before any
+    # point is made, for the round trip and the vocoder.
+    rate = 16000.0
+    p = LtftParams.for_rate(rate, b0_frac=1e-4)
+    s = DigitalSignal(np.cos(2 * np.pi * 440.0 * np.arange(256) / rate), rate)
+    core._guard_samples(p, rate, s.m)
+    spans = _point_spans(monkeypatch)
+    with pytest.raises(BudgetExceededError, match="frame table of 6.15434e"):
+        reconstruct(s, p, 1024)
+    with pytest.raises(BudgetExceededError, match="frame table of 6.15434e"):
+        phase_vocoder(s, VocoderJob(p, dilation=2, samples=1024))
+    assert spans == []
+
+
+@pytest.mark.parametrize("call", ["reconstruct", "vocoder", "counts"])
+def test_the_frame_diagonal_is_built_with_no_pool_thread_alive(
+    monkeypatch, params, tapered_tone, call
+):
+    # A one-count pass builds H at its one normalization, after its last
+    # tile, when every pool thread has ended; a pass with more counts, whose
+    # first normalization falls among its tiles, builds H before them.  So
+    # H's build and what it leaves on the caller's heap never sit under a
+    # worker's tiles.  The pool is forced on, so this holds on one core too.
+    monkeypatch.setattr(processing, "_POOL_MIN_ATOM_SAMPLES", 0)
+    monkeypatch.setattr(processing, "_TILE_POINTS", 1 << 11)
+    monkeypatch.setattr(processing, "_usable_cores", lambda: 3)
+    s = tapered_tone(1024)
+    events, runners = [], set()
+    tile_pass, diagonal = processing._tile_pass, processing.frame_diagonal
+
+    def recording_tile(*args):
+        runners.add(threading.get_ident())
+        events.append("tile")
+        return tile_pass(*args)
+
+    def recording_diagonal(*args, **kwargs):
+        events.append(threading.active_count())
+        return diagonal(*args, **kwargs)
+
+    monkeypatch.setattr(processing, "_tile_pass", recording_tile)
+    monkeypatch.setattr(processing, "frame_diagonal", recording_diagonal)
+    before = threading.active_count()
+    if call == "reconstruct":
+        reconstruct(s, params, 16 * 1024)
+    elif call == "vocoder":
+        phase_vocoder(s, VocoderJob(params, dilation=2, redundancy=8.0))
+    else:
+        processing._analysis_synthesis(s, params, [3000, 16 * 1024], "mc", 0, False)
+    tiles = ["tile"] * (len(events) - 1)
+    assert len(runners) > 1
+    assert events == ([before] + tiles if call == "counts" else tiles + [before])
 
 
 @pytest.mark.parametrize(
