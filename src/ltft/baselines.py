@@ -45,8 +45,8 @@ class DwtGridParams:
     gamma: float = 6.0
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.5:
-            raise InvalidParameterError("gamma must exceed 0.5")
+        if not 0.5 < self.gamma < np.inf:
+            raise InvalidParameterError(f"gamma must be finite and exceed 0.5, got {self.gamma}")
         r_max = (self.gamma + 0.5) / (self.gamma - 0.5)
         if not 1.0 < self.r < r_max:
             raise InvalidParameterError(

@@ -13,6 +13,7 @@ from .core import (
     SampleSet,
     _check_grid,
     _check_int,
+    _check_rate,
     _guard_samples,
     _predicted_atom_samples,
     atom_support_length,
@@ -137,9 +138,11 @@ def complexity_count(
     """Actual atom-sample total against the cubature prediction.
 
     Returns (C_actual, A_predicted) with C = sum round(L * S(b_n)) and
-    A = gamma * N * (1 + ln(b1/b0) + (L - b1)/b1).  Supports that no run on
-    the grid of the samples' box could use raise BudgetExceededError.
+    A = gamma * N * (1 + ln(b1/b0) + (L - b1)/b1).  A rate outside (0, inf)
+    raises InvalidParameterError, and supports that no run on the grid of
+    the samples' box could use raise BudgetExceededError.
     """
+    _check_rate(sample_rate)
     _guard_samples(params, sample_rate, (samples.box.t_hi - samples.box.t_lo) * sample_rate)
     supports = atom_support_length(params, samples.b)
     c_actual = int(np.round(sample_rate * supports).sum())
@@ -147,5 +150,9 @@ def complexity_count(
 
 
 def complexity_per_point_bound(params: LtftParams, sample_rate: float) -> float:
-    """Uniform bound on C/N: the predicted atom-samples of one point, plus one."""
+    """Uniform bound on C/N: the predicted atom-samples of one point, plus one.
+
+    A rate outside (0, inf) raises InvalidParameterError.
+    """
+    _check_rate(sample_rate)
     return _predicted_atom_samples(params, sample_rate, 1) + 1.0

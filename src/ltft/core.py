@@ -27,13 +27,12 @@ calling thread, on arrays that each thread keeps for its next block.
 :mod:`ltft.processing` plans the pipelines' tiles and passes, and this
 module runs a tile.  Every grid is at most ``_MAX_SIGNAL_SAMPLES`` long.
 
-The synthesis loop asks for each block's coefficients while the block's
-atoms are in hand.  Synthesis reads them from a vector.  A pipeline tile
-at D = 1 synthesizes the atoms it analysed, on the same grid, so each
-block is built once and its analysis coefficients are mapped by the
-optional per-point rule while it is in hand, with the same bits as
-analysis, the rule, then synthesis.  At D > 1 synthesis uses other atoms,
-so the tile is analysed and summed in two passes.
+Both directions walk the blocks with one callback, which gives a block's
+coefficients while its atoms are in hand: analysis gathers them into a
+vector, synthesis scales the block by them.  A pipeline tile's callback
+analyses the block and maps its coefficients by the optional per-point
+rule.  At D = 1 the tile synthesizes the atoms it analysed, so each block
+is built once; at D > 1 synthesis uses other atoms and reads the vector.
 
 The block kernel takes no transcendental per sample and makes no serial
 scan.  A block is sample-major, (length, rows), so each step is one
@@ -88,6 +87,11 @@ def _check_int(name: str, value, least: int) -> int:
 _MAX_SIGNAL_SAMPLES = 1 << 26
 
 
+def _check_rate(sample_rate) -> None:
+    if not 0 < sample_rate < np.inf:
+        raise InvalidParameterError("sample rate must be positive and finite")
+
+
 def _check_grid(m, sample_rate, odd: bool = False) -> int:
     # A sampling grid: an integer length M of at most _MAX_SIGNAL_SAMPLES,
     # even and >= 4 (or with `odd`, any M >= 1), at a rate in (0, inf).
@@ -96,8 +100,7 @@ def _check_grid(m, sample_rate, odd: bool = False) -> int:
         raise InvalidParameterError(f"grid length must be even, got {m}")
     if m > _MAX_SIGNAL_SAMPLES:
         raise BudgetExceededError(f"a grid of {m} samples exceeds the budget")
-    if not 0 < sample_rate < np.inf:
-        raise InvalidParameterError("sample rate must be positive and finite")
+    _check_rate(sample_rate)
     return m
 
 
@@ -455,7 +458,7 @@ class CoefficientVector:
 # A per-point coefficient rule, rule(values, a, b, c) -> values: each value
 # mapped with its own point (a multiplier symbol, a shrinkage, a phase rule).
 # It must be elementwise and pure, as it runs on any slice of the points,
-# one atom block or tile at a time, on the pipelines' threads.
+# one analysis block at a time, on the pipelines' threads.
 Rule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -760,16 +763,19 @@ def _atom_blocks(
 
 def _block_atoms(
     params: LtftParams, points: np.ndarray, sample_rate: float, block: _AtomBlock
-) -> Tuple[int, np.ndarray, np.ndarray]:
-    # One block's grid indices and atom values.  Returns the grid index lo of
-    # the block's first sample, the block-relative indices j (lo + j is a
-    # row's span of grid samples, padding included) and the atom values,
-    # each row padded to the block's length; j and the atoms are
-    # (rows, length) views of sample-major arrays on this thread's scratch.
-    # Rows are ordered by first sample, so j[0, 0] = 0 and j[-1, -1] is the
-    # largest.  One 8-byte-per-atom-sample buffer serves the atoms' window
-    # envelope, viewed as float64, and then j, so a thread keeps two
-    # block-sized buffers besides the gather's, not three (0.5 MiB less).
+) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    # One block's grid indices, atom values and points.  Returns the grid
+    # index lo of the block's first sample, the block-relative indices j
+    # (lo + j is a row's span of grid samples, padding included), the atom
+    # values, each row padded to the block's length, and the block's (rows,
+    # 3) points for a rule (a gather per rule call faulted ~950 more pages in
+    # a fresh `ltft vocoder -D 2` on a 2-vCPU Xeon), all on this thread's
+    # scratch; j and the atoms are (rows, length) views of sample-major
+    # arrays.  Rows are ordered by first sample, so j[0, 0] = 0 and
+    # j[-1, -1] is the largest.
+    # One 8-byte-per-atom-sample buffer serves the atoms' window envelope,
+    # viewed as float64, and then j, so a thread keeps two block-sized
+    # buffers besides the gather's, not three (0.5 MiB less).
     shape = (block.length, block.sel.size)
     index = _scratch("index", shape, np.int64)
     pts = np.take(points, block.sel, axis=0, mode="wrap",
@@ -779,7 +785,7 @@ def _block_atoms(
         sample_rate, _scratch("atoms", shape, np.complex128), index.view(np.float64),
     )
     j = np.add(np.arange(block.length)[:, None], block.start - block.start[0], out=index)
-    return int(block.start[0]), j.T, atoms.T
+    return int(block.start[0]), j.T, atoms.T, pts
 
 
 def _predicted_atom_samples(params: LtftParams, sample_rate: float, n: int) -> float:
@@ -831,15 +837,16 @@ def _block_coeffs(
 
 
 def _tile_coeffs(
-    sig: np.ndarray, points: np.ndarray, params: LtftParams, grid_len: int, sample_rate: float
+    points: np.ndarray, params: LtftParams, grid_len: int, sample_rate: float,
+    coeffs: Callable[..., np.ndarray],
 ) -> np.ndarray:
-    # Analysis coefficients of every row of `points` against the padded
-    # input `sig` of a grid_len signal, block by block in this thread; atoms
-    # left out of the plan analyse to 0.
+    # coeffs(block, lo, j, atoms, pts), as _tile_sum takes it, for every
+    # block of the rows of `points` on the grid_len grid, in this thread,
+    # gathered into one vector aligned with the rows; atoms left out of the
+    # plan give 0.
     out = np.zeros(points.shape[0], dtype=np.complex128)
     for block in _atom_blocks(params, points, sample_rate, grid_len):
-        lo, j, atoms = _block_atoms(params, points, sample_rate, block)
-        out[block.sel] = _block_coeffs(sig, lo, j, atoms, sample_rate)
+        out[block.sel] = coeffs(block, *_block_atoms(params, points, sample_rate, block))
     return out
 
 
@@ -851,14 +858,14 @@ def _tile_sum(
     # grid, unweighted, block by block in this thread, in one row per
     # segment of point indices between the ascending `cuts` (row k from
     # cuts[k - 1], or 0, up to cuts[k], or the end).  coeffs(block, lo, j,
-    # atoms) gives a block's coefficients while its atoms (see _block_atoms)
-    # are in hand; the block is scaled in place by them, each atom's indices
-    # j are moved into its segment's row, and the block is added, by one
-    # unbuffered add in sample-major order, straight into an accumulator
-    # over the grid indices the blocks reach, in block order.  Returns the
-    # output index (M/2 plus the grid index) of the rows' first sample and
-    # the rows, cropped to the grid: a tile of points in a time slab sums
-    # over that slab, not the grid.
+    # atoms, pts) gives a block's coefficients while its atoms and points
+    # (see _block_atoms) are in hand; the block is scaled in place by them,
+    # each atom's indices j are moved into its segment's row, and the block
+    # is added, by one unbuffered add in sample-major order, straight into an
+    # accumulator over the grid indices the blocks reach, in block order.
+    # Returns the output index (M/2 plus the grid index) of the rows' first
+    # sample and the rows, cropped to the grid: a tile of points in a time
+    # slab sums over that slab, not the grid.
     blocks = _atom_blocks(params, points, sample_rate, grid_len)
     start = min((int(block.start[0]) for block in blocks), default=0)
     stop = max((int(block.start[-1]) + block.length for block in blocks), default=0)
@@ -866,8 +873,8 @@ def _tile_sum(
     acc = np.zeros((len(cuts) + 1, width), dtype=np.complex128)
     flat, cuts = acc.reshape(-1), np.asarray(cuts, dtype=np.int64)
     for block in blocks:
-        lo, j, atoms = _block_atoms(params, points, sample_rate, block)
-        atoms *= coeffs(block, lo, j, atoms)[:, None]
+        lo, j, atoms, pts = _block_atoms(params, points, sample_rate, block)
+        atoms *= coeffs(block, lo, j, atoms, pts)[:, None]
         if cuts.size:
             np.add(j.T, np.searchsorted(cuts, block.sel, side="right") * width, out=j.T)
         np.add.at(flat[lo - start :], j.T.ravel(), atoms.T.ravel())
@@ -876,38 +883,29 @@ def _tile_sum(
     return lo + half, acc[:, lo - start : max(hi, lo) - start]
 
 
-def _ruled(rule: Rule, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    # rule(values, a, b, c) for coefficients aligned with the rows of
-    # `points`, as a writable complex array of the same shape.
-    out = np.require(rule(values, points[:, 0], points[:, 1], points[:, 2]), np.complex128, "W")
-    if out.shape != values.shape:
-        raise InvalidParameterError("a coefficient rule must return one value per coefficient")
-    return out
-
-
 def _tile_pass(
     sig: np.ndarray, points: np.ndarray, params: LtftParams, grid_len: int,
     sample_rate: float, rule: Optional[Rule] = None, dilation: int = 1, cuts: Sequence[int] = (),
 ) -> Tuple[int, np.ndarray]:
-    # One pipeline tile, as _tile_sum returns it: the rows of `points`
-    # analysed against the padded input `sig` of a grid_len signal, mapped
-    # by the rule, and summed at (D*a, b, c) on the D*grid_len grid in one
-    # row per segment between the `cuts`.  At D = 1 the sum equals the
-    # synthesis of rule(_tile_coeffs(...), a, b, c) bit for bit.  At D > 1
-    # the times are dilated in place, so `points` is the caller's to give up.
-    if dilation == 1:
-        def coeffs(block: _AtomBlock, lo: int, j: np.ndarray, atoms: np.ndarray) -> np.ndarray:
-            values = _block_coeffs(sig, lo, j, atoms, sample_rate)
-            return values if rule is None else _ruled(rule, values, points[block.sel])
+    # One pipeline tile, as _tile_sum returns it: `points` analysed against
+    # the padded input `sig` of a grid_len signal, mapped by the rule block by
+    # block, and summed at (D*a, b, c) on the D*grid_len grid, one row per
+    # segment between the `cuts`.  At D > 1 the times are dilated in place.
+    def coeffs(block, lo, j, atoms, pts):
+        values = _block_coeffs(sig, lo, j, atoms, sample_rate)
+        if rule is None:
+            return values
+        out = np.require(rule(values, *pts.T), np.complex128, "W")
+        if out.shape != values.shape:
+            raise InvalidParameterError("a coefficient rule must return one value per coefficient")
+        return out
 
+    if dilation == 1:
         return _tile_sum(points, params, grid_len, sample_rate, coeffs, cuts)
-    values = _tile_coeffs(sig, points, params, grid_len, sample_rate)
-    if rule is not None:
-        values = _ruled(rule, values, points)
+    values = _tile_coeffs(points, params, grid_len, sample_rate, coeffs)
     points[:, 0] *= float(dilation)
-    return _tile_sum(
-        points, params, dilation * grid_len, sample_rate, lambda block, *_: values[block.sel], cuts
-    )
+    return _tile_sum(points, params, dilation * grid_len, sample_rate,
+                     lambda block, *_: values[block.sel], cuts)
 
 
 def analyze(
@@ -921,8 +919,9 @@ def analyze(
     """
     if samples.box.freq_hi > signal.sample_rate * (1 + 1e-12):
         raise InvalidParameterError("box frequency side exceeds the signal rate")
-    sig = _analysis_input(signal, params)
-    values = _tile_coeffs(sig, samples.points, params, signal.m, signal.sample_rate)
+    sig, rate = _analysis_input(signal, params), signal.sample_rate
+    analysis = lambda block, lo, j, atoms, pts: _block_coeffs(sig, lo, j, atoms, rate)
+    values = _tile_coeffs(samples.points, params, signal.m, rate, analysis)
     return CoefficientVector(values, weight=samples.box.volume / samples.n)
 
 

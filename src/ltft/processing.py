@@ -416,9 +416,10 @@ def phase_vocoder(signal: DigitalSignal, job: VocoderJob) -> DigitalSignal:
     on the fixed schedule of :func:`reconstruct`, whose threads end before
     the frame diagonal at D*M is built for the one normalization; a tile's
     times are dilated in its own array.
-    At D = 1 it is the round trip of :func:`reconstruct`; at D > 1
+    At D = 1 it is the round trip of :func:`reconstruct`.  At D > 1
     synthesis uses other atoms than analysis, so each atom block is built
-    twice.
+    twice; the phase rule maps each analysis block's coefficients while that
+    block is in hand, as at D = 1.
     """
     return _analysis_synthesis(
         signal, job.params, [job.sample_count(signal.m)], job.sequence, job.seed, job.padded,

@@ -31,11 +31,15 @@ def test_dwt_params_validation():
 
 
 @pytest.mark.parametrize(
-    "bad", [dict(sample_rate=np.inf), dict(m=2.5), dict(m=0), dict(m=True)], ids=str
+    "bad",
+    [dict(sample_rate=np.inf), dict(m=2.5), dict(m=0), dict(m=True),
+     dict(gamma=np.nan), dict(gamma=np.inf)],
+    ids=str,
 )
 def test_dwt_params_refuse_an_infinite_rate_or_a_non_integer_m(bad):
     # An infinite rate overflowed in scale_exponents; M = 2.5 built a grid.
-    with pytest.raises(InvalidParameterError):
+    # A NaN or infinite gamma was refused for a dilation step "in (1, nan)".
+    with pytest.raises(InvalidParameterError, match="gamma" if "gamma" in bad else None):
         DwtGridParams(**{**dict(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=256), **bad})
 
 

@@ -111,6 +111,17 @@ def test_complexity_per_point_bound(params, log_n):
     assert c_actual / n <= complexity_per_point_bound(params, RATE)
 
 
+@pytest.mark.parametrize("rate", [-5.0, 0.0, np.nan, np.inf, -np.inf])
+def test_complexity_refuses_a_rate_outside_the_open_half_line(params, rate):
+    # Rate -5 counted -113 atom-samples and rate 0 counted none, NaN gave a
+    # NaN bound, and a NaN or infinite rate was refused as a guard band.
+    samples = scale_to_box(generate_unit_points("hammersley", 64, 3), _box(256))
+    for call in (lambda: complexity_count(samples, params, rate),
+                 lambda: complexity_per_point_bound(params, rate)):
+        with pytest.raises(InvalidParameterError, match="sample rate must be positive"):
+            call()
+
+
 def test_per_point_bound_value(params):
     # gamma (1 + ln(C2/C1) + (1-C2)/C2) + 1 at the defaults
     expected = 6.0 * (1.0 + np.log(4.0) + 1.5) + 1.0

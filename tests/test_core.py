@@ -642,8 +642,9 @@ def _check_blocks(p, samples, m):
     assert max(block.length for block in blocks) <= guard
     seen = []
     for block in blocks:
-        lo, j, atoms = _block_atoms(p, pts, RATE, block)
+        lo, j, atoms, block_pts = _block_atoms(p, pts, RATE, block)
         assert j.shape == atoms.shape == (block.sel.size, block.length)
+        assert np.array_equal(block_pts, pts[block.sel])
         assert np.all(np.diff(block.start) >= 0)
         assert j[0, 0] == 0 and j[-1, -1] == j.max()
         for row, n in enumerate(block.sel):

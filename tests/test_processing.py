@@ -494,8 +494,9 @@ def test_tiled_vocoder_matches_one_tile(monkeypatch, params, tapered_tone, dilat
 
 
 def test_tiled_transform_sees_every_coefficient_once(monkeypatch, params, tapered_tone):
-    # Under tiles a rule maps every one of the N coefficients once, a block
-    # (D = 1) or a tile (D = 2) at a time, each value with its own point.
+    # Under tiles a rule maps every one of the N coefficients once, one
+    # analysis block at a time at every D, each value with its own point:
+    # in one tile of all N points too, where it is called per block.
     s = tapered_tone(512)
     n = 10 * 512
     sizes = []
@@ -515,6 +516,7 @@ def test_tiled_transform_sees_every_coefficient_once(monkeypatch, params, tapere
                 s, params, [n], "mc", 2, False, rule=rule, dilation=dilation
             )
             assert sum(sizes) == n
+        assert len(sizes) > 1 and n not in sizes
         assert relative_error(*outs) <= 1e-13
 
 
