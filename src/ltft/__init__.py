@@ -33,7 +33,6 @@ from .core import (
     dft,
     from_analytic,
     idft,
-    ltft_atom_freq,
     relative_error,
     synthesize,
     to_analytic,
@@ -50,12 +49,10 @@ from .frame import (
     FrameDiagonal,
     apply_inverse_frame,
     frame_diagonal,
-    frame_diagonal_oracle,
 )
 from .lds import (
     UnitPointSet,
     generate_unit_points,
-    radical_inverse,
     scale_to_box,
     star_discrepancy,
     star_discrepancy_scan,

@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .core import LtftParams, PhaseSpaceBox, SampleSet, _check_grid, _check_int, _guard_samples
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import InvalidParameterError
 from .lds import (
     KINDS,
     UnitPointSet,
@@ -65,15 +65,6 @@ class DwtGridParams:
         k0 = math.log(self.b0 / (self.gamma + 0.5)) / math.log(self.r)
         k1 = math.log(self.sample_rate / (self.gamma - 0.5)) / math.log(self.r)
         return range(math.ceil(k0), math.ceil(k1) + 1)
-
-    def size_estimate(self) -> float:
-        """Continuous-integral estimate of the grid size, H * (L - b0)."""
-        h = (
-            self.m
-            * self.p
-            / (self.sample_rate * math.log(self.r) * (self.gamma + 0.5))
-        )
-        return h * (self.sample_rate - self.b0)
 
     def row_sizes(self) -> List[int]:
         """Points per scale k of :meth:`scale_exponents`, round(r^k (M/L) p)

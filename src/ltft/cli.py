@@ -86,13 +86,18 @@ def _list_option(options: Dict[str, object], key: str, convert=str) -> list:
     return items
 
 
+def _sample_count(m: int, options: Dict[str, object]) -> int:
+    # N from -N or -A, at the one default A = 16 that _load_audio checks too.
+    return sample_count(m, options.get("samples"), options.get("redundancy"), 16.0)
+
+
 def _load_audio(options: Dict[str, object]) -> tuple:
     # Every argument that needs nothing from the WAV is refused before it is
     # read: the sequence and seed, N or A, and the transform, checked at the
     # lowest rate a WAV can have.  N or A is checked at M = 1: a count past
     # the budget there is past it at every M.
     _check_rows(str(options["sequence"]), 1, 3, options["seed"])
-    sample_count(1, options.get("samples"), options.get("redundancy"), 16.0)
+    _sample_count(1, options)
     _params_from(options, 1.0)
     audio = wav_read(str(options["input"]))
     signal = audio.to_signal()
@@ -128,7 +133,7 @@ def _cmd_reconstruct(config: RunConfig, loaded: tuple = (), rule=None, threshold
     # the audio `loaded` by _load_audio or loaded here.
     options = config.options
     audio, signal, params = loaded or _load_audio(options)
-    n = sample_count(signal.m, options.get("samples"), options.get("redundancy"), 16.0)
+    n = _sample_count(signal.m, options)
     sampling = dict(
         kind=str(options["sequence"]), seed=int(options["seed"]), padded=bool(options["padded"])
     )
@@ -251,7 +256,7 @@ def _cmd_coverage(config: RunConfig) -> int:
     options = config.options
     rate, m, params = _grid_options(options)
     box = PhaseSpaceBox(t_lo=-m / (2.0 * rate), t_hi=m / (2.0 * rate), freq_hi=rate)
-    n = sample_count(m, options.get("samples"), options.get("redundancy"), 16.0)
+    n = _sample_count(m, options)
     kind = str(options["generator"])
     if kind == "dwt":
         samples = dwt_grid_with_size(n, params.b0, rate, m, gamma=params.gamma)

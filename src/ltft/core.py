@@ -236,28 +236,21 @@ _TABLE_CHUNK = 8192
 
 
 class WindowSpec:
-    """The cos^4 window, with time and frequency evaluators.
+    """The cos^4 window, with a frequency evaluator.
 
     It is the transform's only window: one instance, ``LtftParams.window``,
     is shared by every parameter set, so its spectrum table is built once
-    per process.  The time evaluator is closed form and vanishes outside
-    (-1/2, 1/2); the zero-extension is twice continuously differentiable
-    and has unit L2 norm.  The frequency evaluator interpolates linearly
-    between nodes of the window's exact Fourier transform, closed-form sums
-    of five sinc terms computed on first use; the interpolation is its only
-    error, at most 1.08e-6.  The nodes lie on a 1/256 grid and the terms are
-    whole units apart, so one sinc pass over the grid, widened by two units
-    on each side, gives every term as a shifted slice.
+    per process.  The window vanishes outside (-1/2, 1/2); its zero-extension
+    is twice continuously differentiable and has unit L2 norm.  The frequency
+    evaluator interpolates linearly between nodes of the window's exact
+    Fourier transform, closed-form sums of five sinc terms computed on first
+    use; the interpolation is its only error, at most 1.08e-6.  The nodes lie
+    on a 1/256 grid and the terms are whole units apart, so one sinc pass
+    over the grid, widened by two units on each side, gives every term as a
+    shifted slice.
     """
 
     bandwidth = 3.0  # first spectral null at |nu| = 3
-
-    def time(self, t) -> np.ndarray:
-        """w(t), zero outside the open support (-1/2, 1/2)."""
-        t = np.asarray(t, dtype=np.float64)
-        inside = np.abs(t) < 0.5
-        vals = np.cos(np.pi * t) ** 4 * _COS4_NORM
-        return np.where(inside, vals, 0.0)
 
     @cached_property
     def _freq_table(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -606,27 +599,6 @@ def _support_index_range(
     return m_start, m_end
 
 
-def ltft_atom_freq(params: LtftParams, b: float, c: float, freq_grid) -> np.ndarray:
-    """Spectrum of the atom at (a=0, b, c) on the given frequency grid.
-
-    Per branch: sqrt(gamma/beff) * w_hat((gamma/beff) * (omega - center))
-    with center = (xi/gamma) c beff + b on the STFT branches and
-    ((xi/gamma) c + 1) b on the wavelet branch.
-    """
-    if not 0 <= b < np.inf:
-        raise InvalidParameterError("frequency must be finite and non-negative")
-    if not -np.inf < c < np.inf:
-        raise InvalidParameterError("oscillation must be finite")
-    omega = np.asarray(freq_grid, dtype=np.float64)
-    beff, center = _branch_arrays(
-        params, np.asarray([b]), np.asarray([float(c)])
-    )
-    scale = params.gamma / beff[0]
-    return np.sqrt(scale) * params.window.freq(scale * (omega - center[0])).astype(
-        np.complex128
-    )
-
-
 # ---------------------------------------------------------------------------
 # Analysis and synthesis cubature
 # ---------------------------------------------------------------------------
@@ -898,6 +870,8 @@ def _tile_pass(
         out = np.require(rule(values, *pts.T), np.complex128, "W")
         if out.shape != values.shape:
             raise InvalidParameterError("a coefficient rule must return one value per coefficient")
+        if not np.isfinite(out).all():
+            raise InvalidParameterError("a coefficient rule returned a NaN or infinite value")
         return out
 
     if dilation == 1:

@@ -22,8 +22,9 @@ on w, so the cost is a fixed tabulation plus O(M) per fold shift.  The
 tabulation costs one evaluation per node: G2 is only needed at its own
 nodes moved by gamma, gamma + xi and xi, each shift one whole number of
 nodes plus one fraction of a cell, so Q and P1 are a few shifted slices of
-G2's table, with no per-node search.  The brute-force quadrature,
-:func:`frame_diagonal_oracle`, arbitrates the prefactors.
+G2's table, with no per-node search.  A brute-force quadrature of the
+atom spectra, ``frame_diagonal_oracle`` in ``tests/oracles.py``, arbitrates
+the prefactors.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DigitalSignal, LtftParams, dft
-from .core import _TABLE_CHUNK, _check_grid, _check_int
+from .core import _TABLE_CHUNK, _check_grid
 from .errors import BudgetExceededError, InvalidParameterError
 
 _GRID_STEP = 1.0 / 1024.0  # dimensionless tabulation step
@@ -249,52 +250,6 @@ def _build_diagonal(
             if shift >= 0.0:
                 q1[bins] += np.subtract(wavelet(v), wavelet(g * w / params.b1), out=d)
             q2[bins] += np.subtract(r(high * (w - params.b1)), r(high * (w - sample_rate)), out=d)
-    return FrameDiagonal(omega, q0, q1, q2)
-
-
-def frame_diagonal_oracle(
-    params: LtftParams, sample_rate: float, m: int, quad_res: int = 512
-) -> FrameDiagonal:
-    """Brute-force diagonal: 2D midpoint quadrature of the atom spectra.
-
-    At each grid frequency, integrates |atom_hat(b, c; w)|^2 with
-    quad_res midpoints per axis on each of the three frequency bands and
-    on the oscillation interval.  Cost O(M * quad_res^2); test-only.
-    """
-    m, quad_res = _check_grid(m, sample_rate), _check_int("quad_res", quad_res, 128)
-    if m > 1024 or quad_res > 1024:
-        raise BudgetExceededError(
-            "oracle quadrature limited to m <= 1024 and quad_res <= 1024"
-        )
-    g = params.gamma
-    xi = params.xi
-    omega = np.arange(m) * (sample_rate / m)
-    c_mid = (np.arange(quad_res) + 0.5) / quad_res
-    dc = 1.0 / quad_res
-
-    def band(b_lo: float, b_hi: float, kind: str) -> np.ndarray:
-        b_mid = b_lo + (np.arange(quad_res) + 0.5) * (b_hi - b_lo) / quad_res
-        db = (b_hi - b_lo) / quad_res
-        total = np.zeros(m)
-        for c in c_mid:
-            if kind == "low":
-                beff = params.b0
-                center = (xi / g) * c * params.b0 + b_mid
-            elif kind == "high":
-                beff = params.b1
-                center = (xi / g) * c * params.b1 + b_mid
-            else:
-                beff = b_mid
-                center = ((xi / g) * c + 1.0) * b_mid
-            scale = g / beff
-            arg = scale * (omega[:, None] - center[None, :])
-            power = scale * params.window.freq(arg) ** 2
-            total += power.sum(axis=1) * db * dc
-        return total
-
-    q0 = band(0.0, params.b0, "low")
-    q1 = band(params.b0, params.b1, "mid")
-    q2 = band(params.b1, sample_rate, "high")
     return FrameDiagonal(omega, q0, q1, q2)
 
 

@@ -9,10 +9,9 @@ A radical-inverse coordinate of N points is one linear pass: a table of
 the digit reversals of 0 .. N, built by doubling the digit count (the
 reversal of 2k digits is an outer sum of the k-digit table with itself),
 divided by the power of the base that bounds N.  The quotient is correctly
-rounded, as is the exact-integer scalar :func:`radical_inverse`, so both
-agree in every bit.  Any index range of a set is made on its own, bit for
-bit equal to the same rows of the whole set (:func:`unit_point_rows`), so
-a pipeline can hold one tile of points at a time.
+rounded.  Any index range of a set is made on its own, bit for bit equal
+to the same rows of the whole set (:func:`unit_point_rows`), so a pipeline
+can hold one tile of points at a time.
 
 This module owns the generator list (:data:`KINDS`), which generators extend
 (:func:`extensible`) and read the seed (:func:`seeded`), and the point-count
@@ -64,25 +63,6 @@ def _check_count(count, name: str = "count") -> int:
     if count > _MAX_POINTS:
         raise BudgetExceededError(f"{count} points exceed the budget of {_MAX_POINTS}")
     return count
-
-
-def radical_inverse(n: int, base: int) -> float:
-    """Digit-reversal of ``n`` in the given base, mapped into [0, 1).
-
-    Writing n = sum(d_j * base**j), returns sum(d_j * base**(-j-1)).  The
-    reversal is an exact integer r over base**K, K the digit count, and the
-    one division r / base**K is correctly rounded.
-    """
-    n, base = _check_int("index", n, 0), _check_int("radix base", base, 2)
-    if max(n, base) >= 1 << 63:
-        raise InvalidParameterError("index and radix base must be below 2**63")
-    r, scale = 0, 1
-    while n > 0:
-        n, digit = divmod(n, base)
-        r, scale = r * base + digit, scale * base
-    # Reversals within half an ulp of 1 (only past 2**53) round up to 1.0;
-    # the largest double below 1 is the nearest value in [0, 1).
-    return min(r / scale, float(np.nextafter(1.0, 0.0)))
 
 
 def _reversal_table(digits: int, base: int, start: int, stop: int, dtype) -> np.ndarray:

@@ -17,6 +17,7 @@ from ltft import (
 from ltft import baselines
 from ltft.core import SampleSet
 from ltft.lds import generate_unit_points, star_discrepancy
+from oracles import dwt_size_estimate
 
 RATE = 64.0
 
@@ -102,7 +103,7 @@ def test_dwt_size_matches_estimate(r, p_factor):
     # gamma = 3 keeps both dilation steps inside the legal interval
     p = DwtGridParams(r=r, p=p_factor, b0=6.4, sample_rate=64.0, m=256, gamma=3.0)
     grid = dwt_grid(p)
-    estimate = p.size_estimate()
+    estimate = dwt_size_estimate(p)
     assert estimate / 2 <= grid.n <= estimate * 2
 
 

@@ -15,11 +15,11 @@ from ltft import (
     apply_inverse_frame,
     dft,
     frame_diagonal,
-    frame_diagonal_oracle,
     idft,
 )
 from ltft import frame as frame_module
 from ltft.frame import _GRID_MARGIN, _GRID_STEP, _build_diagonal, _Integral, _integrals
+from oracles import frame_diagonal_oracle
 
 RATE = 64.0
 M = 256

@@ -271,6 +271,24 @@ def test_rule_that_changes_the_shape_is_refused(params, tapered_tone):
         )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_rule_with_a_non_finite_value_is_refused(params, tapered_tone, bad):
+    # Refused where the rule runs, before any block is scaled by the value.
+    def rule(z, a, b, c):
+        out = z.copy()
+        out[-1] = bad
+        return out
+
+    s = tapered_tone(256)
+    with pytest.raises(InvalidParameterError, match="rule"):
+        reconstruct(s, params, 4 * 256, rule=rule)
+    box = PhaseSpaceBox.for_signal(s, params)
+    points = scale_to_box(generate_unit_points("hammersley", 4 * 256, 3), box).points.copy()
+    with pytest.raises(InvalidParameterError, match="rule"):
+        core._tile_pass(core._analysis_input(s, params), points, params, s.m, RATE, rule,
+                        dilation=2)
+
+
 def test_vocoder_phase_rule_values():
     assert vocoder_phase_rule(1.0 + 0j, 5) == 1.0 + 0j
     assert vocoder_phase_rule(1j, 2) == pytest.approx(-1.0 + 0j)
