@@ -23,7 +23,12 @@ coefficients and adds it, one block after another in block order, straight
 into one accumulator over the span the blocks reach, with one row per
 segment of point indices a caller sums apart; the cubature weight
 volume(box)/N scales the sum once.  The blocks of one call run in the
-calling thread, on arrays that each thread keeps for its next block.
+calling thread, on arrays that each thread keeps for its next block: three
+block-sized buffers (the atoms, their grid indices and the gathered input)
+and the block's points, 2.62 MiB at the default parameters.  The kernel's
+per-atom angles, phasors and coefficients take rows of the index and gather
+buffers while those are idle, and a block is planned at least four rows
+long, so they always fit.
 :mod:`ltft.processing` plans the pipelines' tiles and passes, and this
 module runs a tile.  Every grid is at most ``_MAX_SIGNAL_SAMPLES`` long.
 
@@ -451,7 +456,8 @@ class CoefficientVector:
 # A per-point coefficient rule, rule(values, a, b, c) -> values: each value
 # mapped with its own point (a multiplier symbol, a shrinkage, a phase rule).
 # It must be elementwise and pure, as it runs on any slice of the points,
-# one analysis block at a time, on the pipelines' threads.
+# one analysis block at a time, on the pipelines' threads, and at D = 1 with
+# numpy's overflow and invalid-value warnings off (see _tile_sum).
 Rule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -512,9 +518,8 @@ def _unit_phasors(half_angles: np.ndarray, out: np.ndarray) -> np.ndarray:
     # ramp multiplies by the row length, then took 6000-sample atoms to 2.03
     # times the kernel's 1e-12 oracle bound, against 0.64 with the shared
     # factor.  The tangent and then the factor are written over the half
-    # angles, so the phasors take no buffer of their own: a per-thread (4, G)
-    # scratch array for the factor raised speech-reconstruct's peak RSS by
-    # 2-2.5 MiB.
+    # angles, so the factor takes no buffer of its own: a per-thread (4, G)
+    # scratch array for it raised speech-reconstruct's peak RSS by 2-2.5 MiB.
     t = np.tan(half_angles, out=half_angles)
     out.imag = t
     factor = np.square(t, out=t)
@@ -536,6 +541,7 @@ def _atom_values(
     sample_rate: float,
     atoms: np.ndarray,
     env: np.ndarray,
+    phasors: np.ndarray,
 ) -> np.ndarray:
     # Sample-major (length, G) block: atom g at (a, b, c)[g] sampled at
     # t = (m_start[g] + k)/L in row k < length, and zero from row own[g] on.
@@ -543,28 +549,27 @@ def _atom_values(
     # angle, window step) come from one tangent of a (4, G) array of half
     # angles, written in place; the rows follow by doubling ramps.  The
     # block is written into `atoms` (a (length, G) complex array), first as
-    # the window ramp and then as the phase ramp; the real window envelope
-    # into `env` (a (length, G) float64 array), which is free again when
-    # this returns.  The angles and the phasors are this thread's scratch.
-    g = a.shape[0]
+    # the window ramp and then as the phase ramp.  `env`, a (max(length, 4),
+    # G) float64 array, holds the half angles in its first four rows and
+    # then the real window envelope in its first `length`; `phasors`, a
+    # (4, G) complex array, the unit phasors.  Both are free again when this
+    # returns.
     beff, freq = _branch_arrays(params, b, c)
     scale = beff / params.gamma
     t0 = m_start / sample_rate - a
     # Half of each angle, as _unit_phasors takes them.
-    angles = _scratch("angles", (4, g), np.float64)
+    angles = env[:4]
     np.multiply(np.pi, freq, out=angles[0])
     angles[0] *= t0
     np.multiply(np.pi / sample_rate, freq, out=angles[1])
     np.multiply(0.5 * np.pi, scale, out=angles[2])
     angles[2] *= t0
     np.multiply(0.5 * np.pi / sample_rate, scale, out=angles[3])
-    first, step, window_first, window_step = _unit_phasors(
-        angles, _scratch("phasors", (4, g), np.complex128)
-    )
+    first, step, window_first, window_step = _unit_phasors(angles, phasors)
     first *= _COS4_NORM * np.sqrt(scale)
     # The cos^4 window is (Re u)^4 on the ramp u_k = exp(i pi scale (t_k - a)).
     # Rows past an atom's own support, a block's padding, are set to 0.
-    np.square(_ramp(atoms, window_first, window_step).real, out=env)
+    env = np.square(_ramp(atoms, window_first, window_step).real, out=env[:length])
     env *= env
     tail = int(own.min())
     if tail < length:
@@ -666,10 +671,11 @@ def _atom_blocks(
     # support sample count and then by first sample, and cut into consecutive
     # blocks: a block ends before an atom longer than _PACK_RATIO times its
     # shortest row, or before it would exceed _BLOCK_ATOM_SAMPLES atom-samples
-    # with every row padded to its longest.  Within a block the rows are
-    # ordered by first sample, ties by support count and then by index.  The
-    # partition depends on the points and M alone, so the block order is the
-    # accumulation order.
+    # with every row padded to its longest, and to at least 4 samples, so a
+    # block holds at most _BLOCK_ATOM_SAMPLES // max(length, 4) atoms.  Within
+    # a block the rows are ordered by first sample, ties by support count and
+    # then by index.  The partition depends on the points and M alone, so the
+    # block order is the accumulation order.
     #
     # Both orders come from stable argsorts on narrow unsigned keys (least
     # significant key first), which numpy runs as radix sorts when the key
@@ -709,10 +715,12 @@ def _atom_blocks(
         bound = sorted_lengths.dtype.type(min(int(_PACK_RATIO * shortest), longest))
         end = min(
             int(sorted_lengths.searchsorted(bound, side="right")),
-            i + max(1, _BLOCK_ATOM_SAMPLES // shortest),
+            i + max(1, _BLOCK_ATOM_SAMPLES // max(shortest, 4)),
         )
-        # Rows i..k-1, padded to the longest, sorted_lengths[k - 1], fit the budget.
-        padded = np.arange(1, end - i + 1) * sorted_lengths[i:end]
+        # Rows i..k-1, padded to the longest, sorted_lengths[k - 1], and to at
+        # least the four rows of the kernel's angles and phasors (see
+        # _block_atoms), fit the budget.
+        padded = np.arange(1, end - i + 1) * np.maximum(sorted_lengths[i:end], 4)
         fit = int(np.searchsorted(padded, _BLOCK_ATOM_SAMPLES, side="right"))
         bounds.append(i + max(1, fit))
     block_lengths = [int(sorted_lengths[k - 1]) for k in bounds[1:]]
@@ -745,18 +753,26 @@ def _block_atoms(
     # scratch; j and the atoms are (rows, length) views of sample-major
     # arrays.  Rows are ordered by first sample, so j[0, 0] = 0 and
     # j[-1, -1] is the largest.
-    # One 8-byte-per-atom-sample buffer serves the atoms' window envelope,
-    # viewed as float64, and then j, so a thread keeps two block-sized
-    # buffers besides the gather's, not three (0.5 MiB less).
-    shape = (block.length, block.sel.size)
-    index = _scratch("index", shape, np.int64)
+    # The kernel's per-atom values live in block buffers that are idle at
+    # their step: the index buffer, viewed as float64, holds the half angles
+    # in its first four rows, then the window envelope, then j; the gather
+    # buffer of _block_coeffs holds the unit phasors in its first four rows
+    # until the gather.  So a thread keeps the atoms, the index and the
+    # gather buffers and the block's points (2.62 MiB at the defaults);
+    # buffers of their own for the angles, the phasors and the coefficients
+    # kept 0.88 MiB more.  Both shared buffers have at least four rows,
+    # which _atom_blocks counts in the block's budget.
+    length, g = block.length, block.sel.size
+    index = _scratch("index", (max(length, 4), g), np.int64)
+    gathered = _scratch("gathered", index.shape, np.complex128)
     pts = np.take(points, block.sel, axis=0, mode="wrap",
-                  out=_scratch("points", (block.sel.size, 3), np.float64))
+                  out=_scratch("points", (g, 3), np.float64))
     atoms = _atom_values(
-        params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.own, block.length,
-        sample_rate, _scratch("atoms", shape, np.complex128), index.view(np.float64),
+        params, pts[:, 0], pts[:, 1], pts[:, 2], block.start, block.own, length,
+        sample_rate, _scratch("atoms", (length, g), np.complex128), index.view(np.float64),
+        gathered[:4],
     )
-    j = np.add(np.arange(block.length)[:, None], block.start - block.start[0], out=index)
+    j = np.add(np.arange(length)[:, None], block.start - block.start[0], out=index[:length])
     return int(block.start[0]), j.T, atoms.T, pts
 
 
@@ -781,30 +797,39 @@ def _guard_samples(params: LtftParams, sample_rate: float, m: float) -> int:
 
 
 def _analysis_input(signal: DigitalSignal, params: LtftParams) -> np.ndarray:
-    # The analysis signal inside a zero guard band on each side, so a
-    # planned atom's padded row stays inside.  M is even, so grid sample 0
-    # sits at the centre, index sig.size // 2.
+    # The conjugated analysis signal inside a zero guard band on each side,
+    # so a planned atom's padded row stays inside.  M is even, so grid
+    # sample 0 sits at the centre, index sig.size // 2.
     guard = _guard_samples(params, signal.sample_rate, signal.m)
     sig = np.zeros(signal.m + 2 * guard, dtype=np.complex128)
-    sig[guard : guard + signal.m] = signal.samples
+    np.conjugate(signal.samples, out=sig[guard : guard + signal.m])
     return sig
 
 
 def _block_coeffs(
     sig: np.ndarray, lo: int, j: np.ndarray, atoms: np.ndarray, sample_rate: float
 ) -> np.ndarray:
-    # One block's analysis coefficients against the input of _analysis_input,
-    # on this thread's scratch; lo is a grid index, and vecdot conjugates its
-    # first argument.  The gather wraps rather than checks each index (np.take
-    # buffers its output when it checks), so the block's extreme indices, its
-    # first and its last, are checked here.
+    # One block's analysis coefficients against the conjugated input of
+    # _analysis_input: conj(sum_k conj(s_k) atom_k) / L per atom.  The block
+    # of input samples is gathered sample-major, multiplied by the atoms and
+    # summed pairwise over its rows into row 0, each step one contiguous
+    # vector operation over the block's atoms.  lo is a grid index.  The
+    # gather wraps rather than checks each index (np.take buffers its output
+    # when it checks), so the block's extreme indices, its first and its
+    # last, are checked here.  The coefficients are a view of this thread's
+    # gather buffer, valid until its next block.
     lo += sig.size // 2
     if lo < 0 or lo + int(j[-1, -1]) >= sig.size:
         raise IndexError("atom block reaches past the analysis guard band")
-    gathered = np.take(sig[lo:], j.T, mode="wrap",
-                       out=_scratch("gathered", j.T.shape, np.complex128)).T
-    values = np.vecdot(atoms, gathered, axis=1,
-                       out=_scratch("coeffs", (j.shape[0],), np.complex128))
+    terms = np.take(sig[lo:], j.T, mode="wrap",
+                    out=_scratch("gathered", j.T.shape, np.complex128))
+    terms *= atoms.T
+    n = terms.shape[0]
+    while n > 1:
+        h = n // 2
+        np.add(terms[:h], terms[n - h : n], out=terms[:h])
+        n -= h
+    values = np.conjugate(terms[0], out=terms[0])
     return np.divide(values, sample_rate, out=values)
 
 
@@ -837,19 +862,27 @@ def _tile_sum(
     # accumulator over the grid indices the blocks reach, in block order.
     # Returns the output index (M/2 plus the grid index) of the rows' first
     # sample and the rows, cropped to the grid: a tile of points in a time
-    # slab sums over that slab, not the grid.
+    # slab sums over that slab, not the grid.  The block loop runs with
+    # numpy's overflow and invalid-value warnings off, one errstate per
+    # tile; a sum that overflows is refused once, after the loop.
     blocks = _atom_blocks(params, points, sample_rate, grid_len)
     start = min((int(block.start[0]) for block in blocks), default=0)
     stop = max((int(block.start[-1]) + block.length for block in blocks), default=0)
     width = stop - start
     acc = np.zeros((len(cuts) + 1, width), dtype=np.complex128)
     flat, cuts = acc.reshape(-1), np.asarray(cuts, dtype=np.int64)
-    for block in blocks:
-        lo, j, atoms, pts = _block_atoms(params, points, sample_rate, block)
-        atoms *= coeffs(block, lo, j, atoms, pts)[:, None]
-        if cuts.size:
-            np.add(j.T, np.searchsorted(cuts, block.sel, side="right") * width, out=j.T)
-        np.add.at(flat[lo - start :], j.T.ravel(), atoms.T.ravel())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in blocks:
+            lo, j, atoms, pts = _block_atoms(params, points, sample_rate, block)
+            atoms *= coeffs(block, lo, j, atoms, pts)[:, None]
+            if cuts.size:
+                np.add(j.T, np.searchsorted(cuts, block.sel, side="right") * width, out=j.T)
+            np.add.at(flat[lo - start :], j.T.ravel(), atoms.T.ravel())
+    if not np.isfinite(acc).all():
+        raise InvalidParameterError(
+            "the synthesis sum overflows float64: the coefficients, or the values"
+            " of the coefficient rule, are too large"
+        )
     half = grid_len // 2
     lo, hi = max(start, -half), min(stop, half)
     return lo + half, acc[:, lo - start : max(hi, lo) - start]

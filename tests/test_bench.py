@@ -5,7 +5,6 @@ import pytest
 
 from ltft import (
     BudgetExceededError,
-    DigitalSignal,
     InvalidParameterError,
     LtftParams,
     PhaseSpaceBox,
@@ -19,7 +18,7 @@ from ltft import (
     scale_to_box,
 )
 from ltft import bench, core, processing
-from ltft.core import SampleSet, atom_support_length
+from ltft.core import SampleSet
 from ltft.lds import generate_unit_points
 
 RATE = 64.0

@@ -707,17 +707,32 @@ def test_unit_phasors_match_cos_and_sin():
     assert np.max(np.abs(np.abs(out) - 1.0)) <= 4.5e-16
 
 
+def _check_dense_sums(params, samples, grid_len, dense, rng):
+    # analyze and synthesize against the dense sums over the rows of `dense`,
+    # each point's _naive_atom on the full grid.  Each direction's error is
+    # paired with the other direction's input by Cauchy-Schwarz, so the bound
+    # is the adjoint property's 1e-12 * scale.
+    sig = DigitalSignal(rng.standard_normal(grid_len) + 1j * rng.standard_normal(grid_len), RATE)
+    g = rng.standard_normal(samples.n) + 1j * rng.standard_normal(samples.n)
+    w = samples.box.volume / samples.n
+    sig_norm = np.sqrt(np.sum(np.abs(sig.samples) ** 2) / RATE)
+    scale = w * np.sum(np.abs(g)) * sig_norm
+    coeffs = analyze(sig, samples, params).values
+    expected = dense.conj() @ sig.samples / RATE
+    assert w * np.sum(np.abs(g)) * np.max(np.abs(coeffs - expected)) <= 1e-12 * scale
+    synth = synthesize(CoefficientVector(g, w), samples, params, grid_len, RATE).samples
+    gap = np.sqrt(np.sum(np.abs(synth - w * (g @ dense)) ** 2) / RATE)
+    assert gap * sig_norm <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("dilation", [1, 2])
 @pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
 def test_operator_matches_dense_naive_sums(params, padded, dilation, monkeypatch):
     # analyze and synthesize against dense sums over _naive_atom on the full
     # grid.  The adjoint and linearity properties cannot see a gather and a
-    # scatter that are wrong in the same way; this oracle can.  Each
-    # direction's error is paired with the other direction's input by
-    # Cauchy-Schwarz, so the bound is the adjoint property's 1e-12 * scale.
-    # With 64 atom-samples per block, dozens of Halton blocks of one to four
-    # rows, scattered over the grid, add into one accumulator at their own
-    # offsets.
+    # scatter that are wrong in the same way; this oracle can.  With 64
+    # atom-samples per block, dozens of Halton blocks of one to four rows,
+    # scattered over the grid, add into one accumulator at their own offsets.
     m = 128
     base = DigitalSignal(np.zeros(m), RATE)
     box = PhaseSpaceBox.for_signal(base, params, padded=padded)
@@ -732,22 +747,33 @@ def test_operator_matches_dense_naive_sums(params, padded, dilation, monkeypatch
     assert np.any(samples.a - support / 2 < -half) and np.any(samples.a + support / 2 > half)
     assert padded == bool(np.any(~dense.any(axis=1)))
     rng = np.random.default_rng(7)
-    sig = DigitalSignal(rng.standard_normal(grid_len) + 1j * rng.standard_normal(grid_len), RATE)
-    g = rng.standard_normal(samples.n) + 1j * rng.standard_normal(samples.n)
-    w = samples.box.volume / samples.n
-    sig_norm = np.sqrt(np.sum(np.abs(sig.samples) ** 2) / RATE)
-    scale = w * np.sum(np.abs(g)) * sig_norm
-
     for budget in (core._BLOCK_ATOM_SAMPLES, 64):
         monkeypatch.setattr(core, "_BLOCK_ATOM_SAMPLES", budget)
         assert budget > 64 or len(_atom_blocks(params, samples.points, RATE, grid_len)) >= 40
-        coeffs = analyze(sig, samples, params).values
-        expected = dense.conj() @ sig.samples / RATE
-        assert w * np.sum(np.abs(g)) * np.max(np.abs(coeffs - expected)) <= 1e-12 * scale
+        _check_dense_sums(params, samples, grid_len, dense, rng)
 
-        synth = synthesize(CoefficientVector(g, w), samples, params, grid_len, RATE).samples
-        gap = np.sqrt(np.sum(np.abs(synth - w * (g @ dense)) ** 2) / RATE)
-        assert gap * sig_norm <= 1e-12 * scale
+
+def test_supports_shorter_than_four_samples_match_dense_naive_sums(monkeypatch):
+    # With b1 at the rate and gamma = 2.4, supports run from 2 to 24 samples.
+    # A block of rows shorter than four samples keeps the kernel's four rows
+    # of half angles and of unit phasors in its index and gather buffers, so
+    # _atom_blocks counts it as four rows long: at 64 atom-samples per block,
+    # a block of two- or three-sample rows takes at most 16 atoms, where 32
+    # or 21 would fit its rows.
+    p = LtftParams.for_rate(RATE, b1_frac=1.0, gamma=2.4)
+    m = 128
+    samples = scale_to_box(generate_unit_points("halton", 320, 3, 0),
+                           PhaseSpaceBox.for_signal(DigitalSignal(np.zeros(m), RATE), p))
+    t = (np.arange(m) - m // 2) / RATE
+    dense = np.array([_naive_atom(p, a, b, c, t) for a, b, c in samples.points])
+    rng = np.random.default_rng(8)
+    for budget in (core._BLOCK_ATOM_SAMPLES, 64):
+        monkeypatch.setattr(core, "_BLOCK_ATOM_SAMPLES", budget)
+        blocks = _atom_blocks(p, samples.points, RATE, m)
+        assert min(block.length for block in blocks) < 4
+        assert all(block.sel.size * max(block.length, 4) <= budget for block in blocks)
+        assert budget > 64 or any(block.length < 4 and block.sel.size == 16 for block in blocks)
+        _check_dense_sums(p, samples, m, dense, rng)
 
 
 def test_atom_blocks_split_groups_in_order(monkeypatch):
@@ -771,8 +797,8 @@ def _reference_blocks(own, m_start, m):
     # whose span [m_start, m_start + own) misses [-M/2, M/2), order the rest
     # by support count, then first sample (np.lexsort), cut greedily where
     # the next atom is longer than _PACK_RATIO times the block's shortest or
-    # its padded rows would pass _BLOCK_ATOM_SAMPLES, and order each block's
-    # rows by first sample, then support count, then index.
+    # its padded rows, at least four, would pass _BLOCK_ATOM_SAMPLES, and
+    # order each block's rows by first sample, then support count, then index.
     order = np.lexsort((m_start, own))
     meets = np.maximum(m_start, -(m // 2)) < np.minimum(m_start + own, m // 2)
     order = order[meets[order]]
@@ -782,7 +808,7 @@ def _reference_blocks(own, m_start, m):
         while (
             k < order.size
             and own[order[k]] <= int(core._PACK_RATIO * shortest)
-            and (k - i + 1) * own[order[k]] <= core._BLOCK_ATOM_SAMPLES
+            and (k - i + 1) * max(own[order[k]], 4) <= core._BLOCK_ATOM_SAMPLES
         ):
             k += 1
         chunk = order[i:k]
@@ -1142,19 +1168,27 @@ def test_tile_pool_frees_thread_state_before_the_last_tile(monkeypatch):
     assert made and seen[-1][1] == len(made)
 
 
-def test_a_thread_keeps_at_most_3_5_mib_of_block_scratch():
-    # One speech-size tile, the fourth 2^15 Hammersley points of N = 256,000
-    # at 16 kHz and M = 16,000, on a fresh thread: the block scratch the
-    # thread keeps after the tile is at most 3.5 MiB, and releasing it frees
-    # that much traced memory, plus the buffers' array objects.  The window
-    # envelope is written into the index buffer; a buffer of its own kept
-    # 4.00 MiB.
-    rate, m, n = 16000.0, 16000, 256000
-    p = LtftParams.for_rate(rate)
+@pytest.mark.parametrize(
+    "rate, b1_frac, gamma, m, n, k",
+    [(16000.0, 0.4, 6.0, 16000, 256000, 3), (RATE, 1.0, 2.4, 1024, 1 << 15, 0)],
+    ids=["speech", "short-supports"],
+)
+def test_a_thread_keeps_at_most_2_75_mib_of_block_scratch(rate, b1_frac, gamma, m, n, k):
+    # Tile k of 2^15 Hammersley points on a fresh thread: the fourth of
+    # N = 256,000 at 16 kHz and M = 16,000, and the first at 64 Hz and
+    # M = 1024 with supports of 2 to 24 samples, whose shortest blocks have
+    # fewer rows than the kernel's four of angles and phasors.  The block
+    # scratch the thread keeps after the tile is at most 2.75 MiB (2.62 and
+    # 2.75), and releasing it frees that much traced memory, plus the
+    # buffers' array objects.  The angles and phasors share the block's
+    # index and gather buffers, and the coefficients the gather buffer;
+    # buffers of their own kept 3.50 and 3.62 MiB.
+    p = LtftParams.for_rate(rate, b1_frac=b1_frac, gamma=gamma)
     sig = DigitalSignal(np.random.default_rng(2).standard_normal(m), rate)
-    start, stop = 3 * processing._TILE_POINTS, 4 * processing._TILE_POINTS
+    start, stop = k * processing._TILE_POINTS, (k + 1) * processing._TILE_POINTS
     points = scale_rows(unit_point_rows("hammersley", n, 3, 0, start, stop),
                         PhaseSpaceBox.for_signal(sig, p))
+    assert (min(block.length for block in _atom_blocks(p, points, rate, m)) < 4) == (gamma < 6)
     padded = core._analysis_input(sig, p)
     kept = []
 
@@ -1174,7 +1208,7 @@ def test_a_thread_keeps_at_most_3_5_mib_of_block_scratch():
     thread.start()
     thread.join()
     data, freed = kept
-    assert 0 < data <= 3.5 * 2**20
+    assert 0 < data <= 2.75 * 2**20
     assert data <= freed <= data + 4096
 
 

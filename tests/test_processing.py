@@ -289,6 +289,24 @@ def test_rule_with_a_non_finite_value_is_refused(params, tapered_tone, bad):
                         dilation=2)
 
 
+@pytest.mark.parametrize("dilation", [1, 2])
+def test_a_rule_whose_synthesis_sum_overflows_is_refused_once(params, tapered_tone, dilation):
+    # Every value finite, but the synthesis sum past the float range: numpy
+    # warned of the overflow in the block loop (an error under the test
+    # configuration), and the sum was refused only later, as samples that
+    # are not finite.  The tile refuses it, naming the overflow and the rule.
+    s = tapered_tone(256)
+    with pytest.raises(InvalidParameterError, match="synthesis sum overflows.*coefficient rule"):
+        processing._analysis_synthesis(s, params, [4 * 256], "hammersley", 0, False,
+                                       rule=lambda z, a, b, c: np.full_like(z, 1e308),
+                                       dilation=dilation)
+    box = PhaseSpaceBox.for_signal(s, params)
+    samples = scale_to_box(generate_unit_points("hammersley", 256, 3), box)
+    coeffs = core.CoefficientVector(np.full(samples.n, 1e308), 1.0)
+    with pytest.raises(InvalidParameterError, match="synthesis sum overflows"):
+        core.synthesize(coeffs, samples, params, s.m, RATE)
+
+
 def test_vocoder_phase_rule_values():
     assert vocoder_phase_rule(1.0 + 0j, 5) == 1.0 + 0j
     assert vocoder_phase_rule(1j, 2) == pytest.approx(-1.0 + 0j)
