@@ -255,8 +255,6 @@ class WindowSpec:
     shifted slice.
     """
 
-    bandwidth = 3.0  # first spectral null at |nu| = 3
-
     @cached_property
     def _freq_table(self) -> Tuple[np.ndarray, np.ndarray]:
         # Term j of cos^4 transforms to sinc(nu - j) on (-1/2, 1/2).  On the
@@ -456,8 +454,8 @@ class CoefficientVector:
 # A per-point coefficient rule, rule(values, a, b, c) -> values: each value
 # mapped with its own point (a multiplier symbol, a shrinkage, a phase rule).
 # It must be elementwise and pure, as it runs on any slice of the points,
-# one analysis block at a time, on the pipelines' threads, and at D = 1 with
-# numpy's overflow and invalid-value warnings off (see _tile_sum).
+# one analysis block at a time, on the pipelines' threads, and with numpy's
+# overflow and invalid-value warnings off (see _tile_coeffs and _tile_sum).
 Rule = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -840,10 +838,17 @@ def _tile_coeffs(
     # coeffs(block, lo, j, atoms, pts), as _tile_sum takes it, for every
     # block of the rows of `points` on the grid_len grid, in this thread,
     # gathered into one vector aligned with the rows; atoms left out of the
-    # plan give 0.
+    # plan give 0.  As in _tile_sum, the block loop runs with numpy's
+    # overflow and invalid-value warnings off, and a vector that overflows
+    # is refused once, after the loop.
     out = np.zeros(points.shape[0], dtype=np.complex128)
-    for block in _atom_blocks(params, points, sample_rate, grid_len):
-        out[block.sel] = coeffs(block, *_block_atoms(params, points, sample_rate, block))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for block in _atom_blocks(params, points, sample_rate, grid_len):
+            out[block.sel] = coeffs(block, *_block_atoms(params, points, sample_rate, block))
+    if not np.isfinite(out).all():
+        raise InvalidParameterError(
+            "the analysis overflows float64: the signal's samples are too large"
+        )
     return out
 
 

@@ -258,12 +258,19 @@ def apply_inverse_frame(signal: DigitalSignal, hd: FrameDiagonal) -> DigitalSign
     zeroed (band-limited contract, avoids noise blow-up off the covered
     band).  The inverse DFT of :func:`~ltft.core.idft` runs in place on the
     DFT's own bins, so the call makes two signal-length arrays: the bins
-    and the output."""
+    and the output.  These run with numpy's overflow and invalid-value
+    warnings off, and a result past the float range is refused once."""
     if hd.h.size != signal.m:
         raise InvalidParameterError("frame diagonal grid does not match the signal")
-    bins = dft(signal).bins
-    np.divide(bins, hd.h, out=bins, where=hd.kept)
-    bins[~hd.kept] = 0.0
-    np.fft.ifft(bins, out=bins)
-    bins *= signal.sample_rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        bins = dft(signal).bins
+        np.divide(bins, hd.h, out=bins, where=hd.kept)
+        bins[~hd.kept] = 0.0
+        np.fft.ifft(bins, out=bins)
+        bins *= signal.sample_rate
+    if not np.isfinite(bins).all():
+        raise InvalidParameterError(
+            "the normalized sum overflows float64: the coefficients, or the values"
+            " of the coefficient rule, are too large"
+        )
     return DigitalSignal(np.fft.fftshift(bins), signal.sample_rate)

@@ -228,6 +228,9 @@ def test_odd_length_input_keeps_its_frame_count(tmp_path):
         (1, ["reconstruct", "-A", "2"]),
         (1, ["denoise", "-A", "2"]),
         (1, ["multiplier", "--low-pass", "900", "-A", "2"]),
+        # A padded Halton box puts atoms wholly off the grid, which the plan
+        # leaves out.
+        (1, ["reconstruct", "-A", "2", "--padded", "--sequence", "halton"]),
         (1, ["vocoder", "-D", "1", "-A", "2"]),
         (2, ["vocoder", "-D", "2", "-A", "2"]),
     ]
@@ -248,13 +251,32 @@ def test_three_frame_input_keeps_its_frame_count(tmp_path):
         assert wav_read(str(out)).samples.size == 3 * dilation
 
 
-def test_denoise_and_multiplier_run(tmp_path):
+def test_denoise_and_multiplier_run(tmp_path, capsys):
     src = _sine_wav(tmp_path / "in.wav")
     assert main(["denoise", "--threshold", "0.2", "--redundancy", "4",
                  src, str(tmp_path / "d.wav")]) == 0
     assert main(["multiplier", "--low-pass", "900", "--redundancy", "4",
                  src, str(tmp_path / "m.wav")]) == 0
-    assert main(["multiplier", src, str(tmp_path / "m2.wav")]) == 1  # no band given
+    # No band, or two.
+    for bands in ([], ["--low-pass", "1000", "--high-pass", "2000"]):
+        out = tmp_path / "m2.wav"
+        assert main(["multiplier", *bands, src, str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: invalid-parameter: give exactly one of --low-pass or --high-pass"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["vocoder -D 2 -A 2", "denoise -A 2", "multiplier --low-pass 1000 -A 2"]
+)
+def test_fixed_configuration_writes_a_byte_identical_wav(tmp_path, command):
+    # The vocoder's phase rule, the denoise threshold, fixed before the
+    # pass, and a multiplier's symbol all give the same WAV on every run.
+    src = _sine_wav(tmp_path / "in.wav", seconds=0.25)
+    outs = [tmp_path / "a.wav", tmp_path / "b.wav"]
+    for out in outs:
+        assert main(command.split() + [src, str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -280,7 +302,8 @@ def test_non_finite_cutoff_or_threshold_is_invalid_parameter(tmp_path, capsys, c
 
 @pytest.mark.parametrize(
     "flag, cutoff",
-    [("--low-pass", "-5"), ("--low-pass", "0"), ("--high-pass", "16000"), ("--high-pass", "1e9")],
+    [("--low-pass", "-5"), ("--low-pass", "0"), ("--high-pass", "16000"), ("--high-pass", "1e9"),
+     ("--low-pass", "16000"), ("--low-pass", "20000")],
 )
 def test_cutoff_outside_the_band_is_invalid_parameter(tmp_path, capsys, flag, cutoff):
     # A cutoff outside (0, L) would keep no atom and write an all-zero WAV.
@@ -428,6 +451,7 @@ def test_seed_is_refused_before_the_wav_is_read(tmp_path, capsys, command):
         "reconstruct -A nan",
         "vocoder -N 0",
         "denoise --gamma -1",
+        "reconstruct --gamma -1",
         "reconstruct --b0-frac 0.5 --b1-frac 0.2",
         "multiplier --low-pass 1000 --xi 0",
         "vocoder --window hann",
@@ -445,28 +469,42 @@ def test_count_or_transform_is_refused_before_the_wav_is_read(tmp_path, capsys, 
 
 
 def test_bench_error_csv(tmp_path):
+    # Halton and Monte Carlo rows come from one multi-count pass each.
     out = tmp_path / "fig.csv"
-    code = main([
-        "bench-error", "--csv", str(out), "-M", "256",
-        "--methods", "hammersley,mc", "--redundancies", "1,2,4",
-    ])
-    assert code == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("# config: subcommand=bench-error")
-    assert lines[1].split(",") == ["method", "redundancy", "n", "rel_error", "rel_error_std"]
-    assert len(lines) == 2 + 2 * 3  # one row per (method, redundancy)
+    for methods, redundancies in [("hammersley,mc", "1,2,4"), ("hammersley,halton,mc", "1,2")]:
+        code = main([
+            "bench-error", "--csv", str(out), "-M", "256", "--rate", "64",
+            "--methods", methods, "--redundancies", redundancies,
+        ])
+        assert code == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0].startswith("# config: subcommand=bench-error")
+        assert lines[1].split(",") == ["method", "redundancy", "n", "rel_error", "rel_error_std"]
+        rows = [line.split(",") for line in lines[2:]]
+        # One row per (method, redundancy).
+        assert len(rows) == len(methods.split(",")) * len(redundancies.split(","))
+        assert all(math.isfinite(float(row[3])) for row in rows)
 
 
 def test_frame_diag_csv(tmp_path):
+    # The last case is the defaults; at gamma = 2.4 and xi = 0.37, no whole
+    # number of frame-table nodes, every H is finite and non-negative too.
     out = tmp_path / "h.csv"
-    assert main(["frame-diag", "--csv", str(out), "-M", "128", "--gamma", "5"]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[1].split(",") == ["omega", "h", "q0", "q1", "q2"]
-    assert len(lines) == 2 + 128
-    # 17 significant digits round-trip float64, so the CSV is the diagonal.
-    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
-    hd = frame_diagonal(LtftParams.for_rate(64.0, gamma=5.0), 64.0, 128)
-    assert np.array_equal(parsed, np.column_stack([hd.omega, hd.h, hd.q0, hd.q1, hd.q2]))
+    cases = [
+        (["-M", "128", "--gamma", "5"], 128, 5.0, 6.0),
+        (["-M", "512", "--gamma", "2.4", "--xi", "0.37"], 512, 2.4, 0.37),
+        ([], 1024, 6.0, 6.0),
+    ]
+    for flags, m, gamma, xi in cases:
+        assert main(["frame-diag", "--csv", str(out), *flags]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[1].split(",") == ["omega", "h", "q0", "q1", "q2"]
+        assert len(lines) == 2 + m
+        # 17 significant digits round-trip float64, so the CSV is the diagonal.
+        parsed = np.array([[float(v) for v in line.split(",")] for line in lines[2:]])
+        hd = frame_diagonal(LtftParams.for_rate(64.0, gamma=gamma, xi=xi), 64.0, m)
+        assert np.array_equal(parsed, np.column_stack([hd.omega, hd.h, hd.q0, hd.q1, hd.q2]))
+        assert np.all(np.isfinite(hd.h)) and hd.h.min() >= 0.0 and hd.h.max() > 0.0
 
 
 def test_csv_config_line_lists_every_option_sorted(tmp_path):
@@ -518,14 +556,18 @@ def test_bench_error_refuses_a_rate_past_the_test_signal(tmp_path, capsys, rate)
 
 
 def test_bench_discrepancy_csv(tmp_path):
+    # The wavelet grid is built end to end, at the sizes of its rule.
     out = tmp_path / "d.csv"
-    assert main([
-        "bench-discrepancy", "--csv", str(out),
-        "--generators", "hammersley,regular", "--sizes", "8,16,32",
-    ]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[1].split(",") == ["generator", "n", "d_star", "slope"]
-    assert len(lines) == 2 + 2 * 3
+    for generators in ("hammersley,regular", "dwt,regular"):
+        assert main([
+            "bench-discrepancy", "--csv", str(out),
+            "--generators", generators, "--sizes", "8,16,32",
+        ]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[1].split(",") == ["generator", "n", "d_star", "slope"]
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == 2 * 3
+        assert all(math.isfinite(float(v)) for row in rows for v in row[1:])
 
 
 @pytest.mark.parametrize(
@@ -545,13 +587,17 @@ def test_bench_discrepancy_refuses_a_slope_through_one_n(tmp_path, capsys, args)
 
 
 def test_bench_complexity_csv(tmp_path):
+    # Two sizes, then the defaults: four sizes on 64 Hz and M = 1024.
     out = tmp_path / "c.csv"
-    assert main(["bench-complexity", "--csv", str(out), "--sizes", "256,1024"]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[1].split(",") == ["n", "c_actual", "a_predicted", "per_point_bound"]
-    rows = [line.split(",") for line in lines[2:]]
-    for row in rows:
-        assert float(row[1]) / float(row[0]) <= float(row[3])
+    for flags, count in [(["--sizes", "256,1024"], 2), ([], 4)]:
+        assert main(["bench-complexity", "--csv", str(out), *flags]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[1].split(",") == ["n", "c_actual", "a_predicted", "per_point_bound"]
+        rows = [line.split(",") for line in lines[2:]]
+        assert len(rows) == count
+        for row in rows:
+            assert all(math.isfinite(float(v)) for v in row)
+            assert float(row[1]) / float(row[0]) <= float(row[3])
 
 
 @pytest.mark.parametrize(
@@ -592,12 +638,15 @@ def test_point_count_outside_the_rule_is_one_line_and_no_csv(tmp_path, capsys, a
 
 
 def test_coverage_csv(tmp_path, capsys):
+    # 20 queries at M = 256, then the defaults: 100 queries at M = 1024.
     out = tmp_path / "cov.csv"
-    assert main(["coverage", "--csv", str(out), "-M", "256", "--queries", "20"]) == 0
-    printed = capsys.readouterr().out
-    assert "max/min" in printed
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 2 + 20
+    for flags, queries in [(["-M", "256", "--queries", "20"], 20), ([], 100)]:
+        assert main(["coverage", "--csv", str(out), *flags]) == 0
+        printed = capsys.readouterr().out
+        assert "max/min" in printed
+        rows = [line.split(",") for line in out.read_text().strip().splitlines()[2:]]
+        assert len(rows) == queries
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_coverage_csv_of_the_wavelet_grid(tmp_path, capsys):
@@ -894,6 +943,8 @@ def test_huge_sample_count_is_budget_exceeded(tmp_path, command):
         "reconstruct -A 2 --gamma 1e300",
         "reconstruct -A 2 --xi 1e300",
         "reconstruct -A 2 --b0-frac 1e-300",
+        # The guard band's rule lets this one through; the table's does not.
+        "vocoder --b0-frac 1e-4",
         "frame-diag --xi 1e300",
         "frame-diag --gamma 1e300 --b0-frac 1e-10",
         "coverage --gamma 1e300",
@@ -906,7 +957,7 @@ def test_unbounded_frame_table_is_budget_exceeded(tmp_path, capsys, command):
     # case, is refused before anything is allocated; coverage and
     # bench-complexity refuse the analysis guard band's width, as no run
     # could use such supports.
-    if command.startswith("reconstruct"):
+    if command.startswith(("reconstruct", "vocoder")):
         out = tmp_path / "o.wav"
         args = command.split() + [_sine_wav(tmp_path / "in.wav"), str(out)]
     else:

@@ -396,6 +396,18 @@ def test_analyze_zero_signal(params):
     assert coeffs.weight == pytest.approx(samples.box.volume / samples.n)
 
 
+def test_analysis_that_overflows_is_refused_once(params):
+    # A finite input near the float range: numpy warned of the overflow in
+    # the block loop (an error under the test configuration), and the
+    # non-finite coefficients were returned.  The analysis refuses them,
+    # naming the overflow.
+    sig = DigitalSignal(np.full(256, 1e308), RATE)
+    box = PhaseSpaceBox.for_signal(sig, params)
+    samples = scale_to_box(generate_unit_points("hammersley", 256, 3), box)
+    with pytest.raises(InvalidParameterError, match="analysis overflows"):
+        analyze(sig, samples, params)
+
+
 def test_analyze_self_inner_product(params):
     point = (0.55, 13.0, 0.4)
     sig = DigitalSignal(_dense_atom(params, point, 1024), RATE)

@@ -168,7 +168,8 @@ def test_wavelet_running_integral_matches_direct_quadrature(params):
 
 
 def test_diagonal_positive_on_operative_band(diag, params):
-    delta = 2.0 * params.b0 * params.window.bandwidth / params.gamma
+    bandwidth = 3.0  # the window spectrum's first null, at |nu| = 3
+    delta = 2.0 * params.b0 * bandwidth / params.gamma
     band = (diag.omega >= delta) & (diag.omega <= RATE - delta)
     assert np.min(diag.h[band]) > 0.0
 
@@ -206,6 +207,14 @@ def test_inverse_frame_zero_signal(diag):
     zero = DigitalSignal(np.zeros(M), RATE)
     out = apply_inverse_frame(zero, diag)
     assert np.max(np.abs(out.samples)) == 0.0
+
+
+def test_inverse_frame_that_overflows_is_refused_once(diag):
+    # Finite samples whose DFT passes the float range: numpy warned of the
+    # overflow in its fft, and the output was refused only as samples that
+    # are not finite.
+    with pytest.raises(InvalidParameterError, match="normalized sum overflows"):
+        apply_inverse_frame(DigitalSignal(np.full(M, 1e306), RATE), diag)
 
 
 def test_inverse_frame_grid_mismatch(diag):

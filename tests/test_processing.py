@@ -307,6 +307,16 @@ def test_a_rule_whose_synthesis_sum_overflows_is_refused_once(params, tapered_to
         core.synthesize(coeffs, samples, params, s.m, RATE)
 
 
+def test_a_rule_whose_normalized_sum_overflows_is_refused_once(params):
+    # The synthesis sum is finite, but its DFT passes the float range: numpy
+    # warned of the overflow in its fft, and the output was refused only as
+    # samples that are not finite.  The normalization refuses it, naming the
+    # overflow and the rule.
+    with pytest.raises(InvalidParameterError, match="normalized sum overflows.*coefficient rule"):
+        reconstruct(make_test_signal(256, RATE), params, 1024,
+                    rule=lambda z, a, b, c: np.full_like(z, 1e306))
+
+
 def test_vocoder_phase_rule_values():
     assert vocoder_phase_rule(1.0 + 0j, 5) == 1.0 + 0j
     assert vocoder_phase_rule(1j, 2) == pytest.approx(-1.0 + 0j)
