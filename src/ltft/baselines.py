@@ -3,7 +3,7 @@
 A discrete-wavelet-style grid (geometric frequency ladder, uniform time
 rows), exact-discrepancy scaling tables for all generator families, and
 funnel coverage statistics that measure how evenly a sample set represents
-the time-frequency plane.
+the (a, b) time-frequency plane.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ class DwtGridParams:
 
     The dilation step r must satisfy 1 < r < (gamma+0.5)/(gamma-0.5) so
     that the frequency bands of adjacent scales overlap; p scales the
-    per-row time density.  The grid spans M >= 1 samples, odd M included,
-    at a finite rate L, under the grid budget of :mod:`ltft.core`.
+    per-row time density.  The grid spans an even M >= 4 samples at a
+    finite rate L, under the grid rule of :mod:`ltft.core`.
     """
 
     r: float
@@ -58,7 +58,7 @@ class DwtGridParams:
             )
         if not 0 < self.b0 < self.sample_rate < np.inf:
             raise InvalidParameterError("need 0 < b0 < sample rate < inf")
-        _check_grid(self.m, self.sample_rate, odd=True)
+        _check_grid(self.m, self.sample_rate)
 
     def scale_exponents(self) -> range:
         """Integer scales k with r^k covering [b0, L]: ceil(K0)..ceil(K1)."""
@@ -201,16 +201,23 @@ def coverage_queries(
 ) -> np.ndarray:
     """Seeded 2D queries in the wavelet band, clear of the box edges.
 
-    Frequencies are log-uniform in (b0, b1); times are uniform at least
-    gamma/b away from the time edges, so every adjoint box fits the box.
-    Supports that no run on the box's grid, at rate freq_hi, could use raise
-    BudgetExceededError, and a query whose adjoint box, 2 gamma/b wide, is
-    wider than the box's time side raises InvalidParameterError.
+    Frequencies are log-uniform in (1.01 b0, 0.99 b1); times are uniform
+    at least gamma/b away from the time edges, so every adjoint box fits the
+    box.  Supports that no run on the box's grid, at rate freq_hi, could use
+    raise BudgetExceededError.  A band narrower than that frequency range
+    (b1 < 1.0202 b0), or a query whose adjoint box, 2 gamma/b wide, is wider
+    than the box's time side, raises InvalidParameterError.
     """
     count, seed = _check_count(count, "query count"), _check_int("seed", seed, 0)
     _guard_samples(params, box.freq_hi, (box.t_hi - box.t_lo) * box.freq_hi)
+    lo, hi = np.log(params.b0 * 1.01), np.log(params.b1 * 0.99)
+    if hi < lo:
+        raise InvalidParameterError(
+            f"the wavelet band ({params.b0:g}, {params.b1:g}) is too narrow for queries, "
+            f"which need b1 >= {1.01 / 0.99:.5g} b0"
+        )
     rng = np.random.default_rng(seed)
-    b = np.exp(rng.uniform(np.log(params.b0 * 1.01), np.log(params.b1 * 0.99), count))
+    b = np.exp(rng.uniform(lo, hi, count))
     margin = params.gamma / b
     side = box.t_hi - box.t_lo
     if 2.0 * margin.max() > side:
@@ -254,48 +261,30 @@ def funnel_coverage(
     queries: np.ndarray,
     params: LtftParams,
 ) -> CoverageReport:
-    """Coverage of each query by the funnels around the sample points.
+    """Coverage of each (a, b) query by the funnels around the sample points.
 
     Membership is evaluated through the adjoint box at the query: time
-    within kappa/b', frequency within b'/kappa, and (for 3D queries)
-    oscillation within nu = 1/4, where kappa = gamma for 2D queries and the
-    atom's cycle count gamma + xi*c' for 3D ones.  Each count is weighted
-    by volume(box)/N and normalized by the adjoint-box volume.  Queries
+    within gamma/b', frequency within b'/gamma.  Each count is weighted by
+    volume(box)/N and normalized by the adjoint box's area 4.  Queries
     whose adjoint box leaves the sample box are flagged and excluded from
-    ratio statistics.
+    ratio statistics.  A query array that is not (Q, 2) raises
+    InvalidParameterError.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if queries.shape[1] not in (2, 3):
-        raise InvalidParameterError("queries must be (a, b) or (a, b, c)")
-    three_d = queries.shape[1] == 3
-    nu = 0.25  # oscillation half-width of a 3D query's adjoint box
+    queries = np.asarray(queries, dtype=np.float64)
+    if queries.ndim != 2 or queries.shape[1] != 2:
+        raise InvalidParameterError(f"queries must be (Q, 2) rows of (a, b), got {queries.shape}")
     box = samples.box
-    a, b, c = samples.a, samples.b, samples.c
     values = np.zeros(queries.shape[0])
     flagged = np.zeros(queries.shape[0], dtype=bool)
-    for i, q in enumerate(queries):
-        aq, bq = q[0], q[1]
-        if bq <= 0:
+    for i, (aq, bq) in enumerate(queries):
+        # A query at b <= 0 (or NaN) has no adjoint box: its infinite time
+        # half-width leaves every box.
+        dt = params.gamma / bq if bq > 0 else np.inf
+        df = bq / params.gamma
+        if not (box.t_lo <= aq - dt and aq + dt <= box.t_hi
+                and 0.0 <= bq - df and bq + df <= box.freq_hi):
             flagged[i] = True
             continue
-        kappa = params.gamma + (params.xi * q[2] if three_d else 0.0)
-        dt = kappa / bq
-        df = bq / kappa
-        inside_box = (
-            box.t_lo <= aq - dt
-            and aq + dt <= box.t_hi
-            and 0.0 <= bq - df
-            and bq + df <= box.freq_hi
-        )
-        if three_d:
-            inside_box = inside_box and nu <= q[2] <= 1.0 - nu
-        if not inside_box:
-            flagged[i] = True
-            continue
-        hit = (np.abs(a - aq) <= dt) & (np.abs(b - bq) <= df)
-        vol = 4.0
-        if three_d:
-            hit &= np.abs(c - q[2]) <= nu
-            vol *= 2.0 * nu
-        values[i] = (box.volume / samples.n) * hit.sum() / vol
+        hit = (np.abs(samples.a - aq) <= dt) & (np.abs(samples.b - bq) <= df)
+        values[i] = (box.volume / samples.n) * hit.sum() / 4.0
     return CoverageReport(values=values, flagged=flagged)

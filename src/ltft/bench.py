@@ -150,9 +150,10 @@ def complexity_count(
 
 
 def complexity_per_point_bound(params: LtftParams, sample_rate: float) -> float:
-    """Uniform bound on C/N: the predicted atom-samples of one point, plus one.
+    """Uniform bound on C/N: the largest count one atom can have, round(L * S0).
 
-    A rate outside (0, inf) raises InvalidParameterError.
+    Every atom's round(L * S(b)) is at most this, because S(b) <= S0.  A
+    rate outside (0, inf) raises InvalidParameterError.
     """
     _check_rate(sample_rate)
-    return _predicted_atom_samples(params, sample_rate, 1) + 1.0
+    return float(np.round(sample_rate * params.s0))

@@ -113,6 +113,13 @@ def _grid_options(options: Dict[str, object]) -> tuple:
     return rate, m, _params_from(options, rate)
 
 
+def _grid_box(rate: float, m: int) -> PhaseSpaceBox:
+    # The box [-M/2L, M/2L] x [0, L] of an M-sample grid, in the arithmetic
+    # of PhaseSpaceBox.for_signal.
+    half = m / (2.0 * rate)
+    return PhaseSpaceBox(t_lo=-half, t_hi=half, freq_hi=rate)
+
+
 def _write_audio(path: str, signal: DigitalSignal, audio: WavAudio, dilation: int = 1) -> None:
     # The input's frame count times D: to_signal pads an odd or short input
     # with zeros, which are cropped here.
@@ -232,7 +239,7 @@ def _cmd_bench_complexity(config: RunConfig) -> int:
     options = config.options
     rate, m, params = _grid_options(options)
     sizes = _list_option(options, "sizes", int)
-    box = PhaseSpaceBox(t_lo=-m / (2.0 * rate), t_hi=m / (2.0 * rate), freq_hi=rate)
+    box = _grid_box(rate, m)
     bound = bench_mod.complexity_per_point_bound(params, rate)
     rows = []
     for n in sizes:
@@ -255,7 +262,7 @@ def _cmd_coverage(config: RunConfig) -> int:
 
     options = config.options
     rate, m, params = _grid_options(options)
-    box = PhaseSpaceBox(t_lo=-m / (2.0 * rate), t_hi=m / (2.0 * rate), freq_hi=rate)
+    box = _grid_box(rate, m)
     n = _sample_count(m, options)
     kind = str(options["generator"])
     if kind == "dwt":

@@ -97,11 +97,11 @@ def _check_rate(sample_rate) -> None:
         raise InvalidParameterError("sample rate must be positive and finite")
 
 
-def _check_grid(m, sample_rate, odd: bool = False) -> int:
-    # A sampling grid: an integer length M of at most _MAX_SIGNAL_SAMPLES,
-    # even and >= 4 (or with `odd`, any M >= 1), at a rate in (0, inf).
-    m = _check_int("grid length", m, 1 if odd else 4)
-    if m % 2 and not odd:
+def _check_grid(m, sample_rate) -> int:
+    # A sampling grid: an even integer length M >= 4 of at most
+    # _MAX_SIGNAL_SAMPLES, at a rate in (0, inf).
+    m = _check_int("grid length", m, 4)
+    if m % 2:
         raise InvalidParameterError(f"grid length must be even, got {m}")
     if m > _MAX_SIGNAL_SAMPLES:
         raise BudgetExceededError(f"a grid of {m} samples exceeds the budget")

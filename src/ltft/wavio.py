@@ -59,6 +59,8 @@ def wav_read(path: str) -> WavAudio:
             if channels not in (1, 2):
                 raise UnsupportedFormatError(f"unsupported channel count {channels}")
             rate = handle.getframerate()
+            if rate == 0:
+                raise ParseError("malformed WAV file: frame rate 0")
             declared = handle.getnframes()
             raw = handle.readframes(declared)
     except wave.Error as exc:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltft import (
     BudgetExceededError,
     DwtGridParams,
     InvalidParameterError,
+    LtftError,
     LtftParams,
     PhaseSpaceBox,
     coverage_queries,
@@ -58,14 +61,18 @@ def test_dwt_time_density_is_finite_and_its_grid_a_point_count(p, error):
         dwt_grid(DwtGridParams(r=1.15, p=p, b0=6.4, sample_rate=64.0, m=256))
 
 
-def test_dwt_params_take_an_odd_m():
-    assert dwt_grid(DwtGridParams(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=1023)).n > 0
+@pytest.mark.parametrize("m", [1, 2, 5, 1023])
+def test_dwt_params_refuse_an_odd_or_short_m(m):
+    # A wavelet grid takes the even grid of at least 4 samples that every
+    # other grid takes.
+    with pytest.raises(InvalidParameterError, match="grid length"):
+        DwtGridParams(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=m)
 
 
-@pytest.mark.parametrize("m", [2**26 + 1, 2**50])
+@pytest.mark.parametrize("m", [2**26 + 2, 2**50])
 def test_dwt_params_take_the_grid_budget(m):
-    # An odd M too: the grid rule caps every signal length, so a grid that
-    # would run out of memory is refused before any row is made.
+    # The grid rule caps every signal length, so a grid that would run out
+    # of memory is refused before any row is made.
     with pytest.raises(BudgetExceededError, match="grid of"):
         DwtGridParams(r=1.15, p=1.0, b0=6.4, sample_rate=64.0, m=m)
 
@@ -77,8 +84,8 @@ def test_dwt_scale_exponents_hand_case():
 
 
 def test_dwt_grid_reference_geometry():
-    # L=4, gamma=1, b0=0.5, M=5, r=1.2, p=1
-    p = DwtGridParams(r=1.2, p=1.0, b0=0.5, sample_rate=4.0, m=5, gamma=1.0)
+    # L=4, gamma=1, b0=0.5, M=6, r=1.2, p=1
+    p = DwtGridParams(r=1.2, p=1.0, b0=0.5, sample_rate=4.0, m=6, gamma=1.0)
     grid = dwt_grid(p)
     assert grid.n > 0
     assert grid.generator == "dwt-grid"
@@ -248,17 +255,13 @@ def test_funnel_coverage_flags_boundary_queries(params):
     assert report.flagged.tolist() == [True, False, True, True]
 
 
-def test_funnel_coverage_3d_queries(params):
-    m = 512
-    samples = _hammersley_samples(params, m, redundancy=32)
-    q2d = coverage_queries(samples.box, params, 40, seed=3)
-    queries = np.column_stack([q2d, np.full(len(q2d), 0.5)])
-    report = funnel_coverage(samples, queries, params)
-    # the 3D adjoint box is wider in time (kappa = gamma + xi c'), so a
-    # few near-edge queries may be flagged; most must survive
-    assert report.kept.size >= 30
-    assert np.all(report.values >= 0)
-    assert abs(report.mean - 1.0) < 0.5
+@pytest.mark.parametrize("shape", [(40, 3), (40, 1), (2,), (), (2, 20, 2)], ids=str)
+def test_funnel_coverage_refuses_queries_that_are_not_a_b_rows(params, shape):
+    # Queries are (a, b) rows, as coverage_queries makes them; the
+    # star-discrepancy scan measures evenness in (a, b, c).
+    samples = _hammersley_samples(params, 64)
+    with pytest.raises(InvalidParameterError, match=r"\(Q, 2\)"):
+        funnel_coverage(samples, np.full(shape, 0.5), params)
 
 
 @pytest.mark.parametrize(
@@ -286,6 +289,28 @@ def test_coverage_queries_refuse_a_margin_wider_than_the_box():
             coverage_queries(box, params, 10)
     fits = coverage_queries(box, LtftParams.for_rate(RATE), 200)
     assert np.all((fits[:, 0] > box.t_lo) & (fits[:, 0] < box.t_hi))
+
+
+@settings(max_examples=60)
+@given(
+    b0_frac=st.floats(0.05, 0.5),
+    ratio=st.floats(1.0, 1.1, exclude_min=True),
+    count=st.integers(1, 20),
+    seed=st.integers(0, 3),
+)
+def test_coverage_queries_lie_in_the_band_or_are_refused(b0_frac, ratio, count, seed):
+    # Frequencies are drawn log-uniform in (1.01 b0, 0.99 b1); a band with
+    # b1 < 1.0202 b0 ended in numpy's "high - low < 0" ValueError.
+    box = PhaseSpaceBox(t_lo=-16.0, t_hi=16.0, freq_hi=RATE)
+    try:
+        params = LtftParams.for_rate(RATE, b0_frac=b0_frac, b1_frac=b0_frac * ratio)
+        queries = coverage_queries(box, params, count, seed=seed)
+    except LtftError:
+        return
+    assert queries.shape == (count, 2)
+    a, b = queries.T
+    assert np.all((box.t_lo < a) & (a < box.t_hi))
+    assert np.all((params.b0 < b) & (b < params.b1))
 
 
 @pytest.mark.parametrize("count, seed", [(2.5, 0), (3, 1.5)], ids=["count", "seed"])

@@ -119,6 +119,21 @@ def test_wav_cut_inside_a_frame_is_parse_error(tmp_path, capsys, channels, cut):
     assert not out.exists()
 
 
+def test_wav_frame_rate_zero_is_parse_error(tmp_path, capsys):
+    # A header's frame rate of 0 is a malformed file, like every other bad
+    # header field, not an invalid sample-rate parameter.
+    path = tmp_path / "r0.wav"
+    wav_write(str(path), WavAudio(np.zeros(100), RATE))
+    raw = bytearray(path.read_bytes())
+    raw[24:32] = bytes(8)  # the fmt chunk's frame rate and byte rate
+    path.write_bytes(bytes(raw))
+    out = tmp_path / "out.wav"
+    assert main(["reconstruct", str(path), str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: parse-error: malformed WAV file: frame rate 0"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 def test_wav_audio_refuses_non_finite_samples(bad):
     # Written as PCM they would become 0, 32767 and -32768 without a word.
@@ -966,6 +981,19 @@ def test_unbounded_frame_table_is_budget_exceeded(tmp_path, capsys, command):
     assert main(args) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: budget-exceeded:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", ["--b0-frac 0.4 --b1-frac 0.401", "--b0-frac 0.1 --b1-frac 0.1001 --rate 1e4"]
+)
+def test_coverage_band_narrower_than_its_queries_is_invalid(tmp_path, capsys, command):
+    # Queries are drawn log-uniform in (1.01 b0, 0.99 b1); a band with
+    # b1 < 1.0202 b0 ended in numpy's "high - low < 0" traceback.
+    out = tmp_path / "c.csv"
+    assert main(["coverage", *command.split(), "--csv", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid-parameter:") and "band" in err[0]
     assert not out.exists()
 
 
