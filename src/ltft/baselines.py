@@ -14,7 +14,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import LtftParams, PhaseSpaceBox, SampleSet, _check_grid, _check_int, _guard_samples
+from .core import (LtftParams, PhaseSpaceBox, SampleSet, _check_grid, _check_int,
+                   _guard_samples, _point_rows)
 from .errors import InvalidParameterError
 from .lds import (
     KINDS,
@@ -70,8 +71,6 @@ class DwtGridParams:
         """Points per scale k of :meth:`scale_exponents`, round(r^k (M/L) p)
         and at least 1, whose sum is a count under the rule of :mod:`ltft.lds`."""
         ks = self.scale_exponents()
-        if len(ks) == 0:
-            raise InvalidParameterError("empty scale range; increase L/b0 or r")
         # A row past 2^62 points is past any budget; the cap keeps round()
         # off an overflowed size.
         duration = self.m / self.sample_rate
@@ -267,18 +266,19 @@ def funnel_coverage(
     within gamma/b', frequency within b'/gamma.  Each count is weighted by
     volume(box)/N and normalized by the adjoint box's area 4.  Queries
     whose adjoint box leaves the sample box are flagged and excluded from
-    ratio statistics.  A query array that is not (Q, 2) raises
-    InvalidParameterError.
+    ratio statistics.  A query array that is not (Q, 2) finite real rows
+    raises InvalidParameterError.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != 2:
-        raise InvalidParameterError(f"queries must be (Q, 2) rows of (a, b), got {queries.shape}")
+    queries = _point_rows("queries", queries, 2, "Q")
+    if not np.all(np.isfinite(queries)):
+        raise InvalidParameterError("queries must be finite")
     box = samples.box
     values = np.zeros(queries.shape[0])
     flagged = np.zeros(queries.shape[0], dtype=bool)
-    for i, (aq, bq) in enumerate(queries):
-        # A query at b <= 0 (or NaN) has no adjoint box: its infinite time
-        # half-width leaves every box.
+    # Python floats, whose arithmetic overflows to inf without a warning.
+    for i, (aq, bq) in enumerate(queries.tolist()):
+        # A query at b <= 0 has no adjoint box: its infinite time half-width
+        # leaves every box.
         dt = params.gamma / bq if bq > 0 else np.inf
         df = bq / params.gamma
         if not (box.t_lo <= aq - dt and aq + dt <= box.t_hi

@@ -135,18 +135,22 @@ def bench_reconstruction(
 def complexity_count(
     samples: SampleSet, params: LtftParams, sample_rate: float
 ):
-    """Actual atom-sample total against the cubature prediction.
+    """The support model's atom-sample total against the cubature prediction.
 
-    Returns (C_actual, A_predicted) with C = sum round(L * S(b_n)) and
-    A = gamma * N * (1 + ln(b1/b0) + (L - b1)/b1).  A rate outside (0, inf)
-    raises InvalidParameterError, and supports that no run on the grid of
-    the samples' box could use raise BudgetExceededError.
+    Returns (C, A_predicted) with C = sum round(L * S(b_n)) and
+    A = gamma * N * (1 + ln(b1/b0) + (L - b1)/b1).  C models the work; it is
+    not the sampled operator's own count, which leaves out atoms with no
+    sample on the grid and counts the grid points inside each support (C
+    was 0.984-1.0004 times that count for Hammersley, Halton and MC points
+    at N = 256-16384, L = 64 and 16000).  A rate outside (0, inf) raises InvalidParameterError,
+    and supports that no run on the grid of the samples' box could use raise
+    BudgetExceededError.
     """
     _check_rate(sample_rate)
     _guard_samples(params, sample_rate, (samples.box.t_hi - samples.box.t_lo) * sample_rate)
     supports = atom_support_length(params, samples.b)
-    c_actual = int(np.round(sample_rate * supports).sum())
-    return c_actual, _predicted_atom_samples(params, sample_rate, samples.n)
+    c_model = int(np.round(sample_rate * supports).sum())
+    return c_model, _predicted_atom_samples(params, sample_rate, samples.n)
 
 
 def complexity_per_point_bound(params: LtftParams, sample_rate: float) -> float:

@@ -87,6 +87,31 @@ def _check_int(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _finite_real(value) -> bool:
+    # A real number inside the float range: not NaN, an infinity, a complex
+    # value or an integer past 2^1024, which math.isfinite cannot convert.
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _real(name: str, values) -> np.ndarray:
+    # values as float64; a complex, object or string array is refused.
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf":
+        raise InvalidParameterError(f"{name} must be real numbers, got dtype {values.dtype}")
+    return values.astype(np.float64, copy=False)
+
+
+def _point_rows(name: str, points, dim: Optional[int] = None, rows: str = "N") -> np.ndarray:
+    # A point array: N >= 1 rows of d >= 1 real values (d = dim when given).
+    points = _real(name, points)
+    if points.ndim != 2 or points.size == 0 or points.shape[1] != (dim or points.shape[1]):
+        raise InvalidParameterError(f"{name} must be a non-empty ({rows}, {dim or 'd'}) array")
+    return points
+
+
 # The longest signal array a call makes: a grid, the analysis input with its
 # guard band, or a dilated output of D*M samples (2^26 complex samples, 1 GiB).
 _MAX_SIGNAL_SAMPLES = 1 << 26
@@ -113,7 +138,8 @@ def _check_grid(m, sample_rate) -> int:
 class DigitalSignal:
     """M complex samples at rate L over the symmetric interval [-M/2L, M/2L).
 
-    Sample m lives at t_m = m/L for m = -M/2 .. M/2-1 (M even).
+    Sample m lives at t_m = m/L for m = -M/2 .. M/2-1 (M even).  Float and
+    complex samples are kept as given, bool and integer ones become float64.
     """
 
     samples: np.ndarray
@@ -121,6 +147,8 @@ class DigitalSignal:
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples)
+        if self.samples.dtype.kind not in "fc":
+            self.samples = _real("signal samples", self.samples)
         if self.samples.ndim != 1:
             raise InvalidParameterError("signal samples must be a 1D array")
         _check_grid(self.samples.shape[0], self.sample_rate)
@@ -133,21 +161,51 @@ class DigitalSignal:
 
 
 def relative_error(result: DigitalSignal, reference: DigitalSignal) -> float:
-    """Relative L2 distance between two signals on the same grid."""
+    """Relative L2 distance between two signals on the same grid.
+
+    Against a zero reference it is the result's own L2 norm.  Signals
+    peaking outside [2^-500, 2^500] are measured at a peak below 2 by one
+    power-of-two scale, so no finite input overflows or underflows the
+    squares; a distance past the float range is refused.
+    """
     if result.m != reference.m or result.sample_rate != reference.sample_rate:
         raise InvalidParameterError("signals must share grid and rate")
-    denom = _norm(reference.samples)
+    x, y = result.samples, reference.samples
+    denom, below = _norm(y)
     if denom == 0.0:
-        return _norm(result.samples)
-    return _norm(result.samples - reference.samples) / denom
+        value, exponent = _norm(x)
+    else:
+        # The difference is taken at one scale for both, so it cannot overflow.
+        scale = _unit_exponent(max(float(np.abs(x).max()), float(np.abs(y).max())))
+        if scale:
+            x, y = x * math.ldexp(1.0, -scale), y * math.ldexp(1.0, -scale)
+        value, exponent = _norm(x - y)
+        value, exponent = value / denom, exponent + scale - below
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        raise InvalidParameterError("the relative error exceeds the float range") from None
 
 
-def _norm(x: np.ndarray) -> float:
-    # The L2 norm as sqrt(np.sum(|x|^2)), not np.linalg.norm: past 10^4
-    # terms its BLAS dot wakes OpenBLAS's threads, whose spinning slows
-    # whatever runs next on a host with few cores.
+def _unit_exponent(peak: float) -> int:
+    # 0 when a peak magnitude is 0 or lies in [2^-500, 2^500], else
+    # floor(log2 peak) and at least -1022, so 2^-exponent scales the peak
+    # exactly into [1, 2), or a subnormal one below 1.
+    if peak == 0.0 or 2.0**-500 <= peak <= 2.0**500:
+        return 0
+    return math.frexp(max(peak, 2.0**-1022))[1] - 1
+
+
+def _norm(x: np.ndarray) -> Tuple[float, int]:
+    # (n, e) with the L2 norm n * 2^e, taken as sqrt(np.sum(|x|^2)) at the
+    # scale of _unit_exponent, not by np.linalg.norm: past 10^4 terms its
+    # BLAS dot wakes OpenBLAS's threads, whose spinning slows whatever runs
+    # next on a host with few cores.
     mag = np.abs(x)
-    return math.sqrt(float(np.sum(np.square(mag, out=mag))))
+    exponent = _unit_exponent(float(mag.max()))
+    if exponent:
+        mag *= math.ldexp(1.0, -exponent)
+    return math.sqrt(float(np.sum(np.square(mag, out=mag)))), exponent
 
 
 @dataclass
@@ -190,13 +248,12 @@ def to_analytic(signal: DigitalSignal) -> DigitalSignal:
 
 
 def _analytic_at_unit(signal: DigitalSignal) -> Tuple[DigitalSignal, float]:
-    # (analytic extension of x/u, u) for a real signal x: u = 1 when max |x|
-    # lies in [2^-500, 2^500], else 2^floor(log2 max |x|), at least 2^-1022.
+    # (analytic extension of x/u, u) for a real signal x, with u = 2^e for the
+    # _unit_exponent e of max |x|.
     if np.iscomplexobj(signal.samples) and np.any(signal.samples.imag != 0):
         raise InvalidParameterError("analytic conversion expects a real signal")
     x = signal.samples.real.astype(np.float64)
-    peak = max(float(x.max()), -float(x.min()), 2.0**-1022)
-    exponent = 0 if 2.0**-500 <= peak <= 2.0**500 else math.frexp(peak)[1] - 1
+    exponent = _unit_exponent(max(float(x.max()), -float(x.min())))
     x *= math.ldexp(1.0, -exponent)
     spec = dft(DigitalSignal(x, signal.sample_rate))
     half = signal.m // 2
@@ -346,19 +403,29 @@ class LtftParams:
 
 @dataclass(frozen=True)
 class PhaseSpaceBox:
-    """Rectangular phase-space domain time x [0, freq_hi] x [0, 1]."""
+    """Rectangular phase-space domain time x [0, freq_hi] x [0, 1].
+
+    The sides are kept as floats, and the volume must be positive and finite.
+    """
 
     t_lo: float
     t_hi: float
     freq_hi: float
 
     def __post_init__(self) -> None:
-        if not np.all(np.isfinite([self.t_lo, self.t_hi, self.freq_hi])):
-            raise InvalidParameterError("box sides must be finite")
+        sides = {"t_lo": self.t_lo, "t_hi": self.t_hi, "freq_hi": self.freq_hi}
+        if not all(map(_finite_real, sides.values())):
+            raise InvalidParameterError("box sides must be finite real numbers")
+        # Each side by its float value, so no box arithmetic mixes a numpy
+        # integer with a Python integer past int64.
+        for name, side in sides.items():
+            object.__setattr__(self, name, float(side))
         if not self.t_lo < self.t_hi:
             raise InvalidParameterError("need t_lo < t_hi")
         if not self.freq_hi > 0:
             raise InvalidParameterError("need freq_hi > 0")
+        if not 0.0 < self.volume < math.inf:
+            raise InvalidParameterError("box volume must be positive and finite")
 
     @property
     def volume(self) -> float:
@@ -390,11 +457,7 @@ class SampleSet:
     generator: str
 
     def __post_init__(self) -> None:
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise InvalidParameterError("sample points must form an (N, 3) array")
-        if self.points.shape[0] < 1:
-            raise InvalidParameterError("sample set must contain at least one point")
+        self.points = _point_rows("sample points", self.points, 3)
         # Per-column extremes (one strided pass each, far faster here than a
         # reduction over axis 0 of an (N, 3) array); min and max propagate NaN.
         lo = np.array([col.min() for col in self.points.T])
@@ -423,10 +486,6 @@ class SampleSet:
     @property
     def b(self) -> np.ndarray:
         return self.points[:, 1]
-
-    @property
-    def c(self) -> np.ndarray:
-        return self.points[:, 2]
 
     def with_dilated_times(self, factor: float) -> "SampleSet":
         """Same points with time coordinates scaled; box follows."""
@@ -470,7 +529,7 @@ def atom_support_length(params: LtftParams, b) -> np.ndarray:
     gamma/b0 for b <= b0, gamma/b in the wavelet band, gamma/b1 for
     b >= b1; continuous across both transitions.  b must be finite.
     """
-    b = np.asarray(b, dtype=np.float64)
+    b = _real("frequency", b)
     if not np.all((b >= 0) & (b < np.inf)):  # NaN too
         raise InvalidParameterError("frequency must be finite and non-negative")
     mid = np.clip(b, params.b0, params.b1)

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import PhaseSpaceBox, SampleSet, _check_int
+from .core import PhaseSpaceBox, SampleSet, _check_int, _point_rows
 from .errors import (
     BudgetExceededError,
     InvalidParameterError,
@@ -107,9 +107,7 @@ class UnitPointSet:
     generator: str
 
     def __post_init__(self) -> None:
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        if self.points.ndim != 2 or self.points.shape[0] < 1:
-            raise InvalidParameterError("point set must be a non-empty (N, d) array")
+        self.points = _point_rows("unit points", self.points)
         # min and max propagate NaN, which fails both comparisons.
         if not (self.points.min() >= 0.0 and self.points.max() < 1.0):
             raise InvalidParameterError("unit points must be finite and lie in [0, 1)")
@@ -198,13 +196,9 @@ def scale_to_box(points: UnitPointSet, box: PhaseSpaceBox) -> SampleSet:
 
     A copy of the points mapped by :func:`scale_rows`; preserves point order
     and the generator tag, and records the box (hence its volume) on the
-    output.
+    output.  Points of a dim other than 3 are refused.
     """
-    if points.dim != 3:
-        raise InvalidParameterError(
-            f"phase-space box is 3D but points have dim {points.dim}"
-        )
-    coords = scale_rows(points.points.copy(), box)
+    coords = scale_rows(_point_rows("unit points", points.points, 3).copy(), box)
     return SampleSet(coords, box=box, generator=points.generator)
 
 
@@ -247,10 +241,7 @@ def star_discrepancy(points: UnitPointSet) -> float:
     """
     pts = points.points
     _check_exact_budget(*pts.shape)
-    value = _deviation(pts, [np.concatenate([np.unique(col), [1.0]]) for col in pts.T])
-    if not 0.0 <= value <= 1.0:
-        raise InvalidParameterError(f"star discrepancy must be in [0, 1], got {value}")
-    return value
+    return _deviation(pts, [np.concatenate([np.unique(col), [1.0]]) for col in pts.T])
 
 
 def star_discrepancy_scan(points: UnitPointSet, resolution: Optional[int] = None) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DigitalSignal, _check_int
+from .core import DigitalSignal, _check_int, _real
 from .errors import InvalidParameterError, ParseError, UnsupportedFormatError
 
 _SCALE = 32768.0
@@ -25,7 +25,7 @@ class WavAudio:
     rate: int
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = _real("audio samples", self.samples)
         if self.samples.ndim != 1:
             raise InvalidParameterError("audio must be mono (1D)")
         # PCM has no NaN or infinity: they would be written as 0 and full scale.

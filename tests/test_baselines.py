@@ -265,6 +265,25 @@ def test_funnel_coverage_refuses_queries_that_are_not_a_b_rows(params, shape):
 
 
 @pytest.mark.parametrize(
+    "query", [(0.5, np.inf), (0.5, -np.inf), (np.inf, 12.0), (np.nan, 12.0), (0.5, np.nan)],
+    ids=str,
+)
+def test_funnel_coverage_refuses_non_finite_queries(params, query):
+    # b = inf took inf - inf, with numpy's RuntimeWarning, before it was
+    # flagged; a NaN was flagged as if it lay near an edge.
+    samples = _hammersley_samples(params, 64)
+    with pytest.raises(InvalidParameterError, match="finite"):
+        funnel_coverage(samples, np.array([[0.5, 12.0], query]), params)
+
+
+def test_funnel_coverage_flags_a_query_whose_time_half_width_overflows(params):
+    # gamma/b overflows for the smallest positive b; the flag needs no warning.
+    samples = _hammersley_samples(params, 64)
+    report = funnel_coverage(samples, np.array([[0.0, 5e-324], [0.0, 1e308]]), params)
+    assert report.flagged.tolist() == [True, True]
+
+
+@pytest.mark.parametrize(
     "bad",
     [LtftParams(b0=1e-300, b1=1.0), LtftParams(b0=0.1 * RATE, b1=0.4 * RATE, gamma=1e300)],
     ids=["b0", "gamma"],

@@ -141,6 +141,12 @@ def test_wav_audio_refuses_non_finite_samples(bad):
         WavAudio([0.1, bad, 0.2], RATE)
 
 
+def test_wav_audio_refuses_complex_samples():
+    # They were kept as their real parts, with only a ComplexWarning.
+    with pytest.raises(InvalidParameterError, match="real"):
+        WavAudio(np.array([0.25 + 0.5j, -0.5j]), 8000)
+
+
 @pytest.mark.parametrize("rate", [1.5, 0.4, True], ids=str)
 def test_wav_audio_refuses_a_rate_that_is_not_a_positive_integer(rate):
     # 1.5 was written as a 2 Hz file, 0.4 failed inside the wave module,

@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ltft import (
@@ -305,6 +305,12 @@ def test_support_length_branches(params):
     assert below == pytest.approx(above, rel=1e-6)
     with pytest.raises(InvalidParameterError):
         atom_support_length(params, -1.0)
+
+
+def test_support_length_refuses_complex_frequencies(params):
+    # 10 + 1j was taken as 10, with only a ComplexWarning.
+    with pytest.raises(InvalidParameterError, match="real"):
+        atom_support_length(params, [10 + 1j])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -958,7 +964,7 @@ def test_round_trip_equals_analyze_then_synthesize(kind, padded, pooled):
     for rule in (None, _low_pass, shrink):
         values = coeffs.values
         if rule is not None:
-            values = rule(values, samples.a, samples.b, samples.c)
+            values = rule(values, samples.a, samples.b, samples.points[:, 2])
         expected = synthesize(CoefficientVector(values, coeffs.weight), samples, p, m, RATE)
         if pooled:
             interval = sys.getswitchinterval()
@@ -1282,6 +1288,59 @@ def test_relative_error_matches_the_norm_formula():
             old = np.linalg.norm(x)
             assert abs(relative_error(result, zero) - old) <= 1e-15 * old
     assert relative_error(zero, zero) == 0.0
+
+
+@pytest.mark.parametrize(
+    "result, reference, expected",
+    [(1e300, 5e299, 1.0), (1e-170, 2e-170, 0.5), (1e-320, 2e-320, 0.5),
+     (1.5e308, -1.5e308, 2.0), (3.0, 0.0, 6.0), (1e308, 0.0, math.inf)],
+    ids=str,
+)
+def test_relative_error_at_extreme_magnitudes(result, reference, expected):
+    # Squaring overflowed to nan at 1e300, and underflowed to 0.0 at 1e-170.
+    # Against a zero reference the value is the result's norm, which for four
+    # samples of 1e308 lies past the float range.
+    signals = [DigitalSignal(np.full(4, v), RATE) for v in (result, reference)]
+    if expected == math.inf:
+        with pytest.raises(InvalidParameterError, match="float range"):
+            relative_error(*signals)
+    else:
+        assert relative_error(*signals) == pytest.approx(expected, rel=1e-15)
+
+
+def test_integer_and_bool_signals_are_measured_as_floats():
+    # Their squares wrapped around in int64 (2^62 against -2^62 read 0.0)
+    # and raised a raw UFuncTypeError for bool samples.
+    big = DigitalSignal(np.array([2**62, 0, 0, 0]), RATE)
+    assert big.samples.dtype == np.float64
+    assert relative_error(big, DigitalSignal(-big.samples.astype(np.int64), RATE)) == 2.0
+    ones = DigitalSignal(np.array([True, False, True, True]), RATE)
+    assert relative_error(ones, DigitalSignal(np.ones(4, dtype=bool), RATE)) == 0.5
+
+
+_NORMAL = st.floats(min_value=2.0**-60, max_value=2.0**60).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(st.tuples(_NORMAL, _NORMAL), min_size=4, max_size=4),
+    st.integers(-1000, 1000),
+)
+@example([(1e-170, 2e-170)] * 4, 0)
+@example([(1.0, 0.5)] * 4, 996)
+def test_relative_error_is_invariant_under_a_power_of_two_scale(pairs, j):
+    # relative_error(k x, k y) == relative_error(x, y) for k = 2^j, wherever
+    # k x and k y are finite and normal.
+    x, y = (np.array(column) for column in zip(*pairs))
+    with np.errstate(over="ignore"):
+        kx, ky = np.ldexp(x, j), np.ldexp(y, j)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    assume(np.all((np.abs(kx) >= tiny) & (np.abs(ky) >= tiny)))
+    assume(np.all((np.abs(kx) <= huge) & (np.abs(ky) <= huge)))
+    scaled = relative_error(DigitalSignal(kx, RATE), DigitalSignal(ky, RATE))
+    assert scaled == relative_error(DigitalSignal(x, RATE), DigitalSignal(y, RATE))
 
 
 def test_relative_error_calls_no_blas(monkeypatch):

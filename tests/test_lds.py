@@ -176,11 +176,57 @@ def test_sample_set_refuses_nan(column):
         SampleSet(pts, box=box, generator="mc")
 
 
+_NOT_POINT_ROWS = {
+    "empty": np.zeros(0),
+    "no-columns": np.zeros((2, 0)),
+    "no-rows": np.zeros((0, 3)),
+    "one-point-1d": np.full(3, 0.5),
+    "3d": np.full((2, 2, 3), 0.5),
+    "complex": np.full((2, 3), 0.5 + 0.25j),
+    "object": np.array([[0.5, 2**70, 0.5]], dtype=object),
+}
+
+
+@pytest.mark.parametrize("points", _NOT_POINT_ROWS.values(), ids=_NOT_POINT_ROWS)
+def test_unit_point_set_refuses_arrays_that_are_not_real_point_rows(points):
+    # The empty arrays ended in numpy's zero-size reduction error, and a
+    # complex array lost its imaginary part with only a ComplexWarning.
+    with pytest.raises(InvalidParameterError, match="unit points"):
+        UnitPointSet(points, generator="mc")
+
+
+@pytest.mark.parametrize("points", _NOT_POINT_ROWS.values(), ids=_NOT_POINT_ROWS)
+def test_sample_set_refuses_arrays_that_are_not_real_point_rows(points):
+    box = PhaseSpaceBox(t_lo=-1.0, t_hi=1.0, freq_hi=64.0)
+    with pytest.raises(InvalidParameterError, match="sample points"):
+        SampleSet(points, box=box, generator="mc")
+
+
 @pytest.mark.parametrize(
     "sides", [(-np.inf, 1.0, 64.0), (-1.0, np.inf, 64.0), (-1.0, 1.0, np.inf)]
 )
 def test_phase_space_box_refuses_non_finite_sides(sides):
     with pytest.raises(InvalidParameterError):
+        PhaseSpaceBox(*sides)
+
+
+def test_phase_space_box_judges_integer_sides_by_their_value():
+    # Both ended in a raw TypeError inside np.isfinite on an object array:
+    # -2^70 is a finite side, and 10^400 lies past the float range.
+    assert PhaseSpaceBox(t_lo=-(2**70), t_hi=1.0, freq_hi=1.0).volume == 2.0**70 + 1.0
+    with pytest.raises(InvalidParameterError, match="finite"):
+        PhaseSpaceBox(t_lo=0.0, t_hi=10**400, freq_hi=1.0)
+
+
+@pytest.mark.parametrize(
+    "sides",
+    [(-1e308, 1e308, 1.0), (0.0, 1e300, 1e300), (0, 2**600, 2**600), (0.0, 5e-324, 5e-324)],
+    ids=["span", "product", "integer-sides", "underflow"],
+)
+def test_phase_space_box_refuses_a_volume_outside_the_float_range(sides):
+    # The cubature weight volume/N would be infinite, or 0 where the volume
+    # underflows.
+    with pytest.raises(InvalidParameterError, match="volume"):
         PhaseSpaceBox(*sides)
 
 

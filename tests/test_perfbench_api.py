@@ -11,7 +11,10 @@ must still exist.
 """
 
 import ast
+import dataclasses
+import functools
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -77,21 +80,54 @@ def test_every_name_perfbench_imports_from_ltft_exists():
     assert not missing
 
 
+def _caller_nodes():
+    # Every AST node of src/ltft (less its re-exports) and perfbench/.
+    paths = [p for p in (ROOT / "src" / "ltft").glob("*.py") if p.name != "__init__.py"]
+    for path in paths + sorted((ROOT / "perfbench").glob("*.py")):
+        yield from ast.walk(ast.parse(path.read_text(), str(path)))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     # A public name that only tests read belongs in tests/oracles.py.  Names,
     # attributes and imports in src/ltft (less its re-exports) and perfbench/ count.
     import ltft
 
     read = set()
-    paths = [p for p in (ROOT / "src" / "ltft").glob("*.py") if p.name != "__init__.py"]
-    for path in paths + sorted((ROOT / "perfbench").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                read.update(alias.name.split(".")[-1] for alias in node.names)
+    for node in _caller_nodes():
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name.split(".")[-1] for alias in node.names)
     # The 3D star-discrepancy scan tells Hammersley from Monte Carlo at its
     # default resolution; its caller is a pending 3D bench-discrepancy mode.
     assert set(ltft.__all__) - read == {"star_discrepancy_scan"}
+
+
+def test_every_public_attribute_of_an_exported_class_has_a_caller():
+    # Each public method, property and dataclass field of a class in
+    # ltft.__all__ is read as an attribute, or passed as a keyword, in
+    # src/ltft (less its re-exports) or perfbench/.  Bare names do not
+    # count: short ones such as `c` are read everywhere.
+    import ltft
+
+    read = set()
+    for node in _caller_nodes():
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            read.add(node.arg)
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    unread = []
+    for name in ltft.__all__:
+        cls = getattr(ltft, name)
+        if not inspect.isclass(cls):
+            continue
+        fields = dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ()
+        attrs = {field.name for field in fields} | {
+            attr for attr, value in vars(cls).items()
+            if inspect.isfunction(value) or isinstance(value, kinds)
+        }
+        unread += [f"{name}.{attr}" for attr in sorted(attrs - read) if not attr.startswith("_")]
+    assert not unread
